@@ -923,6 +923,34 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_input_is_rejected_by_every_artifact_kind() {
+        // 100k levels once aborted the process with a stack overflow; the
+        // parser now stops at its depth cap. Bare and inside the envelope.
+        const DEPTH: usize = 100_000;
+        let arrays = "[".repeat(DEPTH);
+        let closed_arrays = format!("{arrays}{}", "]".repeat(DEPTH));
+        let objects = "{\"a\":".repeat(DEPTH);
+        let closed_objects = format!("{objects}0{}", "}".repeat(DEPTH));
+        let mut inputs = Vec::new();
+        for nested in [&arrays, &closed_arrays, &objects, &closed_objects] {
+            inputs.push(nested.clone());
+            inputs.push(format!(
+                "{{\"format_version\": {FORMAT_VERSION}, \"kind\": \"TreeQim\", \"model\": {nested}}}"
+            ));
+        }
+        for input in &inputs {
+            assert!(UncertaintyWrapper::from_artifact_json(input).is_err());
+            assert!(TimeseriesAwareWrapper::from_artifact_json(input).is_err());
+            assert!(TimeseriesBuffer::from_artifact_json(input).is_err());
+            assert!(CalibratedForestQim::from_artifact_json(input).is_err());
+            assert!(CalibratedQim::from_artifact_json(input).is_err());
+            assert!(ConformalQim::from_artifact_json(input).is_err());
+            assert!(crate::adaptive::AdaptiveState::from_artifact_json(input).is_err());
+            assert!(crate::sharded::EngineShardState::from_artifact_json(input).is_err());
+        }
+    }
+
+    #[test]
     fn old_format_version_is_rejected_as_such() {
         // A v1 artifact (pre-flat-form model layout) must be refused with
         // the version message, not with a missing-field error from the

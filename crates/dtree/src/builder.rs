@@ -6,18 +6,44 @@
 //! without pruning during this phase" — pruning happens later against the
 //! calibration set (see [`crate::prune`]).
 //!
+//! # Presorted construction
+//!
+//! A fit sorts each feature's row indices once (SLIQ-style presorting) and
+//! never sorts again. Memory is one `u32` row order per feature (`4 ·
+//! n_rows · n_features` bytes, feature-major), one side flag per row, and
+//! the per-row weights, plus a `16 · n_rows`-byte sort buffer while the
+//! presort runs; values are read from the dataset in place, with no
+//! sorted-value copy. A node owns the same sub-range of every feature's
+//! order, its **segments**; each segment lists the node's rows in that
+//! feature's value order. The split search scans the segments
+//! ([`crate::splitter`]). Each row's side (`x[feature] <= threshold`) is
+//! then flagged, and every segment is stably partitioned by the flags into
+//! left rows then right rows. Both halves keep their order, so they are the
+//! children's segments as they stand. The histogram splitter needs no
+//! order and keeps a single unsorted segment instead.
+//!
+//! Rows may carry integer weights (a row of weight `w` stands for `w`
+//! identical samples; [`crate::forest`] passes bootstrap draw counts).
+//! Node counts, `min_samples_*` and the split search all count weighted
+//! samples, so a weighted fit equals the fit on the materialized
+//! duplicates. Together with the tie argument in [`crate::splitter`], the
+//! tree is `==` to the one a per-node sort of the samples builds: same
+//! [`NodeInfo`]s, splits, thresholds and node ids.
+//!
 //! Construction runs on a thread budget ([`TreeBuilder::threads`]): the
-//! split search fans out across features, and large sibling subtrees build
-//! concurrently. Parallel builds are **bit-identical** to serial ones —
-//! concurrently built subtrees are spliced back into the exact pre-order
-//! node layout the serial recursion would have produced, and every
-//! floating-point reduction keeps its serial order.
+//! split search and the partition fan out across features, and large
+//! sibling subtrees build concurrently on disjoint segment halves.
+//! Parallel builds are **bit-identical** to serial ones — concurrently
+//! built subtrees are spliced back into the exact pre-order node layout
+//! the serial recursion would have produced, and every floating-point
+//! reduction keeps its serial order.
 
 use crate::criterion::SplitCriterion;
 use crate::data::Dataset;
 use crate::error::DtreeError;
-use crate::splitter::{find_best_split_with_threads, Splitter};
+use crate::splitter::{best_split, row_orders, Splitter, PARALLEL_SPLIT_MIN_WORK};
 use crate::tree::{DecisionTree, Node, NodeInfo, NodeKind};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Sibling subtrees build concurrently only when **both** children hold at
 /// least this many samples; below it, thread-spawn overhead dominates.
@@ -131,15 +157,45 @@ impl TreeBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`DtreeError::EmptyDataset`] if `data` has no samples.
+    /// Returns [`DtreeError::EmptyDataset`] if `data` has no samples and
+    /// [`DtreeError::InvalidHyperParameter`] if it has more than
+    /// `u32::MAX`.
     pub fn fit(&self, data: &Dataset) -> Result<DecisionTree, DtreeError> {
-        if data.n_samples() == 0 {
+        let mut orders = self.row_orders(data)?;
+        self.fit_weighted(data, &mut orders, &vec![1; data.n_samples()])
+    }
+
+    /// The row orders a fit with this builder's splitter starts from
+    /// (presorted per feature for the exact splitter).
+    pub(crate) fn row_orders(&self, data: &Dataset) -> Result<Vec<u32>, DtreeError> {
+        row_orders(data, self.splitter)
+    }
+
+    /// Trains on per-row integer `weights` (a row of weight `w` counts as
+    /// `w` identical samples). `orders` are [`TreeBuilder::row_orders`]
+    /// with the rows of weight 0 removed from every block; they become the
+    /// root's segments and are left permuted.
+    pub(crate) fn fit_weighted(
+        &self,
+        data: &Dataset,
+        orders: &mut [u32],
+        weights: &[u32],
+    ) -> Result<DecisionTree, DtreeError> {
+        let n_rows = weights.iter().filter(|&&w| w > 0).count();
+        if n_rows == 0 {
             return Err(DtreeError::EmptyDataset);
         }
+        let ctx = FitContext {
+            data,
+            weights,
+            goes_left: (0..data.n_samples())
+                .map(|_| AtomicBool::new(false))
+                .collect(),
+        };
         let threads = self.n_threads.unwrap_or_else(parallel::max_threads).max(1);
-        let mut idx: Vec<usize> = (0..data.n_samples()).collect();
+        let segments: Vec<&mut [u32]> = orders.chunks_exact_mut(n_rows).collect();
         let mut nodes: Vec<Node> = Vec::new();
-        self.build_node(data, &mut idx, 0, &mut nodes, threads)?;
+        self.build_node(&ctx, segments, 0, &mut nodes, threads);
         DecisionTree::from_parts(
             nodes,
             data.n_features(),
@@ -148,28 +204,38 @@ impl TreeBuilder {
         )
     }
 
-    /// Recursively builds the subtree over `idx` into `nodes` (pre-order:
-    /// parent, left block, right block); returns the node id. `threads` is
-    /// the budget available to this subtree: the split search fans out
-    /// across features with it, and when both children are large enough the
-    /// budget is halved over two concurrently built sibling subtrees.
+    /// Recursively builds the subtree over the node's rows into `nodes`
+    /// (pre-order: parent, left block, right block); returns the node id.
+    ///
+    /// Each of `segments` holds the node's rows (for the exact splitter,
+    /// `segments[f]` sorted by feature `f`). After the split search, every
+    /// segment is stably partitioned into the rows going left followed by
+    /// the rows going right; both halves keep their order, so they are the
+    /// children's segments as they stand.
+    ///
+    /// `threads` is the budget available to this subtree: the split search
+    /// and the partition fan out across features with it, and when both
+    /// children are large enough the budget is halved over two
+    /// concurrently built sibling subtrees.
     fn build_node(
         &self,
-        data: &Dataset,
-        idx: &mut [usize],
+        ctx: &FitContext<'_>,
+        mut segments: Vec<&mut [u32]>,
         depth: usize,
         nodes: &mut Vec<Node>,
         threads: usize,
-    ) -> Result<usize, DtreeError> {
+    ) -> usize {
+        let (data, weights) = (ctx.data, ctx.weights);
         let mut counts = vec![0u64; data.n_classes() as usize];
-        for &i in idx.iter() {
-            counts[data.label(i) as usize] += 1;
+        for &row in segments[0].iter() {
+            counts[data.label(row as usize) as usize] += u64::from(weights[row as usize]);
         }
+        let n: u64 = counts.iter().sum();
         let impurity = self.criterion.impurity(&counts);
         let id = nodes.len();
         nodes.push(Node {
             info: NodeInfo {
-                n: idx.len() as u64,
+                n,
                 counts: counts.clone(),
                 impurity,
                 depth,
@@ -178,12 +244,13 @@ impl TreeBuilder {
         });
 
         let depth_ok = self.max_depth.is_none_or(|d| depth < d);
-        if !depth_ok || idx.len() < self.min_samples_split || impurity <= 0.0 {
-            return Ok(id);
+        if !depth_ok || n < self.min_samples_split as u64 || impurity <= 0.0 {
+            return id;
         }
-        let split = match find_best_split_with_threads(
+        let split = match best_split(
             data,
-            idx,
+            weights,
+            &segments,
             &counts,
             self.criterion,
             self.splitter,
@@ -191,30 +258,39 @@ impl TreeBuilder {
             threads,
         ) {
             Some(s) if s.gain >= self.min_impurity_decrease => s,
-            _ => return Ok(id),
+            _ => return id,
         };
 
-        // In-place partition: left block gets x[feature] <= threshold.
-        let mut lo = 0usize;
-        let mut hi = idx.len();
-        while lo < hi {
-            if data.value(idx[lo], split.feature) <= split.threshold {
-                lo += 1;
-            } else {
-                hi -= 1;
-                idx.swap(lo, hi);
-            }
+        // Flag each row's side, then stably partition every segment by the
+        // flags: left rows first, each side keeping its order.
+        let n_rows = segments[0].len();
+        let mut n_left = 0;
+        for &row in segments[0].iter() {
+            let left = data.value(row as usize, split.feature) <= split.threshold;
+            ctx.goes_left[row as usize].store(left, Ordering::Relaxed);
+            n_left += usize::from(left);
         }
-        debug_assert_eq!(lo, split.n_left, "partition must agree with split search");
-        if lo == 0 || lo == idx.len() {
+        if n_left == 0 || n_left == n_rows {
             // Degenerate split (can only happen through FP pathologies);
             // keep the node as a leaf rather than recurse forever.
-            return Ok(id);
+            return id;
         }
-        let (left_idx, right_idx) = idx.split_at_mut(lo);
+        let partition = |segment: &mut &mut [u32]| stable_partition(segment, &ctx.goes_left);
+        let lefts: Vec<usize> = if threads > 1 && n_rows * segments.len() >= PARALLEL_SPLIT_MIN_WORK
+        {
+            parallel::par_map_mut(threads, &mut segments, partition)
+        } else {
+            segments.iter_mut().map(partition).collect()
+        };
+        debug_assert!(lefts.iter().all(|&l| l == n_left));
+
+        let (left_segments, right_segments): (Vec<&mut [u32]>, Vec<&mut [u32]>) = segments
+            .into_iter()
+            .map(|segment| segment.split_at_mut(n_left))
+            .unzip();
         let fork = threads > 1
-            && left_idx.len() >= PARALLEL_FIT_MIN_SAMPLES
-            && right_idx.len() >= PARALLEL_FIT_MIN_SAMPLES;
+            && n_left >= PARALLEL_FIT_MIN_SAMPLES
+            && n_rows - n_left >= PARALLEL_FIT_MIN_SAMPLES;
         let (left, right) = if fork {
             // Build the sibling subtrees concurrently into local pre-order
             // vectors, then splice them back at exactly the ids the serial
@@ -223,15 +299,15 @@ impl TreeBuilder {
             let right_budget = threads / 2;
             let (left_sub, right_sub) = parallel::join(
                 threads,
-                || self.build_subtree(data, left_idx, depth + 1, left_budget),
-                || self.build_subtree(data, right_idx, depth + 1, right_budget),
+                || self.build_subtree(ctx, left_segments, depth + 1, left_budget),
+                || self.build_subtree(ctx, right_segments, depth + 1, right_budget),
             );
-            let left = splice_subtree(nodes, left_sub?);
-            let right = splice_subtree(nodes, right_sub?);
+            let left = splice_subtree(nodes, left_sub);
+            let right = splice_subtree(nodes, right_sub);
             (left, right)
         } else {
-            let left = self.build_node(data, left_idx, depth + 1, nodes, threads)?;
-            let right = self.build_node(data, right_idx, depth + 1, nodes, threads)?;
+            let left = self.build_node(ctx, left_segments, depth + 1, nodes, threads);
+            let right = self.build_node(ctx, right_segments, depth + 1, nodes, threads);
             (left, right)
         };
         nodes[id].kind = NodeKind::Internal {
@@ -240,21 +316,52 @@ impl TreeBuilder {
             left,
             right,
         };
-        Ok(id)
+        id
     }
 
     /// Builds a detached subtree with local (zero-based) node ids.
     fn build_subtree(
         &self,
-        data: &Dataset,
-        idx: &mut [usize],
+        ctx: &FitContext<'_>,
+        segments: Vec<&mut [u32]>,
         depth: usize,
         threads: usize,
-    ) -> Result<Vec<Node>, DtreeError> {
+    ) -> Vec<Node> {
         let mut nodes = Vec::new();
-        self.build_node(data, idx, depth, &mut nodes, threads)?;
-        Ok(nodes)
+        self.build_node(ctx, segments, depth, &mut nodes, threads);
+        nodes
     }
+}
+
+/// Inputs shared by every node of one fit.
+struct FitContext<'a> {
+    data: &'a Dataset,
+    /// Per-row sample weights (bootstrap multiplicities; 1 for a plain fit).
+    weights: &'a [u32],
+    /// Side of each row at the node being partitioned (`true` = left),
+    /// indexed by row. A node writes its rows' flags before it partitions
+    /// (the partition workers' spawn orders those writes before their
+    /// reads), and concurrently built subtrees own disjoint rows, so the
+    /// flags publish nothing else and `Relaxed` suffices.
+    goes_left: Vec<AtomicBool>,
+}
+
+/// Moves the rows flagged left to the front of `segment` and the others
+/// behind them, each side in its original order; returns the left count.
+fn stable_partition(segment: &mut [u32], goes_left: &[AtomicBool]) -> usize {
+    let mut right = Vec::with_capacity(segment.len());
+    let mut n_left = 0;
+    for k in 0..segment.len() {
+        let row = segment[k];
+        if goes_left[row as usize].load(Ordering::Relaxed) {
+            segment[n_left] = row;
+            n_left += 1;
+        } else {
+            right.push(row);
+        }
+    }
+    segment[n_left..].copy_from_slice(&right);
+    n_left
 }
 
 /// Appends a locally-indexed subtree to `nodes`, rebasing child ids; the
@@ -276,6 +383,175 @@ fn splice_subtree(nodes: &mut Vec<Node>, subtree: Vec<Node>) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::splitter::find_best_split;
+    use proptest::prelude::*;
+
+    /// The builder the presorted one replaced: at every node it sorts the
+    /// node's samples afresh ([`find_best_split`]) and partitions the
+    /// sample indices in place. Serial; the tree under test must equal it
+    /// at every thread budget.
+    fn reference_fit(b: &TreeBuilder, data: &Dataset) -> DecisionTree {
+        fn build(
+            b: &TreeBuilder,
+            data: &Dataset,
+            idx: &mut [usize],
+            depth: usize,
+            nodes: &mut Vec<Node>,
+        ) -> usize {
+            let mut counts = vec![0u64; data.n_classes() as usize];
+            for &i in idx.iter() {
+                counts[data.label(i) as usize] += 1;
+            }
+            let impurity = b.criterion.impurity(&counts);
+            let id = nodes.len();
+            nodes.push(Node {
+                info: NodeInfo {
+                    n: idx.len() as u64,
+                    counts: counts.clone(),
+                    impurity,
+                    depth,
+                },
+                kind: NodeKind::Leaf,
+            });
+            let depth_ok = b.max_depth.is_none_or(|d| depth < d);
+            if !depth_ok || idx.len() < b.min_samples_split || impurity <= 0.0 {
+                return id;
+            }
+            let split = match find_best_split(
+                data,
+                idx,
+                &counts,
+                b.criterion,
+                b.splitter,
+                b.min_samples_leaf,
+            ) {
+                Some(s) if s.gain >= b.min_impurity_decrease => s,
+                _ => return id,
+            };
+            let (mut lo, mut hi) = (0, idx.len());
+            while lo < hi {
+                if data.value(idx[lo], split.feature) <= split.threshold {
+                    lo += 1;
+                } else {
+                    hi -= 1;
+                    idx.swap(lo, hi);
+                }
+            }
+            if lo == 0 || lo == idx.len() {
+                return id;
+            }
+            let (left_idx, right_idx) = idx.split_at_mut(lo);
+            let left = build(b, data, left_idx, depth + 1, nodes);
+            let right = build(b, data, right_idx, depth + 1, nodes);
+            nodes[id].kind = NodeKind::Internal {
+                feature: split.feature,
+                threshold: split.threshold,
+                left,
+                right,
+            };
+            id
+        }
+        let mut idx: Vec<usize> = (0..data.n_samples()).collect();
+        let mut nodes = Vec::new();
+        build(b, data, &mut idx, 0, &mut nodes);
+        DecisionTree::from_parts(
+            nodes,
+            data.n_features(),
+            data.n_classes(),
+            data.feature_names().to_vec(),
+        )
+        .unwrap()
+    }
+
+    /// Feature values on a coarse grid: heavy ties, both signed zeros.
+    const GRID: [f64; 6] = [-2.0, -0.0, 0.0, 0.5, 1.0, 7.25];
+
+    /// `rows` drawn as grid indices plus a continuous value, repeated
+    /// `copies` times (duplicate rows), labels folded into `n_classes`.
+    fn tied_dataset(rows: &[(usize, usize, f64, u32)], copies: usize, n_classes: u32) -> Dataset {
+        let names = vec!["a".into(), "b".into(), "c".into()];
+        let mut ds = Dataset::new(names, n_classes).unwrap();
+        for _ in 0..copies {
+            for &(a, b, c, label) in rows {
+                let label = if GRID[a] > 0.0 {
+                    label % 2
+                } else {
+                    label % n_classes
+                };
+                ds.push_row(&[GRID[a], GRID[b], (c * 8.0).floor()], label)
+                    .unwrap();
+            }
+        }
+        ds
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn presorted_fit_is_bit_identical_to_per_node_sort_reference(
+            rows in prop::collection::vec((0usize..6, 0usize..6, 0.0f64..1.0, 0u32..5), 1..300),
+            shape in (1usize..12, prop::bool::ANY, prop::bool::ANY, 0usize..9),
+            min_samples_leaf in 1usize..6,
+            min_impurity_decrease in 0.0f64..0.04,
+            splitter_bins in 0usize..24,
+        ) {
+            let (copies, entropy, five_classes, depth) = shape;
+            let n_classes = if five_classes { 5 } else { 2 };
+            let ds = tied_dataset(&rows, copies, n_classes);
+            let mut b = TreeBuilder::new();
+            b.criterion(if entropy { SplitCriterion::Entropy } else { SplitCriterion::Gini })
+                .min_samples_leaf(min_samples_leaf);
+            if splitter_bins >= 16 {
+                b.splitter(Splitter::Histogram { bins: splitter_bins - 14 });
+            }
+            if depth > 0 {
+                b.max_depth(depth);
+            }
+            if copies % 2 == 0 {
+                b.min_impurity_decrease(min_impurity_decrease);
+            }
+            let reference = reference_fit(&b, &ds);
+            for threads in [1usize, 2, 8] {
+                let tree = b.clone().threads(threads).fit(&ds).unwrap();
+                prop_assert!(tree == reference, "threads={}", threads);
+            }
+        }
+    }
+
+    #[test]
+    fn presorted_fit_matches_reference_through_forks_and_fan_out() {
+        // Large enough that the split search fans out and sibling subtrees
+        // fork at budgets 2 and 8.
+        let mut state = 5u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let rows: Vec<(usize, usize, f64, u32)> = (0..3000)
+            .map(|_| {
+                let (a, b, c) = ((next() * 6.0) as usize, (next() * 6.0) as usize, next());
+                let label = u32::from(GRID[a] + c > 0.9) ^ u32::from(next() < 0.1);
+                (a, b, c, label)
+            })
+            .collect();
+        for (criterion, n_classes) in [(SplitCriterion::Gini, 2), (SplitCriterion::Entropy, 5)] {
+            let ds = tied_dataset(&rows, 2, n_classes);
+            let mut b = TreeBuilder::new();
+            b.criterion(criterion).min_samples_leaf(3);
+            let reference = reference_fit(&b, &ds);
+            assert!(reference.n_nodes() > 15, "tree must actually grow");
+            for threads in [1usize, 2, 8] {
+                assert_eq!(
+                    b.clone().threads(threads).fit(&ds).unwrap(),
+                    reference,
+                    "threads={threads}"
+                );
+            }
+        }
+    }
 
     fn xor_like_dataset() -> Dataset {
         // Class = (x > 0.35) XOR (y > 0.25): needs depth 2 to separate.

@@ -18,6 +18,13 @@
 //!   per-tree fits fan out over [`parallel::par_map`] with input-order
 //!   reduction, so the trained forest is **bit-identical for every thread
 //!   budget** (the same contract [`TreeBuilder::fit`] honours).
+//!   A resample is never materialized: the draws become per-row
+//!   multiplicities (`u32` weights) and the member fits the original rows
+//!   with them, which counts exactly as the drawn duplicates would. The
+//!   feature orders are presorted once per forest; each member keeps the
+//!   rows it drew (weight > 0) from them, so a member holds `u32` row
+//!   orders and weights, never a copy of the dataset, and each worker
+//!   reuses one such pair of buffers for all of its members.
 //! * [`Forest`] — the trained pointer-tree ensemble (the transparent,
 //!   reviewable form).
 //! * [`FlatForest`] — the compiled serving form: one [`FlatTree`] per
@@ -113,21 +120,20 @@ impl ForestBuilder {
     }
 
     /// Trains the forest: member `t` fits on a bootstrap resample
-    /// (`data.n_samples()` draws with replacement) whose indices come from
-    /// a SplitMix64 stream seeded deterministically from `(seed, t)`.
+    /// (`data.n_samples()` draws with replacement, applied as per-row
+    /// multiplicities) whose indices come from a SplitMix64 stream seeded
+    /// deterministically from `(seed, t)`.
     ///
     /// # Errors
     ///
     /// Returns [`DtreeError::EmptyDataset`] if `data` has no samples and
-    /// [`DtreeError::InvalidHyperParameter`] if `n_trees` is zero.
+    /// [`DtreeError::InvalidHyperParameter`] if `n_trees` is zero or `data`
+    /// has more than `u32::MAX` samples.
     pub fn fit(&self, data: &Dataset) -> Result<Forest, DtreeError> {
         if self.n_trees == 0 {
             return Err(DtreeError::InvalidHyperParameter {
                 constraint: "a forest needs at least one tree",
             });
-        }
-        if data.n_samples() == 0 {
-            return Err(DtreeError::EmptyDataset);
         }
         // Derive every member's seed up front, serially, so the fan-out
         // below cannot perturb the resamples regardless of scheduling.
@@ -137,30 +143,44 @@ impl ForestBuilder {
         let mut template = self.tree.clone();
         template.threads(1); // parallelism lives across members, not within
         let threads = self.n_threads.unwrap_or_else(parallel::max_threads).max(1);
-        let members: Vec<Result<DecisionTree, DtreeError>> =
-            parallel::par_map(threads, &member_seeds, |&member_seed| {
-                let resample = bootstrap_resample(data, member_seed)?;
-                template.fit(&resample)
+        let orders = template.row_orders(data)?;
+        // One contiguous run of members per worker, so each worker reuses
+        // its weight and order buffers from member to member (a stable
+        // peak memory); the runs concatenate in seed order.
+        let runs: Vec<&[u64]> = member_seeds
+            .chunks(self.n_trees.div_ceil(threads))
+            .collect();
+        let members: Vec<Vec<Result<DecisionTree, DtreeError>>> =
+            parallel::par_map(threads, &runs, |seeds| {
+                let mut weights = vec![0u32; data.n_samples()];
+                let mut member_orders = Vec::new();
+                seeds
+                    .iter()
+                    .map(|&seed| {
+                        bootstrap_weights(&mut weights, seed);
+                        member_orders.clear();
+                        member_orders
+                            .extend(orders.iter().filter(|&&row| weights[row as usize] > 0));
+                        template.fit_weighted(data, &mut member_orders, &weights)
+                    })
+                    .collect()
             });
         let mut trees = Vec::with_capacity(self.n_trees);
-        for member in members {
+        for member in members.into_iter().flatten() {
             trees.push(member?);
         }
         Ok(Forest { trees })
     }
 }
 
-/// Draws `data.n_samples()` rows with replacement into a fresh dataset.
-fn bootstrap_resample(data: &Dataset, seed: u64) -> Result<Dataset, DtreeError> {
-    let n = data.n_samples();
+/// Bootstrap multiplicities: `weights.len()` draws with replacement from
+/// as many rows, written as each row's draw count.
+fn bootstrap_weights(weights: &mut [u32], seed: u64) {
     let mut rng = SplitMix64::new(seed);
-    let mut resample = Dataset::new(data.feature_names().to_vec(), data.n_classes())?;
-    resample.reserve(n);
-    for _ in 0..n {
-        let i = rng.next_index(n);
-        resample.push_row(data.row(i), data.label(i))?;
+    weights.fill(0);
+    for _ in 0..weights.len() {
+        weights[rng.next_index(weights.len())] += 1;
     }
-    Ok(resample)
 }
 
 /// A trained bootstrap ensemble of pointer trees — the transparent,
@@ -536,6 +556,73 @@ impl FlatForest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::criterion::SplitCriterion;
+
+    /// Draws `data.n_samples()` rows with replacement into a fresh
+    /// dataset: the materialized resample the multiplicity bootstrap must
+    /// reproduce.
+    fn bootstrap_resample(data: &Dataset, seed: u64) -> Dataset {
+        let n = data.n_samples();
+        let mut rng = SplitMix64::new(seed);
+        let mut resample = Dataset::new(data.feature_names().to_vec(), data.n_classes()).unwrap();
+        for _ in 0..n {
+            let i = rng.next_index(n);
+            resample.push_row(data.row(i), data.label(i)).unwrap();
+        }
+        resample
+    }
+
+    /// The forest as it was built before multiplicity weights: member `t`
+    /// fits a materialized resample, serially.
+    fn reference_forest(builder: &ForestBuilder, data: &Dataset) -> Forest {
+        let mut seeder = SplitMix64::new(builder.seed);
+        let trees = (0..builder.n_trees)
+            .map(|_| {
+                let resample = bootstrap_resample(data, seeder.next_u64());
+                builder.tree.clone().threads(1).fit(&resample).unwrap()
+            })
+            .collect();
+        Forest::from_trees(trees).unwrap()
+    }
+
+    #[test]
+    fn multiplicity_bootstrap_matches_materialized_resamples() {
+        // Two tied features (a coarse grid with both signed zeros) and one
+        // continuous one; three classes so a generic-criterion path runs too.
+        let mut state = 17u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let grid = [-1.0, -0.0, 0.0, 0.5, 2.0];
+        for (n_classes, criterion) in [(2, SplitCriterion::Gini), (3, SplitCriterion::Entropy)] {
+            let mut ds = Dataset::new(vec!["a".into(), "b".into(), "c".into()], n_classes).unwrap();
+            for _ in 0..1500 {
+                let row = [
+                    grid[(next() * 5.0) as usize],
+                    (next() * 6.0).floor(),
+                    next(),
+                ];
+                let label = if row[0] + row[2] > 0.8 {
+                    u32::from(next() < 0.8)
+                } else {
+                    (next() * f64::from(n_classes)) as u32
+                };
+                ds.push_row(&row, label).unwrap();
+            }
+            for n_trees in [1usize, 16] {
+                let mut b = ForestBuilder::new(n_trees, 0xB007 + n_trees as u64);
+                b.tree(TreeBuilder::new().criterion(criterion).max_depth(6).clone());
+                let reference = reference_forest(&b, &ds);
+                for threads in [1usize, 2, 8] {
+                    let forest = b.clone().threads(threads).fit(&ds).unwrap();
+                    assert_eq!(forest, reference, "{n_trees} trees, threads={threads}");
+                }
+            }
+        }
+    }
 
     /// Failure iff x > 0.5, with a pinch of label noise so bootstrap
     /// resamples actually produce distinct trees.

@@ -9,7 +9,8 @@
 //!
 //! * [`data::Dataset`] — dense row-major feature matrix with named columns.
 //! * [`criterion::SplitCriterion`] — gini / entropy impurity.
-//! * [`splitter::Splitter`] — exact sort-and-scan or histogram split search.
+//! * [`splitter::Splitter`] — exact scan over presorted feature orders, or
+//!   histogram split search.
 //! * [`builder::TreeBuilder`] — recursive CART construction with the
 //!   classic stopping controls.
 //! * [`tree::DecisionTree`] — the arena-based tree: prediction, decision
@@ -18,9 +19,9 @@
 //!   branch-light routing to dense, stable leaf IDs, single-sample and
 //!   batched (thread-fanned) prediction, bit-identical to the pointer tree.
 //! * [`forest`] — bootstrap tree ensembles: deterministic per-tree
-//!   resampling fanned over the thread budget, plus the [`forest::FlatForest`]
-//!   serving form (one flat traversal per member) that smooths the hard
-//!   split boundaries of a single tree.
+//!   bootstrap multiplicities fanned over the thread budget, plus the
+//!   [`forest::FlatForest`] serving form (one flat traversal per member)
+//!   that smooths the hard split boundaries of a single tree.
 //! * [`prune`] — calibration-driven bottom-up pruning.
 //! * [`export`] — text / DOT / JSON rendering for expert review.
 //! * [`importance`] — mean-decrease-in-impurity feature importances.

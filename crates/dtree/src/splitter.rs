@@ -1,20 +1,58 @@
-//! Split search strategies: exact (sort-and-scan over every distinct
-//! threshold) and histogram (binned, approximate but much faster on large
-//! nodes). The ablation bench `bench_dtree` compares both.
+//! Split search strategies: exact (scan over every distinct threshold) and
+//! histogram (binned, approximate). The ablation bench `bench_dtree`
+//! compares both.
 //!
-//! The search can fan out across features on a thread budget
-//! ([`find_best_split_with_threads`]). Per-feature candidates are computed
-//! independently and reduced sequentially in feature order with the same
-//! comparison as the serial loop, so the selected split is **bit-identical**
-//! for every thread count.
+//! # Presorted exact search
+//!
+//! A node is searched from **presorted segments**: for every feature, the
+//! node's rows as `u32` row indices in ascending order of that feature's
+//! value (`f64::total_cmp`). [`crate::builder::TreeBuilder`] sorts each
+//! feature once per fit and stably partitions every segment as the tree
+//! grows (SLIQ-style), so no node ever sorts. The exact search walks a
+//! feature's segment once, accumulating per-class counts and evaluating
+//! the split impurity at every boundary between distinct values. Rows are
+//! gathered in blocks of 256 (value, label, weight) before the scan, so
+//! the random reads of a block overlap; values stay in the dataset, with
+//! no sorted copy. Two-class Gini, the paper's criterion, runs through an
+//! inline kernel whose floating-point operations are exactly those of
+//! [`SplitCriterion::split_impurity`]; entropy and multi-class nodes use
+//! the generic call. The histogram search does not depend on row order
+//! and reads one unsorted segment.
+//!
+//! Rows carry integer **weights** (multiplicities): a row of weight `w`
+//! counts as `w` identical samples. Unit weights are a plain fit; a forest
+//! member fits on its bootstrap draw counts
+//! ([`crate::forest::ForestBuilder`]).
+//!
+//! # Why the presorted search is bit-identical to a per-node sort
+//!
+//! Feature values are finite, and `total_cmp` treats two finite values as
+//! equal exactly when their bits are equal. A segment is therefore the
+//! same sequence of value bits as sorting the node's (weight-expanded)
+//! samples afresh; only rows with bit-equal values can appear in another
+//! order. The scan evaluates a split only where the next value is
+//! strictly greater (`-0.0`/`+0.0` are not a boundary), so the counts at
+//! every evaluated boundary sum over whole tie groups and cannot depend on
+//! the order inside one. A weight adds to the counts exactly what `w`
+//! materialized duplicates would. Every candidate thus sees the same
+//! counts, the same impurity bits and the same `v`/`next_v` for its
+//! threshold, in the same order, as the per-node sort of
+//! [`find_best_split`].
+//!
+//! The search fans out across features on a thread budget. Per-feature
+//! candidates are computed independently and reduced sequentially in
+//! feature order with the same comparison as the serial loop, so the
+//! selected split is **bit-identical** for every thread count.
 
 use crate::criterion::SplitCriterion;
 use crate::data::Dataset;
+use crate::error::DtreeError;
 use serde::{Deserialize, Serialize};
+use std::ops::Deref;
 
-/// Below this node workload (`samples × features`) the parallel fan-out is
+/// Below this node workload (`rows × features`) the parallel fan-out is
 /// pure overhead and the search stays serial regardless of budget.
-const PARALLEL_SPLIT_MIN_WORK: usize = 8_192;
+pub(crate) const PARALLEL_SPLIT_MIN_WORK: usize = 8_192;
 
 /// Strategy used to enumerate candidate thresholds at a node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
@@ -55,11 +93,18 @@ pub struct BestSplit {
     pub n_left: usize,
 }
 
-/// Searches for the best split of the node containing `idx`.
+/// Searches for the best split of the node containing `idx`, sorting the
+/// node's samples afresh for every feature. The tree builder never calls
+/// it (it keeps presorted segments instead); it is the per-node reference
+/// the presorted search is tested against, and a standalone entry point.
 ///
 /// `parent_counts` are the per-class counts over `idx` (precomputed by the
 /// caller). Returns `None` when no split satisfies `min_samples_leaf` or
 /// yields positive gain.
+///
+/// # Panics
+///
+/// Panics if an index in `idx` is out of bounds or above `u32::MAX`.
 pub fn find_best_split(
     data: &Dataset,
     idx: &[usize],
@@ -68,9 +113,28 @@ pub fn find_best_split(
     splitter: Splitter,
     min_samples_leaf: usize,
 ) -> Option<BestSplit> {
-    find_best_split_with_threads(
+    let rows: Vec<u32> = idx
+        .iter()
+        .map(|&i| u32::try_from(i).expect("row index exceeds u32::MAX"))
+        .collect();
+    let segments: Vec<Vec<u32>> = match splitter {
+        Splitter::Exact => (0..data.n_features())
+            .map(|feature| {
+                let mut segment = rows.clone();
+                segment.sort_by(|&a, &b| {
+                    data.value(a as usize, feature)
+                        .total_cmp(&data.value(b as usize, feature))
+                });
+                segment
+            })
+            .collect(),
+        Splitter::Histogram { .. } => vec![rows],
+    };
+    let weights = vec![1u32; data.n_samples()];
+    best_split(
         data,
-        idx,
+        &weights,
+        &segments,
         parent_counts,
         criterion,
         splitter,
@@ -79,44 +143,92 @@ pub fn find_best_split(
     )
 }
 
-/// [`find_best_split`] with per-feature fan-out over up to `threads`
-/// worker threads. The result is bit-identical to the serial search: each
-/// feature's candidate is computed independently (same floating-point
-/// operations in the same order) and the winner is reduced sequentially in
+/// The row orders a fit starts from, as equal blocks of `n_samples` row
+/// indices. The exact splitter gets one block per feature, block `f` in
+/// ascending `total_cmp` order of feature `f` with ties broken by row
+/// index (presorting). The histogram splitter does not depend on row order
+/// and gets a single block in row order.
+///
+/// Features sort one after another through one `(key, row)` buffer, which
+/// keeps the transient memory of a fit at `16 · n_samples` bytes on top of
+/// the orders.
+///
+/// # Errors
+///
+/// Returns [`DtreeError::EmptyDataset`] for an empty dataset and
+/// [`DtreeError::InvalidHyperParameter`] if row indices do not fit `u32`.
+pub(crate) fn row_orders(data: &Dataset, splitter: Splitter) -> Result<Vec<u32>, DtreeError> {
+    let n = data.n_samples();
+    if n == 0 {
+        return Err(DtreeError::EmptyDataset);
+    }
+    let Ok(n_u32) = u32::try_from(n) else {
+        return Err(DtreeError::InvalidHyperParameter {
+            constraint: "a tree trains on at most u32::MAX samples",
+        });
+    };
+    if let Splitter::Histogram { .. } = splitter {
+        return Ok((0..n_u32).collect());
+    }
+    let mut orders = Vec::with_capacity(n * data.n_features());
+    let mut keyed: Vec<(u64, u32)> = Vec::with_capacity(n);
+    for feature in 0..data.n_features() {
+        keyed.clear();
+        keyed.extend((0..n_u32).map(|i| (total_order_key(data.value(i as usize, feature)), i)));
+        keyed.sort_unstable();
+        orders.extend(keyed.iter().map(|&(_, row)| row));
+    }
+    Ok(orders)
+}
+
+/// Maps `f64` bits to a `u64` whose unsigned order is `f64::total_cmp`.
+fn total_order_key(v: f64) -> u64 {
+    let bits = v.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | (1 << 63)
+    }
+}
+
+/// Searches a node given as segments holding its rows, with per-row
+/// `weights`, fanning the features out over up to `threads` workers. The
+/// exact splitter needs one segment per feature, sorted by that feature;
+/// the histogram splitter reads only `segments[0]`, in any order.
+///
+/// The result is bit-identical for every budget: each feature's candidate
+/// is computed independently and the winner is reduced sequentially in
 /// ascending feature order, preferring the lower feature index on equal
-/// gain exactly like the serial loop.
-pub fn find_best_split_with_threads(
+/// gain exactly like a serial loop.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn best_split<S>(
     data: &Dataset,
-    idx: &[usize],
+    weights: &[u32],
+    segments: &[S],
     parent_counts: &[u64],
     criterion: SplitCriterion,
     splitter: Splitter,
     min_samples_leaf: usize,
     threads: usize,
-) -> Option<BestSplit> {
+) -> Option<BestSplit>
+where
+    S: Deref<Target = [u32]> + Sync,
+{
     let parent_impurity = criterion.impurity(parent_counts);
     if parent_impurity <= 0.0 {
         return None;
     }
+    let node = NodeScan {
+        data,
+        weights,
+        parent_counts,
+        criterion,
+        min_samples_leaf: min_samples_leaf as u64,
+    };
     let search_feature = |feature: usize| -> Option<BestSplit> {
         let candidate = match splitter {
-            Splitter::Exact => best_split_exact(
-                data,
-                idx,
-                parent_counts,
-                criterion,
-                feature,
-                min_samples_leaf,
-            ),
-            Splitter::Histogram { bins } => best_split_histogram(
-                data,
-                idx,
-                parent_counts,
-                criterion,
-                feature,
-                min_samples_leaf,
-                bins.max(2),
-            ),
+            Splitter::Exact => node.exact(&segments[feature], feature),
+            Splitter::Histogram { bins } => node.histogram(&segments[0], feature, bins.max(2)),
         };
         candidate.and_then(|c| {
             let gain = parent_impurity - c.weighted_impurity;
@@ -124,14 +236,15 @@ pub fn find_best_split_with_threads(
                 feature,
                 threshold: c.threshold,
                 gain,
-                n_left: c.n_left,
+                n_left: c.n_left as usize,
             })
         })
     };
 
     let n_features = data.n_features();
+    let n_rows = segments[0].len();
     let per_feature: Vec<Option<BestSplit>> =
-        if threads > 1 && n_features > 1 && idx.len() * n_features >= PARALLEL_SPLIT_MIN_WORK {
+        if threads > 1 && n_features > 1 && n_rows * n_features >= PARALLEL_SPLIT_MIN_WORK {
             let features: Vec<usize> = (0..n_features).collect();
             parallel::par_map(threads, &features, |&feature| search_feature(feature))
         } else {
@@ -142,139 +255,253 @@ pub fn find_best_split_with_threads(
     // required — identical tie-breaking to the serial loop.
     let mut best: Option<BestSplit> = None;
     for candidate in per_feature.into_iter().flatten() {
-        let better = match &best {
-            None => true,
-            Some(b) => candidate.gain > b.gain,
-        };
-        if better {
+        if best.as_ref().is_none_or(|b| candidate.gain > b.gain) {
             best = Some(candidate);
         }
     }
     best
 }
 
+/// Two-class Gini split impurity of the counts `(l0, l1) | (r0, r1)`.
+///
+/// Performs exactly the floating-point operations of
+/// [`SplitCriterion::split_impurity`] on `&[l0, l1]`, `&[r0, r1]` under
+/// [`SplitCriterion::Gini`] (same conversions, divisions, products and
+/// summation order), so the result is equal bit for bit — without the
+/// slice sums and the iterator plumbing.
+#[inline]
+fn gini2_split_impurity(l0: u64, l1: u64, r0: u64, r1: u64) -> f64 {
+    #[inline]
+    fn gini(a: u64, b: u64, n: u64) -> f64 {
+        if n == 0 {
+            return 0.0;
+        }
+        let n = n as f64;
+        let (pa, pb) = (a as f64 / n, b as f64 / n);
+        1.0 - (pa * pa + pb * pb)
+    }
+    let (nl, nr) = (l0 + l1, r0 + r1);
+    let n = nl + nr;
+    if n == 0 {
+        return 0.0;
+    }
+    (nl as f64 * gini(l0, l1, nl) + nr as f64 * gini(r0, r1, nr)) / n as f64
+}
+
 struct Candidate {
     threshold: f64,
     weighted_impurity: f64,
-    n_left: usize,
+    n_left: u64,
 }
 
-fn best_split_exact(
-    data: &Dataset,
-    idx: &[usize],
-    parent_counts: &[u64],
+/// The per-node inputs every feature's scan shares.
+struct NodeScan<'a> {
+    data: &'a Dataset,
+    weights: &'a [u32],
+    parent_counts: &'a [u64],
     criterion: SplitCriterion,
-    feature: usize,
-    min_samples_leaf: usize,
-) -> Option<Candidate> {
-    let n = idx.len();
-    let mut pairs: Vec<(f64, u32)> = idx
-        .iter()
-        .map(|&i| (data.value(i, feature), data.label(i)))
-        .collect();
-    pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
+    min_samples_leaf: u64,
+}
 
-    let n_classes = parent_counts.len();
-    let mut left = vec![0u64; n_classes];
-    let mut right = parent_counts.to_vec();
-    let mut best: Option<Candidate> = None;
+/// Rows gathered per block of the exact scan. The gather loop has no
+/// data-dependent branches, so the (cache-missing) loads of a whole block
+/// overlap; the scan then branches over values already in L1.
+const SCAN_BLOCK: usize = 256;
 
-    for i in 0..n - 1 {
-        let (v, label) = pairs[i];
-        left[label as usize] += 1;
-        right[label as usize] -= 1;
-        let next_v = pairs[i + 1].0;
-        if next_v <= v {
-            continue; // not a boundary between distinct values
+/// Left/right class counts of a scan in progress.
+trait ScanCounts {
+    /// Moves `w` samples of class `label` from the right side to the left.
+    fn add(&mut self, label: u32, w: u64);
+    /// Samples on the left.
+    fn n_left(&self) -> u64;
+    /// Weighted child impurity of the current left/right counts.
+    fn split_impurity(&self) -> f64;
+}
+
+/// Two-class Gini counts, evaluated by [`gini2_split_impurity`].
+struct Gini2 {
+    left: [u64; 2],
+    parent: [u64; 2],
+}
+
+impl ScanCounts for Gini2 {
+    #[inline]
+    fn add(&mut self, label: u32, w: u64) {
+        self.left[label as usize] += w;
+    }
+
+    #[inline]
+    fn n_left(&self) -> u64 {
+        self.left[0] + self.left[1]
+    }
+
+    #[inline]
+    fn split_impurity(&self) -> f64 {
+        let [l0, l1] = self.left;
+        let [p0, p1] = self.parent;
+        gini2_split_impurity(l0, l1, p0 - l0, p1 - l1)
+    }
+}
+
+/// Any criterion and class count, through
+/// [`SplitCriterion::split_impurity`].
+struct Generic {
+    criterion: SplitCriterion,
+    left: Vec<u64>,
+    right: Vec<u64>,
+    n_left: u64,
+}
+
+impl ScanCounts for Generic {
+    fn add(&mut self, label: u32, w: u64) {
+        self.left[label as usize] += w;
+        self.right[label as usize] -= w;
+        self.n_left += w;
+    }
+
+    fn n_left(&self) -> u64 {
+        self.n_left
+    }
+
+    fn split_impurity(&self) -> f64 {
+        self.criterion.split_impurity(&self.left, &self.right)
+    }
+}
+
+impl NodeScan<'_> {
+    /// Exact scan over a segment sorted by `feature`.
+    fn exact(&self, rows: &[u32], feature: usize) -> Option<Candidate> {
+        match (self.criterion, self.parent_counts) {
+            (SplitCriterion::Gini, &[p0, p1]) => self.scan(
+                rows,
+                feature,
+                Gini2 {
+                    left: [0; 2],
+                    parent: [p0, p1],
+                },
+            ),
+            (criterion, parent) => self.scan(
+                rows,
+                feature,
+                Generic {
+                    criterion,
+                    left: vec![0; parent.len()],
+                    right: parent.to_vec(),
+                    n_left: 0,
+                },
+            ),
         }
-        let n_left = i + 1;
-        let n_right = n - n_left;
-        if n_left < min_samples_leaf || n_right < min_samples_leaf {
-            continue;
-        }
-        let w = criterion.split_impurity(&left, &right);
-        if best.as_ref().is_none_or(|b| w < b.weighted_impurity) {
-            // Midpoint threshold, like CART; falls back to the left value if
-            // the midpoint rounds onto the right value.
-            let mut threshold = 0.5 * (v + next_v);
-            if threshold >= next_v {
-                threshold = v;
+    }
+
+    /// Walks the segment in ascending value order, evaluating every
+    /// boundary between distinct values before the row after it joins the
+    /// left side.
+    fn scan<C: ScanCounts>(
+        &self,
+        rows: &[u32],
+        feature: usize,
+        mut counts: C,
+    ) -> Option<Candidate> {
+        let (data, labels) = (self.data, self.data.labels());
+        let n: u64 = self.parent_counts.iter().sum();
+        let mut best: Option<Candidate> = None;
+        // No value exceeds +inf, so the first row never closes a boundary.
+        let mut prev_v = f64::INFINITY;
+        let mut block = [(0.0f64, 0u32, 0u32); SCAN_BLOCK];
+        for chunk in rows.chunks(SCAN_BLOCK) {
+            for (slot, &row) in block.iter_mut().zip(chunk) {
+                let row = row as usize;
+                *slot = (data.value(row, feature), labels[row], self.weights[row]);
             }
-            best = Some(Candidate {
-                threshold,
-                weighted_impurity: w,
-                n_left,
-            });
+            for &(v, label, w) in &block[..chunk.len()] {
+                // `v > prev_v` is a boundary between distinct values;
+                // bit-different equal values (-0.0, +0.0) are not.
+                if v > prev_v {
+                    let n_left = counts.n_left();
+                    if n_left >= self.min_samples_leaf && n - n_left >= self.min_samples_leaf {
+                        let w = counts.split_impurity();
+                        if best.as_ref().is_none_or(|b| w < b.weighted_impurity) {
+                            // Midpoint threshold, like CART; falls back to
+                            // the left value if the midpoint rounds onto
+                            // the right value.
+                            let mut threshold = 0.5 * (prev_v + v);
+                            if threshold >= v {
+                                threshold = prev_v;
+                            }
+                            best = Some(Candidate {
+                                threshold,
+                                weighted_impurity: w,
+                                n_left,
+                            });
+                        }
+                    }
+                }
+                counts.add(label, u64::from(w));
+                prev_v = v;
+            }
         }
+        best
     }
-    best
-}
 
-fn best_split_histogram(
-    data: &Dataset,
-    idx: &[usize],
-    parent_counts: &[u64],
-    criterion: SplitCriterion,
-    feature: usize,
-    min_samples_leaf: usize,
-    bins: usize,
-) -> Option<Candidate> {
-    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-    for &i in idx {
-        let v = data.value(i, feature);
-        lo = lo.min(v);
-        hi = hi.max(v);
+    /// Histogram search over the node's rows (any order).
+    fn histogram(&self, rows: &[u32], feature: usize, bins: usize) -> Option<Candidate> {
+        let data = self.data;
+        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        for &row in rows {
+            let v = data.value(row as usize, feature);
+            lo = lo.min(v);
+            hi = hi.max(v);
+        }
+        if lo.partial_cmp(&hi) != Some(std::cmp::Ordering::Less) {
+            return None; // constant feature at this node
+        }
+        let n_classes = self.parent_counts.len();
+        let width = (hi - lo) / bins as f64;
+        // counts[bin * n_classes + class]
+        let mut counts = vec![0u64; bins * n_classes];
+        for &row in rows {
+            let row = row as usize;
+            let v = data.value(row, feature);
+            let b = (((v - lo) / width) as usize).min(bins - 1);
+            counts[b * n_classes + data.label(row) as usize] += u64::from(self.weights[row]);
+        }
+        let mut left = vec![0u64; n_classes];
+        let mut right = self.parent_counts.to_vec();
+        let mut n_left = 0u64;
+        let n: u64 = self.parent_counts.iter().sum();
+        let mut best: Option<Candidate> = None;
+        for b in 0..bins - 1 {
+            for c in 0..n_classes {
+                let k = counts[b * n_classes + c];
+                left[c] += k;
+                right[c] -= k;
+                n_left += k;
+            }
+            if n_left == 0 {
+                continue;
+            }
+            if n_left >= n {
+                break;
+            }
+            if n_left < self.min_samples_leaf || n - n_left < self.min_samples_leaf {
+                continue;
+            }
+            let w = self.criterion.split_impurity(&left, &right);
+            if best.as_ref().is_none_or(|x| w < x.weighted_impurity) {
+                best = Some(Candidate {
+                    threshold: lo + (b + 1) as f64 * width,
+                    weighted_impurity: w,
+                    n_left,
+                });
+            }
+        }
+        best
     }
-    if lo.partial_cmp(&hi) != Some(std::cmp::Ordering::Less) {
-        return None; // constant feature at this node
-    }
-    let n_classes = parent_counts.len();
-    let width = (hi - lo) / bins as f64;
-    // counts[bin * n_classes + class]
-    let mut counts = vec![0u64; bins * n_classes];
-    for &i in idx {
-        let v = data.value(i, feature);
-        let b = (((v - lo) / width) as usize).min(bins - 1);
-        counts[b * n_classes + data.label(i) as usize] += 1;
-    }
-    let mut left = vec![0u64; n_classes];
-    let mut right = parent_counts.to_vec();
-    let mut n_left = 0usize;
-    let n = idx.len();
-    let mut best: Option<Candidate> = None;
-    for b in 0..bins - 1 {
-        for c in 0..n_classes {
-            let k = counts[b * n_classes + c];
-            left[c] += k;
-            right[c] -= k;
-            n_left += k as usize;
-        }
-        if n_left == 0 {
-            continue;
-        }
-        if n_left >= n {
-            break;
-        }
-        let n_right = n - n_left;
-        if n_left < min_samples_leaf || n_right < min_samples_leaf {
-            continue;
-        }
-        let w = criterion.split_impurity(&left, &right);
-        if best.as_ref().is_none_or(|x| w < x.weighted_impurity) {
-            best = Some(Candidate {
-                threshold: lo + (b + 1) as f64 * width,
-                weighted_impurity: w,
-                n_left,
-            });
-        }
-    }
-    best
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::data::Dataset;
 
     fn two_cluster_data() -> (Dataset, Vec<usize>) {
         // Class 0 at x ≈ 0, class 1 at x ≈ 10; second feature is noise.
@@ -413,41 +640,146 @@ mod tests {
         );
     }
 
-    #[test]
-    fn threaded_split_search_matches_serial() {
-        // Large enough to clear PARALLEL_SPLIT_MIN_WORK with 4 features.
-        let mut ds = Dataset::new(vec!["a".into(), "b".into(), "c".into(), "d".into()], 2).unwrap();
-        let mut state = 7u64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        };
-        for _ in 0..4000 {
-            let row = [next(), next(), next(), next()];
-            let label = u32::from(row[1] > 0.55);
-            ds.push_row(&row, label).unwrap();
+    /// SplitMix64 stream for test data.
+    fn rng(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed;
+        move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
         }
-        let idx: Vec<usize> = (0..ds.n_samples()).collect();
-        let counts = ds.class_counts();
-        for splitter in [Splitter::Exact, Splitter::Histogram { bins: 32 }] {
-            let serial =
-                find_best_split(&ds, &idx, &counts, SplitCriterion::Gini, splitter, 1).unwrap();
-            for threads in [2usize, 8] {
-                let par = find_best_split_with_threads(
-                    &ds,
-                    &idx,
-                    &counts,
-                    SplitCriterion::Gini,
-                    splitter,
-                    1,
-                    threads,
-                )
-                .unwrap();
-                assert_eq!(serial, par, "{splitter:?} threads={threads}");
-                assert_eq!(serial.gain.to_bits(), par.gain.to_bits());
-                assert_eq!(serial.threshold.to_bits(), par.threshold.to_bits());
+    }
+
+    /// The presort blocks as one segment per feature.
+    fn presorted_segments(ds: &Dataset) -> Vec<Vec<u32>> {
+        let orders = row_orders(ds, Splitter::Exact).unwrap();
+        orders.chunks(ds.n_samples()).map(<[u32]>::to_vec).collect()
+    }
+
+    #[test]
+    fn row_orders_presort_each_feature_by_total_cmp() {
+        let mut ds = Dataset::new(vec!["a".into(), "b".into()], 2).unwrap();
+        for (i, v) in [0.0, -0.0, 3.5, -1.0, 0.0, -0.0, 3.5]
+            .into_iter()
+            .enumerate()
+        {
+            ds.push_row(&[v, -(i as f64)], (i % 2) as u32).unwrap();
+        }
+        let segments = presorted_segments(&ds);
+        // Ties keep row order; -0.0 sorts before +0.0.
+        assert_eq!(segments[0], vec![3, 1, 5, 0, 4, 2, 6]);
+        assert_eq!(segments[1], vec![6, 5, 4, 3, 2, 1, 0]);
+        let empty = Dataset::new(vec!["a".into()], 2).unwrap();
+        assert_eq!(
+            row_orders(&empty, Splitter::Exact),
+            Err(DtreeError::EmptyDataset)
+        );
+        let unsorted = row_orders(&ds, Splitter::Histogram { bins: 4 }).unwrap();
+        assert_eq!(unsorted, (0..7).collect::<Vec<u32>>());
+    }
+
+    #[test]
+    fn gini2_kernel_matches_split_impurity_bitwise() {
+        let reference = |l0: u64, l1: u64, r0: u64, r1: u64| {
+            SplitCriterion::Gini.split_impurity(&[l0, l1], &[r0, r1])
+        };
+        // Exhaustive small counts, empty sides included.
+        for l0 in 0..=12 {
+            for l1 in 0..=12 {
+                for r0 in 0..=12 {
+                    for r1 in 0..=12 {
+                        let kernel = gini2_split_impurity(l0, l1, r0, r1);
+                        let generic = reference(l0, l1, r0, r1);
+                        assert_eq!(kernel.to_bits(), generic.to_bits(), "{l0} {l1} | {r0} {r1}");
+                    }
+                }
+            }
+        }
+        // Random large counts, one side occasionally empty.
+        let mut next = rng(0xC0FFEE);
+        for case in 0..200_000u64 {
+            let mut count = || next() % (1 << (next() % 40));
+            let (mut l0, mut l1, mut r0, mut r1) = (count(), count(), count(), count());
+            match case % 8 {
+                0 => (l0, l1) = (0, 0),
+                1 => (r0, r1) = (0, 0),
+                _ => {}
+            }
+            let kernel = gini2_split_impurity(l0, l1, r0, r1);
+            let generic = reference(l0, l1, r0, r1);
+            assert_eq!(kernel.to_bits(), generic.to_bits(), "{l0} {l1} | {r0} {r1}");
+        }
+    }
+
+    #[test]
+    fn presorted_weighted_search_matches_materialized_search_for_every_budget() {
+        // Heavy ties (values on a coarse grid, -0.0 and +0.0 both present)
+        // and large enough to clear PARALLEL_SPLIT_MIN_WORK with 3 features.
+        let mut next = rng(7);
+        let grid = [-2.0, -0.0, 0.0, 0.5, 1.0, 7.25];
+        for (criterion, n_classes) in [
+            (SplitCriterion::Gini, 2u32),
+            (SplitCriterion::Entropy, 2),
+            (SplitCriterion::Gini, 5),
+        ] {
+            let names = vec!["a".into(), "b".into(), "c".into()];
+            let mut ds = Dataset::new(names.clone(), n_classes).unwrap();
+            let mut weights = Vec::new();
+            let mut materialized = Dataset::new(names, n_classes).unwrap();
+            for _ in 0..3000 {
+                let row = [
+                    grid[(next() % 6) as usize],
+                    (next() % 50) as f64 / 10.0,
+                    (next() >> 11) as f64 / (1u64 << 53) as f64,
+                ];
+                let label = if row[0] + row[1] > 2.0 {
+                    (next() % 3 == 0) as u32
+                } else {
+                    (next() % u64::from(n_classes)) as u32
+                };
+                ds.push_row(&row, label).unwrap();
+                let w = (next() % 4) as u32;
+                weights.push(w);
+                for _ in 0..w {
+                    materialized.push_row(&row, label).unwrap();
+                }
+            }
+            let idx: Vec<usize> = (0..materialized.n_samples()).collect();
+            let counts = materialized.class_counts();
+            let segments: Vec<Vec<u32>> = presorted_segments(&ds)
+                .into_iter()
+                .map(|s| s.into_iter().filter(|&r| weights[r as usize] > 0).collect())
+                .collect();
+            for splitter in [Splitter::Exact, Splitter::Histogram { bins: 32 }] {
+                for min_leaf in [1usize, 40] {
+                    let reference = find_best_split(
+                        &materialized,
+                        &idx,
+                        &counts,
+                        criterion,
+                        splitter,
+                        min_leaf,
+                    )
+                    .unwrap();
+                    for threads in [1usize, 2, 8] {
+                        let presorted = best_split(
+                            &ds, &weights, &segments, &counts, criterion, splitter, min_leaf,
+                            threads,
+                        )
+                        .unwrap();
+                        let what =
+                            format!("{criterion} {n_classes} {splitter:?} {min_leaf} {threads}");
+                        assert_eq!(reference, presorted, "{what}");
+                        assert_eq!(reference.gain.to_bits(), presorted.gain.to_bits(), "{what}");
+                        assert_eq!(
+                            reference.threshold.to_bits(),
+                            presorted.threshold.to_bits(),
+                            "{what}"
+                        );
+                    }
+                }
             }
         }
     }
