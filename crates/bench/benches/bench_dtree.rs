@@ -93,23 +93,6 @@ fn bench_prediction(c: &mut Criterion) {
         });
     }
     group.finish();
-    // The level-synchronous wave kernel alone (no thread fan-out), against
-    // the equivalent one-query-at-a-time loop over the same rows.
-    let mut wave_out = vec![0u32; batch.len()];
-    c.bench_function("flat_route_batch_major_1k_rows", |b| {
-        b.iter(|| {
-            flat.route_batch_into(black_box(&batch), &mut wave_out)
-                .expect("wave");
-            black_box(wave_out[0])
-        });
-    });
-    c.bench_function("flat_route_per_sample_1k_rows", |b| {
-        b.iter(|| {
-            for q in &batch {
-                black_box(flat.predict_leaf_id(black_box(q)).expect("route"));
-            }
-        });
-    });
 }
 
 fn bench_pruning(c: &mut Criterion) {

@@ -31,11 +31,10 @@ use std::time::Instant;
 use tauw_bench::report::{write_report, Comparison};
 use tauw_bench::soak;
 use tauw_core::buffer::TimeseriesBuffer;
-use tauw_core::calibration::ServingScratch;
 use tauw_core::engine::TauwEngine;
 use tauw_core::taqf::TaqfVector;
 use tauw_core::tauw::replay_with_threads;
-use tauw_dtree::{Dataset, FlatForest, FlatTree, ForestBuilder, Splitter, TreeBuilder};
+use tauw_dtree::{Dataset, FlatTree, Splitter, TreeBuilder};
 use tauw_experiments::ExperimentContext;
 use tauw_stats::bootstrap::SplitMix64;
 
@@ -216,64 +215,6 @@ fn bench_dtree(opts: &Options) {
     ));
     results.last().expect("just pushed").print();
 
-    // The wave kernel itself, isolated from the thread fan-out: one query
-    // at a time vs the level-synchronous batch-major traversal on one
-    // thread. This is the cache-locality win the serving path banks on.
-    let mut wave_out = vec![0u32; queries.len()];
-    let (per_sample_s, per_sample) = time_best(opts.repetitions, || {
-        queries
-            .iter()
-            .map(|q| flat.predict_leaf_id(q).expect("route"))
-            .collect::<Vec<_>>()
-    });
-    let (wave_s, ()) = time_best(opts.repetitions, || {
-        flat.route_batch_into(&queries, &mut wave_out)
-            .expect("wave");
-    });
-    results.push(Comparison::new(
-        "route_batch_major_vs_per_sample",
-        rows as u64,
-        ("per-sample", per_sample_s),
-        ("batch-major", wave_s),
-        per_sample == wave_out,
-    ));
-    results.last().expect("just pushed").print();
-
-    // Forest-interleaved routing: K per-member traversals per row vs the
-    // row-major interleaved wave over all members.
-    let forest = {
-        let mut builder = ForestBuilder::new(4, 0xF0E57);
-        builder.tree(
-            TreeBuilder::new()
-                .splitter(Splitter::Exact)
-                .max_depth(8)
-                .clone(),
-        );
-        FlatForest::from_forest(&builder.fit(&ds).expect("forest fit"))
-    };
-    let k = forest.n_trees();
-    let mut interleaved = vec![0u32; queries.len() * k];
-    let (per_member_s, per_member) = time_best(opts.repetitions, || {
-        let mut out = Vec::with_capacity(queries.len() * k);
-        for q in &queries {
-            out.extend(forest.predict_leaf_ids_per_tree(q).expect("route"));
-        }
-        out
-    });
-    let (interleaved_s, ()) = time_best(opts.repetitions, || {
-        forest
-            .route_batch_into(&queries, &mut interleaved)
-            .expect("wave");
-    });
-    results.push(Comparison::new(
-        "route_forest_interleaved_vs_per_member",
-        (queries.len() * k) as u64,
-        ("per-member", per_member_s),
-        ("interleaved", interleaved_s),
-        per_member == interleaved,
-    ));
-    results.last().expect("just pushed").print();
-
     finish_report(opts, "BENCH_dtree.json", "dtree", results);
 }
 
@@ -326,35 +267,30 @@ fn bench_pipeline(opts: &Options) {
     // The calibrated QIM lookup itself: pointer reference vs the flat
     // serving path, over every stateless quality-factor vector in the test
     // windows. This is the per-step tree cost the wrapper pays twice
-    // (stateless QIM + taQIM), isolated from buffering and fusion. The
-    // flat side serves through the batch-major wave path — the shape
-    // deployments actually use — with reused scratch.
+    // (stateless QIM + taQIM), isolated from buffering and fusion. Both
+    // sides serve one query at a time, the shape every session and engine
+    // step uses.
     let qim = ctx.tauw.stateless().qim();
     let qfs: Vec<&[f64]> = ctx
         .test
         .iter()
         .flat_map(|s| s.steps.iter().map(|st| st.quality_factors.as_slice()))
         .collect();
-    // Replicate the query set several times into one large wave so the row
-    // clears the timer granularity even at smoke scale AND the batched
-    // side pays its thread dispatch once per run, not once per pass. The
-    // thread budget is clamped to the host: oversubscribing a small host
-    // measures spawn overhead, not the serving path.
+    // Replicate the query set several times so the row clears the timer
+    // granularity even at smoke scale.
     const QIM_PASSES: usize = 32;
     let qim_wave: Vec<&[f64]> = (0..QIM_PASSES).flat_map(|_| qfs.iter().copied()).collect();
-    let qim_threads = opts.threads.min(parallel::max_threads());
     let (pointer_s, pointer_u) = time_best(opts.repetitions, || {
         qim_wave
             .iter()
             .map(|q| qim.uncertainty_reference(q).expect("reference"))
             .collect::<Vec<_>>()
     });
-    let mut scratch = ServingScratch::new();
     let (flat_s, flat_u) = time_best(opts.repetitions, || {
-        let mut out = Vec::with_capacity(qim_wave.len());
-        qim.uncertainty_batch_into(qim_threads, &qim_wave, &mut scratch, &mut out)
-            .expect("flat batch");
-        out
+        qim_wave
+            .iter()
+            .map(|q| qim.uncertainty(q).expect("flat"))
+            .collect::<Vec<_>>()
     });
     let identical = pointer_u.len() == flat_u.len()
         && pointer_u
@@ -371,10 +307,9 @@ fn bench_pipeline(opts: &Options) {
     results.last().expect("just pushed").print();
 
     // The taQIM lookup across estimator families: the paper's single tree
-    // vs a boundary-smoothed bootstrap forest of K members. Both sides
-    // serve through the batch-major path, so the forest's K traversals are
-    // interleaved row-major per wave and the per-member amortized cost is
-    // what these rows lock in. `bit_identical` here verifies each side
+    // vs a boundary-smoothed bootstrap forest of K members, both served
+    // one query at a time, so the rows lock in the forest's K traversals
+    // per query. `bit_identical` here verifies each side
     // against its own pointer-representation per-sample reference
     // recompute (the models legitimately differ from each other).
     let taqf_set = ctx.tauw.taqf_set();
@@ -388,13 +323,11 @@ fn bench_pipeline(opts: &Options) {
     let ta_wave: Vec<&[f64]> = (0..FOREST_PASSES)
         .flat_map(|_| ta_queries.iter().map(Vec::as_slice))
         .collect();
-    let ta_threads = opts.threads.min(parallel::max_threads());
-    let mut ta_scratch = ServingScratch::new();
-    let mut run_qim = |qim: &tauw_core::calibration::TaQim| {
-        let mut out = Vec::with_capacity(ta_wave.len());
-        qim.uncertainty_batch_into(ta_threads, &ta_wave, &mut ta_scratch, &mut out)
-            .expect("qim batch");
-        out
+    let run_qim = |qim: &tauw_core::calibration::TaQim| {
+        ta_wave
+            .iter()
+            .map(|q| qim.uncertainty(q).expect("qim"))
+            .collect::<Vec<_>>()
     };
     let verified_against_reference = |qim: &tauw_core::calibration::TaQim, served: &[f64]| {
         served.len() == ta_wave.len()
@@ -425,8 +358,8 @@ fn bench_pipeline(opts: &Options) {
 
     // The taQIM lookup across the backend seam: the paper's single tree vs
     // the leafless split-conformal backend (histogram scorer + quantile
-    // shift — table indexes instead of a traversal). Same wave, same
-    // batched path, same per-side reference verification as the forest
+    // shift — table indexes instead of a traversal). Same queries, same
+    // per-sample path, same per-side reference verification as the forest
     // rows above.
     let conformal_tauw = ctx
         .tauw_conformal_variant(tauw_core::conformal::ConformalOptions::default(), 0.9)

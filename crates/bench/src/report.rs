@@ -18,15 +18,12 @@ use serde::Serialize;
 /// recompute vs incremental-aggregate adaptive stepping) so the O(1)
 /// per-step cost of the adaptive calibration layer is measured and locked
 /// in.
-/// v6: the flat side of `qim_uncertainty_pointer_vs_flat` serves through
-/// the batch-major `uncertainty_batch_into` path (the deployed serving
-/// shape), the tree-vs-forest rows serve both estimators through the same
-/// batched path (amortizing the K-member fan-out per wave), and the new
-/// `route_batch_major_vs_per_sample` / `route_forest_interleaved_vs_per_member`
-/// rows lock in the level-synchronous wave kernels against one-query-at-a-
-/// time routing.
+/// v6: the QIM rows serve through a batch-major wave path, and two rows
+/// time the wave kernels against one-query-at-a-time routing. (Both were
+/// later removed without a schema bump: the QIM rows serve per sample, the
+/// only serving shape, and the two kernel rows are gone.)
 /// v7: adds the `qim_uncertainty_tree_vs_conformal` row (single-tree taQIM
-/// vs the leafless split-conformal backend behind the `QimBackend` seam) so
+/// vs the leafless split-conformal backend of the `TaQim` enum) so
 /// the table-lookup serving cost of the distribution-free estimator is
 /// measured and locked in.
 /// v8: every row carries `baseline_p99_ms` / `contender_p99_ms` tail-latency

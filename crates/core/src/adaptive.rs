@@ -34,7 +34,7 @@
 //! silently defaulting to either side.
 
 use crate::buffer::{certainty_units_to_f64, TimeseriesBuffer, CERTAINTY_UNIT_ONE};
-use crate::calibration::{RouteSupport, ServingScratch};
+use crate::calibration::{RouteSupport, ServingScratch, TaQim};
 use crate::error::CoreError;
 use crate::tauw::{TauwStep, TimeseriesAwareWrapper};
 use serde::{Deserialize, Serialize};
@@ -487,8 +487,10 @@ impl Deserialize for AdaptiveState {
 /// and [`crate::engine::TauwEngine::step_adaptive`] both delegate to, so a
 /// batched adaptive engine step is exactly a session step by construction.
 /// With a bounded buffer and warmed scratch the steady state performs no
-/// heap allocation (both taQIM lookups assemble their feature row in
-/// `scratch.features`, and the coverage window is a ring).
+/// heap allocation (the taQIM feature row assembles once in
+/// `scratch.features`, and the coverage window is a ring). The row is
+/// routed once: [`TaQim::uncertainty_with_support`] returns the bound and
+/// its route support from the same traversal.
 ///
 /// Order matters and is fixed here once: **serve, then observe**. The
 /// adapted bound is computed from the state *before* this step's outcome
@@ -503,9 +505,14 @@ pub(crate) fn adaptive_step_with_parts(
     outcome: u32,
     failed: bool,
 ) -> Result<TauwStep, CoreError> {
-    let mut step = wrapper.step_with_parts(buffer, scratch, quality_factors, outcome)?;
+    let (mut step, support) = wrapper.step_and_lookup(
+        buffer,
+        scratch,
+        quality_factors,
+        outcome,
+        TaQim::uncertainty_with_support,
+    )?;
     step.adapted_uncertainty = state.adapted_bound(step.uncertainty);
-    let support = wrapper.route_support_with_scratch(scratch, quality_factors, &step.taqf)?;
     step.drift = state.classify(support);
     state.record_drift(step.drift);
     state.observe(step.adapted_uncertainty, failed);

@@ -14,15 +14,22 @@
 //! estimate jumps discontinuously at its split thresholds, while an
 //! ensemble average steps through many small boundaries.
 //!
-//! **The backend seam.** [`QimBackend`] is the one serving contract every
-//! quality-impact-model backend implements: per-sample and batch-major
-//! uncertainty, a bitwise reference recompute, structural validation,
-//! [`RouteSupport`]-style calibration-support introspection, and a
-//! persistence kind tag. [`TaQim`] is the sealed closed set of backend
-//! shapes a wrapper actually serves — a plain enum, so the hot path stays
-//! statically dispatched — and itself implements the contract by
-//! delegation. The split-conformal backend ([`ConformalQim`]) is the first
-//! non-tree member of the set; see `crate::conformal` for adding more.
+//! **The backend seam.** [`TaQim`] is the closed set of backend shapes a
+//! wrapper serves — a plain enum, so every lookup is a statically
+//! dispatched `match`. Its per-sample methods are the one serving surface:
+//! [`TaQim::uncertainty`] (the bound), [`TaQim::uncertainty_with_support`]
+//! (the bound plus its [`RouteSupport`] from one traversal, what the
+//! adaptive step calls), a bitwise [`TaQim::uncertainty_reference`]
+//! recompute, and structural [`TaQim::validate`]. The split-conformal
+//! backend ([`ConformalQim`]) is the first non-tree member of the set.
+//!
+//! **Adding a backend.** Implement the model type with those per-sample
+//! methods (plus a deterministic `calibrate` constructor), add a [`TaQim`]
+//! variant and its dispatch arms, a `BackendSpec` variant in
+//! `crate::tauw`, an `ArtifactKind` in `crate::persist` with
+//! round-trip/tamper/version tests, and extend the backend proptests in
+//! `tests/properties.rs`. The engine and session layers need no changes —
+//! they only call [`TaQim`].
 
 use crate::conformal::ConformalQim;
 use crate::error::CoreError;
@@ -100,25 +107,22 @@ impl CalibrationOptions {
     }
 }
 
-/// Caller-owned reusable buffers for the serving hot path.
+/// Caller-owned reusable buffer for the serving hot path.
 ///
 /// The per-step routines assemble a `[stateless QFs ‖ selected taQFs]`
-/// feature row, and the batched routines hold a row-major table of routed
-/// leaf ids. Keeping both in a `ServingScratch` that outlives the step
-/// loop makes the steady-state serving path allocation-free: each buffer
+/// feature row. Keeping it in a `ServingScratch` that outlives the step
+/// loop makes the steady-state serving path allocation-free: the row
 /// grows to its working size on the first step and is reused verbatim
 /// afterwards.
 ///
 /// A fresh (default) scratch is always valid — every routine clears the
-/// buffers it reads before filling them, so no state leaks between steps,
-/// sessions, or models. Sessions and engine wave slots own one scratch
-/// each; standalone callers create one next to their step loop.
+/// row before filling it, so no state leaks between steps, sessions, or
+/// models. Sessions and engine wave slots own one scratch each;
+/// standalone callers create one next to their step loop.
 #[derive(Debug, Clone, Default)]
 pub struct ServingScratch {
     /// The assembled taQIM feature row `[stateless QFs ‖ selected taQFs]`.
     pub(crate) features: Vec<f64>,
-    /// Routed leaf ids, row-major (`row · n_trees + member` for forests).
-    pub(crate) leaf_ids: Vec<LeafId>,
 }
 
 impl ServingScratch {
@@ -129,8 +133,8 @@ impl ServingScratch {
     }
 }
 
-/// Calibration support behind a served bound, as reported through the
-/// [`QimBackend`] seam.
+/// Calibration support behind a served bound, as reported by
+/// [`TaQim::uncertainty_with_support`] and [`TaQim::route_support`].
 ///
 /// Tree-shaped backends know exactly how many calibration samples routed
 /// to the leaf that produced a bound and report
@@ -227,43 +231,22 @@ impl CalibratedQim {
     /// # Errors
     ///
     /// Returns [`CoreError`] on feature-arity mismatch.
+    #[inline]
     pub fn uncertainty(&self, features: &[f64]) -> Result<f64, CoreError> {
         Ok(self.leaf_bounds[self.flat.predict_leaf_id(features)? as usize])
     }
 
-    /// Batched [`CalibratedQim::uncertainty`]: routes the whole batch
-    /// through the level-synchronous wave traversal
-    /// ([`FlatTree::predict_leaf_ids_into`]) fanned over `threads`, then
-    /// appends one bound per row to `out` in input order. Routed leaf ids
-    /// stage in `scratch.leaf_ids`, so a warmed scratch makes the only
-    /// allocation the growth of the caller-owned `out`. Bit-identical to
-    /// calling [`CalibratedQim::uncertainty`] per row, for every thread
-    /// budget.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError`] on feature-arity mismatch of **any** row;
-    /// `out` is untouched on error.
-    pub fn uncertainty_batch_into<R>(
+    /// [`CalibratedQim::uncertainty`] and the *calibration support* behind
+    /// it from one flat traversal: the routed leaf's bound and how many
+    /// calibration samples routed to that leaf. The adaptive layer reads
+    /// the support to tell a knowledge gap (thin support) from plain noise.
+    pub(crate) fn uncertainty_with_support(
         &self,
-        threads: usize,
-        rows: &[R],
-        scratch: &mut ServingScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<(), CoreError>
-    where
-        R: AsRef<[f64]> + Sync,
-    {
-        scratch.leaf_ids.clear();
-        self.flat
-            .predict_leaf_ids_into(threads, rows, &mut scratch.leaf_ids)?;
-        out.extend(
-            scratch
-                .leaf_ids
-                .iter()
-                .map(|&leaf| self.leaf_bounds[leaf as usize]),
-        );
-        Ok(())
+        features: &[f64],
+    ) -> Result<(f64, u64), CoreError> {
+        let (leaf_id, node) = self.route_ids(features)?;
+        let support = self.calibrated_leaf(node).map_or(0, |l| l.total);
+        Ok((self.leaf_bounds[leaf_id as usize], support))
     }
 
     /// Reference implementation of [`CalibratedQim::uncertainty`] over the
@@ -311,19 +294,6 @@ impl CalibratedQim {
     /// for internal/unknown nodes.
     pub fn calibrated_leaf(&self, node: NodeId) -> Option<CalibratedLeaf> {
         self.leaves.get(node).copied().flatten()
-    }
-
-    /// How many calibration samples routed to the leaf this feature vector
-    /// lands in — the *calibration support* behind the served bound. The
-    /// adaptive layer reads this to tell a knowledge gap (thin support)
-    /// from plain noise.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError`] on feature-arity mismatch.
-    pub fn route_support(&self, features: &[f64]) -> Result<u64, CoreError> {
-        let (_, node) = self.route_ids(features)?;
-        Ok(self.calibrated_leaf(node).map_or(0, |l| l.total))
     }
 
     /// Checks the internal consistency of the two model representations:
@@ -658,47 +628,35 @@ impl CalibratedForestQim {
     /// Returns [`CoreError`] on feature-arity mismatch.
     pub fn uncertainty(&self, features: &[f64]) -> Result<f64, CoreError> {
         let mut sum = 0.0;
-        for (tree, bounds) in self.flat.trees().iter().zip(&self.leaf_bounds) {
-            sum += bounds[tree.predict_leaf_id(features)? as usize];
+        for (leaf, bounds) in self.flat.route_members(features)?.zip(&self.leaf_bounds) {
+            sum += bounds[leaf as usize];
         }
         Ok(sum / self.flat.n_trees() as f64)
     }
 
-    /// Batched [`CalibratedForestQim::uncertainty`]: one forest-interleaved
-    /// pass over the batch ([`FlatForest::predict_leaf_ids_into`], row-major
-    /// `row · K + member`) fanned over `threads`, then one bound per row
-    /// appended to `out` in input order — summed left-to-right over the
-    /// canonical member order, exactly like the per-sample form, so results
-    /// are bit-identical to it for every thread budget. Routed leaf ids
-    /// stage in `scratch.leaf_ids`; a warmed scratch makes the only
-    /// allocation the growth of the caller-owned `out`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError`] on feature-arity mismatch of **any** row;
-    /// `out` is untouched on error.
-    pub fn uncertainty_batch_into<R>(
+    /// [`CalibratedForestQim::uncertainty`] and its calibration support
+    /// from one pass over the members: the same left-to-right bound sum in
+    /// canonical member order, and the **minimum** over members of the
+    /// routed leaf's calibration-sample count (the ensemble's estimate is
+    /// only as grounded as its least-supported member).
+    pub(crate) fn uncertainty_with_support(
         &self,
-        threads: usize,
-        rows: &[R],
-        scratch: &mut ServingScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<(), CoreError>
-    where
-        R: AsRef<[f64]> + Sync,
-    {
-        let k = self.flat.n_trees();
-        scratch.leaf_ids.clear();
-        self.flat
-            .predict_leaf_ids_into(threads, rows, &mut scratch.leaf_ids)?;
-        for row in scratch.leaf_ids.chunks_exact(k) {
-            let mut sum = 0.0;
-            for (bounds, &leaf) in self.leaf_bounds.iter().zip(row) {
-                sum += bounds[leaf as usize];
-            }
-            out.push(sum / k as f64);
+        features: &[f64],
+    ) -> Result<(f64, u64), CoreError> {
+        let mut sum = 0.0;
+        let mut support = u64::MAX;
+        let members = self
+            .flat
+            .trees()
+            .iter()
+            .zip(&self.leaf_bounds)
+            .zip(&self.leaves);
+        for (leaf, ((tree, bounds), leaves)) in self.flat.route_members(features)?.zip(members) {
+            sum += bounds[leaf as usize];
+            let node = tree.leaf(leaf).node_id;
+            support = support.min(leaves.get(node).copied().flatten().map_or(0, |l| l.total));
         }
-        Ok(())
+        Ok((sum / self.flat.n_trees() as f64, support))
     }
 
     /// Reference implementation of [`CalibratedForestQim::uncertainty`]
@@ -787,24 +745,6 @@ impl CalibratedForestQim {
             .map(|bounds| bounds.iter().copied().fold(1.0, f64::min))
             .sum();
         sum / self.leaf_bounds.len() as f64
-    }
-
-    /// Calibration support behind the served bound for this feature
-    /// vector: the **minimum** over members of the routed leaf's
-    /// calibration-sample count (the ensemble's estimate is only as
-    /// grounded as its least-supported member).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError`] on feature-arity mismatch.
-    pub fn route_support(&self, features: &[f64]) -> Result<u64, CoreError> {
-        let mut support = u64::MAX;
-        for (t, tree) in self.flat.trees().iter().enumerate() {
-            let leaf = tree.predict_leaf_id(features)?;
-            let node = tree.leaf(leaf).node_id;
-            support = support.min(self.calibrated_leaf(t, node).map_or(0, |l| l.total));
-        }
-        Ok(support)
     }
 
     /// Checks the internal consistency of every member (see
@@ -905,9 +845,6 @@ impl CalibratedForestQim {
 /// model. Every serving, reference and validation entry point dispatches
 /// on the shape — a plain `match`, so the hot path stays statically
 /// dispatched — and wrapper, session and engine code is shape-agnostic.
-/// The enum is the sealed half of the [`QimBackend`] seam: every variant's
-/// payload implements the trait, and so does `TaQim` itself (by
-/// delegation).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum TaQim {
     /// A single calibrated tree (the paper's taQIM).
@@ -932,30 +869,27 @@ impl TaQim {
         }
     }
 
-    /// Batched [`TaQim::uncertainty`] via the shape's batch-major wave
-    /// traversal (see [`CalibratedQim::uncertainty_batch_into`] /
-    /// [`CalibratedForestQim::uncertainty_batch_into`]): one bound per row
-    /// appended to `out` in input order, bit-identical to the per-sample
-    /// form for every thread budget.
+    /// [`TaQim::uncertainty`] and [`TaQim::route_support`] from a single
+    /// traversal, bit for bit: one flat route for the single tree, one
+    /// pass over the members for a forest, and the bound plus
+    /// [`RouteSupport::Unsupported`] for a leafless backend. The adaptive
+    /// step serves through this lookup.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError`] on feature-arity mismatch of **any** row;
-    /// `out` is untouched on error.
-    pub fn uncertainty_batch_into<R>(
+    /// Returns [`CoreError`] on feature-arity mismatch.
+    pub fn uncertainty_with_support(
         &self,
-        threads: usize,
-        rows: &[R],
-        scratch: &mut ServingScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<(), CoreError>
-    where
-        R: AsRef<[f64]> + Sync,
-    {
+        features: &[f64],
+    ) -> Result<(f64, RouteSupport), CoreError> {
         match self {
-            TaQim::Tree(qim) => qim.uncertainty_batch_into(threads, rows, scratch, out),
-            TaQim::Forest(qim) => qim.uncertainty_batch_into(threads, rows, scratch, out),
-            TaQim::Conformal(qim) => qim.uncertainty_batch_into(threads, rows, scratch, out),
+            TaQim::Tree(qim) => qim
+                .uncertainty_with_support(features)
+                .map(|(bound, n)| (bound, RouteSupport::Samples(n))),
+            TaQim::Forest(qim) => qim
+                .uncertainty_with_support(features)
+                .map(|(bound, n)| (bound, RouteSupport::Samples(n))),
+            TaQim::Conformal(qim) => Ok((qim.uncertainty(features)?, RouteSupport::Unsupported)),
         }
     }
 
@@ -1031,22 +965,14 @@ impl TaQim {
     /// Calibration support behind the bound served for this feature
     /// vector: the routed leaf's calibration-sample count (minimum over
     /// members for a forest), or [`RouteSupport::Unsupported`] for a
-    /// leafless backend. See [`CalibratedQim::route_support`].
+    /// leafless backend — the support half of
+    /// [`TaQim::uncertainty_with_support`].
     ///
     /// # Errors
     ///
     /// Returns [`CoreError`] on feature-arity mismatch.
     pub fn route_support(&self, features: &[f64]) -> Result<RouteSupport, CoreError> {
-        match self {
-            TaQim::Tree(qim) => Ok(RouteSupport::Samples(qim.route_support(features)?)),
-            TaQim::Forest(qim) => Ok(RouteSupport::Samples(qim.route_support(features)?)),
-            TaQim::Conformal(qim) => {
-                // Leafless: validate the query like every other entry
-                // point, then say explicitly that no figure exists.
-                qim.uncertainty(features)?;
-                Ok(RouteSupport::Unsupported)
-            }
-        }
+        Ok(self.uncertainty_with_support(features)?.1)
     }
 
     /// The single-tree model, if this is the tree shape.
@@ -1070,291 +996,6 @@ impl TaQim {
         match self {
             TaQim::Conformal(qim) => Some(qim),
             _ => None,
-        }
-    }
-}
-
-mod sealed {
-    /// Seals [`super::QimBackend`]: the set of backends is closed over the
-    /// [`super::TaQim`] variants (plus the enum itself), so the serving
-    /// contract can evolve with the codebase without breaking downstream
-    /// implementors that could not be dispatched anyway.
-    pub trait Sealed {}
-    impl Sealed for super::CalibratedQim {}
-    impl Sealed for super::CalibratedForestQim {}
-    impl Sealed for crate::conformal::ConformalQim {}
-    impl Sealed for super::TaQim {}
-}
-
-/// The one serving contract every quality-impact-model backend fulfils —
-/// the seam wrapper, session and engine code is written against.
-///
-/// The trait is **sealed** over the [`TaQim`] variants (and `TaQim`
-/// itself, which implements it by delegation): serving stays a statically
-/// dispatched `match` on the enum, while this contract pins down, in one
-/// place, what a backend must provide and with which invariants.
-///
-/// # The contract
-///
-/// * [`uncertainty`](QimBackend::uncertainty) — the per-step serving
-///   routine; [`uncertainty_batch_into`](QimBackend::uncertainty_batch_into)
-///   — the scratch-threaded batch-major wave form, **bit-identical** to
-///   the per-sample form for every thread budget, appending to `out` in
-///   input order and leaving `out` untouched on error;
-/// * [`uncertainty_reference`](QimBackend::uncertainty_reference) — an
-///   independent recompute over a second model representation, asserted
-///   bitwise against serving by the determinism suite;
-/// * [`validate`](QimBackend::validate) — structural consistency of all
-///   stored representations (the persistence layer calls it on load);
-/// * [`route_support`](QimBackend::route_support) — calibration-support
-///   introspection with an explicit [`RouteSupport::Unsupported`] for
-///   leafless backends, so drift detection degrades gracefully;
-/// * [`artifact_kind_name`](QimBackend::artifact_kind_name) — the
-///   persistence kind tag under which the backend's standalone artifact
-///   envelope is registered (see `crate::persist`).
-///
-/// # Adding a backend
-///
-/// Implement the model type with the methods above (plus a deterministic
-/// `calibrate` constructor), add a [`TaQim`] variant and dispatch arms, a
-/// `BackendSpec` variant in `crate::tauw`, an `ArtifactKind` in
-/// `crate::persist` with round-trip/tamper/version tests, and extend the
-/// seam-generic proptest in `tests/properties.rs`. The engine and session
-/// layers need no changes — they only speak this contract.
-pub trait QimBackend: sealed::Sealed {
-    /// Dependable uncertainty for one feature vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError`] on feature-arity mismatch.
-    fn uncertainty(&self, features: &[f64]) -> Result<f64, CoreError>;
-
-    /// Batch-major [`QimBackend::uncertainty`]: one bound per row appended
-    /// to `out` in input order, staged through the caller-owned `scratch`,
-    /// bit-identical to the per-sample form for every thread budget.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError`] on feature-arity mismatch of **any** row;
-    /// `out` is untouched on error.
-    fn uncertainty_batch_into<R>(
-        &self,
-        threads: usize,
-        rows: &[R],
-        scratch: &mut ServingScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<(), CoreError>
-    where
-        R: AsRef<[f64]> + Sync;
-
-    /// Independent recompute of [`QimBackend::uncertainty`] over a second
-    /// model representation, for bitwise verification.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError`] on feature-arity mismatch.
-    fn uncertainty_reference(&self, features: &[f64]) -> Result<f64, CoreError>;
-
-    /// Structural consistency of every stored representation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidInput`] on an inconsistent model.
-    fn validate(&self) -> Result<(), CoreError>;
-
-    /// Calibration support behind the bound this feature vector receives.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError`] on feature-arity mismatch.
-    fn route_support(&self, features: &[f64]) -> Result<RouteSupport, CoreError>;
-
-    /// Number of features the backend reads.
-    fn n_features(&self) -> usize;
-
-    /// The smallest uncertainty the backend actually serves.
-    fn min_uncertainty(&self) -> f64;
-
-    /// The persistence kind tag of the backend's standalone artifact
-    /// envelope (see `crate::persist`).
-    fn artifact_kind_name(&self) -> &'static str;
-}
-
-impl QimBackend for CalibratedQim {
-    fn uncertainty(&self, features: &[f64]) -> Result<f64, CoreError> {
-        self.uncertainty(features)
-    }
-
-    fn uncertainty_batch_into<R>(
-        &self,
-        threads: usize,
-        rows: &[R],
-        scratch: &mut ServingScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<(), CoreError>
-    where
-        R: AsRef<[f64]> + Sync,
-    {
-        self.uncertainty_batch_into(threads, rows, scratch, out)
-    }
-
-    fn uncertainty_reference(&self, features: &[f64]) -> Result<f64, CoreError> {
-        self.uncertainty_reference(features)
-    }
-
-    fn validate(&self) -> Result<(), CoreError> {
-        self.validate()
-    }
-
-    fn route_support(&self, features: &[f64]) -> Result<RouteSupport, CoreError> {
-        Ok(RouteSupport::Samples(self.route_support(features)?))
-    }
-
-    fn n_features(&self) -> usize {
-        self.tree().n_features()
-    }
-
-    fn min_uncertainty(&self) -> f64 {
-        self.min_uncertainty()
-    }
-
-    fn artifact_kind_name(&self) -> &'static str {
-        "TreeQim"
-    }
-}
-
-impl QimBackend for CalibratedForestQim {
-    fn uncertainty(&self, features: &[f64]) -> Result<f64, CoreError> {
-        self.uncertainty(features)
-    }
-
-    fn uncertainty_batch_into<R>(
-        &self,
-        threads: usize,
-        rows: &[R],
-        scratch: &mut ServingScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<(), CoreError>
-    where
-        R: AsRef<[f64]> + Sync,
-    {
-        self.uncertainty_batch_into(threads, rows, scratch, out)
-    }
-
-    fn uncertainty_reference(&self, features: &[f64]) -> Result<f64, CoreError> {
-        self.uncertainty_reference(features)
-    }
-
-    fn validate(&self) -> Result<(), CoreError> {
-        self.validate()
-    }
-
-    fn route_support(&self, features: &[f64]) -> Result<RouteSupport, CoreError> {
-        Ok(RouteSupport::Samples(self.route_support(features)?))
-    }
-
-    fn n_features(&self) -> usize {
-        self.n_features()
-    }
-
-    fn min_uncertainty(&self) -> f64 {
-        self.min_uncertainty()
-    }
-
-    fn artifact_kind_name(&self) -> &'static str {
-        "ForestQim"
-    }
-}
-
-impl QimBackend for ConformalQim {
-    fn uncertainty(&self, features: &[f64]) -> Result<f64, CoreError> {
-        self.uncertainty(features)
-    }
-
-    fn uncertainty_batch_into<R>(
-        &self,
-        threads: usize,
-        rows: &[R],
-        scratch: &mut ServingScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<(), CoreError>
-    where
-        R: AsRef<[f64]> + Sync,
-    {
-        self.uncertainty_batch_into(threads, rows, scratch, out)
-    }
-
-    fn uncertainty_reference(&self, features: &[f64]) -> Result<f64, CoreError> {
-        self.uncertainty_reference(features)
-    }
-
-    fn validate(&self) -> Result<(), CoreError> {
-        self.validate()
-    }
-
-    fn route_support(&self, features: &[f64]) -> Result<RouteSupport, CoreError> {
-        // Leafless: validate the query, then report the absence of a
-        // per-region figure explicitly.
-        self.uncertainty(features)?;
-        Ok(RouteSupport::Unsupported)
-    }
-
-    fn n_features(&self) -> usize {
-        self.n_features()
-    }
-
-    fn min_uncertainty(&self) -> f64 {
-        self.min_uncertainty()
-    }
-
-    fn artifact_kind_name(&self) -> &'static str {
-        "ConformalQim"
-    }
-}
-
-impl QimBackend for TaQim {
-    fn uncertainty(&self, features: &[f64]) -> Result<f64, CoreError> {
-        self.uncertainty(features)
-    }
-
-    fn uncertainty_batch_into<R>(
-        &self,
-        threads: usize,
-        rows: &[R],
-        scratch: &mut ServingScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<(), CoreError>
-    where
-        R: AsRef<[f64]> + Sync,
-    {
-        self.uncertainty_batch_into(threads, rows, scratch, out)
-    }
-
-    fn uncertainty_reference(&self, features: &[f64]) -> Result<f64, CoreError> {
-        self.uncertainty_reference(features)
-    }
-
-    fn validate(&self) -> Result<(), CoreError> {
-        self.validate()
-    }
-
-    fn route_support(&self, features: &[f64]) -> Result<RouteSupport, CoreError> {
-        self.route_support(features)
-    }
-
-    fn n_features(&self) -> usize {
-        self.n_features()
-    }
-
-    fn min_uncertainty(&self) -> f64 {
-        self.min_uncertainty()
-    }
-
-    fn artifact_kind_name(&self) -> &'static str {
-        match self {
-            TaQim::Tree(qim) => QimBackend::artifact_kind_name(qim),
-            TaQim::Forest(qim) => QimBackend::artifact_kind_name(qim),
-            TaQim::Conformal(qim) => QimBackend::artifact_kind_name(qim),
         }
     }
 }
@@ -1757,40 +1398,11 @@ mod tests {
         assert!(as_conf.route_support(&[0.1, 0.2]).is_err());
     }
 
-    /// Drives every backend through the sealed [`QimBackend`] contract via
-    /// a generic helper, so the trait surface itself is exercised (not
-    /// just the inherent methods it shadows).
+    /// Drives every backend through the [`TaQim`] serving surface: the
+    /// per-sample bound, its reference recompute, the fused lookup, the
+    /// support shape, the served floor and the arity check.
     #[test]
-    fn qim_backend_trait_agrees_with_inherent_dispatch() {
-        fn exercise<B: QimBackend>(backend: &B, expected_kind: &str) {
-            assert_eq!(backend.artifact_kind_name(), expected_kind);
-            assert_eq!(QimBackend::n_features(backend), 1);
-            backend.validate().unwrap();
-            let mut scratch = ServingScratch::default();
-            let rows = [vec![0.1], vec![0.5], vec![0.9]];
-            let mut out = Vec::new();
-            backend
-                .uncertainty_batch_into(1, &rows, &mut scratch, &mut out)
-                .unwrap();
-            for (row, served) in rows.iter().zip(&out) {
-                assert_eq!(
-                    served.to_bits(),
-                    QimBackend::uncertainty(backend, row).unwrap().to_bits()
-                );
-                assert_eq!(
-                    served.to_bits(),
-                    backend.uncertainty_reference(row).unwrap().to_bits()
-                );
-            }
-            let support = QimBackend::route_support(backend, &rows[0]).unwrap();
-            match support {
-                RouteSupport::Samples(n) => assert!(n >= 1),
-                RouteSupport::Unsupported => {}
-            }
-            assert!(QimBackend::min_uncertainty(backend) <= out[0]);
-            assert!(QimBackend::route_support(backend, &[0.1, 0.2]).is_err());
-        }
-
+    fn every_taqim_shape_serves_through_the_enum() {
         let calib = calib_samples(1000, |x| x > 0.5);
         let single =
             CalibratedQim::calibrate(trained_tree(400), &calib, CalibrationOptions::default())
@@ -1808,12 +1420,32 @@ mod tests {
             crate::conformal::ConformalOptions::default(),
         )
         .unwrap();
-        exercise(&single, "TreeQim");
-        exercise(&forest_qim, "ForestQim");
-        exercise(&conformal, "ConformalQim");
-        exercise(&TaQim::Tree(single), "TreeQim");
-        exercise(&TaQim::Forest(forest_qim), "ForestQim");
-        exercise(&TaQim::Conformal(conformal), "ConformalQim");
+        for backend in [
+            TaQim::Tree(single),
+            TaQim::Forest(forest_qim),
+            TaQim::Conformal(conformal),
+        ] {
+            assert_eq!(backend.n_features(), 1);
+            backend.validate().unwrap();
+            let rows = [[0.1], [0.5], [0.9]];
+            for row in &rows {
+                let served = backend.uncertainty(row).unwrap();
+                assert_eq!(
+                    served.to_bits(),
+                    backend.uncertainty_reference(row).unwrap().to_bits()
+                );
+                let (fused, support) = backend.uncertainty_with_support(row).unwrap();
+                assert_eq!(fused.to_bits(), served.to_bits());
+                assert_eq!(support, backend.route_support(row).unwrap());
+            }
+            match backend.route_support(&rows[0]).unwrap() {
+                RouteSupport::Samples(n) => assert!(n >= 1),
+                RouteSupport::Unsupported => assert!(backend.as_conformal().is_some()),
+            }
+            assert!(backend.min_uncertainty() <= backend.uncertainty(&rows[0]).unwrap());
+            assert!(backend.route_support(&[0.1, 0.2]).is_err());
+            assert!(backend.uncertainty_with_support(&[0.1, 0.2]).is_err());
+        }
     }
 
     #[test]
@@ -1886,10 +1518,15 @@ mod tests {
         let single =
             CalibratedQim::calibrate(trained_tree(400), &calib, CalibrationOptions::default())
                 .unwrap();
-        // Single tree: support is exactly the routed leaf's total.
+        // Single tree: support is exactly the routed leaf's total, wrapped
+        // in `RouteSupport::Samples`.
+        let tree = TaQim::Tree(single.clone());
         for q in [[0.1], [0.5], [0.9]] {
             let (_, leaf) = single.route(&q).unwrap();
-            assert_eq!(single.route_support(&q).unwrap(), leaf.total);
+            assert_eq!(
+                tree.route_support(&q).unwrap(),
+                RouteSupport::Samples(leaf.total)
+            );
             assert!(leaf.total >= 200, "pruning floor guarantees support");
         }
 
@@ -1900,6 +1537,7 @@ mod tests {
             CalibrationOptions::default(),
         )
         .unwrap();
+        let forest = TaQim::Forest(qim.clone());
         for q in [[0.1], [0.5], [0.9]] {
             let expected = (0..qim.n_trees())
                 .map(|t| {
@@ -1909,29 +1547,12 @@ mod tests {
                 })
                 .min()
                 .unwrap();
-            assert_eq!(qim.route_support(&q).unwrap(), expected);
+            assert_eq!(forest.route_support(&q).unwrap().samples(), Some(expected));
         }
-
-        // Dispatch wraps the per-leaf counts in `RouteSupport::Samples`.
-        assert_eq!(
-            TaQim::Tree(single.clone()).route_support(&[0.3]).unwrap(),
-            RouteSupport::Samples(single.route_support(&[0.3]).unwrap())
-        );
-        assert_eq!(
-            TaQim::Forest(qim.clone()).route_support(&[0.3]).unwrap(),
-            RouteSupport::Samples(qim.route_support(&[0.3]).unwrap())
-        );
-        assert_eq!(
-            TaQim::Tree(single.clone())
-                .route_support(&[0.3])
-                .unwrap()
-                .samples(),
-            Some(single.route_support(&[0.3]).unwrap())
-        );
         assert_eq!(RouteSupport::Unsupported.samples(), None);
         // Arity mismatches surface as errors, not panics.
-        assert!(single.route_support(&[0.1, 0.2]).is_err());
-        assert!(qim.route_support(&[0.1, 0.2]).is_err());
+        assert!(tree.route_support(&[0.1, 0.2]).is_err());
+        assert!(forest.route_support(&[0.1, 0.2]).is_err());
     }
 
     #[test]
@@ -1953,65 +1574,5 @@ mod tests {
         let mut tampered = qim.clone();
         tampered.min_served_bound = f64::NAN;
         assert!(tampered.validate().is_err());
-    }
-
-    #[test]
-    fn batched_uncertainty_matches_per_sample_bitwise() {
-        let calib = calib_samples(1500, |x| x > 0.5);
-        let single =
-            CalibratedQim::calibrate(trained_tree(400), &calib, CalibrationOptions::default())
-                .unwrap();
-        let forest = CalibratedForestQim::calibrate(
-            trained_forest(4, 3, 500),
-            &calib,
-            CalibrationOptions::default(),
-        )
-        .unwrap();
-        let rows: Vec<[f64; 1]> = (0..97).map(|i| [i as f64 / 96.0]).collect();
-        let mut scratch = ServingScratch::new();
-        for threads in [1usize, 2, 8] {
-            // Single tree: appends in input order, preserving prior content.
-            let mut out = vec![9.0];
-            single
-                .uncertainty_batch_into(threads, &rows, &mut scratch, &mut out)
-                .unwrap();
-            assert_eq!(out[0], 9.0);
-            assert_eq!(out.len(), rows.len() + 1);
-            for (row, &got) in rows.iter().zip(&out[1..]) {
-                assert_eq!(got.to_bits(), single.uncertainty(row).unwrap().to_bits());
-            }
-            // Forest: one interleaved pass, same member-order summation.
-            let mut out = Vec::new();
-            forest
-                .uncertainty_batch_into(threads, &rows, &mut scratch, &mut out)
-                .unwrap();
-            for (row, &got) in rows.iter().zip(&out) {
-                assert_eq!(got.to_bits(), forest.uncertainty(row).unwrap().to_bits());
-            }
-            // TaQim dispatch agrees with the underlying shapes.
-            for taqim in [TaQim::Tree(single.clone()), TaQim::Forest(forest.clone())] {
-                let mut via_dispatch = Vec::new();
-                taqim
-                    .uncertainty_batch_into(threads, &rows, &mut scratch, &mut via_dispatch)
-                    .unwrap();
-                for (row, &got) in rows.iter().zip(&via_dispatch) {
-                    assert_eq!(got.to_bits(), taqim.uncertainty(row).unwrap().to_bits());
-                }
-            }
-        }
-        // Empty batches are fine; arity mismatches leave `out` untouched.
-        let mut out = vec![0.5];
-        let empty: [[f64; 1]; 0] = [];
-        single
-            .uncertainty_batch_into(2, &empty, &mut scratch, &mut out)
-            .unwrap();
-        assert_eq!(out, vec![0.5]);
-        assert!(single
-            .uncertainty_batch_into(2, &[[0.1, 0.2]], &mut scratch, &mut out)
-            .is_err());
-        assert!(forest
-            .uncertainty_batch_into(2, &[[0.1, 0.2]], &mut scratch, &mut out)
-            .is_err());
-        assert_eq!(out, vec![0.5], "failed batches must not leak output");
     }
 }

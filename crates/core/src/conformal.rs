@@ -1,5 +1,5 @@
-//! Split-conformal quality impact model: the first **non-tree** backend
-//! behind the [`QimBackend`](crate::calibration::QimBackend) seam.
+//! Split-conformal quality impact model: the first **non-tree** shape of
+//! the [`TaQim`](crate::calibration::TaQim) backend enum.
 //!
 //! Split (inductive) conformal prediction, MAPIE-style: a simple base
 //! scorer `μ̂(x)` is fit on the *training* split, a one-sided
@@ -38,7 +38,7 @@
 //! instead of fabricating a support figure.
 
 use crate::buffer::CERTAINTY_UNIT_ONE;
-use crate::calibration::{CalibrationOptions, ServingScratch};
+use crate::calibration::CalibrationOptions;
 use crate::error::CoreError;
 use serde::{Deserialize, Serialize};
 
@@ -335,38 +335,6 @@ impl ConformalQim {
         Ok((self.base_score_flat(features) + self.quantile_shift).clamp(0.0, 1.0))
     }
 
-    /// Batched [`ConformalQim::uncertainty`]: one bound per row appended
-    /// to `out` in input order, bit-identical to the per-sample form for
-    /// every thread budget. The lookup is a few table indexes per row —
-    /// there is no traversal to fan out — so the `threads` budget and the
-    /// routing scratch are accepted for seam-contract parity and left
-    /// unused.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError`] on feature-arity mismatch of **any** row;
-    /// `out` is untouched on error.
-    pub fn uncertainty_batch_into<R>(
-        &self,
-        _threads: usize,
-        rows: &[R],
-        _scratch: &mut ServingScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<(), CoreError>
-    where
-        R: AsRef<[f64]> + Sync,
-    {
-        for row in rows {
-            self.check_arity(row.as_ref())?;
-        }
-        out.extend(
-            rows.iter().map(|row| {
-                (self.base_score_flat(row.as_ref()) + self.quantile_shift).clamp(0.0, 1.0)
-            }),
-        );
-        Ok(())
-    }
-
     /// Reference implementation of [`ConformalQim::uncertainty`] over the
     /// nested rate table. Kept for bit-identity verification — not a
     /// serving path.
@@ -637,7 +605,6 @@ mod tests {
     #[test]
     fn serving_matches_reference_bitwise_including_nan() {
         let qim = fitted(0.95);
-        let mut scratch = ServingScratch::new();
         let queries: Vec<[f64; 1]> = (0..64)
             .map(|i| {
                 if i % 7 == 0 {
@@ -647,14 +614,9 @@ mod tests {
                 }
             })
             .collect();
-        let mut batched = vec![9.0];
-        qim.uncertainty_batch_into(4, &queries, &mut scratch, &mut batched)
-            .unwrap();
-        assert_eq!(batched[0], 9.0);
-        for (q, &got) in queries.iter().zip(&batched[1..]) {
-            assert_eq!(got.to_bits(), qim.uncertainty(q).unwrap().to_bits());
+        for q in &queries {
             assert_eq!(
-                got.to_bits(),
+                qim.uncertainty(q).unwrap().to_bits(),
                 qim.uncertainty_reference(q).unwrap().to_bits()
             );
         }
@@ -739,15 +701,10 @@ mod tests {
             ),
             Err(CoreError::FeatureArityMismatch { .. })
         ));
-        // Arity mismatch at query time; batched form leaves `out` intact.
+        // Arity mismatch at query time.
         let qim = fitted(0.9);
         assert!(qim.uncertainty(&[0.1, 0.2]).is_err());
-        let mut out = vec![0.5];
-        let mut scratch = ServingScratch::new();
-        assert!(qim
-            .uncertainty_batch_into(2, &[[0.1, 0.2]], &mut scratch, &mut out)
-            .is_err());
-        assert_eq!(out, vec![0.5], "failed batches must not leak output");
+        assert!(qim.uncertainty_reference(&[0.1, 0.2]).is_err());
     }
 
     #[test]

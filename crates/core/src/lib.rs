@@ -27,8 +27,8 @@
 //!   bound lookup table, bit-identical to the pointer tree. The taQIM can
 //!   also be a calibrated bootstrap **forest** (mean of per-member bounds,
 //!   served as `K` flat traversals) that smooths the hard split boundaries
-//!   of a single tree. All taQIM backends plug into one sealed
-//!   [`calibration::QimBackend`] serving contract.
+//!   of a single tree. All taQIM backends are shapes of one closed
+//!   [`calibration::TaQim`] enum, served per sample.
 //! * [`conformal`] — the first leafless taQIM backend: a **split-conformal**
 //!   model serving distribution-free bounds from a histogram base scorer
 //!   plus a one-sided conformal quantile shift.
@@ -101,8 +101,8 @@ pub use adaptive::{
 };
 pub use buffer::{BufferEntry, TimeseriesBuffer};
 pub use calibration::{
-    CalibratedForestQim, CalibratedLeaf, CalibratedQim, CalibrationOptions, QimBackend,
-    RouteSupport, ServingScratch, TaQim,
+    CalibratedForestQim, CalibratedLeaf, CalibratedQim, CalibrationOptions, RouteSupport,
+    ServingScratch, TaQim,
 };
 pub use conformal::{ConformalOptions, ConformalQim};
 pub use engine::{StreamId, StreamStep, TauwEngine};

@@ -28,8 +28,8 @@ use std::path::Path;
 /// the standalone `ForestQim` artifact kind; v4 adds the served-minimum
 /// bound to forest QIMs and the `AdaptiveState` artifact kind (per-stream
 /// online-calibration state, so a serving process restarts without losing
-/// adaptation); v5 adds the `Conformal` taQIM shape behind the
-/// [`crate::calibration::QimBackend`] seam plus the standalone `TreeQim`
+/// adaptation); v5 adds the `Conformal` shape to the
+/// [`crate::calibration::TaQim`] backend enum plus the standalone `TreeQim`
 /// and `ConformalQim` artifact kinds, so every backend has its own
 /// deployable envelope; v6 adds the `EngineShard` artifact kind (one
 /// serving shard's complete per-stream runtime state — buffers plus
@@ -1005,6 +1005,29 @@ mod tests {
                 assert!(reason.contains("calibrated QIM"), "reason: {reason}");
             }
             other => panic!("expected InvalidInput, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn taqf_set_that_disagrees_with_the_taqim_is_rejected_at_load() {
+        // An edited taQF set would otherwise load and then fail every step
+        // on arity — after the buffer push. Mask 1 selects one factor for a
+        // taQIM trained on four; mask 0b10111 keeps four set bits (so the
+        // counts agree) but one of them names no factor.
+        for tauw in [fitted(), fitted_forest(), fitted_conformal()] {
+            let json = tauw.to_artifact_json().unwrap();
+            assert!(TimeseriesAwareWrapper::from_artifact_json(&json).is_ok());
+            for mask in ["1", "23"] {
+                let tampered =
+                    json.replacen("\"taqf_set\": 15", &format!("\"taqf_set\": {mask}"), 1);
+                assert_ne!(tampered, json, "tamper edit must hit the artifact");
+                match TimeseriesAwareWrapper::from_artifact_json(&tampered) {
+                    Err(CoreError::InvalidInput { reason }) => {
+                        assert!(reason.contains("taQ"), "reason: {reason}");
+                    }
+                    other => panic!("mask {mask}: expected InvalidInput, got {other:?}"),
+                }
+            }
         }
     }
 

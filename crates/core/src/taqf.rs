@@ -230,6 +230,12 @@ impl TaqfSet {
         self.0 == 0
     }
 
+    /// Whether every set bit names one of the four factors; a mask read
+    /// from an artifact can carry stray high bits.
+    pub(crate) fn is_valid(self) -> bool {
+        self.0 & !Self::FULL.0 == 0
+    }
+
     /// The contained kinds in taQF1..taQF4 order.
     pub fn kinds(self) -> Vec<TaqfKind> {
         TaqfKind::ALL

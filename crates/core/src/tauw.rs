@@ -16,7 +16,7 @@ use crate::calibration::{
 };
 use crate::conformal::{ConformalOptions, ConformalQim};
 use crate::error::CoreError;
-use crate::taqf::{TaqfSet, TaqfVector};
+use crate::taqf::{TaqfKind, TaqfSet, TaqfVector};
 use crate::training::{flatten_stateless, validate_series, TrainingSeries};
 use crate::wrapper::{UncertaintyWrapper, WrapperBuilder};
 use serde::{Deserialize, Serialize};
@@ -49,11 +49,11 @@ pub struct TauwStep {
     pub drift: crate::adaptive::DriftSignal,
 }
 
-/// Which taQIM backend [`TauwBuilder::fit`] trains behind the
-/// [`crate::calibration::QimBackend`] seam.
+/// Which [`TaQim`] backend shape [`TauwBuilder::fit`] trains.
 ///
 /// Every variant trains deterministically and serves through the same
-/// session/engine wave path; see the trait docs for the full contract.
+/// per-sample session/engine step; see [`crate::calibration`] for the
+/// serving surface.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub enum BackendSpec {
     /// The paper's single calibrated CART tree (the default).
@@ -114,8 +114,7 @@ impl TauwBuilder {
         self
     }
 
-    /// Selects the taQIM backend trained behind the
-    /// [`crate::calibration::QimBackend`] seam: the paper's single tree
+    /// Selects the [`TaQim`] backend shape to train: the paper's single tree
     /// (the default), a boundary-smoothing bootstrap forest, or the
     /// leafless split-conformal model. Every choice trains
     /// deterministically and serves through the same session/engine step
@@ -452,15 +451,37 @@ impl TimeseriesAwareWrapper {
     }
 
     /// Checks the internal consistency of both calibrated models (see
-    /// [`CalibratedQim::validate`]); called by the persistence layer on
-    /// every load.
+    /// [`CalibratedQim::validate`]) and that they fit together: the taQF
+    /// set names only the four factors, and the taQIM reads exactly the
+    /// stateless features plus the selected taQFs — so a loaded wrapper
+    /// cannot fail a step on arity after its buffer push. Called by the
+    /// persistence layer on every load.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidInput`] on an inconsistent model.
     pub fn validate(&self) -> Result<(), CoreError> {
         self.stateless.validate()?;
-        self.taqim.validate()
+        self.taqim.validate()?;
+        if !self.taqf_set.is_valid() {
+            return Err(CoreError::InvalidInput {
+                reason: format!(
+                    "taQF set {:?} selects factors beyond the four",
+                    self.taqf_set
+                ),
+            });
+        }
+        let expected = self.stateless.qim().flat().n_features() + self.taqf_set.len();
+        if self.taqim.n_features() != expected {
+            return Err(CoreError::InvalidInput {
+                reason: format!(
+                    "taQIM reads {} features, but the stateless features plus the taQF set \
+                     give {expected}",
+                    self.taqim.n_features()
+                ),
+            });
+        }
+        Ok(())
     }
 
     /// Which taQFs the taQIM consumes.
@@ -519,8 +540,8 @@ impl TimeseriesAwareWrapper {
     ///
     /// With a bounded `buffer` and a warmed `scratch` the steady state
     /// performs **no heap allocation**: the taQIM feature row assembles in
-    /// `scratch.features` (cleared and refilled in place), and both model
-    /// shapes route without allocating.
+    /// `scratch.features` (cleared and refilled in place), and every taQIM
+    /// shape serves without allocating (pinned by `tests/allocation.rs`).
     ///
     /// # Errors
     ///
@@ -532,14 +553,36 @@ impl TimeseriesAwareWrapper {
         quality_factors: &[f64],
         outcome: u32,
     ) -> Result<TauwStep, CoreError> {
+        let (step, ()) =
+            self.step_and_lookup(buffer, scratch, quality_factors, outcome, |taqim, row| {
+                Ok((taqim.uncertainty(row)?, ()))
+            })?;
+        Ok(step)
+    }
+
+    /// The per-step core behind [`TimeseriesAwareWrapper::step_with_parts`]
+    /// and the adaptive step: stateless QIM, buffer push, fused outcome,
+    /// taQF vector, then one `lookup` of the taQIM on the assembled row.
+    /// The plain step looks up the bound only; the adaptive step looks up
+    /// the bound and its route support in the same traversal
+    /// ([`TaQim::uncertainty_with_support`]).
+    pub(crate) fn step_and_lookup<T>(
+        &self,
+        buffer: &mut TimeseriesBuffer,
+        scratch: &mut ServingScratch,
+        quality_factors: &[f64],
+        outcome: u32,
+        lookup: impl FnOnce(&TaQim, &[f64]) -> Result<(f64, T), CoreError>,
+    ) -> Result<(TauwStep, T), CoreError> {
         let stateless_uncertainty = self.stateless.uncertainty(quality_factors)?;
         buffer.push(outcome, stateless_uncertainty);
         let fused = buffer
             .fused_outcome()
             .expect("buffer is non-empty after push");
         let taqf = TaqfVector::compute(buffer, fused).expect("buffer is non-empty");
-        let uncertainty = self.ta_uncertainty_with_scratch(scratch, quality_factors, &taqf)?;
-        Ok(TauwStep {
+        let row = self.assemble_row(scratch, quality_factors, &taqf);
+        let (uncertainty, looked_up) = lookup(&self.taqim, row)?;
+        let step = TauwStep {
             fused_outcome: fused,
             uncertainty,
             stateless_uncertainty,
@@ -549,7 +592,28 @@ impl TimeseriesAwareWrapper {
             series_length: usize::try_from(buffer.total_steps()).unwrap_or(usize::MAX),
             adapted_uncertainty: uncertainty,
             drift: crate::adaptive::DriftSignal::Stable,
-        })
+        };
+        Ok((step, looked_up))
+    }
+
+    /// Fills `scratch.features` with `[stateless QFs ‖ selected taQFs]` in
+    /// place — taQFs in [`TaqfSet::kinds`] order — so a warmed scratch
+    /// assembles the row without allocating.
+    fn assemble_row<'s>(
+        &self,
+        scratch: &'s mut ServingScratch,
+        quality_factors: &[f64],
+        taqf: &TaqfVector,
+    ) -> &'s [f64] {
+        let row = &mut scratch.features;
+        row.clear();
+        row.extend_from_slice(quality_factors);
+        for kind in TaqfKind::ALL {
+            if self.taqf_set.contains(kind) {
+                row.push(taqf.get(kind));
+            }
+        }
+        row
     }
 
     /// The taQIM lookup for one step: assembles `[stateless QFs ‖ selected
@@ -582,10 +646,8 @@ impl TimeseriesAwareWrapper {
         quality_factors: &[f64],
         taqf: &TaqfVector,
     ) -> Result<f64, CoreError> {
-        scratch.features.clear();
-        scratch.features.extend_from_slice(quality_factors);
-        scratch.features.extend(self.taqf_set.select(taqf));
-        self.taqim.uncertainty(&scratch.features)
+        self.taqim
+            .uncertainty(self.assemble_row(scratch, quality_factors, taqf))
     }
 
     /// How many calibration samples routed to the leaf combination the
@@ -611,7 +673,8 @@ impl TimeseriesAwareWrapper {
     /// scratch (same contract as
     /// [`TimeseriesAwareWrapper::ta_uncertainty_with_scratch`]): the
     /// feature row assembles in `scratch.features`, so a warmed scratch
-    /// makes the lookup allocation-free.
+    /// makes the lookup allocation-free. The adaptive step does not call
+    /// this: it takes the support from the same traversal as the bound.
     ///
     /// # Errors
     ///
@@ -622,10 +685,8 @@ impl TimeseriesAwareWrapper {
         quality_factors: &[f64],
         taqf: &TaqfVector,
     ) -> Result<RouteSupport, CoreError> {
-        scratch.features.clear();
-        scratch.features.extend_from_slice(quality_factors);
-        scratch.features.extend(self.taqf_set.select(taqf));
-        self.taqim.route_support(&scratch.features)
+        self.taqim
+            .route_support(self.assemble_row(scratch, quality_factors, taqf))
     }
 }
 

@@ -221,6 +221,7 @@ impl FlatTree {
     ///
     /// Returns [`DtreeError::PredictArityMismatch`] if `x` has the wrong
     /// number of features.
+    #[inline]
     pub fn predict_leaf_id(&self, x: &[f64]) -> Result<LeafId, DtreeError> {
         self.check_arity(x.len())?;
         Ok(self.route(x))
@@ -260,77 +261,14 @@ impl FlatTree {
         Ok(())
     }
 
-    /// Batch-major leaf routing: advances the whole wave of `rows` one
-    /// level at a time through the SoA node tables, writing each row's
-    /// [`LeafId`] to the matching `out` slot. Arity is validated while the
-    /// wave is seeded, so the batch is walked exactly once.
-    ///
-    /// Level-synchronous traversal touches each node level's `feature`/
-    /// `threshold`/`children` entries for every pending row before moving
-    /// deeper, so node data stays hot across the batch instead of being
-    /// re-fetched per sample. Each row still takes exactly the comparisons
-    /// of [`FlatTree::predict_leaf_id`] in the same order, so the routed
-    /// leaf ids are bit-identical to per-sample routing by construction.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DtreeError::PredictArityMismatch`] on the first row (in
-    /// input order) with the wrong number of features; `out` contents are
-    /// unspecified after an error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != rows.len()`.
-    pub fn route_batch_into<R>(&self, rows: &[R], out: &mut [LeafId]) -> Result<(), DtreeError>
-    where
-        R: AsRef<[f64]>,
-    {
-        assert_eq!(
-            rows.len(),
-            out.len(),
-            "route_batch_into: out must hold exactly one LeafId per row"
-        );
-        // Seed the wave: `out[i]` holds row i's node cursor while routing.
-        // Validation happens during seeding — one pass over the batch.
-        for (row, cursor) in rows.iter().zip(out.iter_mut()) {
-            self.check_arity(row.as_ref().len())?;
-            *cursor = 0;
-        }
-        // Advance the whole wave one level per pass until every cursor
-        // rests on a leaf. A single-leaf tree skips the loop entirely.
-        let mut pending = if self.feature[0] == LEAF_SENTINEL {
-            0
-        } else {
-            rows.len()
-        };
-        while pending > 0 {
-            pending = 0;
-            for (row, cursor) in rows.iter().zip(out.iter_mut()) {
-                let node = *cursor as usize;
-                let feature = self.feature[node];
-                if feature == LEAF_SENTINEL {
-                    continue;
-                }
-                let go_left = row.as_ref()[feature as usize] <= self.threshold[node];
-                let next = self.children[node][usize::from(!go_left)];
-                *cursor = next;
-                pending += usize::from(self.feature[next as usize] != LEAF_SENTINEL);
-            }
-        }
-        // Resolve node cursors to dense leaf ids.
-        for cursor in out.iter_mut() {
-            *cursor = self.children[*cursor as usize][0];
-        }
-        Ok(())
-    }
-
     /// Batched leaf routing: appends one [`LeafId`] per row to `out`, in
     /// input order, fanning contiguous row chunks out over up to `threads`
     /// workers (the deterministic chunking of
     /// [`parallel::par_zip_chunks_mut`], so the result is identical for
-    /// every thread budget). Each chunk validates and routes in one pass
-    /// via the batch-major [`FlatTree::route_batch_into`] wave, writing
-    /// leaf ids straight into `out` — no intermediate buffer.
+    /// every thread budget). Each chunk routes its rows one at a time
+    /// through [`FlatTree::predict_leaf_id`], writing leaf ids straight
+    /// into `out` — no intermediate buffer. Calibration routes its sample
+    /// set through here once at set-up; serving routes per sample.
     ///
     /// On error `out` is untouched (observably: the appended region is
     /// rolled back before returning), and the reported error is the first
@@ -352,11 +290,14 @@ impl FlatTree {
         let start = out.len();
         out.resize(start + rows.len(), 0);
         let chunk_results =
-            parallel::par_zip_chunks_mut(threads, rows, &mut out[start..], 1, |chunk, slots| {
-                self.route_batch_into(chunk, slots)
+            parallel::par_zip_chunks_mut(threads, rows, &mut out[start..], |chunk, slots| {
+                for (row, slot) in chunk.iter().zip(slots) {
+                    *slot = self.predict_leaf_id(row.as_ref())?;
+                }
+                Ok(())
             });
-        // Chunks are contiguous and reported in order, and the wave
-        // validates rows left-to-right, so the first chunk error is the
+        // Chunks are contiguous and reported in order, and each chunk
+        // routes its rows left-to-right, so the first chunk error is the
         // globally first offending row — matching the per-sample contract.
         if let Some(err) = chunk_results.into_iter().find_map(Result::err) {
             out.truncate(start);
@@ -384,19 +325,28 @@ impl FlatTree {
     ///
     /// The direction bit mirrors the pointer tree exactly: `x[f] <= t`
     /// goes left, everything else — including NaN — goes right.
-    /// `pub(crate)` so the forest's interleaved batch pass can route an
+    /// `pub(crate)` so [`crate::FlatForest::route_members`] can route an
     /// already-validated row through each member without re-checking arity.
+    ///
+    /// The three node arrays have one length by construction; slicing
+    /// `threshold` and `children` to it up front lets the per-level bound
+    /// checks on them fold into the one on `feature`.
+    #[inline(always)]
     pub(crate) fn route(&self, x: &[f64]) -> LeafId {
+        let features = &self.feature[..];
+        let thresholds = &self.threshold[..features.len()];
+        let children = &self.children[..features.len()];
         let mut node = 0usize;
-        let mut feature = self.feature[0];
+        let mut feature = features[0];
         while feature != LEAF_SENTINEL {
-            let go_left = x[feature as usize] <= self.threshold[node];
-            node = self.children[node][usize::from(!go_left)] as usize;
-            feature = self.feature[node];
+            let go_left = x[feature as usize] <= thresholds[node];
+            node = children[node][usize::from(!go_left)] as usize;
+            feature = features[node];
         }
-        self.children[node][0]
+        children[node][0]
     }
 
+    #[inline]
     pub(crate) fn check_arity(&self, actual: usize) -> Result<(), DtreeError> {
         if actual != self.n_features {
             return Err(DtreeError::PredictArityMismatch {
@@ -594,7 +544,7 @@ mod tests {
     }
 
     #[test]
-    fn wave_routing_matches_per_sample_routing_bitwise() {
+    fn batched_routing_matches_per_sample_routing_with_nan() {
         let tree = toy_tree();
         let flat = FlatTree::from_tree(&tree);
         let rows: Vec<Vec<f64>> = (0..97)
@@ -612,31 +562,26 @@ mod tests {
                 vec![a, b]
             })
             .collect();
-        let mut wave = vec![0u32; rows.len()];
-        flat.route_batch_into(&rows, &mut wave).unwrap();
-        for (row, &lid) in rows.iter().zip(&wave) {
-            assert_eq!(lid, flat.predict_leaf_id(row).unwrap());
+        for threads in [1usize, 4] {
+            let routed = flat.predict_leaf_ids(threads, &rows).unwrap();
+            for (row, &lid) in rows.iter().zip(&routed) {
+                assert_eq!(lid, flat.predict_leaf_id(row).unwrap());
+            }
         }
     }
 
     #[test]
-    fn wave_routing_handles_single_leaf_and_ragged_batches() {
+    fn batched_routing_handles_single_leaf_and_ragged_batches() {
         let mut ds = Dataset::new(vec!["x".into()], 2).unwrap();
         ds.push_row(&[1.0], 1).unwrap();
         let flat = FlatTree::from_tree(&TreeBuilder::new().fit(&ds).unwrap());
         assert_eq!(flat.n_leaves(), 1);
         // Batch sizes 0, 1, and many against the degenerate root-leaf tree.
         let empty: Vec<Vec<f64>> = Vec::new();
-        flat.route_batch_into(&empty, &mut []).unwrap();
-        let mut one = [99u32];
-        flat.route_batch_into(&[vec![5.0]], &mut one).unwrap();
-        assert_eq!(one, [0]);
-        let rows: Vec<Vec<f64>> = (0..33).map(|i| vec![i as f64]).collect();
-        let mut many = vec![7u32; rows.len()];
-        flat.route_batch_into(&rows, &mut many).unwrap();
-        assert!(many.iter().all(|&l| l == 0));
         assert_eq!(flat.predict_leaf_ids(4, &empty).unwrap(), Vec::<u32>::new());
-        assert_eq!(flat.predict_leaf_ids(4, &rows).unwrap(), many);
+        assert_eq!(flat.predict_leaf_ids(4, &[vec![5.0]]).unwrap(), vec![0]);
+        let rows: Vec<Vec<f64>> = (0..33).map(|i| vec![i as f64]).collect();
+        assert_eq!(flat.predict_leaf_ids(4, &rows).unwrap(), vec![0; 33]);
     }
 
     #[test]

@@ -28,11 +28,8 @@
 //! * [`Forest`] — the trained pointer-tree ensemble (the transparent,
 //!   reviewable form).
 //! * [`FlatForest`] — the compiled serving form: one [`FlatTree`] per
-//!   member, with single-sample routing to `K` leaf ids and a
-//!   forest-interleaved batch pass ([`FlatForest::predict_leaf_ids`],
-//!   row-major `out[row * K + member]`) in which all `K` members share one
-//!   walk over the batch, fanned over the thread budget — mirroring the
-//!   single-tree serving contract.
+//!   member, routing one sample to `K` leaf ids in member order
+//!   ([`FlatForest::route_members`]) after a single arity check.
 
 use crate::builder::TreeBuilder;
 use crate::data::Dataset;
@@ -291,9 +288,9 @@ impl Forest {
 /// let flat = FlatForest::from_forest(&forest);
 ///
 /// // One sample routes to one leaf id per member tree...
-/// let leaves = flat.predict_leaf_ids_per_tree(&[10.0])?;
+/// let leaves = flat.route_members(&[10.0])?;
 /// assert_eq!(leaves.len(), 4);
-/// for (t, &leaf) in leaves.iter().enumerate() {
+/// for (t, leaf) in leaves.enumerate() {
 ///     assert!((leaf as usize) < flat.tree(t).n_leaves());
 /// }
 /// // ...and the ensemble prediction agrees with the members' majority.
@@ -389,139 +386,23 @@ impl FlatForest {
         self.trees.iter().map(FlatTree::n_leaves).sum()
     }
 
-    /// Routes one sample through every member, appending one [`LeafId`]
-    /// per member to `out` in member order — the ensemble's per-step
-    /// serving primitive (`K` flat traversals, no allocation).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DtreeError::PredictArityMismatch`] if `x` has the wrong
-    /// number of features; `out` is untouched on error.
-    pub fn predict_leaf_ids_per_tree_into(
-        &self,
-        x: &[f64],
-        out: &mut Vec<LeafId>,
-    ) -> Result<(), DtreeError> {
-        // One up-front arity check covers every member (shapes agree by
-        // construction).
-        self.trees[0].predict_leaf_id(x).map(|first| {
-            out.reserve(self.trees.len());
-            out.push(first);
-            for tree in &self.trees[1..] {
-                out.push(
-                    tree.predict_leaf_id(x)
-                        .expect("members share the validated arity"),
-                );
-            }
-        })
-    }
-
-    /// Allocating convenience around
-    /// [`FlatForest::predict_leaf_ids_per_tree_into`].
+    /// Routes one sample through every member, yielding one [`LeafId`]
+    /// per member in member order — the ensemble's per-step serving
+    /// primitive (`K` flat traversals, no allocation). Arity is checked
+    /// once up front (members share their shape by construction); each
+    /// member then routes with exactly the comparisons of
+    /// [`FlatTree::predict_leaf_id`].
     ///
     /// # Errors
     ///
     /// Returns [`DtreeError::PredictArityMismatch`] if `x` has the wrong
     /// number of features.
-    pub fn predict_leaf_ids_per_tree(&self, x: &[f64]) -> Result<Vec<LeafId>, DtreeError> {
-        let mut out = Vec::with_capacity(self.trees.len());
-        self.predict_leaf_ids_per_tree_into(x, &mut out)?;
-        Ok(out)
-    }
-
-    /// Forest-interleaved batch routing: all `K` members share **one pass
-    /// over the batch**, writing row `i`'s member-`t` leaf id to
-    /// `out[i * K + t]` (row-major). Within the pass rows are outer and
-    /// members inner, so each row's features are loaded once and pushed
-    /// through every member while still hot — instead of `K` independent
-    /// re-walks of the whole batch.
-    ///
-    /// Arity is validated once per row (members share their shape by
-    /// construction), and each member routes with exactly the per-sample
-    /// comparisons of [`FlatTree::predict_leaf_id`], so the output is
-    /// bit-identical to routing each row through each member individually.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DtreeError::PredictArityMismatch`] on the first row (in
-    /// input order) with the wrong number of features; `out` contents are
-    /// unspecified after an error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != rows.len() * self.n_trees()`.
-    pub fn route_batch_into<R>(&self, rows: &[R], out: &mut [LeafId]) -> Result<(), DtreeError>
-    where
-        R: AsRef<[f64]>,
-    {
-        let k = self.trees.len();
-        assert_eq!(
-            out.len(),
-            rows.len() * k,
-            "route_batch_into: out must hold n_trees LeafIds per row"
-        );
-        for (row, slots) in rows.iter().zip(out.chunks_mut(k)) {
-            let x = row.as_ref();
-            self.trees[0].check_arity(x.len())?;
-            for (tree, slot) in self.trees.iter().zip(slots.iter_mut()) {
-                *slot = tree.route(x);
-            }
-        }
-        Ok(())
-    }
-
-    /// Batched leaf routing: appends `rows.len() · K` [`LeafId`]s to `out`
-    /// in **row-major** order (`out[row * K + member]`), fanning contiguous
-    /// row chunks out over up to `threads` workers via
-    /// [`parallel::par_zip_chunks_mut`] — so the result is identical for
-    /// every thread budget. Each chunk runs the forest-interleaved
-    /// [`FlatForest::route_batch_into`] pass, writing straight into `out`.
-    ///
-    /// On error `out` is untouched (the appended region is rolled back
-    /// before returning), and the reported error is the first offending
-    /// row in input order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DtreeError::PredictArityMismatch`] if any row has the
-    /// wrong number of features.
-    pub fn predict_leaf_ids_into<R>(
-        &self,
-        threads: usize,
-        rows: &[R],
-        out: &mut Vec<LeafId>,
-    ) -> Result<(), DtreeError>
-    where
-        R: AsRef<[f64]> + Sync,
-    {
-        let k = self.trees.len();
-        let start = out.len();
-        out.resize(start + rows.len() * k, 0);
-        let chunk_results =
-            parallel::par_zip_chunks_mut(threads, rows, &mut out[start..], k, |chunk, slots| {
-                self.route_batch_into(chunk, slots)
-            });
-        if let Some(err) = chunk_results.into_iter().find_map(Result::err) {
-            out.truncate(start);
-            return Err(err);
-        }
-        Ok(())
-    }
-
-    /// Allocating convenience around [`FlatForest::predict_leaf_ids_into`]:
-    /// returns the row-major `rows.len() · K` leaf-id table.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DtreeError::PredictArityMismatch`] if any row has the
-    /// wrong number of features.
-    pub fn predict_leaf_ids<R>(&self, threads: usize, rows: &[R]) -> Result<Vec<LeafId>, DtreeError>
-    where
-        R: AsRef<[f64]> + Sync,
-    {
-        let mut out = Vec::with_capacity(rows.len() * self.trees.len());
-        self.predict_leaf_ids_into(threads, rows, &mut out)?;
-        Ok(out)
+    pub fn route_members<'a>(
+        &'a self,
+        x: &'a [f64],
+    ) -> Result<impl ExactSizeIterator<Item = LeafId> + 'a, DtreeError> {
+        self.trees[0].check_arity(x.len())?;
+        Ok(self.trees.iter().map(move |tree| tree.route(x)))
     }
 
     /// Ensemble prediction: majority vote over the members' leaf classes,
@@ -534,22 +415,18 @@ impl FlatForest {
     /// number of features.
     pub fn predict(&self, x: &[f64]) -> Result<u32, DtreeError> {
         let mut votes = vec![0u64; self.n_classes() as usize];
-        self.trees[0].predict(x).map(|first| {
-            votes[first as usize] += 1;
-            for tree in &self.trees[1..] {
-                let class = tree.predict(x).expect("members share the validated arity");
-                votes[class as usize] += 1;
+        for (tree, leaf) in self.trees.iter().zip(self.route_members(x)?) {
+            votes[tree.leaf(leaf).class as usize] += 1;
+        }
+        let mut class = 0u32;
+        let mut best = 0u64;
+        for (c, &count) in votes.iter().enumerate() {
+            if count > best {
+                class = c as u32;
+                best = count;
             }
-            let mut class = 0u32;
-            let mut best = 0u64;
-            for (c, &count) in votes.iter().enumerate() {
-                if count > best {
-                    class = c as u32;
-                    best = count;
-                }
-            }
-            class
-        })
+        }
+        Ok(class)
     }
 }
 
@@ -682,7 +559,7 @@ mod tests {
         );
         for i in 0..50 {
             let q = [i as f64 / 49.0];
-            let per_tree = flat.predict_leaf_ids_per_tree(&q).unwrap();
+            let per_tree: Vec<LeafId> = flat.route_members(&q).unwrap().collect();
             assert_eq!(per_tree.len(), 5);
             for (t, &leaf) in per_tree.iter().enumerate() {
                 assert_eq!(
@@ -696,59 +573,16 @@ mod tests {
     }
 
     #[test]
-    fn batched_routing_is_input_order_for_every_thread_budget() {
-        let ds = dataset(300);
-        let flat = FlatForest::from_forest(&builder(3, 5).fit(&ds).unwrap());
-        let k = flat.n_trees();
-        let rows: Vec<Vec<f64>> = (0..64).map(|i| vec![(i % 13) as f64 / 13.0]).collect();
-        let serial = flat.predict_leaf_ids(1, &rows).unwrap();
-        assert_eq!(serial.len(), rows.len() * k, "row-major: K entries per row");
-        for (i, row) in rows.iter().enumerate() {
-            for t in 0..k {
-                assert_eq!(
-                    serial[i * k + t],
-                    flat.tree(t).predict_leaf_id(row).unwrap(),
-                    "row {i} member {t}"
-                );
-            }
-        }
-        for threads in [2usize, 4, 8] {
-            assert_eq!(flat.predict_leaf_ids(threads, &rows).unwrap(), serial);
-        }
-        // `_into` appends without clobbering, and the interleaved wave
-        // agrees with the per-sample per-tree form row by row.
-        let mut out = vec![123u32];
-        flat.predict_leaf_ids_into(4, &rows, &mut out).unwrap();
-        assert_eq!(out[0], 123);
-        assert_eq!(&out[1..], serial.as_slice());
-        for (i, row) in rows.iter().enumerate() {
-            assert_eq!(
-                &serial[i * k..(i + 1) * k],
-                flat.predict_leaf_ids_per_tree(row).unwrap().as_slice()
-            );
-        }
-    }
-
-    #[test]
-    fn interleaved_routing_handles_degenerate_and_ragged_batches() {
+    fn member_routing_handles_nan_rows() {
         let ds = dataset(200);
         let flat = FlatForest::from_forest(&builder(4, 2).fit(&ds).unwrap());
-        let empty: Vec<Vec<f64>> = Vec::new();
-        assert_eq!(
-            flat.predict_leaf_ids(4, &empty).unwrap(),
-            Vec::<LeafId>::new()
-        );
-        let one = vec![vec![0.25]];
-        let routed = flat.predict_leaf_ids(4, &one).unwrap();
-        assert_eq!(routed, flat.predict_leaf_ids_per_tree(&one[0]).unwrap());
-        // NaN rows route right in every member, same as per-sample routing.
-        let nan_rows = vec![vec![f64::NAN], vec![0.75]];
-        let routed = flat.predict_leaf_ids(2, &nan_rows).unwrap();
-        for (i, row) in nan_rows.iter().enumerate() {
-            assert_eq!(
-                &routed[i * 4..(i + 1) * 4],
-                flat.predict_leaf_ids_per_tree(row).unwrap().as_slice()
-            );
+        // NaN rows route right in every member, same as per-member routing.
+        for row in [[f64::NAN], [0.25], [0.75]] {
+            let routed: Vec<LeafId> = flat.route_members(&row).unwrap().collect();
+            assert_eq!(routed.len(), 4);
+            for (t, &leaf) in routed.iter().enumerate() {
+                assert_eq!(leaf, flat.tree(t).predict_leaf_id(&row).unwrap());
+            }
         }
     }
 
@@ -761,22 +595,17 @@ mod tests {
     }
 
     #[test]
-    fn arity_mismatch_is_rejected_without_partial_output() {
+    fn arity_mismatch_is_rejected() {
         let ds = dataset(100);
         let flat = FlatForest::from_forest(&builder(2, 1).fit(&ds).unwrap());
-        let mut out = vec![7u32];
         assert!(matches!(
-            flat.predict_leaf_ids_per_tree_into(&[0.1, 0.2], &mut out),
+            flat.route_members(&[0.1, 0.2]).map(|_| ()),
             Err(DtreeError::PredictArityMismatch {
                 expected: 1,
                 actual: 2
             })
         ));
-        assert_eq!(out, vec![7], "failed routing must not write output");
         assert!(flat.predict(&[0.1, 0.2]).is_err());
-        assert!(flat
-            .predict_leaf_ids(2, &[vec![0.1], vec![0.1, 0.2]])
-            .is_err());
     }
 
     #[test]
@@ -871,10 +700,10 @@ mod tests {
             serde_json::from_str(&serde_json::to_string(&flat).unwrap()).unwrap();
         assert_eq!(flat, flat_back);
         for q in [[0.1], [0.5], [0.9]] {
-            assert_eq!(
-                flat.predict_leaf_ids_per_tree(&q).unwrap(),
-                flat_back.predict_leaf_ids_per_tree(&q).unwrap()
-            );
+            assert!(flat
+                .route_members(&q)
+                .unwrap()
+                .eq(flat_back.route_members(&q).unwrap()));
         }
     }
 }

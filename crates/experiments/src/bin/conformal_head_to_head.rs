@@ -2,8 +2,8 @@
 //! paper's single tree and a K = 16 boundary-smoothed forest.
 //!
 //! All three variants share the same stateless wrapper, replay rows and
-//! session/engine wave path — they differ *only* in the backend behind the
-//! `QimBackend` seam. The conformal backend promises one-sided
+//! session/engine wave path — they differ *only* in the `TaQim` backend
+//! shape. The conformal backend promises one-sided
 //! distribution-free coverage: with confidence 1 − α, the served bound
 //! covers the realized failure indicator (`y ≤ bound`) on exchangeable
 //! data, with no assumption on the quality-factor distribution. The tree

@@ -18,10 +18,9 @@ Fails (exit 1) on:
     1, parallel rows measure scheduling overhead rather than scaling, so
     the expectation is skipped with a notice instead of failing;
   * flat trailing pointer — the ``qim_uncertainty_pointer_vs_flat`` row's
-    flat (batch-major) side must not lose to the per-sample pointer walk
-    (speedup >= ``BENCH_FLAT_FLOOR``, default 1.0). Host-aware like the
-    parallel floor: skipped with a notice on 1-thread hosts, where the
-    batched path cannot fan out;
+    per-sample flat side must not lose to the per-sample pointer walk
+    (speedup >= ``BENCH_FLAT_FLOOR``, default 1.0). Both sides run on one
+    thread, so unlike the parallel floor this check applies on every host;
   * missing tail latencies — soak rows (``soak_*``) must report positive
     ``baseline_p99_ms`` / ``contender_p99_ms`` per-wave tail latencies
     (other rows carry the columns but may leave them at 0.0).
@@ -40,9 +39,9 @@ import sys
 
 SCHEMA = "tauw-bench-baseline/v9"
 
-# Rows whose contender is the batch-major flat serving path and whose
-# baseline is the per-sample pointer walk: flat must not trail pointer on
-# a host where the batched fan-out can actually engage.
+# Rows whose contender is the per-sample flat serving path (the only
+# serving shape) and whose baseline is the per-sample pointer walk of the
+# same model: flat must not trail pointer.
 FLAT_FLOOR_ROWS = ("qim_uncertainty_pointer_vs_flat",)
 REQUIRED_COLUMNS = (
     "name",
@@ -145,17 +144,10 @@ def main() -> None:
                 )
         if name in FLAT_FLOOR_ROWS:
             flat_floor = float(os.environ.get("BENCH_FLAT_FLOOR", "1.0"))
-            if live_cores <= 1:
-                print(
-                    f"  {name}: skipping flat-vs-pointer floor (live host has "
-                    f"{live_cores} hardware thread(s); the batch-major path "
-                    f"cannot fan out)"
-                )
-            elif got["speedup"] < flat_floor:
+            if got["speedup"] < flat_floor:
                 fail(
-                    f"{name}: flat (batch-major) speedup {got['speedup']:.2f} "
-                    f"trails the pointer baseline floor {flat_floor} on a "
-                    f"{live_cores}-thread host"
+                    f"{name}: per-sample flat speedup {got['speedup']:.2f} "
+                    f"trails the pointer baseline floor {flat_floor}"
                 )
         for side in ("baseline_per_s", "contender_per_s"):
             if want[side] <= 0:

@@ -564,11 +564,10 @@ proptest! {
     }
 
     #[test]
-    fn batch_major_routing_matches_per_sample_routing_bitwise(
+    fn threaded_leaf_routing_matches_per_sample_routing_bitwise(
         // Row counts start at 1 so degenerate single-leaf trees are
         // covered; the query mask injects NaN features (bit 0 poisons
-        // `a`, bit 1 poisons `b`) to exercise the route-right rule along
-        // the wave traversal exactly as per-sample routing applies it.
+        // `a`, bit 1 poisons `b`) to exercise the route-right rule.
         rows in prop::collection::vec(
             (0.0f64..1.0, 0.0f64..1.0, 0u32..3),
             1..150,
@@ -605,25 +604,21 @@ proptest! {
             })
             .collect();
 
-        // Per-sample references: the pointer-free single-query routines.
+        // Per-sample references: the single-query routines.
         let tree_serial: Vec<LeafId> = query_rows
             .iter()
             .map(|q| flat.predict_leaf_id(q).unwrap())
             .collect();
-        let forest_serial: Vec<LeafId> = query_rows
-            .iter()
-            .flat_map(|q| flat_forest.predict_leaf_ids_per_tree(q).unwrap())
-            .collect();
 
-        // The level-synchronous wave kernels on the exact-size slices.
-        let mut wave = vec![0 as LeafId; query_rows.len()];
-        flat.route_batch_into(&query_rows, &mut wave).unwrap();
-        prop_assert_eq!(&wave, &tree_serial);
-        let mut forest_wave = vec![0 as LeafId; query_rows.len() * k];
-        flat_forest
-            .route_batch_into(&query_rows, &mut forest_wave)
-            .unwrap();
-        prop_assert_eq!(&forest_wave, &forest_serial);
+        // The forest's one-arity-check member pass routes every member
+        // exactly like that member on its own.
+        for q in &query_rows {
+            let members: Vec<LeafId> = flat_forest.route_members(q).unwrap().collect();
+            prop_assert_eq!(members.len(), k);
+            for (t, &leaf) in members.iter().enumerate() {
+                prop_assert_eq!(leaf, flat_forest.tree(t).predict_leaf_id(q).unwrap());
+            }
+        }
 
         // Ragged batches (empty / single row / full) through the threaded
         // fan-out, identical for every thread budget, appending after a
@@ -635,12 +630,6 @@ proptest! {
                 flat.predict_leaf_ids_into(threads, batch, &mut out).unwrap();
                 prop_assert_eq!(&out[..1], &[LeafId::MAX][..]);
                 prop_assert_eq!(&out[1..], &tree_serial[..split]);
-                let mut out = vec![LeafId::MAX];
-                flat_forest
-                    .predict_leaf_ids_into(threads, batch, &mut out)
-                    .unwrap();
-                prop_assert_eq!(&out[..1], &[LeafId::MAX][..]);
-                prop_assert_eq!(&out[1..], &forest_serial[..split * k]);
             }
         }
     }
@@ -762,13 +751,13 @@ proptest! {
     }
 
     #[test]
-    fn backend_seam_batch_per_sample_and_reference_agree_bitwise(
-        // The seam contract, checked generically for every registered
-        // backend (tree, forest, conformal — bare and TaQim-wrapped): the
-        // batch-major `uncertainty_batch_into` wave, the per-sample
-        // `uncertainty` path, and the `uncertainty_reference` recompute
-        // are bitwise identical, under NaN-injected queries (bit 0 of the
-        // mask poisons the feature) and every thread budget.
+    fn backend_seam_per_sample_and_reference_agree_bitwise(
+        // The seam contract, checked for every `TaQim` shape (tree, forest,
+        // conformal): the per-sample `uncertainty` path and the
+        // `uncertainty_reference` recompute are bitwise identical under
+        // NaN-injected queries (bit 0 of the mask poisons the feature),
+        // support has the shape's kind, the served floor holds on the
+        // calibration set, and a wrong arity is an `Err`.
         rows in prop::collection::vec((0.0f64..1.0, prop::bool::ANY), 60..200),
         queries in prop::collection::vec((0.0f64..1.0, 0u8..2), 1..30),
         depth in 1usize..5,
@@ -776,85 +765,65 @@ proptest! {
         bins in 2usize..24,
         seed in 0u64..u64::MAX,
     ) {
-        use tauw_suite::core::calibration::{
-            CalibratedForestQim, CalibratedQim, CalibrationOptions, QimBackend,
-            ServingScratch, TaQim,
-        };
-        use tauw_suite::core::conformal::{ConformalOptions, ConformalQim};
-        use tauw_suite::dtree::{Dataset, ForestBuilder, TreeBuilder};
-
-        /// One backend through the whole contract: bounds in [0, 1],
-        /// serving == reference bitwise, batch == per-sample bitwise for
-        /// threads 1/2/8 (appended after a sentinel that must survive).
-        fn exercise<B: QimBackend>(
-            backend: &B,
-            query_rows: &[Vec<f64>],
-        ) -> Result<(), TestCaseError> {
+        let backends = seam_backends(&rows, depth, k, bins, seed);
+        let query_rows: Vec<Vec<f64>> = queries
+            .iter()
+            .map(|(x, mask)| vec![if mask & 1 != 0 { f64::NAN } else { *x }])
+            .collect();
+        for backend in &backends {
             backend.validate().unwrap();
-            let serial: Vec<f64> = query_rows
-                .iter()
-                .map(|q| backend.uncertainty(q).unwrap())
-                .collect();
-            for (q, &u) in query_rows.iter().zip(&serial) {
+            for q in &query_rows {
+                let u = backend.uncertainty(q).unwrap();
                 prop_assert!((0.0..=1.0).contains(&u));
                 prop_assert_eq!(
                     u.to_bits(),
                     backend.uncertainty_reference(q).unwrap().to_bits()
                 );
-            }
-            let mut scratch = ServingScratch::new();
-            for threads in [1usize, 2, 8] {
-                let mut out = vec![f64::NEG_INFINITY];
-                backend
-                    .uncertainty_batch_into(threads, query_rows, &mut scratch, &mut out)
-                    .unwrap();
-                prop_assert_eq!(out[0], f64::NEG_INFINITY);
-                prop_assert_eq!(out.len(), 1 + query_rows.len());
-                for (&got, &want) in out[1..].iter().zip(&serial) {
-                    prop_assert_eq!(got.to_bits(), want.to_bits());
+                match backend.route_support(q).unwrap() {
+                    RouteSupport::Samples(n) => prop_assert!(backend.as_conformal().is_none() && n >= 1),
+                    RouteSupport::Unsupported => prop_assert!(backend.as_conformal().is_some()),
                 }
             }
-            Ok(())
+            for (x, _) in &rows {
+                prop_assert!(backend.min_uncertainty() <= backend.uncertainty(&[*x]).unwrap());
+            }
+            prop_assert!(backend.uncertainty(&[0.1, 0.2]).is_err());
+            prop_assert!(backend.route_support(&[0.1, 0.2]).is_err());
         }
+    }
 
-        let mut ds = Dataset::new(vec!["x".into()], 2).unwrap();
-        for (x, failed) in &rows {
-            ds.push_row(&[*x], u32::from(*failed)).unwrap();
+    #[test]
+    fn fused_lookup_matches_bound_and_support_bitwise(
+        // The adaptive step's single traversal must equal the bound-only
+        // lookup and the standalone support lookup, bit for bit, for every
+        // shape — forests at K = 1, 4 and 16 — on finite, NaN and ±inf
+        // features (mask 1 = NaN, 2 = +inf, 3 = -inf).
+        rows in prop::collection::vec((0.0f64..1.0, prop::bool::ANY), 60..200),
+        queries in prop::collection::vec((-0.5f64..1.5, 0u8..4), 1..30),
+        depth in 1usize..5,
+        k_index in 0usize..3,
+        bins in 2usize..24,
+        seed in 0u64..u64::MAX,
+    ) {
+        let k = [1usize, 4, 16][k_index];
+        let backends = seam_backends(&rows, depth, k, bins, seed);
+        for (x, mask) in &queries {
+            let q = [match mask {
+                1 => f64::NAN,
+                2 => f64::INFINITY,
+                3 => f64::NEG_INFINITY,
+                _ => *x,
+            }];
+            for backend in &backends {
+                let (bound, support) = backend.uncertainty_with_support(&q).unwrap();
+                prop_assert_eq!(bound.to_bits(), backend.uncertainty(&q).unwrap().to_bits());
+                prop_assert_eq!(support, backend.route_support(&q).unwrap());
+                prop_assert_eq!(support, support_reference(backend, &q));
+            }
         }
-        let calib: Vec<(Vec<f64>, bool)> =
-            rows.iter().map(|(x, failed)| (vec![*x], *failed)).collect();
-        let options = CalibrationOptions {
-            min_samples_per_leaf: 20,
-            confidence: 0.95,
-            ..Default::default()
-        };
-
-        let tree = CalibratedQim::calibrate(
-            TreeBuilder::new().max_depth(depth).fit(&ds).unwrap(),
-            &calib,
-            options,
-        )
-        .unwrap();
-        let mut builder = ForestBuilder::new(k, seed);
-        builder.tree(TreeBuilder::new().max_depth(depth).clone());
-        let forest =
-            CalibratedForestQim::calibrate(builder.fit(&ds).unwrap(), &calib, options)
-                .unwrap();
-        let conformal =
-            ConformalQim::calibrate(&calib, &calib, options, ConformalOptions { bins })
-                .unwrap();
-
-        let query_rows: Vec<Vec<f64>> = queries
-            .iter()
-            .map(|(x, mask)| vec![if mask & 1 != 0 { f64::NAN } else { *x }])
-            .collect();
-
-        exercise(&tree, &query_rows)?;
-        exercise(&forest, &query_rows)?;
-        exercise(&conformal, &query_rows)?;
-        exercise(&TaQim::Tree(tree), &query_rows)?;
-        exercise(&TaQim::Forest(forest), &query_rows)?;
-        exercise(&TaQim::Conformal(conformal), &query_rows)?;
+        for backend in &backends {
+            prop_assert!(backend.uncertainty_with_support(&[0.1, 0.2]).is_err());
+        }
     }
 
     #[test]
@@ -874,6 +843,70 @@ proptest! {
             prop_assert_eq!(*path.last().unwrap(), leaf);
             prop_assert_eq!(path[0], 0);
         }
+    }
+}
+
+use tauw_suite::core::calibration::{RouteSupport, TaQim};
+
+/// One calibrated model per `TaQim` shape over a single feature `x`: the
+/// tree at `depth`, a `k`-member forest from `seed`, and a conformal model
+/// with `bins` cells, all calibrated on `rows`.
+fn seam_backends(
+    rows: &[(f64, bool)],
+    depth: usize,
+    k: usize,
+    bins: usize,
+    seed: u64,
+) -> [TaQim; 3] {
+    use tauw_suite::core::calibration::{CalibratedForestQim, CalibratedQim, CalibrationOptions};
+    use tauw_suite::core::conformal::{ConformalOptions, ConformalQim};
+    use tauw_suite::dtree::{Dataset, ForestBuilder, TreeBuilder};
+    let mut ds = Dataset::new(vec!["x".into()], 2).unwrap();
+    for (x, failed) in rows {
+        ds.push_row(&[*x], u32::from(*failed)).unwrap();
+    }
+    let calib: Vec<(Vec<f64>, bool)> = rows.iter().map(|(x, failed)| (vec![*x], *failed)).collect();
+    let options = CalibrationOptions {
+        min_samples_per_leaf: 20,
+        confidence: 0.95,
+        ..Default::default()
+    };
+    let tree = CalibratedQim::calibrate(
+        TreeBuilder::new().max_depth(depth).fit(&ds).unwrap(),
+        &calib,
+        options,
+    )
+    .unwrap();
+    let mut builder = ForestBuilder::new(k, seed);
+    builder.tree(TreeBuilder::new().max_depth(depth).clone());
+    let forest =
+        CalibratedForestQim::calibrate(builder.fit(&ds).unwrap(), &calib, options).unwrap();
+    let conformal =
+        ConformalQim::calibrate(&calib, &calib, options, ConformalOptions { bins }).unwrap();
+    [
+        TaQim::Tree(tree),
+        TaQim::Forest(forest),
+        TaQim::Conformal(conformal),
+    ]
+}
+
+/// The calibration support behind `backend`'s bound for `q`, recomputed
+/// member by member from the public routing and calibration records —
+/// independent of the fused lookup.
+fn support_reference(backend: &TaQim, q: &[f64]) -> RouteSupport {
+    match backend {
+        TaQim::Tree(qim) => RouteSupport::Samples(qim.route(q).unwrap().1.total),
+        TaQim::Forest(qim) => RouteSupport::Samples(
+            (0..qim.n_trees())
+                .map(|t| {
+                    let tree = qim.flat().tree(t);
+                    let node = tree.leaf(tree.predict_leaf_id(q).unwrap()).node_id;
+                    qim.calibrated_leaf(t, node).unwrap().total
+                })
+                .min()
+                .unwrap(),
+        ),
+        TaQim::Conformal(_) => RouteSupport::Unsupported,
     }
 }
 
