@@ -433,7 +433,7 @@ impl AdaptiveState {
 
     /// Remembers the drift classification the serving path just computed
     /// (so [`AdaptiveState::last_drift`] and the engine's
-    /// [`crate::engine::TauwEngine::stream_drift`] reflect the latest
+    /// [`crate::sharded::ShardedEngine::stream_drift`] reflect the latest
     /// step).
     pub(crate) fn record_drift(&mut self, drift: DriftSignal) {
         self.last_drift = drift;
@@ -484,7 +484,7 @@ impl Deserialize for AdaptiveState {
 
 /// Runs one adaptive step against externally owned fusion-buffer, adaptive
 /// state and serving scratch: the shared core [`AdaptiveTauwSession::step`]
-/// and [`crate::engine::TauwEngine::step_adaptive`] both delegate to, so a
+/// and [`crate::sharded::ShardedEngine::step_adaptive`] both delegate to, so a
 /// batched adaptive engine step is exactly a session step by construction.
 /// With a bounded buffer and warmed scratch the steady state performs no
 /// heap allocation (the taQIM feature row assembles once in

@@ -1,34 +1,42 @@
 //! Multi-stream inference engine: one trained wrapper serving many
 //! concurrent timeseries.
 //!
-//! A [`crate::tauw::TauwSession`] monitors exactly one stream. Production
-//! deployments (one camera per vehicle, millions of users) need one set of
-//! trained models to serve *many* interleaved series at once. The
-//! [`TauwEngine`] owns the trained [`TimeseriesAwareWrapper`] plus one
-//! [`TimeseriesBuffer`] per [`StreamId`], and exposes a batched
-//! [`TauwEngine::step_many`] that fans independent streams out over a
-//! thread budget.
+//! A [`crate::tauw::TauwSession`] monitors exactly one stream; the
+//! [`ShardedEngine`] serves many. It owns the trained
+//! [`TimeseriesAwareWrapper`] plus a dense **stream table**: one row per
+//! live [`StreamId`] holding the stream's [`TimeseriesBuffer`] and, once
+//! adaptation is on, its boxed [`AdaptiveState`]. A `StreamId → row`
+//! index is probed once per batch entry; rows stay in place while a wave
+//! steps them. [`TauwEngine`] is the same engine with one shard.
 //!
-//! Two guarantees:
+//! Every step path runs through **one wave core**. A batch entry is a
+//! stream, its quality factors, its DDM outcome and an optional realized
+//! failure (`None` serves a plain step, `Some(failed)` an adaptive one):
 //!
-//! * **Session equivalence** — every engine step delegates to the same
-//!   [`TimeseriesAwareWrapper::step_with_buffer`] a session uses (and
-//!   thereby to the same compiled [`tauw_dtree::FlatTree`] lookups), so an
-//!   engine serving N streams produces bit-identical estimates to N
-//!   sequential sessions (asserted by `tests/determinism.rs`).
-//! * **Batch-order semantics** — a batch behaves exactly as if its steps
-//!   were applied one by one in batch order; steps of the *same* stream
-//!   within one batch see each other's effects in order.
+//! 1. **Precheck** — feature arity, adaptation enabled, and admission of
+//!    every new stream against the per-shard cap. An error here leaves
+//!    every stream untouched.
+//! 2. **Group** — one sort of `(row, batch position)` pairs puts the
+//!    steps of each stream together, in batch order.
+//! 3. **Step** — the grouped rows are cut into one contiguous chunk per
+//!    worker (disjoint `&mut` rows via `split_at_mut`, the matching slice
+//!    of a sorted output buffer, and the worker's own [`ServingScratch`])
+//!    and fanned out with one [`parallel::par_map_mut`].
+//! 4. **Scatter** — the sorted outputs return in batch order.
 //!
-//! Per-step cost is O(1) in the series length: buffers are rings and the
-//! taQF/fusion terms are running aggregates (see [`crate::buffer`]), so a
-//! stream that has been alive for a million steps costs the same to step
-//! as a fresh one — with or without a window bound.
+//! Every engine step delegates to the same
+//! [`TimeseriesAwareWrapper::step_with_parts`] (or adaptive step) a
+//! session uses, and a batch behaves exactly as if its steps were applied
+//! one by one in batch order. An engine serving N streams therefore
+//! produces bit-identical estimates to N sequential sessions at any shard
+//! count and thread budget (asserted by `tests/determinism.rs`). Per-step
+//! cost is O(1) in the series length (see [`crate::buffer`]).
 
 use crate::adaptive::{adaptive_step_with_parts, AdaptiveConfig, AdaptiveState, DriftSignal};
 use crate::buffer::TimeseriesBuffer;
 use crate::calibration::ServingScratch;
 use crate::error::CoreError;
+use crate::sharded::{admission_error, Admission};
 use crate::tauw::{TauwStep, TimeseriesAwareWrapper};
 use crate::training::TrainingSeries;
 use serde::{Deserialize, Serialize};
@@ -46,32 +54,10 @@ impl std::fmt::Display for StreamId {
     }
 }
 
-/// One unit of batched work for [`TauwEngine::step_many`]: the stream it
-/// belongs to, the step's quality factors, and the DDM outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StreamStep {
-    /// Target stream (created on first use).
-    pub stream: StreamId,
-    /// Stateless quality factors of this step.
-    pub quality_factors: Vec<f64>,
-    /// DDM outcome (class id) of this step.
-    pub outcome: u32,
-}
-
-impl StreamStep {
-    /// Convenience constructor.
-    pub fn new(stream: StreamId, quality_factors: Vec<f64>, outcome: u32) -> Self {
-        StreamStep {
-            stream,
-            quality_factors,
-            outcome,
-        }
-    }
-}
-
-/// One unit of batched work for [`TauwEngine::step_many_adaptive`]: a
-/// [`StreamStep`] plus the step's realized ground truth, which feeds the
-/// stream's coverage window *after* its adapted bound is served.
+/// One unit of batched work for [`ShardedEngine::step_many_adaptive`]:
+/// the target stream, the step's quality factors and DDM outcome, and the
+/// step's realized ground truth, which feeds the stream's coverage window
+/// *after* its adapted bound is served.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AdaptiveStreamStep {
     /// Target stream (created on first use).
@@ -97,129 +83,78 @@ impl AdaptiveStreamStep {
     }
 }
 
-/// A trained wrapper plus per-stream runtime state.
-///
-/// # Examples
-///
-/// ```
-/// use tauw_core::calibration::CalibrationOptions;
-/// use tauw_core::engine::{StreamId, StreamStep};
-/// use tauw_core::tauw::TauwBuilder;
-/// use tauw_core::training::{TrainingSeries, TrainingStep};
-/// use tauw_core::wrapper::WrapperBuilder;
-///
-/// // Train a tiny wrapper (same toy world as the crate quickstart).
-/// let series = |q: f64, outcomes: &[u32]| TrainingSeries {
-///     true_outcome: 0,
-///     steps: outcomes
-///         .iter()
-///         .map(|&o| TrainingStep { quality_factors: vec![q], outcome: o })
-///         .collect(),
-/// };
-/// let mut train = Vec::new();
-/// let mut calib = Vec::new();
-/// for i in 0..120 {
-///     let q = (i % 12) as f64 / 12.0;
-///     let outcomes: Vec<u32> = (0..10).map(|j| u32::from(q > 0.6 && j % 3 == 0)).collect();
-///     train.push(series(q, &outcomes));
-///     calib.push(series(q, &outcomes));
-/// }
-/// let mut wb = WrapperBuilder::new();
-/// wb.max_depth(3).calibration(CalibrationOptions {
-///     min_samples_per_leaf: 50,
-///     confidence: 0.99,
-///     ..Default::default()
-/// });
-/// let mut builder = TauwBuilder::new();
-/// builder.wrapper(wb);
-/// let tauw = builder.fit(vec!["q".into()], &train, &calib)?;
-///
-/// // One engine, two concurrent streams, one batched call per "frame".
-/// let mut engine = tauw.into_engine();
-/// let batch = vec![
-///     StreamStep::new(StreamId(1), vec![0.1], 0),
-///     StreamStep::new(StreamId(2), vec![0.9], 1),
-/// ];
-/// let steps = engine.step_many(&batch)?;
-/// assert_eq!(steps.len(), 2);
-/// assert_eq!(steps[0].fused_outcome, 0);
-/// assert_eq!(engine.n_streams(), 2);
-/// // Each stream evolved independently, as if it had its own session.
-/// assert_eq!(engine.stream_len(StreamId(1)), Some(1));
-/// # Ok::<(), tauw_core::CoreError>(())
-/// ```
+/// One live stream's complete serving state: a row of the stream table.
+/// Adaptive state is boxed so plain engines pay one pointer per row for
+/// it, not the state's full size.
 #[derive(Debug, Clone)]
-pub struct TauwEngine {
+pub(crate) struct Row {
+    pub(crate) stream: StreamId,
+    pub(crate) buffer: TimeseriesBuffer,
+    pub(crate) adaptive: Option<Box<AdaptiveState>>,
+}
+
+/// One worker's share of a wave: a contiguous run of stream groups, the
+/// table rows they span, their slice of the sorted output buffer, and the
+/// worker's serving scratch.
+struct Chunk<'a> {
+    /// Table rows `row_base..row_base + rows.len()`.
+    rows: &'a mut [Row],
+    row_base: usize,
+    /// `(row, batch position)` pairs, sorted.
+    entries: &'a [(u32, u32)],
+    /// One output per entry, in `entries` order.
+    out: &'a mut [Option<TauwStep>],
+    scratch: &'a mut ServingScratch,
+}
+
+/// The multi-stream engine: a trained wrapper plus a dense table of
+/// per-stream state, stepped in batched waves and hash-partitioned into
+/// `K` shards for admission control and snapshots (see
+/// [`crate::sharded`]). A shard is not a separate engine: every wave runs
+/// once over the whole table.
+///
+/// See the [`crate::sharded`] module docs for an end-to-end example.
+#[derive(Debug, Clone)]
+pub struct ShardedEngine {
     wrapper: TimeseriesAwareWrapper,
-    streams: BTreeMap<StreamId, TimeseriesBuffer>,
-    /// Per-stream adaptive calibration state, populated lazily once
-    /// [`TauwEngine::enable_adaptation`] was called.
-    adaptive: BTreeMap<StreamId, AdaptiveState>,
+    /// The stream table, in no particular order.
+    pub(crate) rows: Vec<Row>,
+    /// `StreamId → row`, ascending by id.
+    pub(crate) index: BTreeMap<StreamId, u32>,
+    /// Live streams per shard.
+    pub(crate) live: Vec<usize>,
+    pub(crate) max_streams_per_shard: Option<usize>,
     adaptive_config: Option<AdaptiveConfig>,
     buffer_capacity: Option<usize>,
     n_threads: Option<usize>,
-    /// Reusable per-wave scaffolding for the batched step paths (slot
-    /// pool, grouping order, scatter table) — hoisted onto the engine so
-    /// steady-state waves stop churning the allocator.
-    wave: WaveScratch,
+    /// Reused by every wave: `(row, batch position)` pairs, the batch's
+    /// new streams, the sorted outputs, each position's rank in `order`,
+    /// and one serving scratch per worker.
+    order: Vec<(u32, u32)>,
+    fresh: Vec<(StreamId, u32)>,
+    staged: Vec<Option<TauwStep>>,
+    rank: Vec<u32>,
+    scratches: Vec<ServingScratch>,
 }
 
-/// One reusable unit of per-stream wave state. While a batch is in flight
-/// the slot owns the stream's detached fusion buffer (and adaptive state on
-/// the adaptive path), the batch positions assigned to the stream, the
-/// worker's [`ServingScratch`], and the output staging area. Slots persist
-/// on the engine across calls, so steady-state waves reuse every one of
-/// these allocations.
-#[derive(Debug, Clone)]
-struct WaveSlot {
-    stream: StreamId,
-    /// Batch positions assigned to this stream, in batch order.
-    positions: Vec<usize>,
-    /// The stream's fusion buffer, detached for the duration of the wave.
-    buffer: TimeseriesBuffer,
-    /// The stream's adaptive state (adaptive waves only; `None` otherwise).
-    state: Option<AdaptiveState>,
-    /// The worker's reusable serving scratch.
-    scratch: ServingScratch,
-    /// Results in `positions` order, staged before the batch-order scatter.
-    output: Vec<TauwStep>,
-}
-
-impl WaveSlot {
-    fn empty() -> Self {
-        WaveSlot {
-            stream: StreamId(0),
-            positions: Vec::new(),
-            buffer: TimeseriesBuffer::with_capacity(0),
-            state: None,
-            scratch: ServingScratch::new(),
-            output: Vec::new(),
-        }
-    }
-}
-
-/// The engine's reusable wave scaffolding (see [`WaveSlot`]).
-#[derive(Debug, Clone, Default)]
-struct WaveScratch {
-    /// Slot pool; the first `n_slots` entries of the current wave are live.
-    slots: Vec<WaveSlot>,
-    /// `(stream, batch position)` pairs, sorted to group by stream.
-    order: Vec<(StreamId, usize)>,
-    /// Batch-order scatter table.
-    results: Vec<Option<TauwStep>>,
-}
-
-impl TauwEngine {
-    /// Creates an engine around a trained wrapper with no active streams.
-    pub fn new(wrapper: TimeseriesAwareWrapper) -> Self {
-        TauwEngine {
+impl ShardedEngine {
+    /// Creates an engine over `n_shards` hash partitions (clamped to ≥ 1)
+    /// with no active streams.
+    pub fn new(wrapper: TimeseriesAwareWrapper, n_shards: usize) -> Self {
+        ShardedEngine {
             wrapper,
-            streams: BTreeMap::new(),
-            adaptive: BTreeMap::new(),
+            rows: Vec::new(),
+            index: BTreeMap::new(),
+            live: vec![0; n_shards.max(1)],
+            max_streams_per_shard: None,
             adaptive_config: None,
             buffer_capacity: None,
             n_threads: None,
-            wave: WaveScratch::default(),
+            order: Vec::new(),
+            fresh: Vec::new(),
+            staged: Vec::new(),
+            rank: Vec::new(),
+            scratches: Vec::new(),
         }
     }
 
@@ -231,9 +166,9 @@ impl TauwEngine {
         self
     }
 
-    /// Pins the thread budget for [`TauwEngine::step_many`] (clamped to
-    /// ≥ 1). Unpinned engines use [`parallel::max_threads`]. Results are
-    /// bit-identical for every budget.
+    /// Pins the thread budget of the batched step paths (clamped to ≥ 1).
+    /// Unpinned engines use [`parallel::max_threads`]. Results are
+    /// bit-identical for every budget and shard count.
     pub fn threads(&mut self, n: usize) -> &mut Self {
         self.n_threads = Some(n.max(1));
         self
@@ -244,318 +179,53 @@ impl TauwEngine {
         &self.wrapper
     }
 
-    /// Consumes the engine, returning the wrapper.
-    pub fn into_wrapper(self) -> TimeseriesAwareWrapper {
-        self.wrapper
-    }
-
     /// Number of active streams.
     pub fn n_streams(&self) -> usize {
-        self.streams.len()
+        self.rows.len()
+    }
+
+    /// Rows the stream table holds room for. Ending streams hands this
+    /// back in halving steps once the table is a quarter full.
+    pub fn stream_capacity(&self) -> usize {
+        self.rows.capacity()
     }
 
     /// Active stream ids in ascending order.
     pub fn stream_ids(&self) -> Vec<StreamId> {
-        self.streams.keys().copied().collect()
+        self.index.keys().copied().collect()
+    }
+
+    fn row(&self, stream: StreamId) -> Option<&Row> {
+        self.index.get(&stream).map(|&r| &self.rows[r as usize])
     }
 
     /// Steps currently buffered for a stream (the window occupancy for
     /// bounded buffers), or `None` if the stream is unknown. See
-    /// [`TauwEngine::stream_total_steps`] for the lifetime series length.
+    /// [`ShardedEngine::stream_total_steps`] for the lifetime series
+    /// length.
     pub fn stream_len(&self, stream: StreamId) -> Option<usize> {
-        self.streams.get(&stream).map(TimeseriesBuffer::len)
+        self.stream_buffer(stream).map(TimeseriesBuffer::len)
     }
 
     /// Lifetime steps of the stream's current series (`i + 1`, which
     /// window eviction does not shrink), or `None` if the stream is
     /// unknown.
     pub fn stream_total_steps(&self, stream: StreamId) -> Option<u64> {
-        self.streams.get(&stream).map(TimeseriesBuffer::total_steps)
+        self.stream_buffer(stream)
+            .map(TimeseriesBuffer::total_steps)
     }
 
     /// Read access to a stream's buffer (diagnostics).
     pub fn stream_buffer(&self, stream: StreamId) -> Option<&TimeseriesBuffer> {
-        self.streams.get(&stream)
-    }
-
-    /// Clears a stream's buffer (tracking reported a new physical object on
-    /// that stream), creating the stream if it does not exist yet.
-    ///
-    /// This resets the fusion window **and** the lifetime step counter:
-    /// afterwards [`TauwEngine::stream_total_steps`] reads `Some(0)` and
-    /// the next step's `series_length` (and taQF2) restarts at 1 — exactly
-    /// the semantics of [`crate::tauw::TauwSession::begin_series`] on the
-    /// single-stream path (the regression suite pins both). Adaptive
-    /// calibration state, if enabled, deliberately survives: drift is a
-    /// property of the stream, not of the tracked object.
-    pub fn begin_series(&mut self, stream: StreamId) {
-        let capacity = self.buffer_capacity;
-        self.streams
-            .entry(stream)
-            .and_modify(TimeseriesBuffer::clear)
-            .or_insert_with(|| new_buffer(capacity));
-    }
-
-    /// Removes a stream and its buffer entirely (the object left the scene
-    /// / the user disconnected), including any adaptive state, and shrinks
-    /// the wave slot pool so steady-state memory tracks the *live* stream
-    /// count rather than the historical peak. Returns whether the stream
-    /// existed.
-    pub fn end_stream(&mut self, stream: StreamId) -> bool {
-        self.adaptive.remove(&stream);
-        let existed = self.streams.remove(&stream).is_some();
-        if existed {
-            self.shrink_wave_scratch();
-        }
-        existed
-    }
-
-    /// Removes all streams (including their adaptive state) and releases
-    /// the wave scaffolding entirely.
-    pub fn clear_streams(&mut self) {
-        self.streams.clear();
-        self.adaptive.clear();
-        self.shrink_wave_scratch();
-        // With no live streams there is nothing for the order/scatter
-        // buffers to amortize either; the next wave resizes them.
-        self.wave.order = Vec::new();
-        self.wave.results = Vec::new();
-    }
-
-    /// Releases wave-slot capacity held for streams that no longer exist.
-    /// The slot pool is sized by the largest number of distinct streams
-    /// ever touched in one wave; each retired [`WaveSlot`] frees its
-    /// positions/scratch/output buffers, so ending streams returns their
-    /// share of the pool to the allocator instead of pinning the peak.
-    fn shrink_wave_scratch(&mut self) {
-        let live = self.streams.len();
-        if self.wave.slots.len() > live {
-            self.wave.slots.truncate(live);
-            self.wave.slots.shrink_to_fit();
-        }
-    }
-
-    /// Exports a stream's complete self-contained runtime state (fusion
-    /// buffer plus adaptive state, if any) for engine handover — the
-    /// building block of [`crate::sharded`] snapshots. Returns `None` for
-    /// unknown streams.
-    pub fn export_stream(
-        &self,
-        stream: StreamId,
-    ) -> Option<(TimeseriesBuffer, Option<AdaptiveState>)> {
-        let buffer = self.streams.get(&stream)?.clone();
-        Some((buffer, self.adaptive.get(&stream).cloned()))
-    }
-
-    /// Installs a stream's complete runtime state (the counterpart of
-    /// [`TauwEngine::export_stream`], used by snapshot restore and
-    /// resharding). Replaces any existing state for `stream`; passing
-    /// `adaptive: None` drops previously held adaptive state so the import
-    /// is a faithful overwrite.
-    pub fn import_stream(
-        &mut self,
-        stream: StreamId,
-        buffer: TimeseriesBuffer,
-        adaptive: Option<AdaptiveState>,
-    ) {
-        self.streams.insert(stream, buffer);
-        match adaptive {
-            Some(state) => {
-                self.adaptive.insert(stream, state);
-            }
-            None => {
-                self.adaptive.remove(&stream);
-            }
-        }
-    }
-
-    /// Processes one timestep on one stream (created on first use).
-    /// Equivalent to [`crate::tauw::TauwSession::step`] on that stream's
-    /// dedicated session.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError`] on feature-arity mismatch, in which case no
-    /// stream state is created or modified.
-    pub fn step(
-        &mut self,
-        stream: StreamId,
-        quality_factors: &[f64],
-        outcome: u32,
-    ) -> Result<TauwStep, CoreError> {
-        self.check_arity(quality_factors.len())?;
-        let capacity = self.buffer_capacity;
-        let buffer = self
-            .streams
-            .entry(stream)
-            .or_insert_with(|| new_buffer(capacity));
-        self.wrapper
-            .step_with_buffer(buffer, quality_factors, outcome)
-    }
-
-    /// Processes a batch of steps spanning any number of streams,
-    /// returning one [`TauwStep`] per input **in batch order**.
-    ///
-    /// Independent streams fan out over the engine's thread budget; steps
-    /// of the same stream are applied in batch order within one worker.
-    /// The results are bit-identical to calling [`TauwEngine::step`] for
-    /// each entry sequentially (and therefore to N dedicated sessions).
-    ///
-    /// Prefer [`TauwEngine::step_many_borrowed`] in hot paths where the
-    /// quality factors already live elsewhere — it avoids one `Vec`
-    /// allocation per step.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError`] on feature-arity mismatch of **any** batch
-    /// entry; the batch is validated up front, so on error no stream state
-    /// has been modified.
-    pub fn step_many(&mut self, batch: &[StreamStep]) -> Result<Vec<TauwStep>, CoreError> {
-        self.step_many_impl(batch.len(), |i| {
-            let step = &batch[i];
-            (step.stream, step.quality_factors.as_slice(), step.outcome)
-        })
-    }
-
-    /// Zero-copy variant of [`TauwEngine::step_many`] over borrowed
-    /// quality-factor slices. Identical semantics and results.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError`] on feature-arity mismatch of **any** batch
-    /// entry; the batch is validated up front, so on error no stream state
-    /// has been modified.
-    pub fn step_many_borrowed(
-        &mut self,
-        batch: &[(StreamId, &[f64], u32)],
-    ) -> Result<Vec<TauwStep>, CoreError> {
-        self.step_many_impl(batch.len(), |i| batch[i])
-    }
-
-    /// Shared batched-step core: `get(i)` yields batch entry `i`. Crate
-    /// visibility lets [`crate::sharded::ShardedEngine`] dispatch one wave
-    /// per shard through an index indirection without materializing
-    /// per-shard sub-batches.
-    pub(crate) fn step_many_impl<'a, F>(
-        &mut self,
-        n: usize,
-        get: F,
-    ) -> Result<Vec<TauwStep>, CoreError>
-    where
-        F: Fn(usize) -> (StreamId, &'a [f64], u32) + Sync,
-    {
-        for i in 0..n {
-            self.check_arity(get(i).1.len())?;
-        }
-        let n_slots = self.build_wave_slots(n, |i| get(i).0);
-
-        let threads = self.n_threads.unwrap_or_else(parallel::max_threads).max(1);
-        let wrapper = &self.wrapper;
-        // Workers propagate errors instead of panicking: the arity
-        // precheck makes failure unreachable for well-formed wrappers, but
-        // an internally inconsistent model (e.g. a tampered persisted
-        // artifact) must surface as `Err`, not abort the process.
-        let per_slot: Vec<Result<(), CoreError>> =
-            parallel::par_map_mut(threads, &mut self.wave.slots[..n_slots], |slot| {
-                for &i in &slot.positions {
-                    let (_, quality_factors, outcome) = get(i);
-                    let step = wrapper.step_with_parts(
-                        &mut slot.buffer,
-                        &mut slot.scratch,
-                        quality_factors,
-                        outcome,
-                    )?;
-                    slot.output.push(step);
-                }
-                Ok(())
-            });
-        self.finish_wave(n, n_slots, per_slot)
-    }
-
-    /// Groups a batch by stream into the reusable wave slots: the `order`
-    /// buffer collects `(stream, batch position)` pairs and sorts them
-    /// (positions are unique, so the unstable sort is deterministic,
-    /// preserves batch order within each stream via the position component,
-    /// and visits streams in ascending id order — exactly the old per-call
-    /// `BTreeMap` grouping, without its allocations). One slot per distinct
-    /// stream then detaches that stream's fusion buffer so a wave worker
-    /// owns its stream state. Returns the number of live slots.
-    fn build_wave_slots(&mut self, n: usize, stream_of: impl Fn(usize) -> StreamId) -> usize {
-        let order = &mut self.wave.order;
-        order.clear();
-        order.extend((0..n).map(|i| (stream_of(i), i)));
-        order.sort_unstable();
-
-        let capacity = self.buffer_capacity;
-        let slots = &mut self.wave.slots;
-        let mut n_slots = 0;
-        for &(stream, position) in order.iter() {
-            if n_slots == 0 || slots[n_slots - 1].stream != stream {
-                if n_slots == slots.len() {
-                    slots.push(WaveSlot::empty());
-                }
-                let slot = &mut slots[n_slots];
-                slot.stream = stream;
-                slot.positions.clear();
-                slot.output.clear();
-                slot.state = None;
-                slot.buffer = self
-                    .streams
-                    .remove(&stream)
-                    .unwrap_or_else(|| new_buffer(capacity));
-                n_slots += 1;
-            }
-            slots[n_slots - 1].positions.push(position);
-        }
-        n_slots
-    }
-
-    /// Reattaches every live slot's stream state (even on error), then
-    /// scatters the staged outputs back into batch order through the
-    /// reusable `results` table. Errors report the lowest affected stream
-    /// id (slots are in ascending stream order). The returned `Vec` is the
-    /// one allocation inherent to the `step_many` API.
-    fn finish_wave(
-        &mut self,
-        n: usize,
-        n_slots: usize,
-        per_slot: Vec<Result<(), CoreError>>,
-    ) -> Result<Vec<TauwStep>, CoreError> {
-        let results = &mut self.wave.results;
-        results.clear();
-        results.resize(n, None);
-        let mut first_err: Option<CoreError> = None;
-        for (slot, outcome) in self.wave.slots[..n_slots].iter_mut().zip(per_slot) {
-            let buffer = std::mem::replace(&mut slot.buffer, TimeseriesBuffer::with_capacity(0));
-            self.streams.insert(slot.stream, buffer);
-            if let Some(state) = slot.state.take() {
-                self.adaptive.insert(slot.stream, state);
-            }
-            match outcome {
-                Ok(()) => {
-                    for (&i, &step) in slot.positions.iter().zip(&slot.output) {
-                        results[i] = Some(step);
-                    }
-                }
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        Ok(results
-            .iter_mut()
-            .map(|r| r.take().expect("every batch position produced a result"))
-            .collect())
+        self.row(stream).map(|row| &row.buffer)
     }
 
     /// Turns on online adaptive calibration (see [`crate::adaptive`]):
     /// every stream gets its own coverage window and bound-correction
-    /// state, created lazily on its first adaptive step. Serving via
-    /// [`TauwEngine::step_adaptive`] / [`TauwEngine::step_many_adaptive`]
-    /// then returns adapted bounds and drift signals.
+    /// state, created on its first adaptive step. Serving via
+    /// [`ShardedEngine::step_adaptive`] /
+    /// [`ShardedEngine::step_many_adaptive`] then returns adapted bounds
+    /// and drift signals.
     ///
     /// # Errors
     ///
@@ -575,27 +245,124 @@ impl TauwEngine {
     /// A stream's adaptive state (diagnostics, persistence), or `None` if
     /// the stream has no adaptive state yet.
     pub fn adaptive_state(&self, stream: StreamId) -> Option<&AdaptiveState> {
-        self.adaptive.get(&stream)
+        self.row(stream)?.adaptive.as_deref()
     }
 
     /// The drift classification of a stream's most recent adaptive step,
     /// or `None` if the stream has no adaptive state.
     pub fn stream_drift(&self, stream: StreamId) -> Option<DriftSignal> {
-        self.adaptive.get(&stream).map(AdaptiveState::last_drift)
+        self.adaptive_state(stream).map(AdaptiveState::last_drift)
     }
 
-    /// Installs persisted adaptive state for a stream (resuming a serving
-    /// process from an [`AdaptiveState`] artifact). Replaces any existing
-    /// state; the state's own config governs that stream from here on.
-    pub fn import_adaptive_state(&mut self, stream: StreamId, state: AdaptiveState) {
-        self.adaptive.insert(stream, state);
+    /// Appends a row for a stream that is not live yet and returns its
+    /// index.
+    pub(crate) fn insert_row(
+        &mut self,
+        stream: StreamId,
+        buffer: TimeseriesBuffer,
+        adaptive: Option<Box<AdaptiveState>>,
+    ) -> u32 {
+        let row = u32::try_from(self.rows.len()).expect("the stream table holds < 2^32 rows");
+        self.rows.push(Row {
+            stream,
+            buffer,
+            adaptive,
+        });
+        self.index.insert(stream, row);
+        let shard = self.shard_of(stream);
+        self.live[shard] += 1;
+        row
     }
 
-    fn require_adaptive_config(&self) -> Result<AdaptiveConfig, CoreError> {
-        self.adaptive_config.ok_or_else(|| CoreError::InvalidInput {
-            reason: "adaptive serving is not enabled — call `TauwEngine::enable_adaptation` first"
-                .into(),
-        })
+    fn new_buffer(&self) -> TimeseriesBuffer {
+        match self.buffer_capacity {
+            Some(cap) => TimeseriesBuffer::bounded(cap),
+            None => TimeseriesBuffer::with_capacity(32),
+        }
+    }
+
+    /// Clears a stream's buffer (tracking reported a new physical object on
+    /// that stream), creating the stream if admission allows.
+    ///
+    /// This resets the fusion window **and** the lifetime step counter:
+    /// afterwards [`ShardedEngine::stream_total_steps`] reads `Some(0)`
+    /// and the next step's `series_length` (and taQF2) restarts at 1 —
+    /// exactly the semantics of [`crate::tauw::TauwSession::begin_series`]
+    /// on the single-stream path (the regression suite pins both).
+    /// Adaptive calibration state, if enabled, deliberately survives:
+    /// drift is a property of the stream, not of the tracked object.
+    pub fn begin_series(&mut self, stream: StreamId) -> Admission {
+        let admission = self.admission(stream);
+        if admission.is_accepted() {
+            match self.index.get(&stream) {
+                Some(&row) => self.rows[row as usize].buffer.clear(),
+                None => {
+                    let buffer = self.new_buffer();
+                    self.insert_row(stream, buffer, None);
+                }
+            }
+        }
+        admission
+    }
+
+    /// Admits a stream: on [`Admission::Accepted`] the stream is
+    /// registered (created empty if new) and its capacity claimed, so a
+    /// subsequent step cannot be refused by a race with other admissions.
+    /// Already-live streams are re-accepted untouched.
+    pub fn admit(&mut self, stream: StreamId) -> Admission {
+        if self.index.contains_key(&stream) {
+            return self.admission(stream);
+        }
+        self.begin_series(stream)
+    }
+
+    /// Removes a stream and its state entirely (the object left the scene
+    /// / the user disconnected), reclaiming its admission capacity.
+    /// Returns whether the stream existed.
+    ///
+    /// The last row moves into the freed slot. The table gives memory back
+    /// in halving steps once it is a quarter full, so steady-state memory
+    /// tracks the *live* stream count at amortized O(1) cost per call.
+    pub fn end_stream(&mut self, stream: StreamId) -> bool {
+        let Some(row) = self.index.remove(&stream) else {
+            return false;
+        };
+        self.rows.swap_remove(row as usize);
+        if let Some(moved) = self.rows.get(row as usize) {
+            self.index.insert(moved.stream, row);
+        }
+        let shard = self.shard_of(stream);
+        self.live[shard] -= 1;
+        if self.rows.len() <= self.rows.capacity() / 4 {
+            self.rows.shrink_to(self.rows.capacity() / 2);
+        }
+        true
+    }
+
+    /// Removes all streams (including their adaptive state) and releases
+    /// the stream table.
+    pub fn clear_streams(&mut self) {
+        self.rows = Vec::new();
+        self.index.clear();
+        self.live.fill(0);
+    }
+
+    /// Processes one timestep on one stream (created on first use, if
+    /// admission allows). Equivalent to [`crate::tauw::TauwSession::step`]
+    /// on that stream's dedicated session.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError`] on feature-arity mismatch or a rejected
+    /// admission, in which case no stream state is created or modified.
+    pub fn step(
+        &mut self,
+        stream: StreamId,
+        quality_factors: &[f64],
+        outcome: u32,
+    ) -> Result<TauwStep, CoreError> {
+        let mut steps = self.run_wave(1, |_| (stream, quality_factors, outcome, None))?;
+        Ok(steps.pop().expect("a one-entry wave yields one step"))
     }
 
     /// Processes one adaptive timestep on one stream (created on first
@@ -606,8 +373,8 @@ impl TauwEngine {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidInput`] when adaptation is not enabled,
-    /// or [`CoreError`] on feature-arity mismatch — in either case no
-    /// stream state is created or modified.
+    /// or [`CoreError`] on feature-arity mismatch or a rejected admission
+    /// — in every case no stream state is created or modified.
     pub fn step_adaptive(
         &mut self,
         stream: StreamId,
@@ -615,112 +382,62 @@ impl TauwEngine {
         outcome: u32,
         failed: bool,
     ) -> Result<TauwStep, CoreError> {
-        let config = self.require_adaptive_config()?;
-        self.check_arity(quality_factors.len())?;
-        let capacity = self.buffer_capacity;
-        let buffer = self
-            .streams
-            .entry(stream)
-            .or_insert_with(|| new_buffer(capacity));
-        let state = match self.adaptive.entry(stream) {
-            std::collections::btree_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::btree_map::Entry::Vacant(e) => e.insert(AdaptiveState::new(config)?),
-        };
-        adaptive_step_with_parts(
-            &self.wrapper,
-            buffer,
-            state,
-            &mut ServingScratch::new(),
-            quality_factors,
-            outcome,
-            failed,
-        )
+        let mut steps = self.run_wave(1, |_| (stream, quality_factors, outcome, Some(failed)))?;
+        Ok(steps.pop().expect("a one-entry wave yields one step"))
     }
 
-    /// Adaptive variant of [`TauwEngine::step_many`]: a batch of
-    /// (step, realized outcome) pairs spanning any number of streams,
-    /// returning one [`TauwStep`] per input **in batch order** with
-    /// [`TauwStep::adapted_uncertainty`] and [`TauwStep::drift`] filled by
-    /// each stream's own coverage loop.
+    /// Processes a batch of steps spanning any number of streams,
+    /// returning one [`TauwStep`] per input **in batch order**.
     ///
     /// Independent streams fan out over the engine's thread budget; steps
-    /// of the same stream apply in batch order within one worker, each
-    /// stream's (buffer, adaptive state) pair evolving exactly as its
-    /// dedicated [`crate::adaptive::AdaptiveTauwSession`] would — so the
-    /// results are bit-identical to N sequential adaptive sessions for
-    /// every thread budget (asserted by `tests/determinism.rs`).
+    /// of the same stream are applied in batch order within one worker.
+    /// The results are bit-identical to calling [`ShardedEngine::step`]
+    /// for each entry sequentially (and therefore to N dedicated
+    /// sessions), at any shard count and thread budget.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError`] on feature-arity mismatch of **any** batch
+    /// entry or a rejected admission of any new stream; the batch is
+    /// validated up front, so on such an error no stream state has been
+    /// modified.
+    pub fn step_many_borrowed(
+        &mut self,
+        batch: &[(StreamId, &[f64], u32)],
+    ) -> Result<Vec<TauwStep>, CoreError> {
+        self.run_wave(batch.len(), |i| {
+            let (stream, quality_factors, outcome) = batch[i];
+            (stream, quality_factors, outcome, None)
+        })
+    }
+
+    /// Adaptive variant of [`ShardedEngine::step_many_borrowed`]: a batch
+    /// of (step, realized outcome) pairs spanning any number of streams,
+    /// returning one [`TauwStep`] per input **in batch order** with
+    /// [`TauwStep::adapted_uncertainty`] and [`TauwStep::drift`] filled by
+    /// each stream's own coverage loop — bit-identical to N sequential
+    /// [`crate::adaptive::AdaptiveTauwSession`]s for every thread budget
+    /// and shard count (asserted by `tests/determinism.rs`).
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidInput`] when adaptation is not enabled,
-    /// or [`CoreError`] on feature-arity mismatch of **any** batch entry;
-    /// the batch is validated up front, so on error no stream state has
-    /// been modified.
+    /// or [`CoreError`] on feature-arity mismatch of **any** batch entry
+    /// or a rejected admission; the batch is validated up front, so on
+    /// such an error no stream state has been modified.
     pub fn step_many_adaptive(
         &mut self,
         batch: &[AdaptiveStreamStep],
     ) -> Result<Vec<TauwStep>, CoreError> {
-        self.step_many_adaptive_impl(batch.len(), |i| {
+        self.run_wave(batch.len(), |i| {
             let step = &batch[i];
             (
                 step.stream,
                 step.quality_factors.as_slice(),
                 step.outcome,
-                step.failed,
+                Some(step.failed),
             )
         })
-    }
-
-    /// Shared adaptive batched-step core (see [`TauwEngine::step_many_impl`]
-    /// for why it is crate-visible): `get(i)` yields batch entry `i` as
-    /// `(stream, quality factors, outcome, failed)`.
-    pub(crate) fn step_many_adaptive_impl<'a, F>(
-        &mut self,
-        n: usize,
-        get: F,
-    ) -> Result<Vec<TauwStep>, CoreError>
-    where
-        F: Fn(usize) -> (StreamId, &'a [f64], u32, bool) + Sync,
-    {
-        let config = self.require_adaptive_config()?;
-        for i in 0..n {
-            self.check_arity(get(i).1.len())?;
-        }
-        let n_slots = self.build_wave_slots(n, |i| get(i).0);
-
-        // Detach each touched stream's adaptive state too, so a worker
-        // owns the complete per-stream serving state.
-        for slot in &mut self.wave.slots[..n_slots] {
-            slot.state = Some(match self.adaptive.remove(&slot.stream) {
-                Some(state) => state,
-                None => AdaptiveState::new(config)?,
-            });
-        }
-
-        let threads = self.n_threads.unwrap_or_else(parallel::max_threads).max(1);
-        let wrapper = &self.wrapper;
-        let per_slot: Vec<Result<(), CoreError>> =
-            parallel::par_map_mut(threads, &mut self.wave.slots[..n_slots], |slot| {
-                let state = slot
-                    .state
-                    .as_mut()
-                    .expect("adaptive wave slots carry state");
-                for &i in &slot.positions {
-                    let (_, quality_factors, outcome, failed) = get(i);
-                    let step = adaptive_step_with_parts(
-                        wrapper,
-                        &mut slot.buffer,
-                        state,
-                        &mut slot.scratch,
-                        quality_factors,
-                        outcome,
-                        failed,
-                    )?;
-                    slot.output.push(step);
-                }
-                Ok(())
-            });
-        self.finish_wave(n, n_slots, per_slot)
     }
 
     /// Replays a batch of series as concurrent streams: series `s` becomes
@@ -734,13 +451,17 @@ impl TauwEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError`] on feature-arity mismatch.
+    /// Returns [`CoreError`] on feature-arity mismatch or rejected
+    /// admissions.
     pub fn step_series_waves(
         &mut self,
         series: &[TrainingSeries],
     ) -> Result<Vec<Vec<TauwStep>>, CoreError> {
         for s in 0..series.len() {
-            self.begin_series(StreamId(s as u64));
+            let stream = StreamId(s as u64);
+            if let Admission::Rejected { reason } = self.begin_series(stream) {
+                return Err(admission_error(stream, reason));
+            }
         }
         let window_len = series.iter().map(TrainingSeries::len).max().unwrap_or(0);
         let mut out: Vec<Vec<TauwStep>> =
@@ -753,15 +474,8 @@ impl TauwEngine {
             for (s, ts) in series.iter().enumerate() {
                 if let Some(step) = ts.steps.get(j) {
                     positions.push(s);
-                    batch.push((
-                        StreamId(s as u64),
-                        step.quality_factors.as_slice(),
-                        step.outcome,
-                    ));
+                    batch.push((StreamId(s as u64), &step.quality_factors[..], step.outcome));
                 }
-            }
-            if batch.is_empty() {
-                break;
             }
             for (&s, step) in positions.iter().zip(self.step_many_borrowed(&batch)?) {
                 out[s].push(step);
@@ -770,19 +484,192 @@ impl TauwEngine {
         Ok(out)
     }
 
-    pub(crate) fn check_arity(&self, actual: usize) -> Result<(), CoreError> {
+    /// The one wave core behind every step path. `entry(i)` yields batch
+    /// entry `i` as `(stream, quality factors, outcome, failed)`, where
+    /// `failed: None` serves a plain step and `Some(failed)` an adaptive
+    /// one. See the [module docs](self) for the four phases.
+    ///
+    /// Workers propagate errors instead of panicking: the precheck makes
+    /// failure unreachable for well-formed wrappers, but an internally
+    /// inconsistent model must surface as `Err`, not abort the process.
+    /// Such an error leaves the streams that already stepped advanced.
+    fn run_wave<'a, F>(&mut self, n: usize, entry: F) -> Result<Vec<TauwStep>, CoreError>
+    where
+        F: Fn(usize) -> (StreamId, &'a [f64], u32, Option<bool>) + Sync,
+    {
+        let n32 = u32::try_from(n).map_err(|_| CoreError::InvalidInput {
+            reason: format!("a wave holds at most {} steps, got {n}", u32::MAX),
+        })?;
+
+        // 1. Precheck: one index probe per entry; new streams wait in
+        //    `fresh` until the whole batch has passed.
         let expected = self.wrapper.stateless().feature_names().len();
-        if actual != expected {
-            return Err(CoreError::FeatureArityMismatch { expected, actual });
+        self.order.clear();
+        self.fresh.clear();
+        for i in 0..n32 {
+            let (stream, quality_factors, _, failed) = entry(i as usize);
+            if failed.is_some() && self.adaptive_config.is_none() {
+                return Err(adaptation_disabled());
+            }
+            if quality_factors.len() != expected {
+                return Err(CoreError::FeatureArityMismatch {
+                    expected,
+                    actual: quality_factors.len(),
+                });
+            }
+            match self.index.get(&stream) {
+                Some(&row) => self.order.push((row, i)),
+                None => self.fresh.push((stream, i)),
+            }
         }
-        Ok(())
+        if !self.fresh.is_empty() {
+            self.fresh.sort_unstable();
+            self.check_admissions(self.fresh.iter().map(|&(stream, _)| stream))?;
+            let fresh = std::mem::take(&mut self.fresh);
+            let mut row = 0;
+            for (k, &(stream, position)) in fresh.iter().enumerate() {
+                if k == 0 || fresh[k - 1].0 != stream {
+                    let buffer = self.new_buffer();
+                    row = self.insert_row(stream, buffer, None);
+                }
+                self.order.push((row, position));
+            }
+            self.fresh = fresh;
+        }
+
+        // 2. Group: rows ascending, batch order within each row.
+        self.order.sort_unstable();
+        let n_groups = match self.order.len() {
+            0 => 0,
+            _ => 1 + self.order.windows(2).filter(|w| w[0].0 != w[1].0).count(),
+        };
+        let threads = self.n_threads.unwrap_or_else(parallel::max_threads);
+        let workers = threads.min(n_groups).max(1);
+        if self.scratches.len() < workers {
+            self.scratches.resize_with(workers, ServingScratch::new);
+        }
+        self.staged.clear();
+        self.staged.resize(n, None);
+
+        // 3. Step: one chunk of whole groups per worker.
+        let per_worker = n_groups.div_ceil(workers);
+        let mut chunks = Vec::with_capacity(workers);
+        let mut rows = self.rows.as_mut_slice();
+        let mut row_base = 0;
+        let mut entries = self.order.as_slice();
+        let mut out = self.staged.as_mut_slice();
+        for scratch in &mut self.scratches[..workers] {
+            let mut len = 0;
+            for _ in 0..per_worker {
+                let Some(&(row, _)) = entries.get(len) else {
+                    break;
+                };
+                len += entries[len..].iter().take_while(|e| e.0 == row).count();
+            }
+            if len == 0 {
+                break;
+            }
+            let (chunk_entries, rest) = entries.split_at(len);
+            entries = rest;
+            let row_end = chunk_entries[len - 1].0 as usize + 1;
+            let (chunk_rows, rest) = std::mem::take(&mut rows).split_at_mut(row_end - row_base);
+            rows = rest;
+            let (chunk_out, rest) = std::mem::take(&mut out).split_at_mut(len);
+            out = rest;
+            chunks.push(Chunk {
+                rows: chunk_rows,
+                row_base,
+                entries: chunk_entries,
+                out: chunk_out,
+                scratch,
+            });
+            row_base = row_end;
+        }
+        let wrapper = &self.wrapper;
+        let config = self.adaptive_config;
+        let per_chunk = parallel::par_map_mut(threads, &mut chunks, |chunk| {
+            for (&(row, position), out) in chunk.entries.iter().zip(chunk.out.iter_mut()) {
+                let row = &mut chunk.rows[row as usize - chunk.row_base];
+                let (_, quality_factors, outcome, failed) = entry(position as usize);
+                *out = Some(match failed {
+                    None => wrapper.step_with_parts(
+                        &mut row.buffer,
+                        chunk.scratch,
+                        quality_factors,
+                        outcome,
+                    )?,
+                    Some(failed) => {
+                        let state = match &mut row.adaptive {
+                            Some(state) => state,
+                            slot @ None => slot.insert(Box::new(AdaptiveState::new(
+                                config.ok_or_else(adaptation_disabled)?,
+                            )?)),
+                        };
+                        adaptive_step_with_parts(
+                            wrapper,
+                            &mut row.buffer,
+                            state,
+                            chunk.scratch,
+                            quality_factors,
+                            outcome,
+                            failed,
+                        )?
+                    }
+                });
+            }
+            Ok::<(), CoreError>(())
+        });
+        per_chunk.into_iter().collect::<Result<(), CoreError>>()?;
+
+        // 4. Scatter back to batch order.
+        self.rank.resize(n, 0);
+        for (k, &(_, position)) in self.order.iter().enumerate() {
+            self.rank[position as usize] = k as u32;
+        }
+        Ok(self.rank[..n]
+            .iter()
+            .map(|&k| self.staged[k as usize].expect("every batch position produced a result"))
+            .collect())
     }
 }
 
-fn new_buffer(capacity: Option<usize>) -> TimeseriesBuffer {
-    match capacity {
-        Some(cap) => TimeseriesBuffer::bounded(cap),
-        None => TimeseriesBuffer::with_capacity(32),
+fn adaptation_disabled() -> CoreError {
+    CoreError::InvalidInput {
+        reason: "adaptive serving is not enabled — call `enable_adaptation` first".into(),
+    }
+}
+
+/// The engine with a single shard: `TauwEngine::new(w)` is
+/// `ShardedEngine::new(w, 1)`, and every [`ShardedEngine`] method is
+/// available through `Deref`.
+#[derive(Debug, Clone)]
+pub struct TauwEngine(ShardedEngine);
+
+impl TauwEngine {
+    /// Creates a one-shard engine around a trained wrapper with no active
+    /// streams.
+    pub fn new(wrapper: TimeseriesAwareWrapper) -> Self {
+        TauwEngine(ShardedEngine::new(wrapper, 1))
+    }
+
+    /// [`ShardedEngine::begin_series`], reporting whether the stream is
+    /// live afterwards (always, unless a per-shard cap was set).
+    pub fn begin_series(&mut self, stream: StreamId) -> bool {
+        self.0.begin_series(stream).is_accepted()
+    }
+}
+
+impl std::ops::Deref for TauwEngine {
+    type Target = ShardedEngine;
+
+    fn deref(&self) -> &ShardedEngine {
+        &self.0
+    }
+}
+
+impl std::ops::DerefMut for TauwEngine {
+    fn deref_mut(&mut self) -> &mut ShardedEngine {
+        &mut self.0
     }
 }
 
@@ -876,12 +763,13 @@ mod tests {
         let mut engine = tauw.clone().into_engine();
         // Stream 5 appears twice in one batch: the second occurrence must
         // see the first one's push (series_length 2).
-        let batch = vec![
-            StreamStep::new(StreamId(5), vec![0.1], 7),
-            StreamStep::new(StreamId(9), vec![0.4], 3),
-            StreamStep::new(StreamId(5), vec![0.1], 3),
-        ];
-        let out = engine.step_many(&batch).unwrap();
+        let out = engine
+            .step_many_borrowed(&[
+                (StreamId(5), &[0.1], 7),
+                (StreamId(9), &[0.4], 3),
+                (StreamId(5), &[0.1], 3),
+            ])
+            .unwrap();
         assert_eq!(out.len(), 3);
         assert_eq!(out[0].series_length, 1);
         assert_eq!(out[1].series_length, 1);
@@ -897,12 +785,8 @@ mod tests {
     fn step_many_rejects_bad_arity_without_mutating_state() {
         let mut engine = fitted().into_engine();
         engine.step(StreamId(1), &[0.3], 7).unwrap();
-        let batch = vec![
-            StreamStep::new(StreamId(1), vec![0.1], 7),
-            StreamStep::new(StreamId(2), vec![0.1, 0.2], 7),
-        ];
         assert!(matches!(
-            engine.step_many(&batch),
+            engine.step_many_borrowed(&[(StreamId(1), &[0.1], 7), (StreamId(2), &[0.1, 0.2], 7)]),
             Err(CoreError::FeatureArityMismatch { .. })
         ));
         assert_eq!(
@@ -926,34 +810,6 @@ mod tests {
             "failed step must not register a stream"
         );
         assert_eq!(engine.stream_len(StreamId(77)), None);
-    }
-
-    #[test]
-    fn step_many_borrowed_matches_owned_batches_exactly() {
-        let tauw = fitted();
-        let qfs = [[0.1], [0.5], [0.1], [0.9]];
-        let entries = [
-            (StreamId(1), 7u32),
-            (StreamId(2), 3),
-            (StreamId(1), 3),
-            (StreamId(2), 3),
-        ];
-        let mut owned_engine = tauw.clone().into_engine();
-        let owned_batch: Vec<StreamStep> = entries
-            .iter()
-            .zip(&qfs)
-            .map(|(&(stream, outcome), qf)| StreamStep::new(stream, qf.to_vec(), outcome))
-            .collect();
-        let owned = owned_engine.step_many(&owned_batch).unwrap();
-
-        let mut borrowed_engine = tauw.into_engine();
-        let borrowed_batch: Vec<(StreamId, &[f64], u32)> = entries
-            .iter()
-            .zip(&qfs)
-            .map(|(&(stream, outcome), qf)| (stream, qf.as_slice(), outcome))
-            .collect();
-        let borrowed = borrowed_engine.step_many_borrowed(&borrowed_batch).unwrap();
-        assert_eq!(owned, borrowed);
     }
 
     #[test]
@@ -1010,19 +866,15 @@ mod tests {
             engine.threads(threads);
             let mut all = Vec::new();
             for j in 0..10 {
-                let batch: Vec<StreamStep> = series
+                let batch: Vec<(StreamId, &[f64], u32)> = series
                     .iter()
                     .enumerate()
                     .map(|(s, ts)| {
                         let step = &ts.steps[j];
-                        StreamStep::new(
-                            StreamId(s as u64),
-                            step.quality_factors.clone(),
-                            step.outcome,
-                        )
+                        (StreamId(s as u64), &step.quality_factors[..], step.outcome)
                     })
                     .collect();
-                all.extend(engine.step_many(&batch).unwrap());
+                all.extend(engine.step_many_borrowed(&batch).unwrap());
             }
             match &baseline {
                 None => baseline = Some(all),
@@ -1159,235 +1011,5 @@ mod tests {
         engine.clear_streams();
         assert!(engine.adaptive_state(StreamId(2)).is_none());
         assert_eq!(engine.stream_drift(StreamId(2)), None);
-    }
-
-    #[test]
-    fn import_adaptive_state_resumes_a_persisted_stream() {
-        let tauw = fitted();
-        let config = AdaptiveConfig {
-            window: 4,
-            min_observations: 2,
-            ..Default::default()
-        };
-        // Build some adaptation in a session, move it into an engine.
-        let mut session = tauw.new_adaptive_session(config).unwrap();
-        for _ in 0..5 {
-            session.step(&[0.9], 3, true).unwrap();
-        }
-        let exported = session.adaptive_state().clone();
-        assert!(exported.inflation_steps() > 0);
-
-        let mut engine = tauw.into_engine();
-        engine.enable_adaptation(config).unwrap();
-        engine.import_adaptive_state(StreamId(7), exported.clone());
-        assert_eq!(engine.adaptive_state(StreamId(7)), Some(&exported));
-        // The resumed stream keeps adapting from the imported notch.
-        let step = engine.step_adaptive(StreamId(7), &[0.9], 3, true).unwrap();
-        assert!(step.adapted_uncertainty > step.uncertainty);
-    }
-
-    #[test]
-    fn wave_scratch_is_reused_across_steady_state_waves() {
-        let tauw = fitted();
-        let config = AdaptiveConfig {
-            window: 6,
-            min_observations: 3,
-            ..Default::default()
-        };
-        let mut engine = tauw.clone().into_engine();
-        engine.threads(1);
-        engine.enable_adaptation(config).unwrap();
-
-        let wave = |round: usize| -> Vec<AdaptiveStreamStep> {
-            (0..3u64)
-                .map(|s| {
-                    let q = 0.1 + 0.2 * s as f64 + 0.01 * (round % 5) as f64;
-                    let failed = (round + s as usize) % 4 == 0;
-                    AdaptiveStreamStep::new(
-                        StreamId(s),
-                        vec![q],
-                        if failed { 3 } else { 7 },
-                        failed,
-                    )
-                })
-                .collect()
-        };
-
-        // Twin dedicated sessions serve as the reference trajectory.
-        let mut sessions: Vec<_> = (0..3)
-            .map(|_| tauw.new_adaptive_session(config).unwrap())
-            .collect();
-        let reference = |sessions: &mut Vec<crate::adaptive::AdaptiveTauwSession>,
-                         batch: &[AdaptiveStreamStep]| {
-            batch
-                .iter()
-                .map(|e| {
-                    sessions[e.stream.0 as usize]
-                        .step(&e.quality_factors, e.outcome, e.failed)
-                        .unwrap()
-                })
-                .collect::<Vec<_>>()
-        };
-
-        // Warm-up waves size every reusable buffer, then capture the
-        // scratch fingerprints: same pointers afterwards means the
-        // steady-state waves stopped touching the allocator.
-        for round in 0..4 {
-            let batch = wave(round);
-            assert_eq!(
-                engine.step_many_adaptive(&batch).unwrap(),
-                reference(&mut sessions, &batch),
-                "warm-up round {round}"
-            );
-        }
-        let n_slots_warm = engine.wave.slots.len();
-        let fingerprints: Vec<(*const usize, *const f64, usize, usize)> = engine
-            .wave
-            .slots
-            .iter()
-            .map(|slot| {
-                (
-                    slot.positions.as_ptr(),
-                    slot.scratch.features.as_ptr(),
-                    slot.scratch.features.capacity(),
-                    slot.output.capacity(),
-                )
-            })
-            .collect();
-        let results_ptr = engine.wave.results.as_ptr();
-        let order_ptr = engine.wave.order.as_ptr();
-
-        for round in 4..40 {
-            let batch = wave(round);
-            assert_eq!(
-                engine.step_many_adaptive(&batch).unwrap(),
-                reference(&mut sessions, &batch),
-                "steady-state round {round}"
-            );
-        }
-
-        assert_eq!(engine.wave.slots.len(), n_slots_warm, "slot pool regrew");
-        assert_eq!(engine.wave.results.as_ptr(), results_ptr);
-        assert_eq!(engine.wave.order.as_ptr(), order_ptr);
-        for (slot, &(positions, features, features_cap, output_cap)) in
-            engine.wave.slots.iter().zip(&fingerprints)
-        {
-            assert_eq!(slot.positions.as_ptr(), positions, "positions reallocated");
-            assert_eq!(
-                slot.scratch.features.as_ptr(),
-                features,
-                "scratch reallocated"
-            );
-            assert_eq!(slot.scratch.features.capacity(), features_cap);
-            assert_eq!(slot.output.capacity(), output_cap, "output staging regrew");
-        }
-
-        // The plain (non-adaptive) wave path shares the same scaffolding.
-        let plain: Vec<StreamStep> = (0..3u64)
-            .map(|s| StreamStep::new(StreamId(s), vec![0.4], 7))
-            .collect();
-        engine.step_many(&plain).unwrap();
-        let plain_fingerprints: Vec<*const f64> = engine
-            .wave
-            .slots
-            .iter()
-            .map(|slot| slot.scratch.features.as_ptr())
-            .collect();
-        for _ in 0..20 {
-            engine.step_many(&plain).unwrap();
-        }
-        let after: Vec<*const f64> = engine
-            .wave
-            .slots
-            .iter()
-            .map(|slot| slot.scratch.features.as_ptr())
-            .collect();
-        assert_eq!(after, plain_fingerprints, "plain waves must reuse scratch");
-    }
-
-    /// Satellite regression test: the wave slot pool is sized by the peak
-    /// number of distinct streams per wave; ending streams must hand that
-    /// capacity back so steady-state memory tracks *live* streams.
-    #[test]
-    fn end_stream_releases_wave_slot_capacity() {
-        let tauw = fitted();
-        let mut engine = tauw.clone().into_engine();
-        engine.threads(1);
-
-        let batch: Vec<StreamStep> = (0..64u64)
-            .map(|s| StreamStep::new(StreamId(s), vec![0.3], 7))
-            .collect();
-        engine.step_many(&batch).unwrap();
-        assert_eq!(engine.wave.slots.len(), 64, "one slot per distinct stream");
-
-        // Retire all but four streams: the pool must shrink with them
-        // (both the live length and the backing allocation).
-        for s in 4..64u64 {
-            assert!(engine.end_stream(StreamId(s)));
-        }
-        assert!(
-            engine.wave.slots.len() <= 4,
-            "slot pool still holds {} slots for 4 live streams",
-            engine.wave.slots.len()
-        );
-        assert!(
-            engine.wave.slots.capacity() < 64,
-            "slot pool capacity still pins the historical peak"
-        );
-
-        // Ending an unknown stream is a no-op and must not over-shrink.
-        assert!(!engine.end_stream(StreamId(999)));
-
-        // The shrunken engine keeps serving bit-identically: the surviving
-        // streams match dedicated sessions that replayed the same steps.
-        let survivors: Vec<StreamStep> = (0..4u64)
-            .map(|s| StreamStep::new(StreamId(s), vec![0.6], 3))
-            .collect();
-        let out = engine.step_many(&survivors).unwrap();
-        for (s, got) in out.iter().enumerate() {
-            let mut session = tauw.new_session();
-            session.step(&[0.3], 7).unwrap();
-            let expected = session.step(&[0.6], 3).unwrap();
-            assert_eq!(got, &expected, "stream {s} diverged after shrink");
-        }
-        assert_eq!(engine.wave.slots.len(), 4, "pool regrew past live count");
-
-        // clear_streams releases the scaffolding entirely.
-        engine.clear_streams();
-        assert!(engine.wave.slots.is_empty());
-        assert_eq!(engine.wave.slots.capacity(), 0);
-        assert!(engine.wave.order.capacity() == 0 && engine.wave.results.capacity() == 0);
-    }
-
-    #[test]
-    fn export_import_stream_round_trips_runtime_state() {
-        let tauw = fitted();
-        let config = AdaptiveConfig {
-            window: 4,
-            min_observations: 2,
-            ..Default::default()
-        };
-        let mut engine = tauw.clone().into_engine();
-        engine.enable_adaptation(config).unwrap();
-        for _ in 0..5 {
-            engine.step_adaptive(StreamId(3), &[0.9], 3, true).unwrap();
-        }
-        let (buffer, adaptive) = engine.export_stream(StreamId(3)).unwrap();
-        assert!(adaptive.is_some());
-        assert!(engine.export_stream(StreamId(99)).is_none());
-
-        // A fresh engine with the imported state continues bit-identically
-        // to the original engine.
-        let mut resumed = tauw.into_engine();
-        resumed.enable_adaptation(config).unwrap();
-        resumed.import_stream(StreamId(3), buffer, adaptive);
-        let a = engine.step_adaptive(StreamId(3), &[0.9], 3, true).unwrap();
-        let b = resumed.step_adaptive(StreamId(3), &[0.9], 3, true).unwrap();
-        assert_eq!(a, b);
-
-        // Importing with `adaptive: None` is a faithful overwrite.
-        let (buffer, _) = resumed.export_stream(StreamId(3)).unwrap();
-        resumed.import_stream(StreamId(3), buffer, None);
-        assert!(resumed.adaptive_state(StreamId(3)).is_none());
     }
 }

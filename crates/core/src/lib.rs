@@ -13,10 +13,11 @@
 //! * [`tauw`] — the **timeseries-aware wrapper**: stateless wrapper +
 //!   information fusion + taQIM, exposed as a runtime session.
 //! * [`engine`] — the **multi-stream inference engine**: one trained
-//!   wrapper serving many concurrent series via batched `step_many`.
-//! * [`sharded`] — the **sharded serving front end**: K engine shards
-//!   keyed by a deterministic stream hash, with cross-shard wave batching,
-//!   typed admission control, and live per-shard snapshot/restore.
+//!   wrapper serving many concurrent series from a dense stream table,
+//!   stepped in batched waves through one wave core.
+//! * [`sharded`] — **shards** of that table: hash partitions keyed by a
+//!   deterministic stream hash, with typed admission control and live
+//!   per-shard snapshot/restore.
 //! * [`adaptive`] — **online adaptive calibration**: a per-stream coverage
 //!   window over the served bounds, bounded multiplicative bound
 //!   adaptation when empirical coverage diverges, and an
@@ -105,7 +106,7 @@ pub use calibration::{
     ServingScratch, TaQim,
 };
 pub use conformal::{ConformalOptions, ConformalQim};
-pub use engine::{StreamId, StreamStep, TauwEngine};
+pub use engine::{StreamId, TauwEngine};
 pub use error::CoreError;
 pub use monitor::{MonitorDecision, MonitorStats, UncertaintyMonitor};
 pub use scope::{ScopeComplianceModel, ScopeVerdict};

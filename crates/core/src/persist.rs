@@ -773,6 +773,64 @@ mod tests {
         let _ = std::fs::remove_file(path);
     }
 
+    /// Rewrites the integer value of the `nth` `"key": <int>` field.
+    fn set_nth_int(json: &str, key: &str, nth: usize, value: u64) -> String {
+        let pattern = format!("\"{key}\": ");
+        let (at, _) = json
+            .match_indices(&pattern)
+            .nth(nth)
+            .expect("field present");
+        let start = at + pattern.len();
+        let end = start + json[start..].find(|c: char| !c.is_ascii_digit()).unwrap();
+        format!("{}{value}{}", &json[..start], &json[end..])
+    }
+
+    #[test]
+    fn tampered_tree_graphs_are_rejected_by_every_tree_artifact() {
+        use crate::calibration::CalibratedQim;
+        let wrapper = fitted();
+        let forest = fitted_forest();
+        type Load = fn(&str) -> bool;
+        let artifacts: [(&str, String, Load); 3] = [
+            ("wrapper", wrapper.to_artifact_json().unwrap(), |json| {
+                TimeseriesAwareWrapper::from_artifact_json(json).is_ok()
+            }),
+            (
+                "tree taQIM",
+                wrapper
+                    .taqim()
+                    .as_tree()
+                    .unwrap()
+                    .to_artifact_json()
+                    .unwrap(),
+                |json| CalibratedQim::from_artifact_json(json).is_ok(),
+            ),
+            (
+                "forest taQIM",
+                forest
+                    .taqim()
+                    .as_forest()
+                    .unwrap()
+                    .to_artifact_json()
+                    .unwrap(),
+                |json| CalibratedForestQim::from_artifact_json(json).is_ok(),
+            ),
+        ];
+        for (kind, json, loads) in artifacts {
+            assert!(loads(&json), "{kind}: the untampered artifact loads");
+            // The first tree is compact: its root (node 0) splits into node
+            // 1 (left) and a right child, and has a second internal node.
+            for (defect, tampered) in [
+                ("out-of-range child", set_nth_int(&json, "left", 0, 1 << 32)),
+                ("back-edge", set_nth_int(&json, "left", 1, 0)),
+                ("shared child", set_nth_int(&json, "right", 0, 1)),
+            ] {
+                assert_ne!(tampered, json, "{kind}: {defect} edit must hit");
+                assert!(!loads(&tampered), "{kind}: {defect} must be rejected");
+            }
+        }
+    }
+
     #[test]
     fn tree_qim_artifact_roundtrips_byte_for_byte() {
         // Satellite of the backend seam: the single tree gets its own

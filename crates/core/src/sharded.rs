@@ -1,24 +1,13 @@
-//! Sharded service-grade serving: many [`TauwEngine`]s behind one front
-//! end.
+//! Sharded serving: the engine's stream table as `K` hash partitions.
 //!
-//! One [`TauwEngine`] is a single-owner map of stream buffers stepped in
-//! waves — fine for thousands of streams, a ceiling for millions. The
-//! [`ShardedEngine`] owns `K` engine shards keyed by a deterministic
-//! [`StreamId`] hash and adds the three service-grade properties a
+//! A shard is a hash partition of the [`ShardedEngine`] stream table, not
+//! a separate engine: every wave runs once over the whole table (see
+//! [`crate::engine`]). Shards add the two service-grade properties a
 //! long-running deployment needs:
 //!
-//! * **Wave batching across shards** — [`ShardedEngine::step_many`]
-//!   partitions a batch by shard, dispatches **one** engine wave per shard
-//!   fanned over [`parallel`], and merges the per-shard results back into
-//!   input order. Because every stream's state is self-contained and lives
-//!   in exactly one shard, the results are bit-identical to N sequential
-//!   [`crate::tauw::TauwSession`]s at *any* shard count and thread budget
-//!   (asserted by `tests/determinism.rs` and the resharding proptest).
 //! * **Admission control** — a configurable per-shard live-stream cap
-//!   turns unbounded map growth into a typed [`Admission`] outcome.
-//!   [`ShardedEngine::end_stream`] reclaims capacity (and, via the
-//!   engine's wave-scratch shrink path, the retired stream's share of the
-//!   slot pool).
+//!   turns unbounded table growth into a typed [`Admission`] outcome.
+//!   [`ShardedEngine::end_stream`] reclaims capacity.
 //! * **Live snapshot/restore** — [`ShardedEngine::snapshot_shard`] exports
 //!   one shard's complete per-stream state as an [`EngineShardState`]
 //!   artifact through the versioned persistence layer
@@ -27,19 +16,25 @@
 //!   shard layout, so a snapshot taken at K shards restores into K' shards
 //!   with bit-identical estimates from there on.
 //!
+//! Because every stream's state is self-contained, served results are
+//! bit-identical to N sequential [`crate::tauw::TauwSession`]s at *any*
+//! shard count and thread budget (asserted by `tests/determinism.rs` and
+//! the resharding proptest).
+//!
 //! # Shard hash
 //!
 //! Streams map to shards via a SplitMix64 finalizer over the raw
 //! [`StreamId`] modulo the shard count. The finalizer is a fixed, platform
 //! independent bijection on `u64`, so the assignment is stable across
 //! processes and hosts (snapshots rely on this only for balance, not for
-//! correctness: restore re-hashes under the current shard count).
+//! correctness: restore re-hashes under the current shard count). The
+//! hash runs only when a stream is created, ended or snapshotted.
 //!
 //! # Example
 //!
 //! ```
 //! use tauw_core::calibration::CalibrationOptions;
-//! use tauw_core::engine::{StreamId, StreamStep};
+//! use tauw_core::engine::StreamId;
 //! use tauw_core::sharded::{Admission, ShardedEngine};
 //! use tauw_core::tauw::TauwBuilder;
 //! use tauw_core::training::{TrainingSeries, TrainingStep};
@@ -71,15 +66,11 @@
 //! builder.wrapper(wb);
 //! let tauw = builder.fit(vec!["q".into()], &train, &calib)?;
 //!
-//! // Four engine shards behind one front end, at most 2 live streams per
-//! // shard.
+//! // Four shards, at most 2 live streams per shard.
 //! let mut engine = ShardedEngine::new(tauw, 4);
 //! engine.max_streams_per_shard(2);
-//! let batch = vec![
-//!     StreamStep::new(StreamId(1), vec![0.1], 0),
-//!     StreamStep::new(StreamId(2), vec![0.9], 1),
-//! ];
-//! let steps = engine.step_many(&batch)?;
+//! let (q1, q2) = ([0.1], [0.9]);
+//! let steps = engine.step_many_borrowed(&[(StreamId(1), &q1, 0), (StreamId(2), &q2, 1)])?;
 //! assert_eq!(steps.len(), 2);
 //! assert_eq!(engine.n_streams(), 2);
 //! assert!(matches!(engine.admission(StreamId(1)), Admission::Accepted { .. }));
@@ -95,13 +86,13 @@
 //! # Ok::<(), tauw_core::CoreError>(())
 //! ```
 
-use crate::adaptive::{AdaptiveConfig, AdaptiveState, DriftSignal};
+use crate::adaptive::AdaptiveState;
 use crate::buffer::TimeseriesBuffer;
-use crate::engine::{AdaptiveStreamStep, StreamId, StreamStep, TauwEngine};
+use crate::engine::StreamId;
 use crate::error::CoreError;
-use crate::tauw::{TauwStep, TimeseriesAwareWrapper};
-use crate::training::TrainingSeries;
 use serde::{Deserialize, Serialize};
+
+pub use crate::engine::ShardedEngine;
 
 /// Outcome of an admission check: either the stream is (or may become)
 /// live on a shard, or the shard is at its live-stream cap.
@@ -151,7 +142,7 @@ impl std::fmt::Display for AdmissionReason {
     }
 }
 
-fn admission_error(stream: StreamId, reason: AdmissionReason) -> CoreError {
+pub(crate) fn admission_error(stream: StreamId, reason: AdmissionReason) -> CoreError {
     CoreError::InvalidInput {
         reason: format!(
             "admission rejected for {stream}: {reason} — end finished streams \
@@ -169,14 +160,6 @@ fn splitmix64(seed: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// One engine shard plus its reusable per-wave scaffolding.
-#[derive(Debug, Clone)]
-struct Shard {
-    engine: TauwEngine,
-    /// Global batch positions routed to this shard, in batch order.
-    positions: Vec<usize>,
 }
 
 /// A snapshot of one shard's complete per-stream runtime state: the
@@ -247,76 +230,20 @@ impl EngineShardState {
     }
 }
 
-/// K [`TauwEngine`] shards behind one batched, admission-controlled,
-/// snapshot-restartable front end. See the [module docs](self) for the
-/// serving model and an end-to-end example.
-///
-/// Each shard engine is pinned to one thread; parallelism comes from
-/// fanning the *shards* over the front end's thread budget, so size
-/// `n_shards` at or above the hardware threads you want to occupy.
-#[derive(Debug, Clone)]
-pub struct ShardedEngine {
-    shards: Vec<Shard>,
-    n_threads: Option<usize>,
-    max_streams_per_shard: Option<usize>,
-    adaptive_config: Option<AdaptiveConfig>,
-    /// Reusable batch-order scatter table for the merge step.
-    results: Vec<Option<TauwStep>>,
-    /// Reusable `(shard, stream)` scratch for batch admission checks.
-    admit_scratch: Vec<(usize, StreamId)>,
-}
-
 impl ShardedEngine {
-    /// Creates a front end over `n_shards` engine shards (clamped to ≥ 1),
-    /// each serving an identical copy of the trained wrapper.
-    pub fn new(wrapper: TimeseriesAwareWrapper, n_shards: usize) -> Self {
-        let n_shards = n_shards.max(1);
-        let shards = (0..n_shards)
-            .map(|_| {
-                let mut engine = TauwEngine::new(wrapper.clone());
-                engine.threads(1);
-                Shard {
-                    engine,
-                    positions: Vec::new(),
-                }
-            })
-            .collect();
-        ShardedEngine {
-            shards,
-            n_threads: None,
-            max_streams_per_shard: None,
-            adaptive_config: None,
-            results: Vec::new(),
-            admit_scratch: Vec::new(),
-        }
-    }
-
-    /// Number of engine shards.
+    /// Number of shards.
     pub fn n_shards(&self) -> usize {
-        self.shards.len()
+        self.live.len()
     }
 
     /// The shard a stream hashes to (see the [module docs](self)).
     pub fn shard_of(&self, stream: StreamId) -> usize {
-        (splitmix64(stream.0) % self.shards.len() as u64) as usize
+        (splitmix64(stream.0) % self.live.len() as u64) as usize
     }
 
-    /// Pins the shard-level thread budget for the batched step paths
-    /// (clamped to ≥ 1). Unpinned front ends use [`parallel::max_threads`].
-    /// Results are bit-identical for every budget.
-    pub fn threads(&mut self, n: usize) -> &mut Self {
-        self.n_threads = Some(n.max(1));
-        self
-    }
-
-    /// Bounds every newly created stream buffer to a sliding window of
-    /// `capacity` steps on all shards (see
-    /// [`TauwEngine::buffer_capacity`]).
-    pub fn buffer_capacity(&mut self, capacity: usize) -> &mut Self {
-        for shard in &mut self.shards {
-            shard.engine.buffer_capacity(capacity);
-        }
-        self
+    /// Live streams on one shard, or `None` for an out-of-range index.
+    pub fn shard_n_streams(&self, shard: usize) -> Option<usize> {
+        self.live.get(shard).copied()
     }
 
     /// Caps the number of live streams per shard (clamped to ≥ 1).
@@ -331,426 +258,43 @@ impl ShardedEngine {
         self
     }
 
-    /// Turns on online adaptive calibration on every shard (see
-    /// [`TauwEngine::enable_adaptation`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidInput`] when the config is invalid.
-    pub fn enable_adaptation(&mut self, config: AdaptiveConfig) -> Result<(), CoreError> {
-        config.validate()?;
-        for shard in &mut self.shards {
-            shard.engine.enable_adaptation(config)?;
-        }
-        self.adaptive_config = Some(config);
-        Ok(())
-    }
-
-    /// The adaptive configuration, if adaptation is enabled.
-    pub fn adaptive_config(&self) -> Option<AdaptiveConfig> {
-        self.adaptive_config
-    }
-
-    /// The trained wrapper the front end serves (every shard holds an
-    /// identical copy).
-    pub fn wrapper(&self) -> &TimeseriesAwareWrapper {
-        self.shards[0].engine.wrapper()
-    }
-
-    /// Total live streams across all shards.
-    pub fn n_streams(&self) -> usize {
-        self.shards.iter().map(|s| s.engine.n_streams()).sum()
-    }
-
-    /// Live streams on one shard, or `None` for an out-of-range index.
-    pub fn shard_n_streams(&self, shard: usize) -> Option<usize> {
-        self.shards.get(shard).map(|s| s.engine.n_streams())
-    }
-
-    /// All live stream ids across shards, in ascending order.
-    pub fn stream_ids(&self) -> Vec<StreamId> {
-        let mut ids: Vec<StreamId> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.engine.stream_ids())
-            .collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    /// Steps currently buffered for a stream, or `None` if unknown.
-    pub fn stream_len(&self, stream: StreamId) -> Option<usize> {
-        self.shard_engine(stream).stream_len(stream)
-    }
-
-    /// Lifetime steps of a stream's current series, or `None` if unknown.
-    pub fn stream_total_steps(&self, stream: StreamId) -> Option<u64> {
-        self.shard_engine(stream).stream_total_steps(stream)
-    }
-
-    /// A stream's adaptive state, or `None` if it has none yet.
-    pub fn adaptive_state(&self, stream: StreamId) -> Option<&AdaptiveState> {
-        self.shard_engine(stream).adaptive_state(stream)
-    }
-
-    /// The drift classification of a stream's most recent adaptive step.
-    pub fn stream_drift(&self, stream: StreamId) -> Option<DriftSignal> {
-        self.shard_engine(stream).stream_drift(stream)
-    }
-
-    fn shard_engine(&self, stream: StreamId) -> &TauwEngine {
-        &self.shards[self.shard_of(stream)].engine
-    }
-
     /// Non-mutating admission check: where the stream would be served, or
     /// why it cannot be.
     pub fn admission(&self, stream: StreamId) -> Admission {
         let shard = self.shard_of(stream);
-        let engine = &self.shards[shard].engine;
-        if engine.stream_len(stream).is_some() {
-            return Admission::Accepted { shard };
-        }
+        let live = self.live[shard];
         match self.max_streams_per_shard {
-            Some(cap) if engine.n_streams() >= cap => Admission::Rejected {
-                reason: AdmissionReason::ShardFull {
-                    shard,
-                    live: engine.n_streams(),
-                    cap,
-                },
+            Some(cap) if live >= cap && !self.index.contains_key(&stream) => Admission::Rejected {
+                reason: AdmissionReason::ShardFull { shard, live, cap },
             },
             _ => Admission::Accepted { shard },
         }
     }
 
-    /// Admits a stream: on [`Admission::Accepted`] the stream is
-    /// registered (created empty if new) and its capacity claimed, so a
-    /// subsequent step cannot be refused by a race with other admissions.
-    /// Already-live streams are re-accepted untouched.
-    pub fn admit(&mut self, stream: StreamId) -> Admission {
-        let admission = self.admission(stream);
-        if let Admission::Accepted { shard } = admission {
-            let engine = &mut self.shards[shard].engine;
-            if engine.stream_len(stream).is_none() {
-                engine.begin_series(stream);
-            }
-        }
-        admission
-    }
-
-    /// Clears a stream's buffer (new physical object on that stream),
-    /// creating the stream if capacity allows — the sharded counterpart of
-    /// [`TauwEngine::begin_series`], with admission made explicit in the
-    /// return value.
-    pub fn begin_series(&mut self, stream: StreamId) -> Admission {
-        let admission = self.admission(stream);
-        if let Admission::Accepted { shard } = admission {
-            self.shards[shard].engine.begin_series(stream);
-        }
-        admission
-    }
-
-    /// Removes a stream entirely, reclaiming its admission capacity (and
-    /// its share of the shard's wave slot pool). Returns whether the
-    /// stream existed.
-    pub fn end_stream(&mut self, stream: StreamId) -> bool {
-        let shard = self.shard_of(stream);
-        self.shards[shard].engine.end_stream(stream)
-    }
-
-    /// Removes all streams on all shards.
-    pub fn clear_streams(&mut self) {
-        for shard in &mut self.shards {
-            shard.engine.clear_streams();
-        }
-    }
-
-    /// Processes one timestep on one stream, admitting it first.
-    /// Equivalent to [`TauwEngine::step`] on the stream's shard.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError`] on feature-arity mismatch or a rejected
-    /// admission; no stream state is created or modified on error.
-    pub fn step(
-        &mut self,
-        stream: StreamId,
-        quality_factors: &[f64],
-        outcome: u32,
-    ) -> Result<TauwStep, CoreError> {
-        let shard = match self.admission(stream) {
-            Admission::Accepted { shard } => shard,
-            Admission::Rejected { reason } => return Err(admission_error(stream, reason)),
-        };
-        self.shards[shard]
-            .engine
-            .step(stream, quality_factors, outcome)
-    }
-
-    /// Adaptive variant of [`ShardedEngine::step`] (see
-    /// [`TauwEngine::step_adaptive`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError`] when adaptation is not enabled, on
-    /// feature-arity mismatch, or on a rejected admission; no stream state
-    /// is created or modified on error.
-    pub fn step_adaptive(
-        &mut self,
-        stream: StreamId,
-        quality_factors: &[f64],
-        outcome: u32,
-        failed: bool,
-    ) -> Result<TauwStep, CoreError> {
-        let shard = match self.admission(stream) {
-            Admission::Accepted { shard } => shard,
-            Admission::Rejected { reason } => return Err(admission_error(stream, reason)),
-        };
-        self.shards[shard]
-            .engine
-            .step_adaptive(stream, quality_factors, outcome, failed)
-    }
-
-    /// Processes a batch of steps spanning any number of streams and
-    /// shards, returning one [`TauwStep`] per input **in batch order**.
-    ///
-    /// The batch is partitioned by shard (batch order preserved within
-    /// each shard, so same-stream steps still see each other's effects in
-    /// order), one engine wave is dispatched per shard fanned over the
-    /// front end's thread budget, and the per-shard results are merged
-    /// back into input order. Bit-identical to N sequential sessions at
-    /// any shard count and thread budget.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError`] on feature-arity mismatch of any entry or a
-    /// rejected admission of any new stream; the batch is validated up
-    /// front, so on error no stream state has been modified.
-    pub fn step_many(&mut self, batch: &[StreamStep]) -> Result<Vec<TauwStep>, CoreError> {
-        self.step_many_impl(batch.len(), |i| {
-            let step = &batch[i];
-            (step.stream, step.quality_factors.as_slice(), step.outcome)
-        })
-    }
-
-    /// Zero-copy variant of [`ShardedEngine::step_many`] over borrowed
-    /// quality-factor slices. Identical semantics and results.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ShardedEngine::step_many`].
-    pub fn step_many_borrowed(
-        &mut self,
-        batch: &[(StreamId, &[f64], u32)],
-    ) -> Result<Vec<TauwStep>, CoreError> {
-        self.step_many_impl(batch.len(), |i| batch[i])
-    }
-
-    fn step_many_impl<'a, F>(&mut self, n: usize, get: F) -> Result<Vec<TauwStep>, CoreError>
-    where
-        F: Fn(usize) -> (StreamId, &'a [f64], u32) + Sync,
-    {
-        self.precheck_batch(n, |i| {
-            let (stream, quality_factors, _) = get(i);
-            (stream, quality_factors.len())
-        })?;
-        self.route_batch(n, |i| get(i).0);
-        let threads = self.n_threads.unwrap_or_else(parallel::max_threads).max(1);
-        let per_shard: Vec<Result<Vec<TauwStep>, CoreError>> =
-            parallel::par_map_mut(threads, &mut self.shards, |shard| {
-                let Shard { engine, positions } = shard;
-                engine.step_many_impl(positions.len(), |j| get(positions[j]))
-            });
-        self.merge_waves(n, per_shard)
-    }
-
-    /// Adaptive variant of [`ShardedEngine::step_many`] (see
-    /// [`TauwEngine::step_many_adaptive`] for the per-stream semantics).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError`] when adaptation is not enabled, on
-    /// feature-arity mismatch of any entry, or on a rejected admission of
-    /// any new stream; the batch is validated up front, so on error no
-    /// stream state has been modified.
-    pub fn step_many_adaptive(
-        &mut self,
-        batch: &[AdaptiveStreamStep],
-    ) -> Result<Vec<TauwStep>, CoreError> {
-        if self.adaptive_config.is_none() {
-            return Err(CoreError::InvalidInput {
-                reason: "adaptive serving is not enabled — call \
-                         `ShardedEngine::enable_adaptation` first"
-                    .into(),
-            });
-        }
-        self.precheck_batch(batch.len(), |i| {
-            (batch[i].stream, batch[i].quality_factors.len())
-        })?;
-        self.route_batch(batch.len(), |i| batch[i].stream);
-        let threads = self.n_threads.unwrap_or_else(parallel::max_threads).max(1);
-        let per_shard: Vec<Result<Vec<TauwStep>, CoreError>> =
-            parallel::par_map_mut(threads, &mut self.shards, |shard| {
-                let Shard { engine, positions } = shard;
-                engine.step_many_adaptive_impl(positions.len(), |j| {
-                    let entry = &batch[positions[j]];
-                    (
-                        entry.stream,
-                        entry.quality_factors.as_slice(),
-                        entry.outcome,
-                        entry.failed,
-                    )
-                })
-            });
-        self.merge_waves(batch.len(), per_shard)
-    }
-
-    /// Replays a batch of series as concurrent streams, one wave per
-    /// timestep — the sharded counterpart of
-    /// [`TauwEngine::step_series_waves`], with identical semantics and
-    /// bit-identical results.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError`] on feature-arity mismatch or rejected
-    /// admissions.
-    pub fn step_series_waves(
-        &mut self,
-        series: &[TrainingSeries],
-    ) -> Result<Vec<Vec<TauwStep>>, CoreError> {
-        for s in 0..series.len() {
-            if let Admission::Rejected { reason } = self.begin_series(StreamId(s as u64)) {
-                return Err(admission_error(StreamId(s as u64), reason));
-            }
-        }
-        let window_len = series.iter().map(TrainingSeries::len).max().unwrap_or(0);
-        let mut out: Vec<Vec<TauwStep>> =
-            series.iter().map(|s| Vec::with_capacity(s.len())).collect();
-        let mut positions: Vec<usize> = Vec::with_capacity(series.len());
-        let mut batch: Vec<(StreamId, &[f64], u32)> = Vec::with_capacity(series.len());
-        for j in 0..window_len {
-            positions.clear();
-            batch.clear();
-            for (s, ts) in series.iter().enumerate() {
-                if let Some(step) = ts.steps.get(j) {
-                    positions.push(s);
-                    batch.push((
-                        StreamId(s as u64),
-                        step.quality_factors.as_slice(),
-                        step.outcome,
-                    ));
-                }
-            }
-            if batch.is_empty() {
-                break;
-            }
-            for (&s, step) in positions.iter().zip(self.step_many_borrowed(&batch)?) {
-                out[s].push(step);
-            }
-        }
-        Ok(out)
-    }
-
-    /// Up-front whole-batch validation: feature arity of every entry, then
-    /// admission of every *new* stream against the per-shard cap. Failing
-    /// here guarantees no shard has been touched.
-    fn precheck_batch(
-        &mut self,
-        n: usize,
-        entry: impl Fn(usize) -> (StreamId, usize),
-    ) -> Result<(), CoreError> {
-        for i in 0..n {
-            self.shards[0].engine.check_arity(entry(i).1)?;
-        }
-        self.precheck_admissions(n, |i| entry(i).0)
-    }
-
-    /// Admission half of the batch precheck: every *new* stream must fit
-    /// under the per-shard cap, counting the batch's own new streams
-    /// against it. Reports the first stream that would overflow.
-    fn precheck_admissions(
-        &mut self,
-        n: usize,
-        stream_of: impl Fn(usize) -> StreamId,
+    /// Checks that the streams in `new` — ids that are not live yet,
+    /// repeats allowed — all fit under the per-shard cap together.
+    /// Reports the first stream that would overflow.
+    pub(crate) fn check_admissions(
+        &self,
+        new: impl Iterator<Item = StreamId>,
     ) -> Result<(), CoreError> {
         let Some(cap) = self.max_streams_per_shard else {
             return Ok(());
         };
-        let mut scratch = std::mem::take(&mut self.admit_scratch);
-        scratch.clear();
-        for i in 0..n {
-            let stream = stream_of(i);
-            let shard = self.shard_of(stream);
-            if self.shards[shard].engine.stream_len(stream).is_none() {
-                scratch.push((shard, stream));
+        let mut new: Vec<(usize, StreamId)> = new.map(|s| (self.shard_of(s), s)).collect();
+        new.sort_unstable();
+        new.dedup();
+        for group in new.chunk_by(|a, b| a.0 == b.0) {
+            let shard = group[0].0;
+            let live = self.live[shard];
+            if let Some(&(_, stream)) = group.get(cap.saturating_sub(live)) {
+                return Err(admission_error(
+                    stream,
+                    AdmissionReason::ShardFull { shard, live, cap },
+                ));
             }
         }
-        scratch.sort_unstable();
-        scratch.dedup();
-        let mut outcome = Ok(());
-        let mut idx = 0;
-        'shards: while idx < scratch.len() {
-            let shard = scratch[idx].0;
-            let live = self.shards[shard].engine.n_streams();
-            let mut admitted = 0;
-            while idx < scratch.len() && scratch[idx].0 == shard {
-                if live + admitted >= cap {
-                    outcome = Err(admission_error(
-                        scratch[idx].1,
-                        AdmissionReason::ShardFull { shard, live, cap },
-                    ));
-                    break 'shards;
-                }
-                admitted += 1;
-                idx += 1;
-            }
-        }
-        self.admit_scratch = scratch;
-        outcome
-    }
-
-    /// Routes batch positions into the per-shard dispatch lists (reused
-    /// across waves; batch order is preserved within each shard).
-    fn route_batch(&mut self, n: usize, stream_of: impl Fn(usize) -> StreamId) {
-        for shard in &mut self.shards {
-            shard.positions.clear();
-        }
-        for i in 0..n {
-            let shard = self.shard_of(stream_of(i));
-            self.shards[shard].positions.push(i);
-        }
-    }
-
-    /// Merges the per-shard wave results back into batch order through the
-    /// reusable scatter table. Errors report the lowest affected shard.
-    /// The returned `Vec` is the one allocation inherent to the API.
-    fn merge_waves(
-        &mut self,
-        n: usize,
-        per_shard: Vec<Result<Vec<TauwStep>, CoreError>>,
-    ) -> Result<Vec<TauwStep>, CoreError> {
-        let results = &mut self.results;
-        results.clear();
-        results.resize(n, None);
-        let mut first_err: Option<CoreError> = None;
-        for (shard, outcome) in self.shards.iter().zip(per_shard) {
-            match outcome {
-                Ok(steps) => {
-                    for (&i, step) in shard.positions.iter().zip(steps) {
-                        results[i] = Some(step);
-                    }
-                }
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        Ok(results
-            .iter_mut()
-            .map(|r| r.take().expect("every batch position produced a result"))
-            .collect())
+        Ok(())
     }
 
     /// Exports one shard's complete per-stream state as a persistable
@@ -762,41 +306,37 @@ impl ShardedEngine {
     /// Returns [`CoreError::InvalidInput`] for an out-of-range shard
     /// index.
     pub fn snapshot_shard(&self, shard: usize) -> Result<EngineShardState, CoreError> {
-        let entry = self
-            .shards
-            .get(shard)
-            .ok_or_else(|| CoreError::InvalidInput {
+        if shard >= self.n_shards() {
+            return Err(CoreError::InvalidInput {
                 reason: format!(
                     "shard index {shard} is out of range for {} shards",
-                    self.shards.len()
+                    self.n_shards()
                 ),
-            })?;
-        let streams = entry
-            .engine
-            .stream_ids()
-            .into_iter()
-            .map(|stream| {
-                let (buffer, adaptive) = entry
-                    .engine
-                    .export_stream(stream)
-                    .expect("listed stream exists");
+            });
+        }
+        let streams = self
+            .index
+            .iter()
+            .filter(|&(&stream, _)| self.shard_of(stream) == shard)
+            .map(|(&stream, &row)| {
+                let row = &self.rows[row as usize];
                 StreamState {
                     stream,
-                    buffer,
-                    adaptive,
+                    buffer: row.buffer.clone(),
+                    adaptive: row.adaptive.as_deref().cloned(),
                 }
             })
             .collect();
         Ok(EngineShardState {
             shard,
-            n_shards: self.shards.len(),
+            n_shards: self.n_shards(),
             streams,
         })
     }
 
     /// Snapshots every shard (index order).
     pub fn snapshot(&self) -> Vec<EngineShardState> {
-        (0..self.shards.len())
+        (0..self.n_shards())
             .map(|shard| {
                 self.snapshot_shard(shard)
                     .expect("in-range shard index cannot fail")
@@ -808,9 +348,9 @@ impl ShardedEngine {
     /// into the *current* shard layout — so a snapshot taken at K shards
     /// restores into K' shards, with bit-identical estimates from there on
     /// (stream state is self-contained). Existing streams with the same id
-    /// are overwritten; admission capacity is validated up front against
-    /// the per-shard cap, so a rejected restore leaves the engine
-    /// untouched.
+    /// are overwritten, adaptive state included; admission capacity is
+    /// validated up front against the per-shard cap, so a rejected restore
+    /// leaves the engine untouched.
     ///
     /// # Errors
     ///
@@ -818,14 +358,26 @@ impl ShardedEngine {
     /// the restored streams would overflow a shard's live-stream cap.
     pub fn restore(&mut self, state: &EngineShardState) -> Result<(), CoreError> {
         state.validate()?;
-        self.precheck_admissions(state.streams.len(), |i| state.streams[i].stream)?;
+        self.check_admissions(
+            state
+                .streams
+                .iter()
+                .map(|entry| entry.stream)
+                .filter(|stream| !self.index.contains_key(stream)),
+        )?;
         for entry in &state.streams {
-            let shard = self.shard_of(entry.stream);
-            self.shards[shard].engine.import_stream(
-                entry.stream,
-                entry.buffer.clone(),
-                entry.adaptive.clone(),
-            );
+            let buffer = entry.buffer.clone();
+            let adaptive = entry.adaptive.clone().map(Box::new);
+            match self.index.get(&entry.stream) {
+                Some(&row) => {
+                    let row = &mut self.rows[row as usize];
+                    row.buffer = buffer;
+                    row.adaptive = adaptive;
+                }
+                None => {
+                    self.insert_row(entry.stream, buffer, adaptive);
+                }
+            }
         }
         Ok(())
     }
@@ -834,8 +386,12 @@ impl ShardedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adaptive::AdaptiveConfig;
     use crate::calibration::CalibrationOptions;
+    use crate::engine::AdaptiveStreamStep;
     use crate::tauw::TauwBuilder;
+    use crate::tauw::TimeseriesAwareWrapper;
+    use crate::training::TrainingSeries;
     use crate::training::TrainingStep;
     use crate::wrapper::WrapperBuilder;
 
@@ -992,10 +548,7 @@ mod tests {
         assert_eq!(engine.stream_len(overflow), None);
         let before: Vec<_> = engine.stream_ids();
         assert!(engine
-            .step_many(&[
-                StreamStep::new(live, vec![0.2], 7),
-                StreamStep::new(overflow, vec![0.2], 7),
-            ])
+            .step_many_borrowed(&[(live, &[0.2], 7), (overflow, &[0.2], 7)])
             .is_err());
         assert_eq!(engine.stream_ids(), before, "failed batch mutated state");
         assert_eq!(
@@ -1018,10 +571,7 @@ mod tests {
             probe += 1;
         }
         assert!(engine
-            .step_many(&[
-                StreamStep::new(fresh[0], vec![0.2], 7),
-                StreamStep::new(fresh[1], vec![0.2], 7),
-            ])
+            .step_many_borrowed(&[(fresh[0], &[0.2], 7), (fresh[1], &[0.2], 7)])
             .is_err());
         // One alone is admitted: end_stream reclaimed the capacity.
         engine.step(fresh[0], &[0.2], 7).unwrap();
@@ -1108,10 +658,7 @@ mod tests {
         let mut engine = ShardedEngine::new(fitted(), 3);
         engine.step(StreamId(1), &[0.3], 7).unwrap();
         assert!(matches!(
-            engine.step_many(&[
-                StreamStep::new(StreamId(1), vec![0.1], 7),
-                StreamStep::new(StreamId(2), vec![0.1, 0.2], 7),
-            ]),
+            engine.step_many_borrowed(&[(StreamId(1), &[0.1], 7), (StreamId(2), &[0.1, 0.2], 7)]),
             Err(CoreError::FeatureArityMismatch { .. })
         ));
         assert_eq!(engine.stream_len(StreamId(1)), Some(1));

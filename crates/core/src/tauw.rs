@@ -498,7 +498,8 @@ impl TimeseriesAwareWrapper {
         self.taqim.min_uncertainty()
     }
 
-    /// Moves the wrapper into a multi-stream [`crate::engine::TauwEngine`].
+    /// Moves the wrapper into a one-shard multi-stream
+    /// [`crate::engine::TauwEngine`].
     pub fn into_engine(self) -> crate::engine::TauwEngine {
         crate::engine::TauwEngine::new(self)
     }
@@ -525,7 +526,7 @@ impl TimeseriesAwareWrapper {
     /// Processes one timestep against an externally owned buffer and
     /// serving scratch. This is **the** per-step computation:
     /// [`TauwSession::step`] and the multi-stream
-    /// [`crate::engine::TauwEngine`] wave workers all delegate here, so a
+    /// [`crate::sharded::ShardedEngine`] wave workers all delegate here, so a
     /// batched engine step is exactly a session step by construction.
     ///
     /// Every stage is O(1) in the series length: both tree lookups run on
@@ -705,7 +706,7 @@ impl TauwSession<'_> {
     /// object reported by tracking). This resets the fusion window **and**
     /// the lifetime step counter — the next step's `series_length` (and
     /// taQF2) restarts at 1, exactly like
-    /// [`crate::engine::TauwEngine::begin_series`] on the multi-stream
+    /// [`crate::sharded::ShardedEngine::begin_series`] on the multi-stream
     /// path (the regression suite pins both).
     pub fn begin_series(&mut self) {
         self.buffer.clear();

@@ -126,55 +126,55 @@ impl FlatTree {
             n_features: tree.n_features(),
             n_classes: tree.n_classes(),
         };
-        flat.lower(tree, 0);
-        flat
-    }
-
-    /// Emits the subtree rooted at arena node `id`, returning its flat
-    /// offset. Pre-order, left before right — the same order
-    /// [`DecisionTree::compact`] uses, so flat offsets are stable and
-    /// readable.
-    fn lower(&mut self, tree: &DecisionTree, id: NodeId) -> u32 {
-        let slot = self.feature.len();
-        self.feature.push(LEAF_SENTINEL);
-        self.threshold.push(0.0);
-        self.children.push([0, 0]);
-        match tree.node(id).kind {
-            NodeKind::Leaf => {
-                let info = &tree.node(id).info;
-                let leaf_id = self.leaves.len() as u32;
-                // Majority class with ties to the lowest id — the exact
-                // argmax loop of `DecisionTree::predict`.
-                let mut class = 0u32;
-                let mut best_count = 0u64;
-                for (c, &count) in info.counts.iter().enumerate() {
-                    if count > best_count {
-                        class = c as u32;
-                        best_count = count;
-                    }
-                }
-                self.leaves.push(FlatLeaf {
-                    node_id: id,
-                    n: info.n,
-                    counts: info.counts.clone(),
-                    class,
-                });
-                self.children[slot] = [leaf_id, leaf_id];
+        // Pre-order, left before right — the same order
+        // [`DecisionTree::compact`] uses, so flat offsets are stable and
+        // readable. An explicit stack of (node, parent slot, side) keeps
+        // arbitrarily deep trees off the call stack.
+        let mut stack: Vec<(NodeId, Option<(usize, usize)>)> = vec![(0, None)];
+        while let Some((id, parent)) = stack.pop() {
+            let slot = flat.feature.len();
+            if let Some((parent, side)) = parent {
+                flat.children[parent][side] = slot as u32;
             }
-            NodeKind::Internal {
-                feature,
-                threshold,
-                left,
-                right,
-            } => {
-                self.feature[slot] = feature as u32;
-                self.threshold[slot] = threshold;
-                let flat_left = self.lower(tree, left);
-                let flat_right = self.lower(tree, right);
-                self.children[slot] = [flat_left, flat_right];
+            flat.feature.push(LEAF_SENTINEL);
+            flat.threshold.push(0.0);
+            flat.children.push([0, 0]);
+            match tree.node(id).kind {
+                NodeKind::Leaf => {
+                    let info = &tree.node(id).info;
+                    let leaf_id = flat.leaves.len() as u32;
+                    // Majority class with ties to the lowest id — the exact
+                    // argmax loop of `DecisionTree::predict`.
+                    let mut class = 0u32;
+                    let mut best_count = 0u64;
+                    for (c, &count) in info.counts.iter().enumerate() {
+                        if count > best_count {
+                            class = c as u32;
+                            best_count = count;
+                        }
+                    }
+                    flat.leaves.push(FlatLeaf {
+                        node_id: id,
+                        n: info.n,
+                        counts: info.counts.clone(),
+                        class,
+                    });
+                    flat.children[slot] = [leaf_id, leaf_id];
+                }
+                NodeKind::Internal {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                } => {
+                    flat.feature[slot] = feature as u32;
+                    flat.threshold[slot] = threshold;
+                    stack.push((right, Some((slot, 1))));
+                    stack.push((left, Some((slot, 0))));
+                }
             }
         }
-        slot as u32
+        flat
     }
 
     /// Number of features the source tree was trained on.
@@ -464,6 +464,52 @@ mod tests {
         assert_eq!(flat.n_leaves(), 1);
         assert_eq!(flat.predict_leaf_id(&[123.0]).unwrap(), 0);
         assert_eq!(flat.predict(&[-5.0]).unwrap(), 1);
+    }
+
+    #[test]
+    fn a_100k_deep_chain_lowers_on_a_2_mib_stack() {
+        // Level d splits `x <= d` into a leaf (left) and level d + 1.
+        let depth = 100_000;
+        let leaf = |class: usize| Node {
+            info: NodeInfo {
+                n: 1,
+                counts: if class == 0 { vec![1, 0] } else { vec![0, 1] },
+                impurity: 0.0,
+                depth: 0,
+            },
+            kind: NodeKind::Leaf,
+        };
+        let mut nodes = Vec::with_capacity(2 * depth + 1);
+        for d in 0..depth {
+            nodes.push(Node {
+                info: NodeInfo {
+                    n: 2,
+                    counts: vec![1, 1],
+                    impurity: 0.5,
+                    depth: d,
+                },
+                kind: NodeKind::Internal {
+                    feature: 0,
+                    threshold: d as f64,
+                    left: 2 * d + 1,
+                    right: 2 * d + 2,
+                },
+            });
+            nodes.push(leaf(d % 2));
+        }
+        nodes.push(leaf(1));
+        let tree = DecisionTree::from_parts(nodes, 1, 2, vec!["x".into()]).unwrap();
+        let flat = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || FlatTree::from_tree(&tree))
+            .unwrap()
+            .join()
+            .expect("lowering a deep chain must not overflow the stack");
+        assert_eq!(flat.n_nodes(), 2 * depth + 1);
+        assert_eq!(flat.n_leaves(), depth + 1);
+        assert_eq!(flat.predict_leaf_id(&[0.0]).unwrap(), 0);
+        assert_eq!(flat.predict_leaf_id(&[2.5]).unwrap(), 3);
+        assert_eq!(flat.predict_leaf_id(&[1e9]).unwrap(), depth as LeafId);
     }
 
     #[test]

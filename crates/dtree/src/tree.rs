@@ -53,7 +53,12 @@ pub struct Node {
 /// Trees are built by [`crate::builder::TreeBuilder`]; this type owns the
 /// node arena and provides prediction and structural editing. The root is
 /// always node `0`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Deserialization funnels through [`DecisionTree::from_parts`], so a
+/// crafted payload cannot smuggle in a node graph that is not a tree.
+/// Persist trees after [`DecisionTree::compact`]: an arena that still
+/// holds nodes unreachable from the root does not load.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DecisionTree {
     nodes: Vec<Node>,
     n_features: usize,
@@ -61,20 +66,39 @@ pub struct DecisionTree {
     feature_names: Vec<String>,
 }
 
+impl Deserialize for DecisionTree {
+    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
+        let map = serde::__expect_map(value, "DecisionTree")?;
+        let field = |name| serde::__field(map, name, "DecisionTree");
+        DecisionTree::from_parts(
+            Vec::<Node>::deserialize(field("nodes")?)?,
+            usize::deserialize(field("n_features")?)?,
+            u32::deserialize(field("n_classes")?)?,
+            Vec::<String>::deserialize(field("feature_names")?)?,
+        )
+        .map_err(|e| serde::Error::custom(e.to_string()))
+    }
+}
+
 impl DecisionTree {
     /// Assembles a tree from raw parts. Intended for the builder and for
-    /// deserialization paths; validates basic structural invariants.
+    /// deserialization paths; validates the structural invariants every
+    /// traversal relies on.
     ///
     /// # Errors
     ///
-    /// Returns [`DtreeError`] if the arena is empty or child indices are out
-    /// of bounds.
+    /// Returns [`DtreeError`] if the arena is empty, a child index or
+    /// feature is out of bounds, a threshold is not finite, or the nodes
+    /// do not form one tree rooted at node `0` (the root has a parent, or
+    /// another node has no parent or several — which also rules out
+    /// cycles).
     pub fn from_parts(
         nodes: Vec<Node>,
         n_features: usize,
         n_classes: u32,
         feature_names: Vec<String>,
     ) -> Result<Self, DtreeError> {
+        let invalid = |constraint| Err(DtreeError::InvalidHyperParameter { constraint });
         if nodes.is_empty() {
             return Err(DtreeError::EmptyDataset);
         }
@@ -83,15 +107,35 @@ impl DecisionTree {
                 left,
                 right,
                 feature,
-                ..
+                threshold,
             } = node.kind
             {
                 if left >= nodes.len() || right >= nodes.len() || feature >= n_features {
-                    return Err(DtreeError::InvalidHyperParameter {
-                        constraint: "node references out of bounds",
-                    });
+                    return invalid("node references out of bounds");
+                }
+                if !threshold.is_finite() {
+                    return invalid("split thresholds must be finite");
                 }
             }
+        }
+        // A walk from the root meets every node exactly once iff the arena
+        // is one tree: a node met twice has two parents (or closes a
+        // cycle), and a node never met has none.
+        let mut seen = vec![false; nodes.len()];
+        let mut stack = vec![0];
+        let mut n_seen = 0;
+        while let Some(id) = stack.pop() {
+            if std::mem::replace(&mut seen[id], true) {
+                return invalid("every node but the root must have exactly one parent");
+            }
+            n_seen += 1;
+            if let NodeKind::Internal { left, right, .. } = nodes[id].kind {
+                stack.push(right);
+                stack.push(left);
+            }
+        }
+        if n_seen != nodes.len() {
+            return invalid("every node must be reachable from the root");
         }
         Ok(DecisionTree {
             nodes,
@@ -474,6 +518,52 @@ mod tests {
         }];
         assert!(DecisionTree::from_parts(bad, 1, 2, vec!["f0".into()]).is_err());
         assert!(DecisionTree::from_parts(vec![], 1, 2, vec!["f0".into()]).is_err());
+    }
+
+    #[test]
+    fn from_parts_and_deserialization_reject_graphs_that_are_not_one_tree() {
+        let parts = |tree: &DecisionTree| tree.nodes.clone();
+        let rebuild = |nodes: Vec<Node>| {
+            DecisionTree::from_parts(nodes, 2, 2, vec!["f0".into(), "f1".into()])
+        };
+        let set_children = |nodes: &mut Vec<Node>, id: NodeId, l: NodeId, r: NodeId| {
+            if let NodeKind::Internal { left, right, .. } = &mut nodes[id].kind {
+                (*left, *right) = (l, r);
+            }
+        };
+        let tree = toy_tree();
+        let mut defects: Vec<(&str, Vec<Node>)> = Vec::new();
+        // Node 2 splits into 3 and 4; point its left child back at the
+        // root (a cycle through a root with a parent) or at itself.
+        let mut back_edge = parts(&tree);
+        set_children(&mut back_edge, 2, 0, 4);
+        defects.push(("back-edge to the root", back_edge));
+        let mut self_loop = parts(&tree);
+        set_children(&mut self_loop, 2, 2, 4);
+        defects.push(("self loop", self_loop));
+        let mut shared = parts(&tree);
+        set_children(&mut shared, 2, 3, 3);
+        defects.push(("shared child", shared));
+        let mut orphan = parts(&tree);
+        orphan.push(orphan[4].clone());
+        defects.push(("orphan", orphan));
+        let mut infinite = parts(&tree);
+        if let NodeKind::Internal { threshold, .. } = &mut infinite[0].kind {
+            *threshold = f64::INFINITY;
+        }
+        defects.push(("infinite threshold", infinite));
+        for (defect, nodes) in defects {
+            assert!(rebuild(nodes.clone()).is_err(), "{defect}");
+            let mut tampered = tree.clone();
+            tampered.nodes = nodes;
+            let json = serde_json::to_string(&tampered).unwrap();
+            assert!(
+                serde_json::from_str::<DecisionTree>(&json).is_err(),
+                "{defect} must not deserialize"
+            );
+        }
+        let json = serde_json::to_string(&tree).unwrap();
+        assert_eq!(serde_json::from_str::<DecisionTree>(&json).unwrap(), tree);
     }
 
     #[test]

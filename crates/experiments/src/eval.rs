@@ -3,8 +3,8 @@
 //!
 //! The replay runs on the multi-stream [`TauwEngine`]: every test window is
 //! a stream, and each wave of the window advances all streams through one
-//! batched [`TauwEngine::step_many`] call — the same inference path a
-//! production deployment would use. Every per-step estimate routes through
+//! batched [`tauw_core::sharded::ShardedEngine::step_many_borrowed`] call — the same inference
+//! path a production deployment would use. Every per-step estimate routes through
 //! the compiled [`tauw_dtree::FlatTree`] serving form (one SoA traversal
 //! plus a leaf-ID bound lookup per model). Results are bit-identical to
 //! replaying each series through its own [`tauw_core::tauw::TauwSession`],
@@ -152,7 +152,8 @@ pub struct TestEvaluation {
 /// approach's uncertainty per case.
 ///
 /// Every series becomes one engine stream; step `j` of all series is
-/// submitted as one batched [`TauwEngine::step_many`] wave. The engine
+/// submitted as one batched [`tauw_core::sharded::ShardedEngine::step_many_borrowed`] wave
+/// (see [`tauw_core::sharded::ShardedEngine::step_series_waves`]). The engine
 /// guarantees stream independence, so the records are bit-identical to the
 /// sequential one-session-per-series replay, in the same (series, step)
 /// order.

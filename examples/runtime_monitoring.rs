@@ -3,14 +3,14 @@
 //! fixed residual-risk budget when uncertainty estimates are
 //! timeseries-aware?
 //!
-//! The replay runs on the sharded multi-stream front end
+//! The replay runs on the sharded multi-stream engine
 //! ([`ShardedEngine`]): test windows are served in cohorts of concurrent
-//! streams, each stream hash-routed to one of a few single-threaded engine
-//! shards, each frame advancing the whole cohort through one batched wave
-//! across all shards — the service deployment shape where one trained
-//! wrapper monitors many vehicles at once. Sharding is pure routing, so
-//! the estimates are bit-identical to per-series sessions (and to the
-//! unsharded [`TauwEngine`]) at any shard count.
+//! streams, each stream hash-assigned to one of a few shards, each frame
+//! advancing the whole cohort through one batched wave — the service
+//! deployment shape where one trained wrapper monitors many vehicles at
+//! once. Shards only partition the stream table, so the estimates are
+//! bit-identical to per-series sessions (and to the one-shard
+//! [`TauwEngine`]) at any shard count.
 //!
 //! ```text
 //! cargo run --release --example runtime_monitoring
@@ -27,7 +27,7 @@ use tauw_suite::sim::{DatasetBuilder, QualityObservation, SeriesRecord, SimConfi
 /// How many streams the engine serves concurrently per cohort.
 const COHORT_STREAMS: usize = 16;
 
-/// How many engine shards the front end routes those streams across.
+/// How many shards the engine partitions those streams into.
 const N_SHARDS: usize = 4;
 
 fn convert(records: &[SeriesRecord]) -> Vec<TrainingSeries> {

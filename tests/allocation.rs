@@ -1,10 +1,13 @@
-//! Steady-state serving performs no heap allocation.
+//! Steady-state serving performs no per-step heap allocation.
 //!
 //! This test binary installs a counting global allocator. The counter is
 //! thread-local, so each test sees only its own allocations, whatever the
 //! harness runs beside it. After a warm-up that sizes every reusable
 //! buffer, plain steps (`step_with_parts` on a bounded buffer) and
 //! adaptive session steps must allocate nothing, for every taQIM shape.
+//! An engine wave makes a fixed number of allocations (the returned
+//! `Vec` and the worker fan-out) however many streams it steps, and
+//! ending streams hands stream-table capacity back.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -12,6 +15,8 @@ use tauw_suite::core::adaptive::AdaptiveConfig;
 use tauw_suite::core::buffer::TimeseriesBuffer;
 use tauw_suite::core::calibration::{CalibrationOptions, ServingScratch};
 use tauw_suite::core::conformal::ConformalOptions;
+use tauw_suite::core::engine::{AdaptiveStreamStep, StreamId, TauwEngine};
+use tauw_suite::core::sharded::ShardedEngine;
 use tauw_suite::core::tauw::{BackendSpec, TauwBuilder, TimeseriesAwareWrapper};
 use tauw_suite::core::training::{TrainingSeries, TrainingStep};
 use tauw_suite::core::wrapper::WrapperBuilder;
@@ -173,5 +178,93 @@ fn warmed_adaptive_steps_do_not_allocate() {
             session.step(&q, outcome, outcome == 3).unwrap();
         }
         assert_eq!(allocations() - before, 0, "{shape} taQIM");
+    }
+}
+
+/// Allocations made by one warmed engine wave that steps each of `n`
+/// streams once.
+fn wave_allocations(
+    wrapper: &TimeseriesAwareWrapper,
+    shards: usize,
+    threads: usize,
+    adaptive: bool,
+    n: usize,
+) -> u64 {
+    let mut engine = ShardedEngine::new(wrapper.clone(), shards);
+    engine.threads(threads).buffer_capacity(8);
+    engine.enable_adaptation(AdaptiveConfig::default()).unwrap();
+    let traffic: Vec<([f64; 1], u32)> = (0..n).map(traffic).collect();
+    let plain: Vec<(StreamId, &[f64], u32)> = traffic
+        .iter()
+        .enumerate()
+        .map(|(s, (q, outcome))| (StreamId(s as u64), &q[..], *outcome))
+        .collect();
+    let adaptive_batch: Vec<AdaptiveStreamStep> = traffic
+        .iter()
+        .enumerate()
+        .map(|(s, (q, outcome))| {
+            AdaptiveStreamStep::new(StreamId(s as u64), q.to_vec(), *outcome, *outcome == 3)
+        })
+        .collect();
+    let mut wave = || match adaptive {
+        true => engine.step_many_adaptive(&adaptive_batch).unwrap(),
+        false => engine.step_many_borrowed(&plain).unwrap(),
+    };
+    // Fill the bounded buffers and the coverage rings.
+    for _ in 0..32 {
+        wave();
+    }
+    let before = allocations();
+    drop(wave());
+    allocations() - before
+}
+
+#[test]
+fn warmed_wave_allocations_do_not_grow_with_the_stream_count() {
+    let (_, wrapper) = wrappers().remove(0);
+    for adaptive in [false, true] {
+        for shards in [1, 2] {
+            for threads in [1, 2] {
+                let small = wave_allocations(&wrapper, shards, threads, adaptive, 16);
+                let large = wave_allocations(&wrapper, shards, threads, adaptive, 1024);
+                assert_eq!(
+                    small, large,
+                    "adaptive={adaptive} K={shards} threads={threads}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn ending_streams_hands_stream_table_capacity_back() {
+    let (_, wrapper) = wrappers().remove(0);
+    let mut engine = TauwEngine::new(wrapper.clone());
+    let q = [0.3];
+    let batch: Vec<(StreamId, &[f64], u32)> = (0..64).map(|s| (StreamId(s), &q[..], 7)).collect();
+    engine.step_many_borrowed(&batch).unwrap();
+    let peak = engine.stream_capacity();
+    assert!(peak >= 64);
+    for s in 4..64 {
+        assert!(engine.end_stream(StreamId(s)));
+    }
+    assert!(
+        !engine.end_stream(StreamId(999)),
+        "unknown streams are a no-op"
+    );
+    assert!(
+        engine.stream_capacity() < peak,
+        "4 live streams still pin a table of {} rows",
+        engine.stream_capacity()
+    );
+
+    // The survivors keep serving exactly like dedicated sessions.
+    let q2 = [0.6];
+    let survivors: Vec<(StreamId, &[f64], u32)> =
+        (0..4).map(|s| (StreamId(s), &q2[..], 3)).collect();
+    for got in engine.step_many_borrowed(&survivors).unwrap() {
+        let mut session = wrapper.new_session();
+        session.step(&q, 7).unwrap();
+        assert_eq!(got, session.step(&q2, 3).unwrap());
     }
 }

@@ -263,7 +263,7 @@ fn tauw_flat_serving_matches_pointer_reference_paths() {
     // pointer trees stay aboard as the reference. Recompute every estimate
     // through the reference path and demand bitwise equality, across
     // engine thread budgets 1/2/8.
-    use tauw_suite::core::engine::{StreamId, StreamStep, TauwEngine};
+    use tauw_suite::core::engine::{StreamId, TauwEngine};
 
     let config = SimConfig::scaled(0.04);
     let data = DatasetBuilder::new(config, 31).unwrap().build();
@@ -291,18 +291,17 @@ fn tauw_flat_serving_matches_pointer_reference_paths() {
         engine.threads(threads);
         for j in 0..window_len {
             let mut positions = Vec::new();
-            let mut batch = Vec::new();
+            let mut batch: Vec<(StreamId, &[f64], u32)> = Vec::new();
             for (s, series) in streams.iter().enumerate() {
                 if let Some(step) = series.steps.get(j) {
                     positions.push(s);
-                    batch.push(StreamStep::new(
-                        StreamId(s as u64),
-                        step.quality_factors.clone(),
-                        step.outcome,
-                    ));
+                    batch.push((StreamId(s as u64), &step.quality_factors[..], step.outcome));
                 }
             }
-            for (&s, out) in positions.iter().zip(engine.step_many(&batch).unwrap()) {
+            for (&s, out) in positions
+                .iter()
+                .zip(engine.step_many_borrowed(&batch).unwrap())
+            {
                 let qf = &streams[s].steps[j].quality_factors;
                 // Stateless QIM: flat-served value vs pointer reference.
                 let stateless_ref = tauw.stateless().qim().uncertainty_reference(qf).unwrap();
@@ -339,7 +338,7 @@ fn incremental_taqf_serving_matches_full_recompute_reference() {
     // full taQF recompute, pointer-tree taQIM — and demand bitwise
     // equality, across engine thread budgets 1/2/8 and for both unbounded
     // and bounded (sliding-window) stream buffers.
-    use tauw_suite::core::engine::{StreamId, StreamStep, TauwEngine};
+    use tauw_suite::core::engine::{StreamId, TauwEngine};
     use tauw_suite::core::taqf::TaqfVector;
 
     let config = SimConfig::scaled(0.04);
@@ -372,18 +371,17 @@ fn incremental_taqf_serving_matches_full_recompute_reference() {
             }
             for j in 0..window_len {
                 let mut positions = Vec::new();
-                let mut batch = Vec::new();
+                let mut batch: Vec<(StreamId, &[f64], u32)> = Vec::new();
                 for (s, series) in streams.iter().enumerate() {
                     if let Some(step) = series.steps.get(j) {
                         positions.push(s);
-                        batch.push(StreamStep::new(
-                            StreamId(s as u64),
-                            step.quality_factors.clone(),
-                            step.outcome,
-                        ));
+                        batch.push((StreamId(s as u64), &step.quality_factors[..], step.outcome));
                     }
                 }
-                for (&s, out) in positions.iter().zip(engine.step_many(&batch).unwrap()) {
+                for (&s, out) in positions
+                    .iter()
+                    .zip(engine.step_many_borrowed(&batch).unwrap())
+                {
                     let ctx = format!("stream {s} step {j} threads={threads} cap={capacity:?}");
                     let buffer = engine.stream_buffer(StreamId(s as u64)).unwrap();
                     // Fused outcome: O(1) argmax == O(window) vote scan.
@@ -425,7 +423,7 @@ fn forest_engine_serving_is_bit_identical_across_thread_budgets_and_to_reference
     // fits fan out over the thread budget), and every served estimate must
     // be bit-identical across engine thread budgets 1/2/8 AND to the
     // pointer-member reference recompute.
-    use tauw_suite::core::engine::{StreamId, StreamStep, TauwEngine};
+    use tauw_suite::core::engine::{StreamId, TauwEngine};
 
     let config = SimConfig::scaled(0.04);
     let data = DatasetBuilder::new(config, 31).unwrap().build();
@@ -467,18 +465,17 @@ fn forest_engine_serving_is_bit_identical_across_thread_budgets_and_to_reference
         let mut all = Vec::new();
         for j in 0..window_len {
             let mut positions = Vec::new();
-            let mut batch = Vec::new();
+            let mut batch: Vec<(StreamId, &[f64], u32)> = Vec::new();
             for (s, series) in streams.iter().enumerate() {
                 if let Some(step) = series.steps.get(j) {
                     positions.push(s);
-                    batch.push(StreamStep::new(
-                        StreamId(s as u64),
-                        step.quality_factors.clone(),
-                        step.outcome,
-                    ));
+                    batch.push((StreamId(s as u64), &step.quality_factors[..], step.outcome));
                 }
             }
-            for (&s, out) in positions.iter().zip(engine.step_many(&batch).unwrap()) {
+            for (&s, out) in positions
+                .iter()
+                .zip(engine.step_many_borrowed(&batch).unwrap())
+            {
                 let qf = &streams[s].steps[j].quality_factors;
                 // The forest's flat serving path (K traversals + mean in
                 // canonical member order) recomputed via the pointer
@@ -505,7 +502,7 @@ fn forest_engine_serving_is_bit_identical_across_thread_budgets_and_to_reference
 
 #[test]
 fn engine_step_many_matches_sequential_single_stream_wrappers() {
-    use tauw_suite::core::engine::{StreamId, StreamStep, TauwEngine};
+    use tauw_suite::core::engine::{StreamId, TauwEngine};
 
     let config = SimConfig::scaled(0.04);
     let data = DatasetBuilder::new(config, 31).unwrap().build();
@@ -550,18 +547,17 @@ fn engine_step_many_matches_sequential_single_stream_wrappers() {
         let mut got: Vec<Vec<tauw_suite::core::tauw::TauwStep>> = vec![Vec::new(); streams.len()];
         for j in 0..window_len {
             let mut positions = Vec::new();
-            let mut batch = Vec::new();
+            let mut batch: Vec<(StreamId, &[f64], u32)> = Vec::new();
             for (s, series) in streams.iter().enumerate() {
                 if let Some(step) = series.steps.get(j) {
                     positions.push(s);
-                    batch.push(StreamStep::new(
-                        StreamId(s as u64),
-                        step.quality_factors.clone(),
-                        step.outcome,
-                    ));
+                    batch.push((StreamId(s as u64), &step.quality_factors[..], step.outcome));
                 }
             }
-            for (&s, out) in positions.iter().zip(engine.step_many(&batch).unwrap()) {
+            for (&s, out) in positions
+                .iter()
+                .zip(engine.step_many_borrowed(&batch).unwrap())
+            {
                 got[s].push(out);
             }
         }
@@ -789,24 +785,20 @@ fn warmed_engine_wave_scratch_replays_bit_identically() {
     }
 
     // Same replay property for the plain (non-adaptive) wave path.
-    use tauw_suite::core::engine::StreamStep;
     let run_plain = |engine: &mut TauwEngine| {
         let mut all = Vec::new();
         for j in 0..window_len {
-            let batch: Vec<StreamStep> = streams
+            let batch: Vec<(StreamId, &[f64], u32)> = streams
                 .iter()
                 .enumerate()
                 .filter_map(|(s, series)| {
-                    series.steps.get(j).map(|step| {
-                        StreamStep::new(
-                            StreamId(s as u64),
-                            step.quality_factors.clone(),
-                            step.outcome,
-                        )
-                    })
+                    series
+                        .steps
+                        .get(j)
+                        .map(|step| (StreamId(s as u64), &step.quality_factors[..], step.outcome))
                 })
                 .collect();
-            all.extend(engine.step_many(&batch).unwrap());
+            all.extend(engine.step_many_borrowed(&batch).unwrap());
         }
         all
     };
@@ -904,7 +896,7 @@ fn sharded_engine_matches_sequential_sessions_across_shard_and_thread_grid() {
                 }
                 let serving = if moved { &mut resharded } else { &mut engine };
                 let mut positions = Vec::new();
-                let mut batch = Vec::new();
+                let mut batch: Vec<(StreamId, &[f64], u32)> = Vec::new();
                 for (s, series) in streams.iter().enumerate() {
                     if let Some(step) = series.steps.get(j) {
                         positions.push(s);

@@ -970,20 +970,27 @@ proptest! {
     fn sharded_serving_is_bitwise_identical_to_sequential_sessions(
         // Shard counts 1/2/7 x thread budgets 1/2/8, plain and adaptive,
         // with a snapshot -> restore into a different shard count at a
-        // random wave mid-replay: the front end must be a pure router,
-        // reproducing N dedicated sequential sessions bit for bit.
+        // random wave mid-replay: the engine must reproduce one dedicated
+        // sequential session per stream bit for bit. Each wave steps a
+        // random subset of the streams (some twice, in random order), and
+        // streams end and come back, restarting from a fresh session.
         n_streams in 1usize..10,
-        waves in 1usize..9,
+        waves in 1usize..12,
         traffic_seed in 0u64..u64::MAX,
         shard_sel in 0usize..3,
         thread_sel in 0usize..3,
         snap_frac in 0.0f64..1.0,
         adaptive in prop::bool::ANY,
     ) {
-        use tauw_suite::core::adaptive::AdaptiveConfig;
+        use tauw_suite::core::adaptive::{AdaptiveConfig, AdaptiveTauwSession};
         use tauw_suite::core::engine::{AdaptiveStreamStep, StreamId};
         use tauw_suite::core::sharded::ShardedEngine;
-        use tauw_suite::core::tauw::TauwStep;
+        use tauw_suite::core::tauw::{TauwSession, TauwStep};
+
+        enum Reference<'w> {
+            Plain(TauwSession<'w>),
+            Adaptive(AdaptiveTauwSession<'w>),
+        }
 
         let shards = [1usize, 2, 7][shard_sel];
         let threads = [1usize, 2, 8][thread_sel];
@@ -997,47 +1004,28 @@ proptest! {
             max_inflation_steps: 16,
             ..Default::default()
         };
+        let fresh_reference = || {
+            if adaptive {
+                Reference::Adaptive(tauw.new_adaptive_session(config).unwrap())
+            } else {
+                Reference::Plain(tauw.new_session())
+            }
+        };
 
-        // Deterministic per-(stream, wave) traffic in the trained domain.
-        let step_of = |s: usize, w: usize| -> (f64, u32) {
+        // Deterministic draws per (stream, wave, purpose).
+        let draw = |s: usize, w: usize, purpose: u64| -> f64 {
             let mut state = traffic_seed
                 ^ (s as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                ^ (w as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            let mut next = move || {
+                ^ (w as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9)
+                ^ purpose.wrapping_mul(0x94D0_49BB_1331_11EB);
+            for _ in 0..2 {
                 state = state
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
-                (state >> 11) as f64 / (1u64 << 53) as f64
-            };
-            let q = next();
-            let outcome = if next() < (q * 0.9).min(0.95) { 3 } else { 7 };
-            (q, outcome)
+            }
+            (state >> 11) as f64 / (1u64 << 53) as f64
         };
 
-        // Reference: one dedicated sequential session per stream.
-        let mut expected: Vec<Vec<TauwStep>> = Vec::with_capacity(n_streams);
-        for s in 0..n_streams {
-            let mut out = Vec::with_capacity(waves);
-            if adaptive {
-                let mut session = tauw.new_adaptive_session(config).unwrap();
-                session.begin_series();
-                for w in 0..waves {
-                    let (q, outcome) = step_of(s, w);
-                    out.push(session.step(&[q], outcome, outcome != 7).unwrap());
-                }
-            } else {
-                let mut session = tauw.new_session();
-                session.begin_series();
-                for w in 0..waves {
-                    let (q, outcome) = step_of(s, w);
-                    out.push(session.step(&[q], outcome).unwrap());
-                }
-            }
-            expected.push(out);
-        }
-
-        // Sharded: all streams advance together, one wave per timestep,
-        // moving to a resharded engine at the snapshot wave.
         let mut engine = ShardedEngine::new(tauw.clone(), shards);
         engine.threads(threads);
         let mut resharded = ShardedEngine::new(tauw.clone(), reshard);
@@ -1046,9 +1034,11 @@ proptest! {
             engine.enable_adaptation(config).unwrap();
             resharded.enable_adaptation(config).unwrap();
         }
+        // `None` marks a stream the engine does not hold.
+        let mut references: Vec<Option<Reference>> = (0..n_streams).map(|_| None).collect();
+        let mut lengths = vec![0u64; n_streams];
         let snap_at = ((waves as f64) * snap_frac) as usize;
         let mut moved = false;
-        let mut got: Vec<Vec<TauwStep>> = vec![Vec::new(); n_streams];
         for w in 0..waves {
             if w == snap_at {
                 for state in engine.snapshot() {
@@ -1059,39 +1049,112 @@ proptest! {
                 moved = true;
             }
             let serving = if moved { &mut resharded } else { &mut engine };
+
+            // Lifecycle: live streams may end; ended streams may begin a
+            // fresh series (or come back implicitly by being stepped).
+            for s in 0..n_streams {
+                let roll = draw(s, w, 1);
+                if references[s].is_some() && roll < 0.2 {
+                    prop_assert!(serving.end_stream(id_of(s)));
+                    references[s] = None;
+                } else if let (Some(reference), true) = (&mut references[s], roll < 0.3) {
+                    // A new series on a live stream keeps its adaptive state.
+                    prop_assert!(serving.begin_series(id_of(s)).is_accepted());
+                    match reference {
+                        Reference::Plain(session) => session.begin_series(),
+                        Reference::Adaptive(session) => session.begin_series(),
+                    }
+                    lengths[s] = 0;
+                } else if references[s].is_none() && roll > 0.7 {
+                    prop_assert!(serving.begin_series(id_of(s)).is_accepted());
+                    references[s] = Some(fresh_reference());
+                    lengths[s] = 0;
+                }
+            }
+
+            // The wave: each stream 0, 1 or 2 times, in a random order.
+            let mut entries: Vec<(f64, usize, f64, u32)> = Vec::new();
+            for s in 0..n_streams {
+                let copies = (draw(s, w, 2) * 3.0) as usize;
+                for copy in 0..copies {
+                    let q = draw(s, w, 3 + copy as u64);
+                    let outcome = if draw(s, w, 5 + copy as u64) < (q * 0.9).min(0.95) { 3 } else { 7 };
+                    entries.push((draw(s, w, 7 + copy as u64), s, q, outcome));
+                }
+            }
+            entries.sort_by(|a, b| a.0.total_cmp(&b.0));
             let outputs = if adaptive {
-                let batch: Vec<AdaptiveStreamStep> = (0..n_streams)
-                    .map(|s| {
-                        let (q, outcome) = step_of(s, w);
-                        AdaptiveStreamStep::new(id_of(s), vec![q], outcome, outcome != 7)
-                    })
+                let batch: Vec<AdaptiveStreamStep> = entries
+                    .iter()
+                    .map(|&(_, s, q, outcome)| AdaptiveStreamStep::new(id_of(s), vec![q], outcome, outcome != 7))
                     .collect();
                 serving.step_many_adaptive(&batch).unwrap()
             } else {
-                let features: Vec<[f64; 1]> = (0..n_streams)
-                    .map(|s| [step_of(s, w).0])
-                    .collect();
-                let batch: Vec<(StreamId, &[f64], u32)> = (0..n_streams)
-                    .map(|s| (id_of(s), &features[s][..], step_of(s, w).1))
+                let features: Vec<[f64; 1]> = entries.iter().map(|e| [e.2]).collect();
+                let batch: Vec<(StreamId, &[f64], u32)> = entries
+                    .iter()
+                    .zip(&features)
+                    .map(|(&(_, s, _, outcome), q)| (id_of(s), &q[..], outcome))
                     .collect();
                 serving.step_many_borrowed(&batch).unwrap()
             };
-            for (s, out) in outputs.into_iter().enumerate() {
-                got[s].push(out);
+            prop_assert_eq!(outputs.len(), entries.len());
+            for (&(_, s, q, outcome), got) in entries.iter().zip(&outputs) {
+                let reference = references[s].get_or_insert_with(|| {
+                    lengths[s] = 0;
+                    fresh_reference()
+                });
+                let want: TauwStep = match reference {
+                    Reference::Plain(session) => session.step(&[q], outcome).unwrap(),
+                    Reference::Adaptive(session) => session.step(&[q], outcome, outcome != 7).unwrap(),
+                };
+                lengths[s] += 1;
+                prop_assert!(
+                    want.uncertainty.to_bits() == got.uncertainty.to_bits(),
+                    "stream {} wave {} shards={}->{} threads={} adaptive={}",
+                    s, w, shards, reshard, threads, adaptive
+                );
+                prop_assert_eq!(&want, got);
+            }
+            let live: Vec<StreamId> = (0..n_streams)
+                .filter(|&s| references[s].is_some())
+                .map(id_of)
+                .collect();
+            let mut sorted = live.clone();
+            sorted.sort_unstable();
+            prop_assert_eq!(serving.stream_ids(), sorted);
+            for s in (0..n_streams).filter(|&s| references[s].is_some()) {
+                prop_assert_eq!(serving.stream_total_steps(id_of(s)), Some(lengths[s]));
             }
         }
         prop_assert!(moved, "snapshot wave must lie inside the replay");
-        for (s, (want, have)) in expected.iter().zip(&got).enumerate() {
-            prop_assert_eq!(want.len(), have.len());
-            for (k, (w, h)) in want.iter().zip(have).enumerate() {
-                prop_assert!(
-                    w.uncertainty.to_bits() == h.uncertainty.to_bits(),
-                    "stream {} step {} shards={}->{} threads={} adaptive={}",
-                    s, k, shards, reshard, threads, adaptive
-                );
-                prop_assert_eq!(w, h);
-            }
+
+        // Admission: cap every shard at its fullest live count, then send a
+        // batch that steps the live streams around one new stream hashing
+        // to a full shard. The rejected batch must leave every stream as it
+        // was.
+        let serving = if moved { &mut resharded } else { &mut engine };
+        if serving.n_streams() == 0 {
+            prop_assert!(serving.admit(id_of(0)).is_accepted());
         }
+        let fullest = (0..serving.n_shards())
+            .max_by_key(|&shard| serving.shard_n_streams(shard))
+            .unwrap();
+        serving.max_streams_per_shard(serving.shard_n_streams(fullest).unwrap());
+        let newcomer = (0..u64::MAX)
+            .map(|k| StreamId(u64::MAX - k))
+            .find(|&id| serving.shard_of(id) == fullest)
+            .unwrap();
+        let ids = serving.stream_ids();
+        let lens: Vec<Option<usize>> = ids.iter().map(|&id| serving.stream_len(id)).collect();
+        let q = [0.5];
+        let mut batch: Vec<(StreamId, &[f64], u32)> = ids.iter().map(|&id| (id, &q[..], 7)).collect();
+        batch.insert(batch.len() / 2, (newcomer, &q[..], 7));
+        let rejected = serving.step_many_borrowed(&batch).unwrap_err().to_string();
+        prop_assert!(rejected.contains("admission rejected"), "{}", rejected);
+        prop_assert_eq!(serving.stream_ids(), ids.clone());
+        let after: Vec<Option<usize>> = ids.iter().map(|&id| serving.stream_len(id)).collect();
+        prop_assert_eq!(after, lens);
     }
 }
 
