@@ -9,11 +9,7 @@
 //!   (training fan-out, series replay, batched engine waves);
 //! * **pointer vs flat** — the arena [`tauw_dtree::DecisionTree`] against
 //!   the compiled [`tauw_dtree::FlatTree`] serving form, on raw leaf
-//!   routing and on the calibrated QIM lookup;
-//! * **engine vs sharded** — the plain multi-stream engine against the
-//!   sharded serving front end replaying a simulated stream cohort
-//!   (steps/s + p99 wave latency; see the `soak` binary for the
-//!   full-scale harness).
+//!   routing and on the calibrated QIM lookup.
 //!
 //! Every row records whether the two sides produced bit-identical outputs;
 //! the CI `bench-regression` job fails the build on any `false`, on schema
@@ -29,7 +25,6 @@
 
 use std::time::Instant;
 use tauw_bench::report::{write_report, Comparison};
-use tauw_bench::soak;
 use tauw_core::buffer::TimeseriesBuffer;
 use tauw_core::engine::TauwEngine;
 use tauw_core::taqf::TaqfVector;
@@ -477,60 +472,6 @@ fn bench_pipeline(opts: &Options) {
         ));
         results.last().expect("just pushed").print();
     }
-
-    // Service-soak row: the sharded front end replaying a simulated stream
-    // cohort against the plain multi-stream engine on the same traffic —
-    // the schema-v9 lock-in for throughput (steps/s) and p99 wave latency
-    // of the serving tier. One replay per side (a soak, not a best-of-N
-    // microbenchmark); the full-scale harness is the `soak` binary.
-    let soak_cfg = soak::SoakConfig {
-        streams: if opts.smoke { 2_000 } else { 20_000 },
-        waves: if opts.smoke { 50 } else { 100 },
-        shards: 8,
-        threads: opts.threads.min(parallel::max_threads()),
-        seed: 0x50AC,
-        scenario: soak::SoakScenario::Uniform,
-    };
-    let soak_wrapper = soak::soak_wrapper();
-    let outcome = soak::run_with_wrapper(&soak_wrapper, &soak_cfg);
-    results.push(
-        Comparison::new(
-            "soak_engine_vs_sharded",
-            outcome.steps,
-            ("engine", outcome.engine.total_s),
-            (
-                &format!("sharded({})", soak_cfg.shards),
-                outcome.sharded.total_s,
-            ),
-            outcome.bit_identical,
-        )
-        .with_p99(outcome.engine.p99_wave_ms, outcome.sharded.p99_wave_ms),
-    );
-    results.last().expect("just pushed").print();
-
-    // The same cohort under the hash-partitioned scenario mix (dropout,
-    // regime switch, heavy tails, multi-source): the schema-v9 lock-in
-    // that scenario-shaped traffic serves at comparable throughput and
-    // stays bit-identical across the sharded front end.
-    let mixed_cfg = soak::SoakConfig {
-        scenario: soak::SoakScenario::Mixed,
-        ..soak_cfg
-    };
-    let mixed = soak::run_with_wrapper(&soak_wrapper, &mixed_cfg);
-    results.push(
-        Comparison::new(
-            "soak_scenario_mixed",
-            mixed.steps,
-            ("engine", mixed.engine.total_s),
-            (
-                &format!("sharded({})", mixed_cfg.shards),
-                mixed.sharded.total_s,
-            ),
-            mixed.bit_identical,
-        )
-        .with_p99(mixed.engine.p99_wave_ms, mixed.sharded.p99_wave_ms),
-    );
-    results.last().expect("just pushed").print();
 
     finish_report(opts, "BENCH_pipeline.json", "pipeline", results);
 }

@@ -1,79 +1,9 @@
-//! Shared fixtures for the taUW criterion benches: a deterministic
-//! scaled-down experiment context plus synthetic forecast/label sets,
-//! the machine-readable baseline [`report`] schema shared by the
-//! `baseline` and `soak` binaries, and the sharded-serving [`soak`]
-//! harness itself.
+//! The `baseline` binary's machine-readable [`report`] schema, and the
+//! one-factor [`soak`] model the serving ledger's `cohort_100k` workload
+//! serves.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod report;
 pub mod soak;
-
-use tauw_experiments::ExperimentContext;
-use tauw_stats::bootstrap::SplitMix64;
-
-/// Seed shared by all benches.
-pub const BENCH_SEED: u64 = 0xBE5C;
-
-/// Builds the small deterministic world the pipeline benches run against
-/// (5% of paper scale ≈ 2k training series, ~200 test windows).
-pub fn small_context() -> ExperimentContext {
-    ExperimentContext::build(0.05, BENCH_SEED).expect("bench context builds")
-}
-
-/// Builds a mid-size context for the table-regeneration benches.
-pub fn medium_context() -> ExperimentContext {
-    ExperimentContext::build(0.1, BENCH_SEED).expect("bench context builds")
-}
-
-/// Deterministic synthetic `(forecasts, failures)` with `n` cases and a
-/// handful of distinct forecast levels (tree-like output shape).
-pub fn synthetic_forecasts(n: usize) -> (Vec<f64>, Vec<bool>) {
-    let levels = [0.005, 0.01, 0.02, 0.05, 0.1, 0.25, 0.6];
-    let mut rng = SplitMix64::new(7);
-    let mut forecasts = Vec::with_capacity(n);
-    let mut failures = Vec::with_capacity(n);
-    for _ in 0..n {
-        let level = levels[rng.next_index(levels.len())];
-        forecasts.push(level);
-        failures.push(rng.next_f64() < level * 0.9);
-    }
-    (forecasts, failures)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn synthetic_forecasts_have_requested_size() {
-        let (f, y) = synthetic_forecasts(1000);
-        assert_eq!(f.len(), 1000);
-        assert_eq!(y.len(), 1000);
-        assert!(f.iter().all(|v| (0.0..=1.0).contains(v)));
-    }
-
-    #[test]
-    fn synthetic_forecasts_are_deterministic() {
-        assert_eq!(synthetic_forecasts(256), synthetic_forecasts(256));
-    }
-
-    #[test]
-    fn context_smoke_builds_at_two_percent_scale() {
-        // A scaled-down version of the fixtures the benches run against;
-        // guards the bench crate's setup path without bench-sized runtimes.
-        let ctx = ExperimentContext::build(0.02, BENCH_SEED).expect("2% context builds");
-        assert!(!ctx.train.is_empty());
-        assert!(!ctx.calib.is_empty());
-        assert!(!ctx.test.is_empty());
-        let mut session = ctx.tauw.new_session();
-        session.begin_series();
-        let series = &ctx.test[0];
-        let step = series.steps.first().expect("test series has steps");
-        let out = session
-            .step(&step.quality_factors, step.outcome)
-            .expect("session steps");
-        assert!((0.0..=1.0).contains(&out.uncertainty));
-    }
-}

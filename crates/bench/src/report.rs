@@ -1,6 +1,6 @@
-//! The machine-readable baseline report schema shared by the `baseline`
-//! and `soak` binaries: one schema tag, one comparison-row shape, one
-//! writer with a programmatically composed reading guide.
+//! The machine-readable baseline report schema the `baseline` binary
+//! writes: one schema tag, one comparison-row shape, one writer with a
+//! programmatically composed reading guide.
 
 use serde::Serialize;
 
@@ -26,18 +26,21 @@ use serde::Serialize;
 /// vs the leafless split-conformal backend of the `TaQim` enum) so
 /// the table-lookup serving cost of the distribution-free estimator is
 /// measured and locked in.
-/// v8: every row carries `baseline_p99_ms` / `contender_p99_ms` tail-latency
-/// columns (`0.0` on rows that only time aggregate wall time), and the
-/// pipeline report gains the `soak_engine_vs_sharded` row — the sharded
-/// serving front end replaying a simulated stream cohort against the plain
-/// multi-stream engine, recording steps/s and p99 wave latency.
+/// v8: every row carries per-side p99 tail-latency columns (`0.0` on rows
+/// that only time aggregate wall time), and the pipeline report gains the
+/// `soak_engine_vs_sharded` row — the sharded serving front end replaying
+/// a simulated stream cohort against the plain multi-stream engine,
+/// recording steps/s and p99 wave latency.
 /// v9: the pipeline report gains the `soak_scenario_mixed` row — the soak
 /// cohort replayed through the hash-partitioned scenario mix (dropout,
 /// regime switch, heavy tails, multi-source overlays on the hashed
 /// traffic), locking in throughput and bit-identity for scenario-shaped
 /// serving; the `soak` binary gains `--scenario`, writing scenario rows
 /// as `soak_scenario_<name>`.
-pub const SCHEMA: &str = "tauw-bench-baseline/v9";
+/// v10: the soak harness is gone, and with it both `soak_*` rows and the
+/// two p99 columns; serving throughput and wave latency are measured by
+/// the serving ledger (`ledgerbench/`).
+pub const SCHEMA: &str = "tauw-bench-baseline/v10";
 
 /// One timed comparison row: a baseline implementation against a
 /// contender, with throughput on both sides and a bit-identity verdict.
@@ -62,19 +65,12 @@ pub struct Comparison {
     pub baseline_per_s: f64,
     /// Contender throughput, work units per second.
     pub contender_per_s: f64,
-    /// p99 per-wave latency of the baseline side, milliseconds. `0.0` on
-    /// rows that only time aggregate wall time (no per-wave samples).
-    pub baseline_p99_ms: f64,
-    /// p99 per-wave latency of the contender side, milliseconds. `0.0` on
-    /// rows that only time aggregate wall time.
-    pub contender_p99_ms: f64,
     /// Whether both sides produced verified bit-identical outputs.
     pub bit_identical: bool,
 }
 
 impl Comparison {
-    /// Builds a row from `(label, seconds)` pairs; the p99 columns start
-    /// at `0.0` — see [`Comparison::with_p99`].
+    /// Builds a row from `(label, seconds)` pairs.
     pub fn new(
         name: &str,
         work_units: u64,
@@ -92,18 +88,8 @@ impl Comparison {
             speedup: baseline_s / contender_s,
             baseline_per_s: work_units as f64 / baseline_s,
             contender_per_s: work_units as f64 / contender_s,
-            baseline_p99_ms: 0.0,
-            contender_p99_ms: 0.0,
             bit_identical,
         }
-    }
-
-    /// Attaches p99 per-wave tail latencies (milliseconds) to the row.
-    #[must_use]
-    pub fn with_p99(mut self, baseline_p99_ms: f64, contender_p99_ms: f64) -> Self {
-        self.baseline_p99_ms = baseline_p99_ms;
-        self.contender_p99_ms = contender_p99_ms;
-        self
     }
 
     /// Prints the row in the one-line console format the binaries use.
@@ -126,7 +112,7 @@ impl Comparison {
 pub struct Report {
     /// [`SCHEMA`].
     pub schema: String,
-    /// Which bench produced the file ("dtree", "pipeline", "soak").
+    /// Which bench produced the file ("dtree" or "pipeline").
     pub bench: String,
     /// Whether the run used the scaled-down CI smoke shape.
     pub smoke: bool,
@@ -210,14 +196,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn comparison_rows_carry_p99_columns() {
+    fn comparison_rows_carry_every_column() {
         let row = Comparison::new("r", 100, ("a", 0.5), ("b", 0.25), true);
-        assert_eq!(row.baseline_p99_ms, 0.0);
-        assert_eq!(row.contender_p99_ms, 0.0);
         assert!((row.speedup - 2.0).abs() < 1e-12);
-        let row = row.with_p99(1.5, 0.75);
-        assert_eq!(row.baseline_p99_ms, 1.5);
-        assert_eq!(row.contender_p99_ms, 0.75);
         let json = serde_json::to_string(&row).expect("row serializes");
         for column in [
             "\"name\"",
@@ -229,8 +210,6 @@ mod tests {
             "\"speedup\"",
             "\"baseline_per_s\"",
             "\"contender_per_s\"",
-            "\"baseline_p99_ms\"",
-            "\"contender_p99_ms\"",
             "\"bit_identical\"",
         ] {
             assert!(json.contains(column), "missing {column} in {json}");
@@ -238,8 +217,8 @@ mod tests {
     }
 
     #[test]
-    fn schema_tag_is_v9() {
-        assert_eq!(SCHEMA, "tauw-bench-baseline/v9");
+    fn schema_tag_is_v10() {
+        assert_eq!(SCHEMA, "tauw-bench-baseline/v10");
     }
 
     #[test]

@@ -1,163 +1,15 @@
-//! Service-soak harness for the sharded serving front end: replays a
-//! large simulated stream cohort through the plain multi-stream
-//! [`TauwEngine`] and the sharded [`ShardedEngine`], recording throughput
-//! (steps/s), p99 per-wave latency, and a bit-identity verdict between
-//! the two sides.
-//!
-//! Traffic is derived per `(stream, wave)` from a [`SplitMix64`] hash of
-//! the two ids, so a 1M-stream cohort needs no stored series — memory is
-//! bounded by the engines' own per-stream buffers, which the harness
-//! bounds to a [`BUFFER_WINDOW`]-step sliding window so cohort memory
-//! stays flat in the wave count. A [`SoakScenario`] reshapes that traffic
-//! into the simulator's workload families (dropout, regime switch, heavy
-//! tails, multi-source, or a hash-partitioned mix) as pure overlays on
-//! the same hash — still stateless, still bit-identical by construction.
-//!
-//! The identity verdict compares an order-sensitive FNV-1a fingerprint
-//! folded over the raw bits of every served output field on each side;
-//! the exhaustive per-step bitwise guarantees live in the core sharded
-//! tests and the workspace determinism/property suites — the soak verdict
-//! is the always-on end-to-end check at cohort scale.
+//! The one-factor model the serving ledger's `cohort_100k` workload
+//! serves. Its trained trees fix that workload's output fingerprint, so
+//! its training data and options must not move.
 
-use std::time::Instant;
 use tauw_core::calibration::CalibrationOptions;
-use tauw_core::engine::{StreamId, TauwEngine};
-use tauw_core::error::CoreError;
-use tauw_core::sharded::ShardedEngine;
-use tauw_core::tauw::{TauwBuilder, TauwStep, TimeseriesAwareWrapper};
+use tauw_core::tauw::{TauwBuilder, TimeseriesAwareWrapper};
 use tauw_core::training::{TrainingSeries, TrainingStep};
 use tauw_core::wrapper::WrapperBuilder;
 use tauw_stats::bootstrap::SplitMix64;
 
-/// Sliding-window bound applied to every stream buffer so cohort memory
-/// is `O(streams × window)`, independent of the wave count.
-pub const BUFFER_WINDOW: usize = 64;
-
-/// Scenario traffic families for the soak cohort, mirroring the
-/// simulator's first-class workload families (`tauw_sim::scenario`) at
-/// serving scale. Each family is a pure function of
-/// `(seed, stream, wave, waves)` — no stored state — so the traffic both
-/// engine sides see is bit-identical across shard counts and thread
-/// budgets by construction, and the soak fingerprint stays a pure
-/// function of `(scenario, seed, model)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SoakScenario {
-    /// The original uniform cohort: i.i.d. quality draws per step.
-    #[default]
-    Uniform,
-    /// Sensor dropout: some readings are stale (held from the last
-    /// refresh wave) or dead (quality reads zero); outcomes are untouched
-    /// because the latent world never changed.
-    Dropout,
-    /// Mid-soak regime switch: from the half-way wave, a fraction of
-    /// streams become systematically confused — every outcome reports
-    /// the failure class while the quality reading stays clean.
-    RegimeSwitch,
-    /// Heavy-tailed bursts: Pareto excursions on the quality reading;
-    /// outcomes still follow the clean reading.
-    HeavyTails,
-    /// Correlated multi-source evidence: streams come in triples sharing
-    /// a primary; secondaries carry noised readings and outcomes copied
-    /// from the primary with probability 1/2.
-    MultiSource,
-    /// Per-stream mix of all five families (hash-partitioned cohort).
-    Mixed,
-}
-
-impl SoakScenario {
-    /// Stable lowercase name, accepted back by [`SoakScenario::from_name`].
-    pub fn name(self) -> &'static str {
-        match self {
-            SoakScenario::Uniform => "uniform",
-            SoakScenario::Dropout => "dropout",
-            SoakScenario::RegimeSwitch => "regime_switch",
-            SoakScenario::HeavyTails => "heavy_tails",
-            SoakScenario::MultiSource => "multi_source",
-            SoakScenario::Mixed => "mixed",
-        }
-    }
-
-    /// Parses a scenario name (the CLI `--scenario` values), with the
-    /// same short aliases the simulator families accept.
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "uniform" => Some(SoakScenario::Uniform),
-            "dropout" => Some(SoakScenario::Dropout),
-            "regime_switch" | "regime" => Some(SoakScenario::RegimeSwitch),
-            "heavy_tails" | "heavy" => Some(SoakScenario::HeavyTails),
-            "multi_source" | "multisource" => Some(SoakScenario::MultiSource),
-            "mixed" => Some(SoakScenario::Mixed),
-            _ => None,
-        }
-    }
-
-    /// Every scenario, in a stable order.
-    pub fn all() -> [SoakScenario; 6] {
-        [
-            SoakScenario::Uniform,
-            SoakScenario::Dropout,
-            SoakScenario::RegimeSwitch,
-            SoakScenario::HeavyTails,
-            SoakScenario::MultiSource,
-            SoakScenario::Mixed,
-        ]
-    }
-}
-
-/// Cohort shape for one soak run. All counts are clamped to ≥ 1.
-#[derive(Debug, Clone, Copy)]
-pub struct SoakConfig {
-    /// Concurrent streams in the cohort (one step per stream per wave).
-    pub streams: usize,
-    /// Waves replayed.
-    pub waves: usize,
-    /// Shard count of the sharded side.
-    pub shards: usize,
-    /// Thread budget for both sides.
-    pub threads: usize,
-    /// Traffic seed.
-    pub seed: u64,
-    /// Traffic family the cohort replays.
-    pub scenario: SoakScenario,
-}
-
-impl SoakConfig {
-    fn normalized(mut self) -> Self {
-        self.streams = self.streams.max(1);
-        self.waves = self.waves.max(1);
-        self.shards = self.shards.max(1);
-        self.threads = self.threads.max(1);
-        self
-    }
-}
-
-/// Timing and identity evidence from one side of the soak comparison.
-#[derive(Debug, Clone, Copy)]
-pub struct SideStats {
-    /// Total wall time spent inside the wave dispatch, seconds.
-    pub total_s: f64,
-    /// p99 per-wave latency (nearest-rank over all waves), milliseconds.
-    pub p99_wave_ms: f64,
-    /// Order-sensitive FNV-1a fingerprint over the raw bits of every
-    /// served output field.
-    pub fingerprint: u64,
-}
-
-/// Outcome of a soak run: both sides plus the cross-side verdict.
-#[derive(Debug, Clone, Copy)]
-pub struct SoakOutcome {
-    /// Total steps served per side (`streams × waves`).
-    pub steps: u64,
-    /// The plain multi-stream engine side.
-    pub engine: SideStats,
-    /// The sharded front-end side.
-    pub sharded: SideStats,
-    /// Whether both sides' output fingerprints matched.
-    pub bit_identical: bool,
-}
-
-/// Trains the small deterministic wrapper the soak cohort is served from
-/// (one quality factor, outcomes drawn from `{3, 7}`).
+/// Trains the small deterministic wrapper (one quality factor, outcomes
+/// drawn from `{3, 7}`).
 pub fn soak_wrapper() -> TimeseriesAwareWrapper {
     let make_series = |n: usize, seed: u64| -> Vec<TrainingSeries> {
         let mut rng = SplitMix64::new(seed);
@@ -194,420 +46,4 @@ pub fn soak_wrapper() -> TimeseriesAwareWrapper {
     builder
         .fit(vec!["q".into()], &train, &calib)
         .expect("soak wrapper fits")
-}
-
-/// Deterministic per-`(stream, wave)` traffic: a quality factor in
-/// `[0, 1)` and an outcome from the trained domain `{3, 7}`.
-fn traffic(seed: u64, stream: u64, wave: u64) -> (f64, u32) {
-    let mut rng = SplitMix64::new(
-        seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ wave.wrapping_mul(0xBF58_476D_1CE4_E5B9),
-    );
-    let q = rng.next_f64();
-    let failed = rng.next_f64() < (q * 0.9).min(0.95);
-    (q, if failed { 3 } else { 7 })
-}
-
-/// Stateless per-`(stream, wave)` RNG for a scenario overlay, salted so
-/// overlay draws never alias the base traffic stream.
-fn overlay_rng(salt: u64, seed: u64, stream: u64, wave: u64) -> SplitMix64 {
-    SplitMix64::new(
-        seed ^ salt
-            ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ wave.wrapping_mul(0xBF58_476D_1CE4_E5B9),
-    )
-}
-
-/// Per-stream hash in `[0, 1)`, independent of the wave — used for
-/// stream-level scenario decisions (which streams flip regime, which
-/// family a mixed-cohort stream belongs to).
-fn stream_hash(salt: u64, seed: u64, stream: u64) -> f64 {
-    SplitMix64::new(seed ^ salt ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15)).next_f64()
-}
-
-/// Scenario-shaped traffic: the base draw routed through the family's
-/// pure overlay. Every branch is a function of the arguments alone.
-fn scenario_traffic(
-    scenario: SoakScenario,
-    seed: u64,
-    stream: u64,
-    wave: u64,
-    waves: u64,
-) -> (f64, u32) {
-    match scenario {
-        SoakScenario::Uniform => traffic(seed, stream, wave),
-        SoakScenario::Dropout => {
-            let (q, o) = traffic(seed, stream, wave);
-            let mut rng = overlay_rng(0xD809_0000, seed, stream, wave);
-            if rng.next_f64() < 0.25 {
-                if rng.next_f64() < 0.5 {
-                    // Stale: hold the reading from the last refresh wave
-                    // (every 4th wave) — a deterministic "last known value"
-                    // with no stored state.
-                    let (held, _) = traffic(seed, stream, wave - wave % 4);
-                    (held, o)
-                } else {
-                    // Dead: the sensor reads zero; the world (and so the
-                    // outcome) is unchanged.
-                    (0.0, o)
-                }
-            } else {
-                (q, o)
-            }
-        }
-        SoakScenario::RegimeSwitch => {
-            let (q, o) = traffic(seed, stream, wave);
-            let switched = wave >= waves / 2 && stream_hash(0x4E61_0000, seed, stream) < 0.35;
-            // Systematic confusion: the failure class, every wave, while
-            // the quality reading stays clean.
-            (q, if switched { 3 } else { o })
-        }
-        SoakScenario::HeavyTails => {
-            let (q, o) = traffic(seed, stream, wave);
-            let mut rng = overlay_rng(0x7A11_0000, seed, stream, wave);
-            if rng.next_f64() < 0.1 {
-                let excess = rng.next_f64().max(1e-9).powf(-1.0 / 1.5) - 1.0;
-                let sign = if rng.next_f64() < 0.5 { -1.0 } else { 1.0 };
-                ((q + sign * 0.2 * excess).clamp(0.0, 1.0), o)
-            } else {
-                (q, o)
-            }
-        }
-        SoakScenario::MultiSource => {
-            let source = stream % 3;
-            let primary = stream - source;
-            let (q, o) = traffic(seed, primary, wave);
-            if source == 0 {
-                return (q, o);
-            }
-            let mut rng = overlay_rng(0x3507_0000, seed, stream, wave);
-            let noised = (q + 0.1 * (rng.next_f64() - 0.5)).clamp(0.0, 1.0);
-            let outcome = if rng.next_f64() < 0.5 {
-                o // correlated: copy the primary's evidence
-            } else if rng.next_f64() < (noised * 0.9).min(0.95) {
-                3
-            } else {
-                7
-            };
-            (noised, outcome)
-        }
-        SoakScenario::Mixed => {
-            let pick = (stream_hash(0x310D_0000, seed, stream) * 5.0) as usize;
-            let family = [
-                SoakScenario::Uniform,
-                SoakScenario::Dropout,
-                SoakScenario::RegimeSwitch,
-                SoakScenario::HeavyTails,
-                SoakScenario::MultiSource,
-            ][pick.min(4)];
-            scenario_traffic(family, seed, stream, wave, waves)
-        }
-    }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fold(hash: &mut u64, word: u64) {
-    for byte in word.to_le_bytes() {
-        *hash = (*hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-    }
-}
-
-fn fold_step(hash: &mut u64, step: &TauwStep) {
-    fold(hash, u64::from(step.fused_outcome));
-    fold(hash, step.uncertainty.to_bits());
-    fold(hash, step.stateless_uncertainty.to_bits());
-    fold(hash, step.adapted_uncertainty.to_bits());
-    fold(hash, step.series_length as u64);
-    fold(hash, step.taqf.ratio.to_bits());
-    fold(hash, step.taqf.length.to_bits());
-    fold(hash, step.taqf.unique_outcomes.to_bits());
-    fold(hash, step.taqf.cumulative_certainty.to_bits());
-}
-
-/// Nearest-rank p99 of the recorded per-wave latencies, milliseconds.
-fn p99_ms(latencies: &mut [f64]) -> f64 {
-    if latencies.is_empty() {
-        return 0.0;
-    }
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let rank = ((latencies.len() as f64) * 0.99).ceil() as usize;
-    latencies[rank.clamp(1, latencies.len()) - 1]
-}
-
-/// Replays the cohort through one side. Batch construction is untimed;
-/// only the wave dispatch itself contributes to the latency samples.
-fn run_side<F>(cfg: &SoakConfig, mut step_wave: F) -> Result<SideStats, CoreError>
-where
-    F: FnMut(&[(StreamId, &[f64], u32)]) -> Result<Vec<TauwStep>, CoreError>,
-{
-    let mut features = vec![0.0f64; cfg.streams];
-    let mut outcomes = vec![0u32; cfg.streams];
-    let mut latencies = Vec::with_capacity(cfg.waves);
-    let mut hash = FNV_OFFSET;
-    let mut total_s = 0.0;
-    for wave in 0..cfg.waves {
-        for (i, (feature, outcome)) in features.iter_mut().zip(&mut outcomes).enumerate() {
-            let (q, o) = scenario_traffic(
-                cfg.scenario,
-                cfg.seed,
-                i as u64,
-                wave as u64,
-                cfg.waves as u64,
-            );
-            *feature = q;
-            *outcome = o;
-        }
-        let batch: Vec<(StreamId, &[f64], u32)> = features
-            .iter()
-            .zip(&outcomes)
-            .enumerate()
-            .map(|(i, (q, &o))| (StreamId(i as u64), std::slice::from_ref(q), o))
-            .collect();
-        let start = Instant::now();
-        let results = step_wave(&batch)?;
-        let wave_s = start.elapsed().as_secs_f64();
-        total_s += wave_s;
-        latencies.push(wave_s * 1e3);
-        for step in &results {
-            fold_step(&mut hash, step);
-        }
-    }
-    Ok(SideStats {
-        total_s,
-        p99_wave_ms: p99_ms(&mut latencies),
-        fingerprint: hash,
-    })
-}
-
-/// Runs the soak comparison with a freshly trained [`soak_wrapper`].
-pub fn run(cfg: &SoakConfig) -> SoakOutcome {
-    run_with_wrapper(&soak_wrapper(), cfg)
-}
-
-/// Runs the soak comparison against an already trained wrapper: the
-/// plain engine first, then the sharded front end, on identical traffic.
-pub fn run_with_wrapper(wrapper: &TimeseriesAwareWrapper, cfg: &SoakConfig) -> SoakOutcome {
-    let cfg = cfg.normalized();
-    let mut engine = TauwEngine::new(wrapper.clone());
-    engine.threads(cfg.threads).buffer_capacity(BUFFER_WINDOW);
-    let engine_stats =
-        run_side(&cfg, |batch| engine.step_many_borrowed(batch)).expect("plain engine serves");
-    drop(engine);
-    let mut sharded = ShardedEngine::new(wrapper.clone(), cfg.shards);
-    sharded.threads(cfg.threads).buffer_capacity(BUFFER_WINDOW);
-    let sharded_stats =
-        run_side(&cfg, |batch| sharded.step_many_borrowed(batch)).expect("sharded engine serves");
-    SoakOutcome {
-        steps: (cfg.streams * cfg.waves) as u64,
-        engine: engine_stats,
-        sharded: sharded_stats,
-        bit_identical: engine_stats.fingerprint == sharded_stats.fingerprint,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn p99_is_nearest_rank() {
-        let mut one = [3.5];
-        assert_eq!(p99_ms(&mut one), 3.5);
-        let mut hundred: Vec<f64> = (1..=100).map(f64::from).collect();
-        assert_eq!(p99_ms(&mut hundred), 99.0);
-        let mut fifty: Vec<f64> = (1..=50).map(f64::from).collect();
-        assert_eq!(p99_ms(&mut fifty), 50.0);
-        assert_eq!(p99_ms(&mut []), 0.0);
-    }
-
-    #[test]
-    fn traffic_is_deterministic_and_in_domain() {
-        for (stream, wave) in [(0u64, 0u64), (1, 0), (0, 1), (999_983, 17)] {
-            let (q, o) = traffic(0x50AC, stream, wave);
-            assert_eq!((q, o), traffic(0x50AC, stream, wave));
-            assert!((0.0..1.0).contains(&q));
-            assert!(o == 3 || o == 7);
-        }
-        // Different coordinates draw different traffic.
-        assert_ne!(traffic(0x50AC, 0, 0), traffic(0x50AC, 1, 0));
-        assert_ne!(traffic(0x50AC, 0, 0), traffic(0x50AC, 0, 1));
-    }
-
-    #[test]
-    fn soak_sides_agree_and_are_deterministic() {
-        let wrapper = soak_wrapper();
-        let cfg = SoakConfig {
-            streams: 64,
-            waves: 12,
-            shards: 3,
-            threads: 2,
-            seed: 0x50AC,
-            scenario: SoakScenario::Uniform,
-        };
-        let outcome = run_with_wrapper(&wrapper, &cfg);
-        assert!(outcome.bit_identical, "sharded diverged from plain engine");
-        assert_eq!(outcome.steps, 64 * 12);
-        assert!(outcome.engine.total_s > 0.0 && outcome.sharded.total_s > 0.0);
-        assert!(outcome.engine.p99_wave_ms > 0.0 && outcome.sharded.p99_wave_ms > 0.0);
-        // The fingerprint is a pure function of the traffic and the model.
-        let again = run_with_wrapper(&wrapper, &cfg);
-        assert_eq!(outcome.engine.fingerprint, again.engine.fingerprint);
-        assert_eq!(outcome.sharded.fingerprint, again.sharded.fingerprint);
-        // A different cohort fingerprints differently (the fold sees data).
-        let other = run_with_wrapper(
-            &wrapper,
-            &SoakConfig {
-                seed: 0x50AD,
-                ..cfg
-            },
-        );
-        assert_ne!(outcome.engine.fingerprint, other.engine.fingerprint);
-    }
-
-    #[test]
-    fn scenario_names_roundtrip() {
-        for scenario in SoakScenario::all() {
-            assert_eq!(SoakScenario::from_name(scenario.name()), Some(scenario));
-        }
-        assert_eq!(
-            SoakScenario::from_name("regime"),
-            Some(SoakScenario::RegimeSwitch)
-        );
-        assert_eq!(SoakScenario::from_name("nope"), None);
-        assert_eq!(SoakScenario::default(), SoakScenario::Uniform);
-    }
-
-    #[test]
-    fn scenario_traffic_is_pure_and_in_domain() {
-        for scenario in SoakScenario::all() {
-            for (stream, wave) in [(0u64, 0u64), (1, 0), (0, 1), (5, 9), (999_983, 17)] {
-                let drawn = scenario_traffic(scenario, 0x50AC, stream, wave, 20);
-                assert_eq!(drawn, scenario_traffic(scenario, 0x50AC, stream, wave, 20));
-                let (q, o) = drawn;
-                assert!((0.0..=1.0).contains(&q), "{scenario:?} q out of range");
-                assert!(o == 3 || o == 7, "{scenario:?} outcome out of domain");
-            }
-        }
-    }
-
-    #[test]
-    fn scenario_traffic_matches_family_semantics() {
-        let seed = 0x50AC;
-        let waves = 40u64;
-        // Regime switch: post-switch waves carry a higher failure share,
-        // and flipped streams report class 3 on every post-switch wave.
-        let failure_share = |lo: u64, hi: u64| {
-            let mut failed = 0usize;
-            let mut total = 0usize;
-            for stream in 0..200u64 {
-                for wave in lo..hi {
-                    let (_, o) =
-                        scenario_traffic(SoakScenario::RegimeSwitch, seed, stream, wave, waves);
-                    failed += usize::from(o == 3);
-                    total += 1;
-                }
-            }
-            failed as f64 / total as f64
-        };
-        assert!(failure_share(waves / 2, waves) > failure_share(0, waves / 2) + 0.15);
-        // Dropout + heavy tails perturb only the reading, never the outcome.
-        for scenario in [SoakScenario::Dropout, SoakScenario::HeavyTails] {
-            let mut q_changed = 0usize;
-            for stream in 0..100u64 {
-                for wave in 0..waves {
-                    let (q, o) = scenario_traffic(scenario, seed, stream, wave, waves);
-                    let (base_q, base_o) = traffic(seed, stream, wave);
-                    assert_eq!(o, base_o, "{scenario:?} touched an outcome");
-                    q_changed += usize::from(q.to_bits() != base_q.to_bits());
-                }
-            }
-            assert!(q_changed > 0, "{scenario:?} never perturbed a reading");
-        }
-        // Multi-source: primaries replay the primary stream's base draw.
-        for stream in (0..99u64).step_by(3) {
-            assert_eq!(
-                scenario_traffic(SoakScenario::MultiSource, seed, stream, 7, waves),
-                traffic(seed, stream, 7),
-            );
-        }
-        // Mixed: the per-stream partition reproduces each member family.
-        let mut families_seen = 0usize;
-        for scenario in [
-            SoakScenario::Uniform,
-            SoakScenario::Dropout,
-            SoakScenario::RegimeSwitch,
-            SoakScenario::HeavyTails,
-            SoakScenario::MultiSource,
-        ] {
-            let member = (0..500u64).find(|&stream| {
-                (0..waves).all(|wave| {
-                    scenario_traffic(SoakScenario::Mixed, seed, stream, wave, waves)
-                        == scenario_traffic(scenario, seed, stream, wave, waves)
-                })
-            });
-            families_seen += usize::from(member.is_some());
-        }
-        assert_eq!(families_seen, 5, "mixed cohort misses a member family");
-    }
-
-    #[test]
-    fn scenario_soak_fingerprints_are_shard_and_thread_invariant() {
-        let wrapper = soak_wrapper();
-        let cfg = SoakConfig {
-            streams: 60,
-            waves: 16,
-            shards: 3,
-            threads: 2,
-            seed: 0x50AC,
-            scenario: SoakScenario::Mixed,
-        };
-        let outcome = run_with_wrapper(&wrapper, &cfg);
-        assert!(
-            outcome.bit_identical,
-            "mixed scenario diverged across engines"
-        );
-        let other = run_with_wrapper(
-            &wrapper,
-            &SoakConfig {
-                shards: 7,
-                threads: 4,
-                ..cfg
-            },
-        );
-        assert!(other.bit_identical);
-        assert_eq!(
-            outcome.engine.fingerprint, other.engine.fingerprint,
-            "scenario traffic must not depend on the shard/thread shape"
-        );
-        assert_eq!(outcome.sharded.fingerprint, other.sharded.fingerprint);
-        // Different scenarios fingerprint differently (the overlay bites).
-        let uniform = run_with_wrapper(
-            &wrapper,
-            &SoakConfig {
-                scenario: SoakScenario::Uniform,
-                ..cfg
-            },
-        );
-        assert_ne!(uniform.engine.fingerprint, outcome.engine.fingerprint);
-    }
-
-    #[test]
-    fn degenerate_configs_are_clamped() {
-        let wrapper = soak_wrapper();
-        let outcome = run_with_wrapper(
-            &wrapper,
-            &SoakConfig {
-                streams: 0,
-                waves: 0,
-                shards: 0,
-                threads: 0,
-                seed: 1,
-                scenario: SoakScenario::Uniform,
-            },
-        );
-        assert_eq!(outcome.steps, 1);
-        assert!(outcome.bit_identical);
-    }
 }

@@ -190,7 +190,10 @@ impl TimeseriesBuffer {
     ///
     /// Returns [`CoreError::InvalidInput`] when `capacity` is zero, the
     /// entries exceed the capacity, any uncertainty is non-finite or
-    /// outside `[0, 1]`, or `total_steps` is smaller than the entry count.
+    /// outside `[0, 1]`, or `total_steps` is smaller than the entry count
+    /// or above 2⁵³ (taQF2 reads the counter as an `f64`, exact only up to
+    /// 2⁵³; a larger counter is no state serving reaches, and would
+    /// overflow on the next pushes).
     pub fn from_parts(
         entries: Vec<BufferEntry>,
         capacity: Option<usize>,
@@ -214,6 +217,11 @@ impl TimeseriesBuffer {
             return Err(invalid(format!(
                 "timeseries buffer: lifetime step counter {total_steps} is smaller than the {} buffered entries",
                 entries.len()
+            )));
+        }
+        if total_steps > 1 << 53 {
+            return Err(invalid(format!(
+                "timeseries buffer: lifetime step counter {total_steps} exceeds 2^53"
             )));
         }
         for (i, e) in entries.iter().enumerate() {
@@ -779,6 +787,9 @@ mod tests {
         assert!(matches!(overfull, Err(CoreError::InvalidInput { .. })));
         let short_life = TimeseriesBuffer::from_parts(entries.clone(), None, 1);
         assert!(matches!(short_life, Err(CoreError::InvalidInput { .. })));
+        assert!(TimeseriesBuffer::from_parts(entries.clone(), None, 1 << 53).is_ok());
+        let endless = TimeseriesBuffer::from_parts(entries.clone(), None, (1 << 53) + 1);
+        assert!(matches!(endless, Err(CoreError::InvalidInput { .. })));
         let out_of_range = TimeseriesBuffer::from_parts(
             vec![BufferEntry {
                 outcome: 1,

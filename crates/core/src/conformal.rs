@@ -605,6 +605,7 @@ mod tests {
     #[test]
     fn serving_matches_reference_bitwise_including_nan() {
         let qim = fitted(0.95);
+        let extremes = [f64::INFINITY, f64::NEG_INFINITY, 1e300, -1e300];
         let queries: Vec<[f64; 1]> = (0..64)
             .map(|i| {
                 if i % 7 == 0 {
@@ -613,6 +614,7 @@ mod tests {
                     [i as f64 / 63.0]
                 }
             })
+            .chain(extremes.map(|x| [x]))
             .collect();
         for q in &queries {
             assert_eq!(
@@ -622,6 +624,12 @@ mod tests {
         }
         // NaN falls back to the global rate, not to a poisoned estimate.
         assert!(qim.uncertainty(&[f64::NAN]).unwrap().is_finite());
+        // ±inf clamp to the edge cells, like any out-of-range value.
+        let served = |x: f64| qim.uncertainty(&[x]).unwrap().to_bits();
+        assert_eq!(served(f64::INFINITY), served(1e300));
+        assert_eq!(served(f64::INFINITY), served(2.0));
+        assert_eq!(served(f64::NEG_INFINITY), served(-1e300));
+        assert_eq!(served(f64::NEG_INFINITY), served(-1.0));
     }
 
     #[test]

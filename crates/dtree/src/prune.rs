@@ -115,8 +115,7 @@ fn ensure_supported(
 /// remaining internal node's weakest-link value exceeds `alpha`.
 ///
 /// This is the standard alternative to the paper's calibration-driven
-/// pruning; the two compose (cost-complexity first, calibration second) and
-/// are compared in the `bench_dtree` ablation.
+/// pruning; the two compose (cost-complexity first, calibration second).
 ///
 /// The tree is compacted afterwards, invalidating previous [`NodeId`]s.
 pub fn prune_cost_complexity(tree: &mut DecisionTree, alpha: f64) -> PruneReport {

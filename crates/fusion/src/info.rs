@@ -2,8 +2,8 @@
 //!
 //! The paper fuses the DDM outcomes of a timeseries with **majority
 //! voting**, resolving ties in favour of the *most recent* outcome
-//! (Section IV-C.3). Variants used by the ablation benches are provided
-//! alongside.
+//! (Section IV-C.3). Variants used by the `if_ablation` experiment are
+//! provided alongside.
 
 /// A strategy for fusing the outcomes `o_0..=o_i` observed so far into one
 /// fused outcome `o_i^(if)`.

@@ -20,10 +20,7 @@ Fails (exit 1) on:
   * flat trailing pointer — the ``qim_uncertainty_pointer_vs_flat`` row's
     per-sample flat side must not lose to the per-sample pointer walk
     (speedup >= ``BENCH_FLAT_FLOOR``, default 1.0). Both sides run on one
-    thread, so unlike the parallel floor this check applies on every host;
-  * missing tail latencies — soak rows (``soak_*``) must report positive
-    ``baseline_p99_ms`` / ``contender_p99_ms`` per-wave tail latencies
-    (other rows carry the columns but may leave them at 0.0).
+    thread, so unlike the parallel floor this check applies on every host.
 
 ``BENCH_TOLERANCE`` defaults to 0.2: CI runners differ from the host that
 produced the committed baseline (the committed files come from a 1-CPU
@@ -37,7 +34,7 @@ import json
 import os
 import sys
 
-SCHEMA = "tauw-bench-baseline/v9"
+SCHEMA = "tauw-bench-baseline/v10"
 
 # Rows whose contender is the per-sample flat serving path (the only
 # serving shape) and whose baseline is the per-sample pointer walk of the
@@ -53,8 +50,6 @@ REQUIRED_COLUMNS = (
     "speedup",
     "baseline_per_s",
     "contender_per_s",
-    "baseline_p99_ms",
-    "contender_p99_ms",
     "bit_identical",
 )
 
@@ -80,14 +75,6 @@ def load(path: str) -> dict:
             fail(f"{path}: row {row.get('name')!r} misses columns {missing}")
         if row["bit_identical"] is not True:
             fail(f"{path}: row {row['name']!r} reports bit_identical: false")
-        for col in ("baseline_p99_ms", "contender_p99_ms"):
-            if row[col] < 0:
-                fail(f"{path}: row {row['name']!r} has negative {col}")
-            if row["name"].startswith("soak_") and not row[col] > 0:
-                fail(
-                    f"{path}: soak row {row['name']!r} must report a "
-                    f"positive {col} (got {row[col]!r})"
-                )
     return doc
 
 

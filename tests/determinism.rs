@@ -24,6 +24,33 @@ fn convert(records: &[SeriesRecord]) -> Vec<TrainingSeries> {
         .collect()
 }
 
+/// Appends four copies of the first streams in which every other quality
+/// factor of each step (alternating slots step by step) is an extreme
+/// value, ±inf or ±1e300, rotating per step and stream. Trees route
+/// `x <= threshold` left, so −inf goes left and +inf right; the
+/// serving-vs-reference walls must agree bit for bit on those paths too.
+fn with_extreme_streams(mut streams: Vec<TrainingSeries>) -> Vec<TrainingSeries> {
+    const EXTREMES: [f64; 4] = [f64::INFINITY, f64::NEG_INFINITY, 1e300, -1e300];
+    let extreme: Vec<TrainingSeries> = streams
+        .iter()
+        .take(EXTREMES.len())
+        .enumerate()
+        .map(|(e, series)| {
+            let mut series = series.clone();
+            for (k, step) in series.steps.iter_mut().enumerate() {
+                for (slot, x) in step.quality_factors.iter_mut().enumerate() {
+                    if (slot + k) % 2 == 0 {
+                        *x = EXTREMES[(e + k + slot) % EXTREMES.len()];
+                    }
+                }
+            }
+            series
+        })
+        .collect();
+    streams.extend(extreme);
+    streams
+}
+
 fn pipeline_fingerprint(seed: u64) -> Vec<f64> {
     let config = SimConfig::scaled(0.04);
     let data = DatasetBuilder::new(config, seed).unwrap().build();
@@ -262,7 +289,8 @@ fn tauw_flat_serving_matches_pointer_reference_paths() {
     // The engine/session serve estimates through the flat form; the
     // pointer trees stay aboard as the reference. Recompute every estimate
     // through the reference path and demand bitwise equality, across
-    // engine thread budgets 1/2/8.
+    // engine thread budgets 1/2/8, on streams with ±inf and ±1e300
+    // quality factors too.
     use tauw_suite::core::engine::{StreamId, TauwEngine};
 
     let config = SimConfig::scaled(0.04);
@@ -283,7 +311,7 @@ fn tauw_flat_serving_matches_pointer_reference_paths() {
         )
         .unwrap();
 
-    let streams: Vec<_> = convert(&data.test).into_iter().take(24).collect();
+    let streams = with_extreme_streams(convert(&data.test).into_iter().take(24).collect());
     let window_len = streams.iter().map(|s| s.steps.len()).max().unwrap();
     let mut compared = 0usize;
     for threads in [1usize, 2, 8] {
@@ -422,7 +450,7 @@ fn forest_engine_serving_is_bit_identical_across_thread_budgets_and_to_reference
     // engine: training must be a pure function of the seed (the per-member
     // fits fan out over the thread budget), and every served estimate must
     // be bit-identical across engine thread budgets 1/2/8 AND to the
-    // pointer-member reference recompute.
+    // pointer-member reference recompute, ±inf and ±1e300 inputs included.
     use tauw_suite::core::engine::{StreamId, TauwEngine};
 
     let config = SimConfig::scaled(0.04);
@@ -455,7 +483,7 @@ fn forest_engine_serving_is_bit_identical_across_thread_budgets_and_to_reference
         "forest training must be reproducible under the ambient thread budget"
     );
 
-    let streams: Vec<_> = convert(&data.test).into_iter().take(24).collect();
+    let streams = with_extreme_streams(convert(&data.test).into_iter().take(24).collect());
     let window_len = streams.iter().map(|s| s.steps.len()).max().unwrap();
     let mut baseline: Option<Vec<tauw_suite::core::tauw::TauwStep>> = None;
     let mut compared = 0usize;
@@ -830,14 +858,23 @@ fn dataset_generation_is_order_independent_per_series() {
 fn sharded_engine_matches_sequential_sessions_across_shard_and_thread_grid() {
     // The sharded serving front end is a pure router: at every shard
     // count x thread budget, the served steps must be bit-identical to N
-    // dedicated sequential sessions — and a mid-replay snapshot restored
+    // dedicated sequential references — and a mid-replay snapshot restored
     // into a *different* shard count must continue the exact same
     // trajectory (the stream hash decides placement, never estimates).
+    // Two stream sets run the grid: clean test windows on unbounded
+    // buffers, and test windows shifted by each scenario family on 4-step
+    // sliding windows.
+    use tauw_suite::core::buffer::TimeseriesBuffer;
     use tauw_suite::core::engine::StreamId;
     use tauw_suite::core::sharded::ShardedEngine;
+    use tauw_suite::core::tauw::TauwStep;
+    use tauw_suite::sim::scenario::{
+        BurstParams, DropoutParams, MultiSourceParams, RegimeParams, ScenarioConfig,
+        ScenarioFamily, SplitKind,
+    };
 
     let config = SimConfig::scaled(0.04);
-    let data = DatasetBuilder::new(config, 31).unwrap().build();
+    let data = DatasetBuilder::new(config.clone(), 31).unwrap().build();
     let mut wb = WrapperBuilder::new();
     wb.max_depth(6).calibration(CalibrationOptions {
         min_samples_per_leaf: 50,
@@ -854,79 +891,137 @@ fn sharded_engine_matches_sequential_sessions_across_shard_and_thread_grid() {
         )
         .unwrap();
 
-    let streams: Vec<_> = convert(&data.test).into_iter().take(24).collect();
-    let window_len = streams.iter().map(|s| s.steps.len()).max().unwrap();
-    // Non-sequential ids so the shard hash actually scatters.
-    let id_of = |s: usize| StreamId(s as u64 * 7919 + 3);
+    // Serves `streams` over the shard x thread grid, snapshotting at step
+    // `snap_at` into a resharded engine, and demands every step equal
+    // `expected` bit for bit.
+    let check_grid = |label: &str,
+                      streams: &[TrainingSeries],
+                      capacity: Option<usize>,
+                      snap_at: usize,
+                      expected: &[Vec<TauwStep>]| {
+        let window_len = streams.iter().map(|s| s.steps.len()).max().unwrap();
+        // Non-sequential ids so the shard hash actually scatters.
+        let id_of = |s: usize| StreamId(s as u64 * 7919 + 3);
+        let engine_with = |shards: usize, threads: usize| {
+            let mut engine = ShardedEngine::new(tauw.clone(), shards);
+            engine.threads(threads);
+            if let Some(cap) = capacity {
+                engine.buffer_capacity(cap);
+            }
+            engine
+        };
+        for shards in [1usize, 2, 7] {
+            for threads in [1usize, 2, 8] {
+                let mut engine = engine_with(shards, threads);
+                // Snapshot at `snap_at`, restore into a different shard
+                // count, and finish the replay on the resharded engine.
+                let reshard = (shards % 7) + 2; // 1 -> 3, 2 -> 4, 7 -> 2
+                let mut resharded = engine_with(reshard, threads);
+                let mut moved = false;
+                let mut got: Vec<Vec<TauwStep>> = vec![Vec::new(); streams.len()];
+                for j in 0..window_len {
+                    if j == snap_at {
+                        for state in engine.snapshot() {
+                            resharded.restore(&state).unwrap();
+                        }
+                        assert_eq!(resharded.n_streams(), engine.n_streams());
+                        moved = true;
+                    }
+                    let serving = if moved { &mut resharded } else { &mut engine };
+                    let mut positions = Vec::new();
+                    let mut batch: Vec<(StreamId, &[f64], u32)> = Vec::new();
+                    for (s, series) in streams.iter().enumerate() {
+                        if let Some(step) = series.steps.get(j) {
+                            positions.push(s);
+                            batch.push((id_of(s), step.quality_factors.as_slice(), step.outcome));
+                        }
+                    }
+                    for (&s, out) in positions
+                        .iter()
+                        .zip(serving.step_many_borrowed(&batch).unwrap())
+                    {
+                        got[s].push(out);
+                    }
+                }
+                assert!(moved, "snapshot point must lie inside the replay");
+                for (s, (want, have)) in expected.iter().zip(&got).enumerate() {
+                    assert_eq!(want.len(), have.len(), "{label} stream {s} length");
+                    for (k, (w, h)) in want.iter().zip(have).enumerate() {
+                        let ctx = format!(
+                            "{label} stream {s} step {k} shards={shards}->{reshard} \
+                             threads={threads}"
+                        );
+                        assert_eq!(w.uncertainty.to_bits(), h.uncertainty.to_bits(), "{ctx}");
+                        assert_eq!(w, h, "{ctx}");
+                    }
+                }
+            }
+        }
+    };
 
-    // Reference: one dedicated session per stream, stepped sequentially.
-    let mut expected: Vec<Vec<tauw_suite::core::tauw::TauwStep>> = Vec::new();
-    for series in &streams {
-        let mut session = tauw.new_session();
-        session.begin_series();
-        expected.push(
+    // Clean set. Reference: one dedicated session per stream, stepped
+    // sequentially.
+    let clean: Vec<_> = convert(&data.test).into_iter().take(24).collect();
+    let expected: Vec<Vec<TauwStep>> = clean
+        .iter()
+        .map(|series| {
+            let mut session = tauw.new_session();
+            session.begin_series();
             series
                 .steps
                 .iter()
                 .map(|s| session.step(&s.quality_factors, s.outcome).unwrap())
-                .collect(),
-        );
-    }
+                .collect()
+        })
+        .collect();
+    let window_len = clean.iter().map(|s| s.steps.len()).max().unwrap();
+    check_grid("clean", &clean, None, window_len / 2, &expected);
 
-    for shards in [1usize, 2, 7] {
-        for threads in [1usize, 2, 8] {
-            let mut engine = ShardedEngine::new(tauw.clone(), shards);
-            engine.threads(threads);
-            // Snapshot halfway, restore into a different shard count, and
-            // finish the replay on the resharded engine.
-            let snap_at = window_len / 2;
-            let reshard = (shards % 7) + 2; // 1 -> 3, 2 -> 4, 7 -> 2
-            let mut resharded = ShardedEngine::new(tauw.clone(), reshard);
-            resharded.threads(threads);
-            let mut moved = false;
-            let mut got: Vec<Vec<tauw_suite::core::tauw::TauwStep>> =
-                vec![Vec::new(); streams.len()];
-            for j in 0..window_len {
-                if j == snap_at {
-                    for state in engine.snapshot() {
-                        resharded.restore(&state).unwrap();
-                    }
-                    assert_eq!(resharded.n_streams(), engine.n_streams());
-                    moved = true;
-                }
-                let serving = if moved { &mut resharded } else { &mut engine };
-                let mut positions = Vec::new();
-                let mut batch: Vec<(StreamId, &[f64], u32)> = Vec::new();
-                for (s, series) in streams.iter().enumerate() {
-                    if let Some(step) = series.steps.get(j) {
-                        positions.push(s);
-                        batch.push((id_of(s), step.quality_factors.as_slice(), step.outcome));
-                    }
-                }
-                for (&s, out) in positions
-                    .iter()
-                    .zip(serving.step_many_borrowed(&batch).unwrap())
-                {
-                    got[s].push(out);
-                }
-            }
-            assert!(moved, "snapshot point must lie inside the replay");
-            for (s, (want, have)) in expected.iter().zip(&got).enumerate() {
-                assert_eq!(want.len(), have.len(), "stream {s} length");
-                for (k, (w, h)) in want.iter().zip(have).enumerate() {
-                    assert_eq!(
-                        w.uncertainty.to_bits(),
-                        h.uncertainty.to_bits(),
-                        "stream {s} step {k} shards={shards}->{reshard} threads={threads}"
-                    );
-                    assert_eq!(
-                        w, h,
-                        "stream {s} step {k} shards={shards} threads={threads}"
-                    );
-                }
-            }
-        }
+    // Shifted set: six windows spread over the test split per family (so
+    // the regime switch's second half is in), served through 4-step
+    // windows. Reference: one bounded buffer per stream through
+    // `step_with_buffer`.
+    const WINDOW: usize = 4;
+    let mut shifted = Vec::new();
+    for family in [
+        ScenarioFamily::SensorDropout(DropoutParams::default()),
+        ScenarioFamily::RegimeSwitch(RegimeParams::default()),
+        ScenarioFamily::HeavyTails(BurstParams::default()),
+        ScenarioFamily::MultiSource(MultiSourceParams::default()),
+    ] {
+        let mut records = data.test.clone();
+        ScenarioConfig::new(config.clone(), family).apply_split(
+            SplitKind::Test,
+            &mut records,
+            31,
+            2,
+        );
+        let stride = records.len() / 6;
+        shifted.extend(convert(&records).into_iter().step_by(stride).take(6));
     }
+    let expected: Vec<Vec<TauwStep>> = shifted
+        .iter()
+        .map(|series| {
+            let mut buffer = TimeseriesBuffer::bounded(WINDOW);
+            series
+                .steps
+                .iter()
+                .map(|s| {
+                    tauw.step_with_buffer(&mut buffer, &s.quality_factors, s.outcome)
+                        .unwrap()
+                })
+                .collect()
+        })
+        .collect();
+    // Half the shortest window: every stream has evicted before the
+    // snapshot, and the 3-source streams keep evicting after it.
+    let snap_at = shifted.iter().map(|s| s.steps.len()).min().unwrap() / 2;
+    assert!(snap_at > WINDOW, "windows must evict before the snapshot");
+    assert!(
+        shifted.iter().any(|s| s.steps.len() > snap_at + WINDOW),
+        "windows must evict after the snapshot"
+    );
+    check_grid("shifted", &shifted, Some(WINDOW), snap_at, &expected);
 }
 
 #[test]

@@ -912,55 +912,70 @@ fn support_reference(backend: &TaQim, q: &[f64]) -> RouteSupport {
 
 // --- sharded serving ---
 
+/// `n` one-factor training series: a quality reading `q` per series and
+/// outcomes from `{3, 7}` that fail more often at high `q`, drawn from an
+/// LCG seeded by `seed`.
+fn one_factor_series(n: usize, seed: u64) -> Vec<tauw_suite::core::training::TrainingSeries> {
+    use tauw_suite::core::training::{TrainingSeries, TrainingStep};
+    let mut state = seed
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    (0..n)
+        .map(|_| {
+            let q = next();
+            let bias = if next() < 0.5 { 1.3 } else { 0.5 };
+            let steps = (0..10)
+                .map(|_| TrainingStep {
+                    quality_factors: vec![q],
+                    outcome: if next() < (q * bias).min(0.95) { 3 } else { 7 },
+                })
+                .collect();
+            TrainingSeries {
+                true_outcome: 7,
+                steps,
+            }
+        })
+        .collect()
+}
+
+/// A small one-factor wrapper over [`one_factor_series`] with the given
+/// taQIM backend.
+fn one_factor_wrapper(
+    backend: tauw_suite::core::tauw::BackendSpec,
+) -> tauw_suite::core::tauw::TimeseriesAwareWrapper {
+    use tauw_suite::core::calibration::CalibrationOptions;
+    use tauw_suite::core::tauw::TauwBuilder;
+    use tauw_suite::core::wrapper::WrapperBuilder;
+    let mut wb = WrapperBuilder::new();
+    wb.max_depth(3).calibration(CalibrationOptions {
+        min_samples_per_leaf: 50,
+        confidence: 0.99,
+        ..Default::default()
+    });
+    let mut builder = TauwBuilder::new();
+    builder.wrapper(wb).backend(backend);
+    builder
+        .fit(
+            vec!["q".into()],
+            &one_factor_series(300, 1),
+            &one_factor_series(300, 2),
+        )
+        .expect("one-factor proptest fixture fits")
+}
+
 /// One small trained wrapper shared by every sharded proptest case (the
 /// property under test is the serving router, not training).
 fn sharded_fixture() -> &'static tauw_suite::core::tauw::TimeseriesAwareWrapper {
     use std::sync::OnceLock;
-    use tauw_suite::core::calibration::CalibrationOptions;
-    use tauw_suite::core::tauw::{TauwBuilder, TimeseriesAwareWrapper};
-    use tauw_suite::core::training::{TrainingSeries, TrainingStep};
-    use tauw_suite::core::wrapper::WrapperBuilder;
+    use tauw_suite::core::tauw::{BackendSpec, TimeseriesAwareWrapper};
     static FIXTURE: OnceLock<TimeseriesAwareWrapper> = OnceLock::new();
-    FIXTURE.get_or_init(|| {
-        let make_series = |n: usize, seed: u64| -> Vec<TrainingSeries> {
-            let mut state = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let mut next = move || {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                (state >> 11) as f64 / (1u64 << 53) as f64
-            };
-            (0..n)
-                .map(|_| {
-                    let q = next();
-                    let bias = if next() < 0.5 { 1.3 } else { 0.5 };
-                    let steps = (0..10)
-                        .map(|_| TrainingStep {
-                            quality_factors: vec![q],
-                            outcome: if next() < (q * bias).min(0.95) { 3 } else { 7 },
-                        })
-                        .collect();
-                    TrainingSeries {
-                        true_outcome: 7,
-                        steps,
-                    }
-                })
-                .collect()
-        };
-        let mut wb = WrapperBuilder::new();
-        wb.max_depth(3).calibration(CalibrationOptions {
-            min_samples_per_leaf: 50,
-            confidence: 0.99,
-            ..Default::default()
-        });
-        let mut builder = TauwBuilder::new();
-        builder.wrapper(wb);
-        builder
-            .fit(vec!["q".into()], &make_series(300, 1), &make_series(300, 2))
-            .expect("sharded proptest fixture fits")
-    })
+    FIXTURE.get_or_init(|| one_factor_wrapper(BackendSpec::Tree))
 }
 
 proptest! {
@@ -1155,6 +1170,346 @@ proptest! {
         prop_assert_eq!(serving.stream_ids(), ids.clone());
         let after: Vec<Option<usize>> = ids.iter().map(|&id| serving.stream_len(id)).collect();
         prop_assert_eq!(after, lens);
+    }
+}
+
+// --- artifact fuzzing ---
+
+use std::sync::OnceLock;
+use tauw_suite::core::adaptive::{AdaptiveConfig, AdaptiveState};
+use tauw_suite::core::engine::{AdaptiveStreamStep, StreamId};
+use tauw_suite::core::sharded::{EngineShardState, ShardedEngine};
+use tauw_suite::core::tauw::TimeseriesAwareWrapper;
+use tauw_suite::core::wrapper::UncertaintyWrapper;
+use tauw_suite::stats::bootstrap::SplitMix64;
+
+/// Adaptive configuration of every fuzz fixture and exercise engine.
+const FUZZ_ADAPTIVE: AdaptiveConfig = AdaptiveConfig {
+    window: 4,
+    min_observations: 2,
+    rate: 0.1,
+    max_inflation_steps: 16,
+    thin_support: 1,
+};
+
+/// Feature values every loaded model is served: NaN, ±inf, ±1e300 and one
+/// ordinary reading.
+const EXTREME_FEATURES: [f64; 6] = [
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    1e300,
+    -1e300,
+    0.5,
+];
+
+/// Step `k`'s feature row for an `n`-feature model, cycling every slot
+/// through [`EXTREME_FEATURES`].
+fn extreme_row(n: usize, k: usize) -> Vec<f64> {
+    (0..n)
+        .map(|j| EXTREME_FEATURES[(k + j) % EXTREME_FEATURES.len()])
+        .collect()
+}
+
+/// One artifact per loadable shape, as `(label, json)`: the stateless
+/// wrapper, a taUW per taQIM backend, each standalone QIM, a bounded
+/// buffer, an adaptive state and an engine shard, so every artifact kind
+/// is covered.
+fn fuzz_artifacts() -> &'static [(&'static str, String)] {
+    use tauw_suite::core::conformal::ConformalOptions;
+    use tauw_suite::core::tauw::BackendSpec;
+    static ARTIFACTS: OnceLock<Vec<(&'static str, String)>> = OnceLock::new();
+    ARTIFACTS.get_or_init(|| {
+        let tree = sharded_fixture();
+        let forest = one_factor_wrapper(BackendSpec::Forest {
+            n_trees: 3,
+            seed: 7,
+        });
+        let conformal = one_factor_wrapper(BackendSpec::Conformal(ConformalOptions { bins: 8 }));
+        let (TaQim::Forest(forest_qim), TaQim::Conformal(conformal_qim)) =
+            (forest.taqim(), conformal.taqim())
+        else {
+            panic!("fixtures carry the requested backends");
+        };
+        // Runtime state from a short adaptive K = 3 replay whose 4-step
+        // windows have evicted.
+        let mut engine = ShardedEngine::new(tree.clone(), 3);
+        engine.buffer_capacity(4);
+        engine.enable_adaptation(FUZZ_ADAPTIVE).unwrap();
+        for k in 0..12u64 {
+            let batch: Vec<AdaptiveStreamStep> = (0..6u64)
+                .map(|s| {
+                    let q = ((k * 7 + s * 3) % 12) as f64 / 12.0;
+                    let outcome = if (k + s) % 3 == 0 { 3 } else { 7 };
+                    AdaptiveStreamStep::new(StreamId(s), vec![q], outcome, outcome == 3)
+                })
+                .collect();
+            engine.step_many_adaptive(&batch).unwrap();
+        }
+        let shard = engine
+            .snapshot()
+            .into_iter()
+            .max_by_key(|state| state.streams.len())
+            .unwrap();
+        let stream = &shard.streams[0];
+        vec![
+            ("stateless", tree.stateless().to_artifact_json().unwrap()),
+            ("tauw_tree", tree.to_artifact_json().unwrap()),
+            ("tauw_forest", forest.to_artifact_json().unwrap()),
+            ("tauw_conformal", conformal.to_artifact_json().unwrap()),
+            (
+                "tree_qim",
+                tree.stateless().qim().to_artifact_json().unwrap(),
+            ),
+            ("forest_qim", forest_qim.to_artifact_json().unwrap()),
+            ("conformal_qim", conformal_qim.to_artifact_json().unwrap()),
+            ("buffer", stream.buffer.to_artifact_json().unwrap()),
+            (
+                "adaptive_state",
+                stream
+                    .adaptive
+                    .as_ref()
+                    .unwrap()
+                    .to_artifact_json()
+                    .unwrap(),
+            ),
+            ("engine_shard", shard.to_artifact_json().unwrap()),
+        ]
+    })
+}
+
+/// Byte ranges of every number token outside JSON strings.
+fn number_tokens(json: &[u8]) -> Vec<(usize, usize)> {
+    let mut tokens = Vec::new();
+    let (mut i, mut in_string) = (0, false);
+    while i < json.len() {
+        match json[i] {
+            b'\\' if in_string => i += 1,
+            b'"' => in_string = !in_string,
+            b'-' | b'0'..=b'9' if !in_string => {
+                let start = i;
+                while i < json.len()
+                    && matches!(json[i], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
+                {
+                    i += 1;
+                }
+                tokens.push((start, i));
+                continue;
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    tokens
+}
+
+/// One seeded mutant of `json`: a number swapped for 0, 1, 2^32,
+/// u64::MAX or another token's value (half the draws), a deleted byte
+/// range, a truncation, or a duplicated range spliced in elsewhere.
+fn mutate(json: &str, rng: &mut SplitMix64) -> String {
+    let bytes = json.as_bytes();
+    let mut out = bytes.to_vec();
+    let range = |rng: &mut SplitMix64| {
+        let start = rng.next_index(bytes.len());
+        (
+            start,
+            start + 1 + rng.next_index(64.min(bytes.len() - start)),
+        )
+    };
+    match rng.next_index(6) {
+        0..=2 => {
+            let tokens = number_tokens(bytes);
+            let (start, end) = tokens[rng.next_index(tokens.len())];
+            let (other_start, other_end) = tokens[rng.next_index(tokens.len())];
+            let values = [
+                "0",
+                "1",
+                "4294967296",
+                "18446744073709551615",
+                &json[other_start..other_end],
+            ];
+            out.splice(start..end, values[rng.next_index(values.len())].bytes());
+        }
+        3 => {
+            let (start, end) = range(rng);
+            out.drain(start..end);
+        }
+        4 => out.truncate(rng.next_index(bytes.len())),
+        _ => {
+            let (start, end) = range(rng);
+            let at = rng.next_index(bytes.len() + 1);
+            out.splice(at..at, bytes[start..end].iter().copied());
+        }
+    }
+    String::from_utf8(out).expect("artifacts are ASCII")
+}
+
+/// Serves 40 extreme steps through a session and through a K = 3
+/// adaptive engine, then moves the engine state through snapshot ->
+/// restore. Served errors are fine; a panic fails the caller.
+fn exercise_wrapper(tauw: &TimeseriesAwareWrapper) {
+    let n = tauw.stateless().feature_names().len();
+    let mut session = tauw.new_session();
+    for k in 0..40 {
+        let _ = session.step(&extreme_row(n, k), [3, 7][k % 2]);
+    }
+    let adaptive_engine = |shards: usize| {
+        let mut engine = ShardedEngine::new(tauw.clone(), shards);
+        engine.enable_adaptation(FUZZ_ADAPTIVE).unwrap();
+        engine
+    };
+    let mut engine = adaptive_engine(3);
+    for k in 0..40 {
+        let batch: Vec<AdaptiveStreamStep> = (0..3)
+            .map(|s| {
+                AdaptiveStreamStep::new(StreamId(s as u64), extreme_row(n, k + s), 3, k % 3 == 0)
+            })
+            .collect();
+        let _ = engine.step_many_adaptive(&batch);
+    }
+    let mut restored = adaptive_engine(2);
+    for state in engine.snapshot() {
+        restored.restore(&state).unwrap();
+    }
+    assert_eq!(restored.stream_ids(), engine.stream_ids());
+}
+
+/// Loads `json` as artifact shape `label`: `Ok(false)` when the load
+/// fails, `Ok(true)` when it succeeds and the loaded model or state
+/// validates and then serves extreme inputs. A panic fails the caller.
+fn load_and_exercise(label: &str, json: &str) -> Result<bool, String> {
+    use tauw_suite::core::buffer::TimeseriesBuffer;
+    use tauw_suite::core::calibration::{CalibratedForestQim, CalibratedQim};
+    use tauw_suite::core::conformal::ConformalQim;
+    use tauw_suite::core::taqf::TaqfVector;
+    let invalid = |what: &str| Err(format!("{label}: loaded {what}"));
+    let qim_serves = |qim: TaQim| {
+        if qim.validate().is_err() {
+            return invalid("a QIM that fails validate()");
+        }
+        for k in 0..40 {
+            let row = extreme_row(qim.n_features(), k);
+            let _ = (qim.uncertainty(&row), qim.uncertainty_reference(&row));
+        }
+        Ok(true)
+    };
+    match label {
+        "stateless" => {
+            let Ok(wrapper) = UncertaintyWrapper::from_artifact_json(json) else {
+                return Ok(false);
+            };
+            if wrapper.validate().is_err() {
+                return invalid("a wrapper that fails validate()");
+            }
+            for k in 0..40 {
+                let row = extreme_row(wrapper.feature_names().len(), k);
+                let _ = (wrapper.estimate(&row), wrapper.explain(&row));
+            }
+        }
+        "tauw_tree" | "tauw_forest" | "tauw_conformal" => {
+            let Ok(tauw) = TimeseriesAwareWrapper::from_artifact_json(json) else {
+                return Ok(false);
+            };
+            if tauw.validate().is_err() {
+                return invalid("a taUW that fails validate()");
+            }
+            exercise_wrapper(&tauw);
+        }
+        "tree_qim" => match CalibratedQim::from_artifact_json(json) {
+            Ok(qim) => return qim_serves(TaQim::Tree(qim)),
+            Err(_) => return Ok(false),
+        },
+        "forest_qim" => match CalibratedForestQim::from_artifact_json(json) {
+            Ok(qim) => return qim_serves(TaQim::Forest(qim)),
+            Err(_) => return Ok(false),
+        },
+        "conformal_qim" => match ConformalQim::from_artifact_json(json) {
+            Ok(qim) => return qim_serves(TaQim::Conformal(qim)),
+            Err(_) => return Ok(false),
+        },
+        "buffer" => {
+            let Ok(mut buffer) = TimeseriesBuffer::from_artifact_json(json) else {
+                return Ok(false);
+            };
+            // A buffer has no validate(): its running aggregates must
+            // equal the full recompute.
+            let fused = buffer.fused_outcome();
+            if fused != buffer.fused_outcome_reference() {
+                return invalid("a buffer whose fused outcome disagrees with the recompute");
+            }
+            if let Some(fused) = fused {
+                if TaqfVector::compute(&buffer, fused)
+                    != TaqfVector::compute_reference(&buffer, fused)
+                {
+                    return invalid("a buffer whose taQFs disagree with the recompute");
+                }
+            }
+            for k in 0..40 {
+                let _ = sharded_fixture().step_with_buffer(&mut buffer, &extreme_row(1, k), 7);
+            }
+        }
+        "adaptive_state" => {
+            let Ok(mut state) = AdaptiveState::from_artifact_json(json) else {
+                return Ok(false);
+            };
+            if state.config().validate().is_err() || state.coverage() != state.coverage_reference()
+            {
+                return invalid("adaptive state that fails its config or coverage check");
+            }
+            for k in 0..40 {
+                let bound = state.adapted_bound([0.0, 0.3, 1.0][k % 3]);
+                state.observe(bound, k % 4 == 0);
+            }
+        }
+        "engine_shard" => {
+            let Ok(state) = EngineShardState::from_artifact_json(json) else {
+                return Ok(false);
+            };
+            if state.validate().is_err() {
+                return invalid("an engine shard that fails validate()");
+            }
+            // The restoring engine's adaptive config may differ from the
+            // snapshot's; a refused restore is an error, not a panic.
+            let mut engine = ShardedEngine::new(sharded_fixture().clone(), 3);
+            engine.enable_adaptation(FUZZ_ADAPTIVE).unwrap();
+            if engine.restore(&state).is_ok() {
+                for k in 0..40 {
+                    let batch: Vec<AdaptiveStreamStep> = engine
+                        .stream_ids()
+                        .into_iter()
+                        .map(|id| AdaptiveStreamStep::new(id, extreme_row(1, k), 7, k % 3 == 0))
+                        .collect();
+                    let _ = engine.step_many_adaptive(&batch);
+                }
+            }
+        }
+        other => unreachable!("unknown artifact shape {other}"),
+    }
+    Ok(true)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn mutated_artifacts_load_as_err_or_as_valid_serving_models(
+        // Each case mutates every artifact shape `MUTANTS` times. A mutant
+        // must load as `Err`, or as a model or state that validates and
+        // then serves NaN, ±inf and ±1e300 inputs (session, K = 3
+        // adaptive engine, snapshot -> restore) without panicking.
+        seed in 0u64..u64::MAX,
+    ) {
+        const MUTANTS: usize = 8;
+        let mut rng = SplitMix64::new(seed);
+        for (label, json) in fuzz_artifacts() {
+            prop_assert!(load_and_exercise(label, json) == Ok(true), "pristine {} must load", label);
+            for _ in 0..MUTANTS {
+                let mutant = mutate(json, &mut rng);
+                if let Err(reason) = load_and_exercise(label, &mutant) {
+                    prop_assert!(false, "{} (seed {})", reason, seed);
+                }
+            }
+        }
     }
 }
 
