@@ -5,19 +5,23 @@
 //! [`ShardedEngine`] serves many. It owns the trained
 //! [`TimeseriesAwareWrapper`] plus a dense **stream table**: one row per
 //! live [`StreamId`] holding the stream's [`TimeseriesBuffer`] and, once
-//! adaptation is on, its boxed [`AdaptiveState`]. A `StreamId → row`
-//! index is probed once per batch entry; rows stay in place while a wave
-//! steps them. [`TauwEngine`] is the same engine with one shard.
+//! adaptation is on, its boxed [`AdaptiveState`]. A hashed `StreamId →
+//! row` index is probed once per batch entry, in O(1); rows stay in place
+//! while a wave steps them. [`TauwEngine`] is the same engine with one
+//! shard.
 //!
 //! Every step path runs through **one wave core**. A batch entry is a
 //! stream, its quality factors, its DDM outcome and an optional realized
 //! failure (`None` serves a plain step, `Some(failed)` an adaptive one):
 //!
-//! 1. **Precheck** — feature arity, adaptation enabled, and admission of
-//!    every new stream against the per-shard cap. An error here leaves
-//!    every stream untouched.
-//! 2. **Group** — one sort of `(row, batch position)` pairs puts the
-//!    steps of each stream together, in batch order.
+//! 1. **Precheck** — feature arity, adaptation enabled and the index
+//!    probe of every entry, read-only and fanned out with one
+//!    [`parallel::par_zip_chunks_mut`] on large waves (the first failing
+//!    entry is reported). Then, serially, admission of every new stream
+//!    against the per-shard cap and creation of its row. An error here
+//!    leaves every stream untouched.
+//! 2. **Group** — one sort of packed `row << 32 | batch position` keys
+//!    puts the steps of each stream together, in batch order.
 //! 3. **Step** — the grouped rows are cut into one contiguous chunk per
 //!    worker (disjoint `&mut` rows via `split_at_mut`, the matching slice
 //!    of a sorted output buffer, and the worker's own [`ServingScratch`])
@@ -40,7 +44,7 @@ use crate::sharded::{admission_error, Admission};
 use crate::tauw::{TauwStep, TimeseriesAwareWrapper};
 use crate::training::TrainingSeries;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 /// Identifier of one logical stream (one tracked object / user / camera).
 #[derive(
@@ -100,8 +104,8 @@ struct Chunk<'a> {
     /// Table rows `row_base..row_base + rows.len()`.
     rows: &'a mut [Row],
     row_base: usize,
-    /// `(row, batch position)` pairs, sorted.
-    entries: &'a [(u32, u32)],
+    /// `row << 32 | batch position` keys, sorted.
+    entries: &'a [u64],
     /// One output per entry, in `entries` order.
     out: &'a mut [Option<TauwStep>],
     scratch: &'a mut ServingScratch,
@@ -119,18 +123,21 @@ pub struct ShardedEngine {
     wrapper: TimeseriesAwareWrapper,
     /// The stream table, in no particular order.
     pub(crate) rows: Vec<Row>,
-    /// `StreamId → row`, ascending by id.
-    pub(crate) index: BTreeMap<StreamId, u32>,
+    /// `StreamId → row`. Keyed SipHash (the default `RandomState`), since
+    /// stream ids are untrusted; only ever probed, never iterated.
+    pub(crate) index: HashMap<StreamId, u32>,
     /// Live streams per shard.
     pub(crate) live: Vec<usize>,
     pub(crate) max_streams_per_shard: Option<usize>,
     adaptive_config: Option<AdaptiveConfig>,
     buffer_capacity: Option<usize>,
     n_threads: Option<usize>,
-    /// Reused by every wave: `(row, batch position)` pairs, the batch's
-    /// new streams, the sorted outputs, each position's rank in `order`,
-    /// and one serving scratch per worker.
-    order: Vec<(u32, u32)>,
+    /// Reused by every wave: the batch positions `0..n`, one
+    /// `row << 32 | batch position` key per entry, the batch's new
+    /// streams, the sorted outputs, each position's rank in `order`, and
+    /// one serving scratch per worker.
+    positions: Vec<u32>,
+    order: Vec<u64>,
     fresh: Vec<(StreamId, u32)>,
     staged: Vec<Option<TauwStep>>,
     rank: Vec<u32>,
@@ -144,12 +151,13 @@ impl ShardedEngine {
         ShardedEngine {
             wrapper,
             rows: Vec::new(),
-            index: BTreeMap::new(),
+            index: HashMap::new(),
             live: vec![0; n_shards.max(1)],
             max_streams_per_shard: None,
             adaptive_config: None,
             buffer_capacity: None,
             n_threads: None,
+            positions: Vec::new(),
             order: Vec::new(),
             fresh: Vec::new(),
             staged: Vec::new(),
@@ -190,9 +198,12 @@ impl ShardedEngine {
         self.rows.capacity()
     }
 
-    /// Active stream ids in ascending order.
+    /// Active stream ids in ascending order. Sorts the table's ids on
+    /// every call, at O(n log n).
     pub fn stream_ids(&self) -> Vec<StreamId> {
-        self.index.keys().copied().collect()
+        let mut ids: Vec<StreamId> = self.rows.iter().map(|row| row.stream).collect();
+        ids.sort_unstable();
+        ids
     }
 
     fn row(&self, stream: StreamId) -> Option<&Row> {
@@ -255,14 +266,17 @@ impl ShardedEngine {
     }
 
     /// Appends a row for a stream that is not live yet and returns its
-    /// index.
+    /// index, which is never [`ABSENT`].
     pub(crate) fn insert_row(
         &mut self,
         stream: StreamId,
         buffer: TimeseriesBuffer,
         adaptive: Option<Box<AdaptiveState>>,
     ) -> u32 {
-        let row = u32::try_from(self.rows.len()).expect("the stream table holds < 2^32 rows");
+        let row = u32::try_from(self.rows.len())
+            .ok()
+            .filter(|&row| row != ABSENT)
+            .expect("the stream table holds < 2^32 - 1 rows");
         self.rows.push(Row {
             stream,
             buffer,
@@ -320,9 +334,10 @@ impl ShardedEngine {
     /// / the user disconnected), reclaiming its admission capacity.
     /// Returns whether the stream existed.
     ///
-    /// The last row moves into the freed slot. The table gives memory back
-    /// in halving steps once it is a quarter full, so steady-state memory
-    /// tracks the *live* stream count at amortized O(1) cost per call.
+    /// The last row moves into the freed slot. The table and its index give
+    /// memory back in halving steps once they are a quarter full, so
+    /// steady-state memory tracks the *live* stream count at amortized
+    /// O(1) cost per call.
     pub fn end_stream(&mut self, stream: StreamId) -> bool {
         let Some(row) = self.index.remove(&stream) else {
             return false;
@@ -336,14 +351,17 @@ impl ShardedEngine {
         if self.rows.len() <= self.rows.capacity() / 4 {
             self.rows.shrink_to(self.rows.capacity() / 2);
         }
+        if self.index.len() <= self.index.capacity() / 4 {
+            self.index.shrink_to(self.index.capacity() / 2);
+        }
         true
     }
 
     /// Removes all streams (including their adaptive state) and releases
-    /// the stream table.
+    /// the stream table and its index.
     pub fn clear_streams(&mut self) {
         self.rows = Vec::new();
-        self.index.clear();
+        self.index = HashMap::new();
         self.live.fill(0);
     }
 
@@ -501,25 +519,49 @@ impl ShardedEngine {
             reason: format!("a wave holds at most {} steps, got {n}", u32::MAX),
         })?;
 
-        // 1. Precheck: one index probe per entry; new streams wait in
-        //    `fresh` until the whole batch has passed.
+        // 1. Precheck: one read-only index probe per entry, fanned out on
+        //    large waves, writes each entry's key in batch order; streams
+        //    that are not live yet carry the row `ABSENT`.
         let expected = self.wrapper.stateless().feature_names().len();
+        let adaptive = self.adaptive_config.is_some();
+        let threads = self.n_threads.unwrap_or_else(parallel::max_threads);
+        if self.positions.len() < n {
+            self.positions.extend(self.positions.len() as u32..n32);
+        }
         self.order.clear();
+        self.order.resize(n, 0);
+        let index = &self.index;
+        let checked = parallel::par_zip_chunks_mut(
+            threads,
+            &self.positions[..n],
+            &mut self.order,
+            |positions, keys| {
+                for (&i, key) in positions.iter().zip(keys) {
+                    let (stream, quality_factors, _, failed) = entry(i as usize);
+                    if failed.is_some() && !adaptive {
+                        return Err(adaptation_disabled());
+                    }
+                    if quality_factors.len() != expected {
+                        return Err(CoreError::FeatureArityMismatch {
+                            expected,
+                            actual: quality_factors.len(),
+                        });
+                    }
+                    let row = index.get(&stream).copied().unwrap_or(ABSENT);
+                    *key = wave_key(row, i);
+                }
+                Ok(())
+            },
+        );
+        checked.into_iter().collect::<Result<(), CoreError>>()?;
+
+        //    New streams wait in `fresh` until the whole batch has passed
+        //    admission, then get their rows.
         self.fresh.clear();
-        for i in 0..n32 {
-            let (stream, quality_factors, _, failed) = entry(i as usize);
-            if failed.is_some() && self.adaptive_config.is_none() {
-                return Err(adaptation_disabled());
-            }
-            if quality_factors.len() != expected {
-                return Err(CoreError::FeatureArityMismatch {
-                    expected,
-                    actual: quality_factors.len(),
-                });
-            }
-            match self.index.get(&stream) {
-                Some(&row) => self.order.push((row, i)),
-                None => self.fresh.push((stream, i)),
+        for &key in &self.order {
+            if key_row(key) == ABSENT {
+                let position = key as u32;
+                self.fresh.push((entry(position as usize).0, position));
             }
         }
         if !self.fresh.is_empty() {
@@ -532,7 +574,7 @@ impl ShardedEngine {
                     let buffer = self.new_buffer();
                     row = self.insert_row(stream, buffer, None);
                 }
-                self.order.push((row, position));
+                self.order[position as usize] = wave_key(row, position);
             }
             self.fresh = fresh;
         }
@@ -541,9 +583,14 @@ impl ShardedEngine {
         self.order.sort_unstable();
         let n_groups = match self.order.len() {
             0 => 0,
-            _ => 1 + self.order.windows(2).filter(|w| w[0].0 != w[1].0).count(),
+            _ => {
+                1 + self
+                    .order
+                    .windows(2)
+                    .filter(|w| key_row(w[0]) != key_row(w[1]))
+                    .count()
+            }
         };
-        let threads = self.n_threads.unwrap_or_else(parallel::max_threads);
         let workers = threads.min(n_groups).max(1);
         if self.scratches.len() < workers {
             self.scratches.resize_with(workers, ServingScratch::new);
@@ -561,17 +608,20 @@ impl ShardedEngine {
         for scratch in &mut self.scratches[..workers] {
             let mut len = 0;
             for _ in 0..per_worker {
-                let Some(&(row, _)) = entries.get(len) else {
+                let Some(&key) = entries.get(len) else {
                     break;
                 };
-                len += entries[len..].iter().take_while(|e| e.0 == row).count();
+                len += entries[len..]
+                    .iter()
+                    .take_while(|&&e| key_row(e) == key_row(key))
+                    .count();
             }
             if len == 0 {
                 break;
             }
             let (chunk_entries, rest) = entries.split_at(len);
             entries = rest;
-            let row_end = chunk_entries[len - 1].0 as usize + 1;
+            let row_end = key_row(chunk_entries[len - 1]) as usize + 1;
             let (chunk_rows, rest) = std::mem::take(&mut rows).split_at_mut(row_end - row_base);
             rows = rest;
             let (chunk_out, rest) = std::mem::take(&mut out).split_at_mut(len);
@@ -588,9 +638,9 @@ impl ShardedEngine {
         let wrapper = &self.wrapper;
         let config = self.adaptive_config;
         let per_chunk = parallel::par_map_mut(threads, &mut chunks, |chunk| {
-            for (&(row, position), out) in chunk.entries.iter().zip(chunk.out.iter_mut()) {
-                let row = &mut chunk.rows[row as usize - chunk.row_base];
-                let (_, quality_factors, outcome, failed) = entry(position as usize);
+            for (&key, out) in chunk.entries.iter().zip(chunk.out.iter_mut()) {
+                let row = &mut chunk.rows[key_row(key) as usize - chunk.row_base];
+                let (_, quality_factors, outcome, failed) = entry(key as u32 as usize);
                 *out = Some(match failed {
                     None => wrapper.step_with_parts(
                         &mut row.buffer,
@@ -623,14 +673,28 @@ impl ShardedEngine {
 
         // 4. Scatter back to batch order.
         self.rank.resize(n, 0);
-        for (k, &(_, position)) in self.order.iter().enumerate() {
-            self.rank[position as usize] = k as u32;
+        for (k, &key) in self.order.iter().enumerate() {
+            self.rank[key as u32 as usize] = k as u32;
         }
         Ok(self.rank[..n]
             .iter()
             .map(|&k| self.staged[k as usize].expect("every batch position produced a result"))
             .collect())
     }
+}
+
+/// The precheck's row for a stream that is not live yet; no table row
+/// carries it.
+const ABSENT: u32 = u32::MAX;
+
+/// A wave's grouping key: sorted keys put each row's entries together,
+/// in batch order. The low 32 bits are the batch position.
+fn wave_key(row: u32, position: u32) -> u64 {
+    u64::from(row) << 32 | u64::from(position)
+}
+
+fn key_row(key: u64) -> u32 {
+    (key >> 32) as u32
 }
 
 fn adaptation_disabled() -> CoreError {
@@ -997,6 +1061,30 @@ mod tests {
                 > 0,
             "the failure burst must have engaged adaptation"
         );
+    }
+
+    #[test]
+    fn ending_streams_hands_index_capacity_back() {
+        let mut engine = fitted().into_engine();
+        for s in 0..4096 {
+            assert!(engine.admit(StreamId(s)).is_accepted());
+        }
+        let full = engine.index.capacity();
+        assert!(full >= 4096);
+        for s in 0..4000 {
+            assert!(engine.end_stream(StreamId(s)));
+        }
+        assert!(
+            engine.index.capacity() < full / 4,
+            "{} of {full}",
+            engine.index.capacity()
+        );
+        assert_eq!(
+            engine.stream_ids(),
+            (4000..4096).map(StreamId).collect::<Vec<_>>()
+        );
+        engine.clear_streams();
+        assert_eq!(engine.index.capacity(), 0);
     }
 
     #[test]

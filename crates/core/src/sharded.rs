@@ -314,17 +314,18 @@ impl ShardedEngine {
                 ),
             });
         }
-        let streams = self
-            .index
+        let mut rows: Vec<_> = self
+            .rows
             .iter()
-            .filter(|&(&stream, _)| self.shard_of(stream) == shard)
-            .map(|(&stream, &row)| {
-                let row = &self.rows[row as usize];
-                StreamState {
-                    stream,
-                    buffer: row.buffer.clone(),
-                    adaptive: row.adaptive.as_deref().cloned(),
-                }
+            .filter(|row| self.shard_of(row.stream) == shard)
+            .collect();
+        rows.sort_unstable_by_key(|row| row.stream);
+        let streams = rows
+            .into_iter()
+            .map(|row| StreamState {
+                stream: row.stream,
+                buffer: row.buffer.clone(),
+                adaptive: row.adaptive.as_deref().cloned(),
             })
             .collect();
         Ok(EngineShardState {

@@ -1164,3 +1164,201 @@ fn adaptive_sharded_engine_matches_adaptive_sessions_across_the_grid() {
         }
     }
 }
+
+#[test]
+fn waves_above_the_precheck_fan_out_floor_match_sessions_and_reject_atomically() {
+    // Waves of more than 4096 entries take the engine's fanned-out
+    // precheck; the parallel primitive's floor keeps smaller waves on the
+    // caller. Three shuffled waves over 7000 scattered stream ids, in
+    // which streams step one to three times and new streams join at
+    // scattered positions, must match one sequential session per stream
+    // bit for bit: plain and adaptive, at K = 1/7 and thread budgets
+    // 1/2/8. A wave with bad-arity entries in two different precheck
+    // chunks must then report the earlier entry and change no stream.
+    use tauw_suite::core::adaptive::AdaptiveConfig;
+    use tauw_suite::core::engine::{AdaptiveStreamStep, StreamId};
+    use tauw_suite::core::error::CoreError;
+    use tauw_suite::core::sharded::ShardedEngine;
+    use tauw_suite::core::tauw::TauwStep;
+
+    const STREAMS: u64 = 7000;
+    const FLOOR: usize = 4096;
+    let config = SimConfig::scaled(0.04);
+    let data = DatasetBuilder::new(config, 31).unwrap().build();
+    let mut wb = WrapperBuilder::new();
+    wb.max_depth(6).calibration(CalibrationOptions {
+        min_samples_per_leaf: 50,
+        confidence: 0.99,
+        ..Default::default()
+    });
+    let mut builder = TauwBuilder::new();
+    builder.wrapper(wb);
+    let tauw = builder
+        .fit(
+            QualityObservation::feature_names(),
+            &convert(&data.train),
+            &convert(&data.calib),
+        )
+        .unwrap();
+    let arity = QualityObservation::feature_names().len();
+    let adaptive_config = AdaptiveConfig {
+        window: 8,
+        min_observations: 4,
+        rate: 0.05,
+        max_inflation_steps: 32,
+        ..Default::default()
+    };
+
+    // (quality factors, outcome, failed) of every test step.
+    let pool: Vec<(Vec<f64>, u32, bool)> = convert(&data.test)
+        .into_iter()
+        .flat_map(|series| {
+            let truth = series.true_outcome;
+            series
+                .steps
+                .into_iter()
+                .map(move |s| (s.quality_factors, s.outcome, s.outcome != truth))
+        })
+        .collect();
+    // A bijection of `a` for every `b`, so `id_of` ids are distinct.
+    let mix = |a: u64, b: u64| {
+        let mut z = a.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ b.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z ^= z >> 31;
+        z = z.wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 29)
+    };
+    let id_of = |s: u64| StreamId(mix(s, 0xD1CE));
+    // Stream `s` joins in wave 0, 1 or 2 and then steps 1-3 times per
+    // wave. Entries are `(stream, pool step)` in shuffled batch order.
+    let waves: Vec<Vec<(u64, usize)>> = (0..3u64)
+        .map(|w| {
+            let mut entries = Vec::new();
+            for s in (0..STREAMS).filter(|&s| [0, 0, 0, 1, 2][(mix(s, 1) % 5) as usize] <= w) {
+                for c in 0..1 + mix(s, 10 + w) % 3 {
+                    let pool_step = (mix(s * 4 + c, 30 + w) % pool.len() as u64) as usize;
+                    entries.push((mix(s * 4 + c, 20 + w), s, pool_step));
+                }
+            }
+            entries.sort_unstable();
+            entries.into_iter().map(|(_, s, p)| (s, p)).collect()
+        })
+        .collect();
+    assert!(waves.iter().all(|wave| wave.len() > FLOOR));
+    assert!(waves[2].len() >= 3 * FLOOR, "{} entries", waves[2].len());
+
+    let serve = |engine: &mut ShardedEngine,
+                 wave: &[(u64, usize)],
+                 features: &[Vec<f64>],
+                 adaptive: bool| {
+        if adaptive {
+            let batch: Vec<AdaptiveStreamStep> = wave
+                .iter()
+                .zip(features)
+                .map(|(&(s, p), q)| {
+                    AdaptiveStreamStep::new(id_of(s), q.clone(), pool[p].1, pool[p].2)
+                })
+                .collect();
+            engine.step_many_adaptive(&batch)
+        } else {
+            let batch: Vec<(StreamId, &[f64], u32)> = wave
+                .iter()
+                .zip(features)
+                .map(|(&(s, p), q)| (id_of(s), q.as_slice(), pool[p].1))
+                .collect();
+            engine.step_many_borrowed(&batch)
+        }
+    };
+    let features_of = |wave: &[(u64, usize)]| -> Vec<Vec<f64>> {
+        wave.iter().map(|&(_, p)| pool[p].0.clone()).collect()
+    };
+
+    // The rejected wave: the last wave plus 64 new streams at scattered
+    // positions, with a short entry early in the first precheck chunk and
+    // a long one in the last chunk.
+    let mut bad_wave = waves[2].clone();
+    for k in 0..64 {
+        let at = (mix(k, 40) % bad_wave.len() as u64) as usize;
+        bad_wave.insert(at, (STREAMS + k, k as usize));
+    }
+    let mut bad_features = features_of(&bad_wave);
+    let (early, late) = (1000, bad_wave.len() - 10);
+    bad_features[early].pop();
+    bad_features[late].push(0.5);
+
+    let mut all_ids: Vec<StreamId> = (0..STREAMS).map(id_of).collect();
+    all_ids.sort_unstable();
+    for adaptive in [false, true] {
+        let mut expected: Vec<Vec<TauwStep>> = Vec::new();
+        if adaptive {
+            let mut sessions: Vec<_> = (0..STREAMS)
+                .map(|_| tauw.new_adaptive_session(adaptive_config).unwrap())
+                .collect();
+            for wave in &waves {
+                expected.push(
+                    wave.iter()
+                        .map(|&(s, p)| {
+                            let (q, outcome, failed) = &pool[p];
+                            sessions[s as usize].step(q, *outcome, *failed).unwrap()
+                        })
+                        .collect(),
+                );
+            }
+        } else {
+            let mut sessions: Vec<_> = (0..STREAMS).map(|_| tauw.new_session()).collect();
+            for wave in &waves {
+                expected.push(
+                    wave.iter()
+                        .map(|&(s, p)| sessions[s as usize].step(&pool[p].0, pool[p].1).unwrap())
+                        .collect(),
+                );
+            }
+        }
+        for shards in [1usize, 7] {
+            for threads in [1usize, 2, 8] {
+                let ctx = format!("adaptive={adaptive} shards={shards} threads={threads}");
+                let mut engine = ShardedEngine::new(tauw.clone(), shards);
+                engine.threads(threads);
+                if adaptive {
+                    engine.enable_adaptation(adaptive_config).unwrap();
+                }
+                for (w, (wave, want)) in waves.iter().zip(&expected).enumerate() {
+                    let got = serve(&mut engine, wave, &features_of(wave), adaptive).unwrap();
+                    assert_eq!(got.len(), want.len(), "{ctx} wave {w}");
+                    for (k, (want, got)) in want.iter().zip(&got).enumerate() {
+                        assert_eq!(
+                            want.uncertainty.to_bits(),
+                            got.uncertainty.to_bits(),
+                            "{ctx} wave {w} entry {k}"
+                        );
+                        assert_eq!(
+                            want.adapted_uncertainty.to_bits(),
+                            got.adapted_uncertainty.to_bits(),
+                            "{ctx} wave {w} entry {k}"
+                        );
+                        assert_eq!(want, got, "{ctx} wave {w} entry {k}");
+                    }
+                }
+                assert_eq!(engine.stream_ids(), all_ids, "{ctx}");
+
+                let lens: Vec<Option<usize>> =
+                    all_ids.iter().map(|&id| engine.stream_len(id)).collect();
+                let err = serve(&mut engine, &bad_wave, &bad_features, adaptive).unwrap_err();
+                assert!(
+                    matches!(
+                        err,
+                        CoreError::FeatureArityMismatch { expected, actual }
+                            if expected == arity && actual == arity - 1
+                    ),
+                    "{ctx}: {err}"
+                );
+                assert_eq!(engine.stream_ids(), all_ids, "{ctx}");
+                let after: Vec<Option<usize>> =
+                    all_ids.iter().map(|&id| engine.stream_len(id)).collect();
+                assert_eq!(
+                    after, lens,
+                    "{ctx}: a rejected wave must not step any stream"
+                );
+            }
+        }
+    }
+}

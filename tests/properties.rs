@@ -988,7 +988,10 @@ proptest! {
         // random wave mid-replay: the engine must reproduce one dedicated
         // sequential session per stream bit for bit. Each wave steps a
         // random subset of the streams (some twice, in random order), and
-        // streams end and come back, restarting from a fresh session.
+        // streams end and come back, restarting from a fresh session. Ids
+        // come from one of three families (spread; at 0 and at u64::MAX;
+        // sharing their low 32 bits), and wrong outcomes include 0 and
+        // u32::MAX.
         n_streams in 1usize..10,
         waves in 1usize..12,
         traffic_seed in 0u64..u64::MAX,
@@ -996,6 +999,7 @@ proptest! {
         thread_sel in 0usize..3,
         snap_frac in 0.0f64..1.0,
         adaptive in prop::bool::ANY,
+        id_family in 0usize..3,
     ) {
         use tauw_suite::core::adaptive::{AdaptiveConfig, AdaptiveTauwSession};
         use tauw_suite::core::engine::{AdaptiveStreamStep, StreamId};
@@ -1011,7 +1015,15 @@ proptest! {
         let threads = [1usize, 2, 8][thread_sel];
         let reshard = (shards % 7) + 2; // 1 -> 3, 2 -> 4, 7 -> 2
         let tauw = sharded_fixture();
-        let id_of = |s: usize| StreamId((s as u64).wrapping_mul(0x9E37_79B9) + 5);
+        let id_of = |s: usize| {
+            let s = s as u64;
+            StreamId(match id_family {
+                0 => s.wrapping_mul(0x9E37_79B9) + 5,
+                1 if s % 2 == 0 => s / 2,
+                1 => u64::MAX - s / 2,
+                _ => (s.wrapping_mul(0x9E37_79B9) << 32) | 0xDEAD_BEEF,
+            })
+        };
         let config = AdaptiveConfig {
             window: 4,
             min_observations: 2,
@@ -1093,7 +1105,8 @@ proptest! {
                 let copies = (draw(s, w, 2) * 3.0) as usize;
                 for copy in 0..copies {
                     let q = draw(s, w, 3 + copy as u64);
-                    let outcome = if draw(s, w, 5 + copy as u64) < (q * 0.9).min(0.95) { 3 } else { 7 };
+                    let wrong = [3, 0, u32::MAX][(draw(s, w, 9 + copy as u64) * 3.0) as usize];
+                    let outcome = if draw(s, w, 5 + copy as u64) < (q * 0.9).min(0.95) { wrong } else { 7 };
                     entries.push((draw(s, w, 7 + copy as u64), s, q, outcome));
                 }
             }
@@ -1156,11 +1169,11 @@ proptest! {
             .max_by_key(|&shard| serving.shard_n_streams(shard))
             .unwrap();
         serving.max_streams_per_shard(serving.shard_n_streams(fullest).unwrap());
+        let ids = serving.stream_ids();
         let newcomer = (0..u64::MAX)
             .map(|k| StreamId(u64::MAX - k))
-            .find(|&id| serving.shard_of(id) == fullest)
+            .find(|&id| serving.shard_of(id) == fullest && !ids.contains(&id))
             .unwrap();
-        let ids = serving.stream_ids();
         let lens: Vec<Option<usize>> = ids.iter().map(|&id| serving.stream_len(id)).collect();
         let q = [0.5];
         let mut batch: Vec<(StreamId, &[f64], u32)> = ids.iter().map(|&id| (id, &q[..], 7)).collect();
