@@ -303,8 +303,8 @@ fn bench_pipeline(opts: &Options) {
 
     // The taQIM lookup across estimator families: the paper's single tree
     // vs a boundary-smoothed bootstrap forest of K members, both served
-    // one query at a time, so the rows lock in the forest's K traversals
-    // per query. `bit_identical` here verifies each side
+    // one query at a time, so the rows track the forest's lockstep walk
+    // of K members per query. `bit_identical` here verifies each side
     // against its own pointer-representation per-sample reference
     // recompute (the models legitimately differ from each other).
     let taqf_set = ctx.tauw.taqf_set();

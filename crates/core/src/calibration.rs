@@ -35,7 +35,9 @@ use crate::conformal::ConformalQim;
 use crate::error::CoreError;
 use serde::{Deserialize, Serialize};
 use tauw_dtree::prune::prune_to_min_count;
-use tauw_dtree::{DecisionTree, FlatForest, FlatTree, Forest, LeafId, NodeId};
+use tauw_dtree::{
+    DecisionTree, DtreeError, FlatForest, FlatTree, Forest, LeafId, NodeId, NodeKind,
+};
 use tauw_stats::binomial::{upper_bound, BoundMethod};
 
 /// Calibration statistics and the resulting bound for one leaf.
@@ -497,9 +499,13 @@ fn member_key(tree: &DecisionTree) -> String {
 /// * at `K = 1` the mean degenerates to `bound / 1.0`, which is exactly
 ///   the member's bound: a one-tree forest serves **bitwise** the value
 ///   the equivalent [`CalibratedQim`] would (asserted by proptest);
-/// * serving reads the compiled [`FlatForest`] (`K` flat traversals plus
-///   `K` bound-array indexes, no allocation); the pointer members stay
-///   aboard as [`CalibratedForestQim::uncertainty_reference`].
+/// * serving walks all members in lockstep over one packed node array
+///   derived from the members at calibration and at load (never
+///   serialized), then reads each member's bound and calibration support
+///   from one leaf table — one walk plus one load per member, no
+///   allocation; the compiled [`FlatForest`] and the pointer members stay
+///   aboard as the per-member references
+///   ([`CalibratedForestQim::uncertainty_reference`]).
 ///
 /// # Examples
 ///
@@ -536,14 +542,14 @@ fn member_key(tree: &DecisionTree) -> String {
 /// assert!(low < 0.2 && high > 0.8, "low {low}, high {high}");
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CalibratedForestQim {
     /// Pruned pointer members in canonical order (transparency/reference).
     trees: Vec<DecisionTree>,
     /// Per-member [`NodeId`]-indexed calibration records.
     leaves: Vec<Vec<Option<CalibratedLeaf>>>,
     options: CalibrationOptions,
-    /// The compiled serving form: one flat tree per member.
+    /// The compiled per-member form: one flat tree per member.
     flat: FlatForest,
     /// Per-member uncertainty bounds indexed by [`LeafId`].
     leaf_bounds: Vec<Vec<f64>>,
@@ -551,6 +557,186 @@ pub struct CalibratedForestQim {
     /// calibration set (min over calibration-sample routings) — the
     /// attainable floor [`CalibratedForestQim::min_uncertainty`] reports.
     min_served_bound: f64,
+    /// The serving form, derived from the fields above (never serialized).
+    kernel: ForestKernel,
+}
+
+impl Serialize for CalibratedForestQim {
+    fn serialize(&self) -> serde::Value {
+        serde::Value::Map(vec![
+            ("trees".to_string(), self.trees.serialize()),
+            ("leaves".to_string(), self.leaves.serialize()),
+            ("options".to_string(), self.options.serialize()),
+            ("flat".to_string(), self.flat.serialize()),
+            ("leaf_bounds".to_string(), self.leaf_bounds.serialize()),
+            (
+                "min_served_bound".to_string(),
+                self.min_served_bound.serialize(),
+            ),
+        ])
+    }
+}
+
+impl Deserialize for CalibratedForestQim {
+    /// Reads the six serialized fields, runs
+    /// [`CalibratedForestQim::validate`], and only then derives the
+    /// serving kernel, so a hostile payload never reaches the lockstep
+    /// walk.
+    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
+        let map = serde::__expect_map(value, "CalibratedForestQim")?;
+        let field = |name| serde::__field(map, name, "CalibratedForestQim");
+        let mut qim = CalibratedForestQim {
+            trees: Deserialize::deserialize(field("trees")?)?,
+            leaves: Deserialize::deserialize(field("leaves")?)?,
+            options: Deserialize::deserialize(field("options")?)?,
+            flat: Deserialize::deserialize(field("flat")?)?,
+            leaf_bounds: Deserialize::deserialize(field("leaf_bounds")?)?,
+            min_served_bound: Deserialize::deserialize(field("min_served_bound")?)?,
+            kernel: ForestKernel::default(),
+        };
+        qim.validate()
+            .map_err(|e| serde::Error::custom(e.to_string()))?;
+        qim.kernel = ForestKernel::build(&qim);
+        Ok(qim)
+    }
+}
+
+/// Members walked together by [`ForestKernel`]: a fixed block width, so a
+/// block's lanes live in one stack array and every level is one pass over
+/// its live lanes, whose loads do not depend on each other.
+const LANES: usize = 8;
+
+/// One node of [`ForestKernel`]'s packed array. A split sends
+/// `x[feature] <= threshold` to `children[0]` and everything else — NaN
+/// included — to `children[1]`, the pointer tree's rule. A leaf points both
+/// children back at itself and reads feature 0, so a walk that has reached
+/// it stays there.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct PackedNode {
+    threshold: f64,
+    feature: u32,
+    children: [u32; 2],
+}
+
+/// Up to [`LANES`] consecutive members (in canonical order) walked in
+/// lockstep.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct LaneBlock {
+    /// Root slot per lane; lanes past `lanes` are never walked.
+    roots: [u32; LANES],
+    /// Live lanes, i.e. members in this block.
+    lanes: usize,
+    /// Levels walked: the depth of the block's deepest member, after which
+    /// every lane sits on its leaf.
+    depth: usize,
+}
+
+/// The forest's serving form: every member's reachable nodes in one
+/// packed array (pre-order per member), walked [`LANES`] members at a time
+/// for a fixed number of levels with no leaf-exit branch, plus one
+/// slot-indexed leaf table of `(uncertainty bound, calibration samples)`.
+///
+/// Derived from a validated model by [`ForestKernel::build`]; it holds
+/// nothing the serialized fields do not determine.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct ForestKernel {
+    nodes: Vec<PackedNode>,
+    /// `(uncertainty_bound, total)` per slot; read at leaf slots only.
+    leaves: Vec<(f64, u64)>,
+    blocks: Vec<LaneBlock>,
+    n_features: usize,
+}
+
+impl ForestKernel {
+    /// Packs the members of a model that has passed
+    /// [`CalibratedForestQim::validate`]: every reachable leaf carries a
+    /// calibration record and a bound at its depth-first [`LeafId`].
+    fn build(qim: &CalibratedForestQim) -> Self {
+        let mut kernel = ForestKernel {
+            nodes: Vec::new(),
+            leaves: Vec::new(),
+            blocks: Vec::with_capacity(qim.trees.len().div_ceil(LANES)),
+            n_features: qim.n_features(),
+        };
+        let members = qim.trees.iter().zip(&qim.leaves).zip(&qim.leaf_bounds);
+        for (t, ((tree, records), bounds)) in members.enumerate() {
+            if t % LANES == 0 {
+                kernel.blocks.push(LaneBlock {
+                    roots: [0; LANES],
+                    lanes: 0,
+                    depth: 0,
+                });
+            }
+            let block = kernel.blocks.last_mut().expect("pushed above");
+            block.roots[block.lanes] = kernel.nodes.len() as u32;
+            block.lanes += 1;
+            // Pre-order, left before right, so leaves meet their `LeafId`s
+            // in order, as in `FlatTree::from_tree`. Entries are (node,
+            // parent slot, side, depth); the root has no parent slot.
+            let mut leaf_id = 0;
+            let mut stack: Vec<(NodeId, usize, usize, usize)> = vec![(0, usize::MAX, 0, 0)];
+            while let Some((id, parent, side, depth)) = stack.pop() {
+                let slot = kernel.nodes.len();
+                if parent != usize::MAX {
+                    kernel.nodes[parent].children[side] = slot as u32;
+                }
+                block.depth = block.depth.max(depth);
+                match tree.node(id).kind {
+                    NodeKind::Leaf => {
+                        kernel.nodes.push(PackedNode {
+                            threshold: 0.0,
+                            feature: 0,
+                            children: [slot as u32; 2],
+                        });
+                        let total = records[id].map_or(0, |leaf| leaf.total);
+                        kernel.leaves.push((bounds[leaf_id], total));
+                        leaf_id += 1;
+                    }
+                    NodeKind::Internal {
+                        feature,
+                        threshold,
+                        left,
+                        right,
+                    } => {
+                        kernel.nodes.push(PackedNode {
+                            threshold,
+                            feature: feature as u32,
+                            children: [0, 0],
+                        });
+                        kernel.leaves.push((0.0, 0));
+                        stack.push((right, slot, 1, depth + 1));
+                        stack.push((left, slot, 0, depth + 1));
+                    }
+                }
+            }
+        }
+        kernel
+    }
+
+    /// Walks `x` (of checked arity) through every member and returns the
+    /// left-to-right sum of the members' bounds in canonical order and the
+    /// minimum of their calibration supports.
+    #[inline]
+    fn walk(&self, x: &[f64]) -> (f64, u64) {
+        let mut sum = 0.0;
+        let mut support = u64::MAX;
+        for block in &self.blocks {
+            let mut at = block.roots;
+            for _ in 0..block.depth {
+                for slot in &mut at[..block.lanes] {
+                    let node = &self.nodes[*slot as usize];
+                    let go_left = x[node.feature as usize] <= node.threshold;
+                    *slot = node.children[usize::from(!go_left)];
+                }
+            }
+            for &slot in &at[..block.lanes] {
+                let (bound, total) = self.leaves[slot as usize];
+                sum += bound;
+                support = support.min(total);
+            }
+        }
+        (sum, support)
+    }
 }
 
 impl CalibratedForestQim {
@@ -603,7 +789,9 @@ impl CalibratedForestQim {
             flat: FlatForest::from_flat_trees(flats)?,
             leaf_bounds,
             min_served_bound: 1.0,
+            kernel: ForestKernel::default(),
         };
+        qim.kernel = ForestKernel::build(&qim);
         // The attainable serving floor: the smallest mean-of-member-bounds
         // any *calibration sample* actually receives. Unlike the mean of
         // per-member minima (which no single input generally attains —
@@ -617,46 +805,39 @@ impl CalibratedForestQim {
         Ok(qim)
     }
 
-    /// Dependable uncertainty for a feature vector: `K` flat traversals,
-    /// `K` bound-array indexes, one left-to-right sum over the canonical
-    /// member order, one division. No allocation; bit-identical regardless
-    /// of the order the forest's trees were supplied in (the canonical
-    /// order is part of the model).
+    /// Dependable uncertainty for a feature vector: one lockstep walk of
+    /// all `K` members, one leaf-table load per member, one left-to-right
+    /// sum over the canonical member order, one division. No allocation;
+    /// bit-identical regardless of the order the forest's trees were
+    /// supplied in (the canonical order is part of the model).
     ///
     /// # Errors
     ///
     /// Returns [`CoreError`] on feature-arity mismatch.
+    #[inline]
     pub fn uncertainty(&self, features: &[f64]) -> Result<f64, CoreError> {
-        let mut sum = 0.0;
-        for (leaf, bounds) in self.flat.route_members(features)?.zip(&self.leaf_bounds) {
-            sum += bounds[leaf as usize];
-        }
-        Ok(sum / self.flat.n_trees() as f64)
+        Ok(self.uncertainty_with_support(features)?.0)
     }
 
     /// [`CalibratedForestQim::uncertainty`] and its calibration support
-    /// from one pass over the members: the same left-to-right bound sum in
-    /// canonical member order, and the **minimum** over members of the
-    /// routed leaf's calibration-sample count (the ensemble's estimate is
-    /// only as grounded as its least-supported member).
+    /// from the same walk: the same left-to-right bound sum in canonical
+    /// member order, and the **minimum** over members of the routed leaf's
+    /// calibration-sample count (the ensemble's estimate is only as
+    /// grounded as its least-supported member).
+    #[inline]
     pub(crate) fn uncertainty_with_support(
         &self,
         features: &[f64],
     ) -> Result<(f64, u64), CoreError> {
-        let mut sum = 0.0;
-        let mut support = u64::MAX;
-        let members = self
-            .flat
-            .trees()
-            .iter()
-            .zip(&self.leaf_bounds)
-            .zip(&self.leaves);
-        for (leaf, ((tree, bounds), leaves)) in self.flat.route_members(features)?.zip(members) {
-            sum += bounds[leaf as usize];
-            let node = tree.leaf(leaf).node_id;
-            support = support.min(leaves.get(node).copied().flatten().map_or(0, |l| l.total));
+        if features.len() != self.kernel.n_features {
+            return Err(DtreeError::PredictArityMismatch {
+                expected: self.kernel.n_features,
+                actual: features.len(),
+            }
+            .into());
         }
-        Ok((sum / self.flat.n_trees() as f64, support))
+        let (sum, support) = self.kernel.walk(features);
+        Ok((sum / self.trees.len() as f64, support))
     }
 
     /// Reference implementation of [`CalibratedForestQim::uncertainty`]

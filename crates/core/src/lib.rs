@@ -27,7 +27,8 @@
 //!   serving path is a compiled [`tauw_dtree::FlatTree`] plus a leaf-ID →
 //!   bound lookup table, bit-identical to the pointer tree. The taQIM can
 //!   also be a calibrated bootstrap **forest** (mean of per-member bounds,
-//!   served as `K` flat traversals) that smooths the hard split boundaries
+//!   served by one lockstep walk of all `K` members over a packed node
+//!   array) that smooths the hard split boundaries
 //!   of a single tree. All taQIM backends are shapes of one closed
 //!   [`calibration::TaQim`] enum, served per sample.
 //! * [`conformal`] — the first leafless taQIM backend: a **split-conformal**

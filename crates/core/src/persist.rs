@@ -760,6 +760,109 @@ mod tests {
     }
 
     #[test]
+    fn forest_artifacts_reload_byte_stable_and_serve_bitwise_on_every_calibration_row() {
+        let tauw = fitted_forest();
+        let calib = toy_series(200, 2);
+        let rows: Vec<Vec<f64>> = crate::tauw::replay(tauw.stateless(), &calib)
+            .unwrap()
+            .iter()
+            .map(|row| row.ta_features(tauw.taqf_set()))
+            .collect();
+        let qim = tauw.taqim().as_forest().unwrap();
+        let json = qim.to_artifact_json().unwrap();
+        let back = CalibratedForestQim::from_artifact_json(&json).unwrap();
+        assert_eq!(back.to_artifact_json().unwrap(), json);
+        let wrapper_json = tauw.to_artifact_json().unwrap();
+        let wrapper_back = TimeseriesAwareWrapper::from_artifact_json(&wrapper_json).unwrap();
+        assert_eq!(wrapper_back.to_artifact_json().unwrap(), wrapper_json);
+
+        // The serving kernel is derived at load, so the loaded models must
+        // serve what the calibrated one serves on every calibration row...
+        for features in &rows {
+            let (bound, support) = qim.uncertainty_with_support(features).unwrap();
+            for loaded in [&back, wrapper_back.taqim().as_forest().unwrap()] {
+                let (loaded_bound, loaded_support) =
+                    loaded.uncertainty_with_support(features).unwrap();
+                assert_eq!(loaded_bound.to_bits(), bound.to_bits());
+                assert_eq!(loaded_support, support);
+                assert_eq!(
+                    loaded.uncertainty(features).unwrap().to_bits(),
+                    bound.to_bits()
+                );
+            }
+        }
+        // ...and the loaded wrapper steps every calibration series alike.
+        for series in &calib {
+            let mut s1 = tauw.new_session();
+            let mut s2 = wrapper_back.new_session();
+            for step in &series.steps {
+                let a = s1.step(&step.quality_factors, step.outcome).unwrap();
+                let b = s2.step(&step.quality_factors, step.outcome).unwrap();
+                assert_eq!(a.uncertainty.to_bits(), b.uncertainty.to_bits());
+                assert_eq!(a, b);
+            }
+        }
+    }
+
+    /// Rewrites the `nth` integer of the `children` table of the first
+    /// flat member at or after `anchor`.
+    fn set_flat_child(json: &str, anchor: &str, nth: usize, value: u64) -> String {
+        let flat = json.find(anchor).unwrap();
+        let flat = flat + json[flat..].find("\"flat\"").unwrap();
+        let mut at = flat + json[flat..].find("\"children\"").unwrap() + "\"children\"".len();
+        for _ in 0..nth {
+            at += json[at..].find(|c: char| c.is_ascii_digit()).unwrap();
+            at += json[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
+        }
+        let start = at + json[at..].find(|c: char| c.is_ascii_digit()).unwrap();
+        let end = start + json[start..].find(|c: char| !c.is_ascii_digit()).unwrap();
+        format!("{}{value}{}", &json[..start], &json[end..])
+    }
+
+    #[test]
+    fn tampered_flat_forest_members_are_rejected_before_serving() {
+        let tauw = fitted_forest();
+        let qim_json = tauw
+            .taqim()
+            .as_forest()
+            .unwrap()
+            .to_artifact_json()
+            .unwrap();
+        let wrapper_json = tauw.to_artifact_json().unwrap();
+        type Load = fn(&str) -> Result<(), CoreError>;
+        // The anchor precedes the forest's own `flat` field.
+        let artifacts: [(&str, &str, &str, Load); 2] = [
+            ("forest taQIM", &qim_json, "\"model\"", |json| {
+                CalibratedForestQim::from_artifact_json(json).map(drop)
+            }),
+            ("forest wrapper", &wrapper_json, "\"Forest\"", |json| {
+                TimeseriesAwareWrapper::from_artifact_json(json).map(drop)
+            }),
+        ];
+        for (kind, json, anchor, load) in artifacts {
+            load(json).unwrap();
+            // Member 0's root splits into node 1 (children entries 0 and
+            // 1), and node 1 splits too (entries 2 and 3).
+            for (defect, tampered) in [
+                (
+                    "out-of-range child",
+                    set_flat_child(json, anchor, 0, 1_000_000),
+                ),
+                ("cycle", set_flat_child(json, anchor, 2, 0)),
+            ] {
+                assert_ne!(tampered, json, "{kind}: {defect} edit must hit");
+                match load(&tampered) {
+                    Err(CoreError::InvalidInput { reason }) => assert!(
+                        reason.contains("flat form is not the lowering of its tree"),
+                        "{kind}: {defect}: {reason}"
+                    ),
+                    other => panic!("{kind}: {defect}: expected InvalidInput, got {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
     fn forest_qim_save_and_load_file() {
         let tauw = fitted_forest();
         let qim = tauw.taqim().as_forest().unwrap();

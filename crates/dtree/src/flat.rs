@@ -324,15 +324,15 @@ impl FlatTree {
     /// The branch-light traversal core. `x` must have the right arity.
     ///
     /// The direction bit mirrors the pointer tree exactly: `x[f] <= t`
-    /// goes left, everything else — including NaN — goes right.
-    /// `pub(crate)` so [`crate::FlatForest::route_members`] can route an
-    /// already-validated row through each member without re-checking arity.
+    /// goes left, everything else — including NaN — goes right. Private:
+    /// every caller goes through [`FlatTree::predict_leaf_id`], which
+    /// checks arity first.
     ///
     /// The three node arrays have one length by construction; slicing
     /// `threshold` and `children` to it up front lets the per-level bound
     /// checks on them fold into the one on `feature`.
     #[inline(always)]
-    pub(crate) fn route(&self, x: &[f64]) -> LeafId {
+    fn route(&self, x: &[f64]) -> LeafId {
         let features = &self.feature[..];
         let thresholds = &self.threshold[..features.len()];
         let children = &self.children[..features.len()];
@@ -347,7 +347,7 @@ impl FlatTree {
     }
 
     #[inline]
-    pub(crate) fn check_arity(&self, actual: usize) -> Result<(), DtreeError> {
+    fn check_arity(&self, actual: usize) -> Result<(), DtreeError> {
         if actual != self.n_features {
             return Err(DtreeError::PredictArityMismatch {
                 expected: self.n_features,

@@ -27,14 +27,16 @@
 //!   reuses one such pair of buffers for all of its members.
 //! * [`Forest`] — the trained pointer-tree ensemble (the transparent,
 //!   reviewable form).
-//! * [`FlatForest`] — the compiled serving form: one [`FlatTree`] per
-//!   member, routing one sample to `K` leaf ids in member order
-//!   ([`FlatForest::route_members`]) after a single arity check.
+//! * [`FlatForest`] — the compiled per-member form: one [`FlatTree`] per
+//!   member, each routing a sample to a dense leaf id. `tauw-core` serves
+//!   a calibrated forest through its own lockstep kernel, packed from the
+//!   members, and keeps these flat members as the per-member reference
+//!   the kernel is pinned to.
 
 use crate::builder::TreeBuilder;
 use crate::data::Dataset;
 use crate::error::DtreeError;
-use crate::flat::{FlatTree, LeafId};
+use crate::flat::FlatTree;
 use crate::tree::DecisionTree;
 use serde::{Deserialize, Serialize};
 
@@ -265,10 +267,10 @@ impl Forest {
     }
 }
 
-/// The compiled serving form of a [`Forest`]: one [`FlatTree`] per member.
+/// The compiled form of a [`Forest`]: one [`FlatTree`] per member.
 ///
-/// Routing one sample costs exactly `K` flat traversals; per-member leaf
-/// ids index the members' dense leaf ranges, so callers attach per-leaf
+/// Member `t` routes a sample with [`FlatTree::predict_leaf_id`]; its leaf
+/// ids index the member's dense leaf range, so callers attach per-leaf
 /// metadata (calibrated bounds) as one plain `Vec` per member — the same
 /// leaf-identity contract [`FlatTree`] established, `K` times over.
 ///
@@ -288,9 +290,8 @@ impl Forest {
 /// let flat = FlatForest::from_forest(&forest);
 ///
 /// // One sample routes to one leaf id per member tree...
-/// let leaves = flat.route_members(&[10.0])?;
-/// assert_eq!(leaves.len(), 4);
-/// for (t, leaf) in leaves.enumerate() {
+/// for t in 0..flat.n_trees() {
+///     let leaf = flat.tree(t).predict_leaf_id(&[10.0])?;
 ///     assert!((leaf as usize) < flat.tree(t).n_leaves());
 /// }
 /// // ...and the ensemble prediction agrees with the members' majority.
@@ -386,25 +387,6 @@ impl FlatForest {
         self.trees.iter().map(FlatTree::n_leaves).sum()
     }
 
-    /// Routes one sample through every member, yielding one [`LeafId`]
-    /// per member in member order — the ensemble's per-step serving
-    /// primitive (`K` flat traversals, no allocation). Arity is checked
-    /// once up front (members share their shape by construction); each
-    /// member then routes with exactly the comparisons of
-    /// [`FlatTree::predict_leaf_id`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DtreeError::PredictArityMismatch`] if `x` has the wrong
-    /// number of features.
-    pub fn route_members<'a>(
-        &'a self,
-        x: &'a [f64],
-    ) -> Result<impl ExactSizeIterator<Item = LeafId> + 'a, DtreeError> {
-        self.trees[0].check_arity(x.len())?;
-        Ok(self.trees.iter().map(move |tree| tree.route(x)))
-    }
-
     /// Ensemble prediction: majority vote over the members' leaf classes,
     /// ties broken by the lowest class id (the same tie rule every member
     /// applies internally).
@@ -415,8 +397,8 @@ impl FlatForest {
     /// number of features.
     pub fn predict(&self, x: &[f64]) -> Result<u32, DtreeError> {
         let mut votes = vec![0u64; self.n_classes() as usize];
-        for (tree, leaf) in self.trees.iter().zip(self.route_members(x)?) {
-            votes[tree.leaf(leaf).class as usize] += 1;
+        for tree in &self.trees {
+            votes[tree.predict(x)? as usize] += 1;
         }
         let mut class = 0u32;
         let mut best = 0u64;
@@ -559,9 +541,8 @@ mod tests {
         );
         for i in 0..50 {
             let q = [i as f64 / 49.0];
-            let per_tree: Vec<LeafId> = flat.route_members(&q).unwrap().collect();
-            assert_eq!(per_tree.len(), 5);
-            for (t, &leaf) in per_tree.iter().enumerate() {
+            for t in 0..flat.n_trees() {
+                let leaf = flat.tree(t).predict_leaf_id(&q).unwrap();
                 assert_eq!(
                     flat.tree(t).leaf(leaf).node_id,
                     forest.tree(t).leaf_id(&q).unwrap(),
@@ -575,13 +556,16 @@ mod tests {
     #[test]
     fn member_routing_handles_nan_rows() {
         let ds = dataset(200);
-        let flat = FlatForest::from_forest(&builder(4, 2).fit(&ds).unwrap());
-        // NaN rows route right in every member, same as per-member routing.
+        let forest = builder(4, 2).fit(&ds).unwrap();
+        let flat = FlatForest::from_forest(&forest);
+        // NaN rows route right in every member, like the pointer members.
         for row in [[f64::NAN], [0.25], [0.75]] {
-            let routed: Vec<LeafId> = flat.route_members(&row).unwrap().collect();
-            assert_eq!(routed.len(), 4);
-            for (t, &leaf) in routed.iter().enumerate() {
-                assert_eq!(leaf, flat.tree(t).predict_leaf_id(&row).unwrap());
+            for t in 0..flat.n_trees() {
+                let leaf = flat.tree(t).predict_leaf_id(&row).unwrap();
+                assert_eq!(
+                    flat.tree(t).leaf(leaf).node_id,
+                    forest.tree(t).leaf_id(&row).unwrap()
+                );
             }
         }
     }
@@ -599,13 +583,12 @@ mod tests {
         let ds = dataset(100);
         let flat = FlatForest::from_forest(&builder(2, 1).fit(&ds).unwrap());
         assert!(matches!(
-            flat.route_members(&[0.1, 0.2]).map(|_| ()),
+            flat.predict(&[0.1, 0.2]),
             Err(DtreeError::PredictArityMismatch {
                 expected: 1,
                 actual: 2
             })
         ));
-        assert!(flat.predict(&[0.1, 0.2]).is_err());
     }
 
     #[test]
@@ -700,10 +683,13 @@ mod tests {
             serde_json::from_str(&serde_json::to_string(&flat).unwrap()).unwrap();
         assert_eq!(flat, flat_back);
         for q in [[0.1], [0.5], [0.9]] {
-            assert!(flat
-                .route_members(&q)
-                .unwrap()
-                .eq(flat_back.route_members(&q).unwrap()));
+            for t in 0..flat.n_trees() {
+                assert_eq!(
+                    flat.tree(t).predict_leaf_id(&q).unwrap(),
+                    flat_back.tree(t).predict_leaf_id(&q).unwrap()
+                );
+            }
+            assert_eq!(flat.predict(&q).unwrap(), flat_back.predict(&q).unwrap());
         }
     }
 }

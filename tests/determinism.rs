@@ -505,9 +505,9 @@ fn forest_engine_serving_is_bit_identical_across_thread_budgets_and_to_reference
                 .zip(engine.step_many_borrowed(&batch).unwrap())
             {
                 let qf = &streams[s].steps[j].quality_factors;
-                // The forest's flat serving path (K traversals + mean in
-                // canonical member order) recomputed via the pointer
-                // members, bit for bit.
+                // The forest's serving path (one lockstep walk of the K
+                // members + mean in canonical member order) recomputed via
+                // the pointer members, bit for bit.
                 let mut features = qf.clone();
                 features.extend(tauw.taqf_set().select(&out.taqf));
                 let reference = tauw.taqim().uncertainty_reference(&features).unwrap();

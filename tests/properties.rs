@@ -592,7 +592,8 @@ proptest! {
         );
         let mut builder = ForestBuilder::new(k, seed);
         builder.tree(TreeBuilder::new().max_depth(depth).clone());
-        let flat_forest = FlatForest::from_forest(&builder.fit(&ds).unwrap());
+        let forest = builder.fit(&ds).unwrap();
+        let flat_forest = FlatForest::from_forest(&forest);
 
         let query_rows: Vec<Vec<f64>> = queries
             .iter()
@@ -610,14 +611,19 @@ proptest! {
             .map(|q| flat.predict_leaf_id(q).unwrap())
             .collect();
 
-        // The forest's one-arity-check member pass routes every member
-        // exactly like that member on its own.
+        // Every flat member routes exactly like its pointer member, and
+        // the ensemble vote is the members' majority.
+        prop_assert_eq!(flat_forest.n_trees(), k);
         for q in &query_rows {
-            let members: Vec<LeafId> = flat_forest.route_members(q).unwrap().collect();
-            prop_assert_eq!(members.len(), k);
-            for (t, &leaf) in members.iter().enumerate() {
-                prop_assert_eq!(leaf, flat_forest.tree(t).predict_leaf_id(q).unwrap());
+            let mut votes = [0usize; 3];
+            for (t, tree) in forest.trees().iter().enumerate() {
+                let member = flat_forest.tree(t);
+                let leaf = member.predict_leaf_id(q).unwrap();
+                prop_assert_eq!(member.leaf(leaf).node_id, tree.leaf_id(q).unwrap());
+                votes[member.leaf(leaf).class as usize] += 1;
             }
+            let majority = (0..3).rev().max_by_key(|&c| votes[c]).unwrap() as u32;
+            prop_assert_eq!(flat_forest.predict(q).unwrap(), majority);
         }
 
         // Ragged batches (empty / single row / full) through the threaded
@@ -823,6 +829,102 @@ proptest! {
         }
         for backend in &backends {
             prop_assert!(backend.uncertainty_with_support(&[0.1, 0.2]).is_err());
+        }
+    }
+
+    #[test]
+    fn lockstep_forest_kernel_matches_the_per_member_walk_bitwise(
+        // Forests of K = 1, 7, 8, 9, 16 or 17 members, so single, partial
+        // and multiple lane blocks all occur, over 3-6 features. Member
+        // depths are drawn from 0..=8 (a depth-0 member is a root leaf);
+        // from K = 2 on, one member is a root leaf and one has depth 8.
+        // Each query starts from a calibration row or a fresh value per
+        // feature, and two mask bits per feature put NaN (1), +inf (2) or
+        // -inf (3) there.
+        n_rows in 300usize..600,
+        n_features in 3usize..7,
+        k_index in 0usize..6,
+        depths in prop::collection::vec(0usize..9, 17),
+        queries in prop::collection::vec((0usize..400, 0u32..4096, -0.5f64..1.5), 1..40),
+        seed in 0u64..u64::MAX,
+    ) {
+        use tauw_suite::core::calibration::{CalibratedForestQim, CalibrationOptions};
+        use tauw_suite::dtree::{Dataset, Forest, TreeBuilder};
+        let k = [1usize, 7, 8, 9, 16, 17][k_index];
+        let mut state = seed;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let rows: Vec<(Vec<f64>, bool)> = (0..n_rows)
+            .map(|_| {
+                let x: Vec<f64> = (0..n_features).map(|_| next()).collect();
+                let failed = (x[0] + x[n_features - 1] > 1.0) ^ (next() < 0.15);
+                (x, failed)
+            })
+            .collect();
+        let names: Vec<String> = (0..n_features).map(|f| format!("f{f}")).collect();
+        let trees = (0..k)
+            .map(|t| {
+                // Each member trains on its own two-thirds of the rows.
+                let mut ds = Dataset::new(names.clone(), 2).unwrap();
+                for (i, (x, failed)) in rows.iter().enumerate() {
+                    if (i + t) % 3 != 0 {
+                        ds.push_row(x, u32::from(*failed)).unwrap();
+                    }
+                }
+                let depth = match t {
+                    0 if k > 1 => 0,
+                    1 => 8,
+                    _ => depths[t],
+                };
+                TreeBuilder::new().max_depth(depth).fit(&ds).unwrap()
+            })
+            .collect();
+        let options = CalibrationOptions {
+            min_samples_per_leaf: 2,
+            confidence: 0.95,
+            ..Default::default()
+        };
+        let qim = CalibratedForestQim::calibrate(
+            Forest::from_trees(trees).unwrap(),
+            &rows,
+            options,
+        )
+        .unwrap();
+        prop_assert_eq!(qim.n_trees(), k);
+        let backend = TaQim::Forest(qim);
+        let qim = backend.as_forest().unwrap();
+
+        for (row, mask, fresh) in &queries {
+            let base = &rows[row % n_rows].0;
+            let q: Vec<f64> = (0..n_features)
+                .map(|f| match (mask >> (2 * f)) & 3 {
+                    1 => f64::NAN,
+                    2 => f64::INFINITY,
+                    3 => f64::NEG_INFINITY,
+                    _ if (row + f) % 2 == 0 => base[f],
+                    _ => fresh + f as f64 / 8.0,
+                })
+                .collect();
+            // The per-member walk: each flat member on its own, bounds
+            // summed in member order, supports folded by minimum.
+            let mut sum = 0.0;
+            let mut support = u64::MAX;
+            for t in 0..k {
+                let member = qim.flat().tree(t);
+                let leaf = member.predict_leaf_id(&q).unwrap();
+                sum += qim.leaf_bounds()[t][leaf as usize];
+                let node = member.leaf(leaf).node_id;
+                support = support.min(qim.calibrated_leaf(t, node).unwrap().total);
+            }
+            let (bound, served_support) = backend.uncertainty_with_support(&q).unwrap();
+            prop_assert_eq!(bound.to_bits(), (sum / k as f64).to_bits());
+            prop_assert_eq!(bound.to_bits(), qim.uncertainty_reference(&q).unwrap().to_bits());
+            prop_assert_eq!(served_support, RouteSupport::Samples(support));
+            prop_assert_eq!(qim.uncertainty(&q).unwrap().to_bits(), bound.to_bits());
         }
     }
 
