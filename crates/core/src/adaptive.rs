@@ -34,9 +34,9 @@
 //! silently defaulting to either side.
 
 use crate::buffer::{certainty_units_to_f64, TimeseriesBuffer, CERTAINTY_UNIT_ONE};
-use crate::calibration::{RouteSupport, ServingScratch, TaQim};
+use crate::calibration::RouteSupport;
 use crate::error::CoreError;
-use crate::tauw::{TauwStep, TimeseriesAwareWrapper};
+use crate::tauw::TauwSession;
 use serde::{Deserialize, Serialize};
 
 /// Per-stream drift/regime classification served with every adaptive step.
@@ -249,12 +249,18 @@ impl AdaptiveState {
     /// (see [`AdaptiveConfig::validate`]).
     pub fn new(config: AdaptiveConfig) -> Result<Self, CoreError> {
         config.validate()?;
-        Ok(AdaptiveState {
+        Ok(AdaptiveState::fresh(config))
+    }
+
+    /// [`AdaptiveState::new`] for a config that has already passed
+    /// [`AdaptiveConfig::validate`].
+    pub(crate) fn fresh(config: AdaptiveConfig) -> Self {
+        AdaptiveState {
             config,
             coverage: TimeseriesBuffer::bounded(config.window),
             inflation_steps: 0,
             last_drift: DriftSignal::Stable,
-        })
+        }
     }
 
     /// Rebuilds a state from its parts (the deserialization funnel), with
@@ -482,138 +488,10 @@ impl Deserialize for AdaptiveState {
     }
 }
 
-/// Runs one adaptive step against externally owned fusion-buffer, adaptive
-/// state and serving scratch: the shared core [`AdaptiveTauwSession::step`]
-/// and [`crate::sharded::ShardedEngine::step_adaptive`] both delegate to, so a
-/// batched adaptive engine step is exactly a session step by construction.
-/// With a bounded buffer and warmed scratch the steady state performs no
-/// heap allocation (the taQIM feature row assembles once in
-/// `scratch.features`, and the coverage window is a ring). The row is
-/// routed once: [`TaQim::uncertainty_with_support`] returns the bound and
-/// its route support from the same traversal.
-///
-/// Order matters and is fixed here once: **serve, then observe**. The
-/// adapted bound is computed from the state *before* this step's outcome
-/// feeds back, so the bound served for step `i` never peeks at outcome
-/// `i`.
-pub(crate) fn adaptive_step_with_parts(
-    wrapper: &TimeseriesAwareWrapper,
-    buffer: &mut TimeseriesBuffer,
-    state: &mut AdaptiveState,
-    scratch: &mut ServingScratch,
-    quality_factors: &[f64],
-    outcome: u32,
-    failed: bool,
-) -> Result<TauwStep, CoreError> {
-    let (mut step, support) = wrapper.step_and_lookup(
-        buffer,
-        scratch,
-        quality_factors,
-        outcome,
-        TaQim::uncertainty_with_support,
-    )?;
-    step.adapted_uncertainty = state.adapted_bound(step.uncertainty);
-    step.drift = state.classify(support);
-    state.record_drift(step.drift);
-    state.observe(step.adapted_uncertainty, failed);
-    Ok(step)
-}
-
-/// A single-stream adaptive serving session: a classic [`TauwSession`]'s
-/// fusion buffer plus an [`AdaptiveState`] feedback loop.
-///
-/// [`TauwSession`]: crate::tauw::TauwSession
-#[derive(Debug, Clone)]
-pub struct AdaptiveTauwSession<'w> {
-    wrapper: &'w TimeseriesAwareWrapper,
-    buffer: TimeseriesBuffer,
-    state: AdaptiveState,
-    scratch: ServingScratch,
-}
-
-impl TimeseriesAwareWrapper {
-    /// Starts an adaptive runtime session: the classic serving path plus
-    /// the online coverage feedback loop of [`AdaptiveState`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidInput`] when the config is invalid.
-    pub fn new_adaptive_session(
-        &self,
-        config: AdaptiveConfig,
-    ) -> Result<AdaptiveTauwSession<'_>, CoreError> {
-        Ok(AdaptiveTauwSession {
-            wrapper: self,
-            buffer: TimeseriesBuffer::with_capacity(32),
-            state: AdaptiveState::new(config)?,
-            scratch: ServingScratch::new(),
-        })
-    }
-}
-
-impl AdaptiveTauwSession<'_> {
-    /// Clears the *fusion* buffer at the onset of a new timeseries (new
-    /// physical object reported by tracking) — exactly like
-    /// [`crate::tauw::TauwSession::begin_series`], including the lifetime
-    /// step counter reset. The adaptive coverage window deliberately
-    /// survives: drift is a property of the *stream* (the camera, the
-    /// deployment site), not of the individual tracked object. Call
-    /// [`AdaptiveTauwSession::reset_adaptation`] to also drop adaptation.
-    pub fn begin_series(&mut self) {
-        self.buffer.clear();
-    }
-
-    /// Drops all adaptation state (see [`AdaptiveState::reset`]).
-    pub fn reset_adaptation(&mut self) {
-        self.state.reset();
-    }
-
-    /// Read access to the adaptive state (diagnostics, persistence).
-    pub fn adaptive_state(&self) -> &AdaptiveState {
-        &self.state
-    }
-
-    /// Replaces the adaptive state (resuming a persisted stream).
-    pub fn import_adaptive_state(&mut self, state: AdaptiveState) {
-        self.state = state;
-    }
-
-    /// Read access to the fusion buffer (for diagnostics).
-    pub fn buffer(&self) -> &TimeseriesBuffer {
-        &self.buffer
-    }
-
-    /// The drift classification of the most recent step.
-    pub fn drift(&self) -> DriftSignal {
-        self.state.last_drift()
-    }
-
-    /// Processes one timestep with coverage feedback: quality factors +
-    /// DDM outcome in, classic [`TauwStep`] fields plus
-    /// [`TauwStep::adapted_uncertainty`] and [`TauwStep::drift`] out.
-    /// `failed` is the realized ground truth for *this* step (fed back
-    /// only after the adapted bound is computed — serve-then-observe).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError`] on feature-arity mismatch.
-    pub fn step(
-        &mut self,
-        quality_factors: &[f64],
-        outcome: u32,
-        failed: bool,
-    ) -> Result<TauwStep, CoreError> {
-        adaptive_step_with_parts(
-            self.wrapper,
-            &mut self.buffer,
-            &mut self.state,
-            &mut self.scratch,
-            quality_factors,
-            outcome,
-            failed,
-        )
-    }
-}
+/// A single-stream adaptive serving session: a [`TauwSession`]'s fusion
+/// buffer plus an [`AdaptiveState`] feedback loop, stepped through the
+/// same core as a plain session and every engine wave.
+pub type AdaptiveTauwSession<'w> = TauwSession<'w, AdaptiveState>;
 
 #[cfg(test)]
 mod tests {

@@ -10,16 +10,16 @@
 //! while a wave steps them. [`TauwEngine`] is the same engine with one
 //! shard.
 //!
-//! Every step path runs through **one wave core**. A batch entry is a
-//! stream, its quality factors, its DDM outcome and an optional realized
-//! failure (`None` serves a plain step, `Some(failed)` an adaptive one):
+//! Every step path runs through **one wave core**. A wave is plain or
+//! adaptive as a whole; an adaptive wave needs adaptation enabled. A batch
+//! entry is a stream, its quality factors, its DDM outcome and, in an
+//! adaptive wave, its realized failure:
 //!
-//! 1. **Precheck** — feature arity, adaptation enabled and the index
-//!    probe of every entry, read-only and fanned out with one
+//! 1. **Precheck** — the feature arity and the index probe of every
+//!    entry, read-only and fanned out with one
 //!    [`parallel::par_zip_chunks_mut`] on large waves (the first failing
 //!    entry is reported). Then, serially, admission of every new stream
-//!    against the per-shard cap and creation of its row. An error here
-//!    leaves every stream untouched.
+//!    against the per-shard cap and creation of its row.
 //! 2. **Group** — one sort of packed `row << 32 | batch position` keys
 //!    puts the steps of each stream together, in batch order.
 //! 3. **Step** — the grouped rows are cut into one contiguous chunk per
@@ -28,15 +28,15 @@
 //!    and fanned out with one [`parallel::par_map_mut`].
 //! 4. **Scatter** — the sorted outputs return in batch order.
 //!
-//! Every engine step delegates to the same
-//! [`TimeseriesAwareWrapper::step_with_parts`] (or adaptive step) a
-//! session uses, and a batch behaves exactly as if its steps were applied
-//! one by one in batch order. An engine serving N streams therefore
-//! produces bit-identical estimates to N sequential sessions at any shard
-//! count and thread budget (asserted by `tests/determinism.rs`). Per-step
-//! cost is O(1) in the series length (see [`crate::buffer`]).
+//! **A rejected wave changes nothing:** every error is raised before the
+//! first row is created. The step phase runs the infallible step core a
+//! session runs, and a batch behaves exactly as if its steps were applied
+//! one by one in batch order. An engine serving N streams therefore produces
+//! bit-identical estimates to N sequential sessions at any shard count
+//! and thread budget (asserted by `tests/determinism.rs`). Per-step cost
+//! is O(1) in the series length (see [`crate::buffer`]).
 
-use crate::adaptive::{adaptive_step_with_parts, AdaptiveConfig, AdaptiveState, DriftSignal};
+use crate::adaptive::{AdaptiveConfig, AdaptiveState, DriftSignal};
 use crate::buffer::TimeseriesBuffer;
 use crate::calibration::ServingScratch;
 use crate::error::CoreError;
@@ -372,14 +372,14 @@ impl ShardedEngine {
     /// # Errors
     ///
     /// Returns [`CoreError`] on feature-arity mismatch or a rejected
-    /// admission, in which case no stream state is created or modified.
+    /// admission; a rejected step changes nothing.
     pub fn step(
         &mut self,
         stream: StreamId,
         quality_factors: &[f64],
         outcome: u32,
     ) -> Result<TauwStep, CoreError> {
-        let mut steps = self.run_wave(1, |_| (stream, quality_factors, outcome, None))?;
+        let mut steps = self.run_wave(1, false, |_| (stream, quality_factors, outcome, false))?;
         Ok(steps.pop().expect("a one-entry wave yields one step"))
     }
 
@@ -390,9 +390,8 @@ impl ShardedEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidInput`] when adaptation is not enabled,
-    /// or [`CoreError`] on feature-arity mismatch or a rejected admission
-    /// — in every case no stream state is created or modified.
+    /// As [`ShardedEngine::step`], and [`CoreError::InvalidInput`] when
+    /// adaptation is not enabled.
     pub fn step_adaptive(
         &mut self,
         stream: StreamId,
@@ -400,7 +399,7 @@ impl ShardedEngine {
         outcome: u32,
         failed: bool,
     ) -> Result<TauwStep, CoreError> {
-        let mut steps = self.run_wave(1, |_| (stream, quality_factors, outcome, Some(failed)))?;
+        let mut steps = self.run_wave(1, true, |_| (stream, quality_factors, outcome, failed))?;
         Ok(steps.pop().expect("a one-entry wave yields one step"))
     }
 
@@ -416,16 +415,15 @@ impl ShardedEngine {
     /// # Errors
     ///
     /// Returns [`CoreError`] on feature-arity mismatch of **any** batch
-    /// entry or a rejected admission of any new stream; the batch is
-    /// validated up front, so on such an error no stream state has been
-    /// modified.
+    /// entry or a rejected admission of any new stream; a rejected wave
+    /// changes nothing.
     pub fn step_many_borrowed(
         &mut self,
         batch: &[(StreamId, &[f64], u32)],
     ) -> Result<Vec<TauwStep>, CoreError> {
-        self.run_wave(batch.len(), |i| {
+        self.run_wave(batch.len(), false, |i| {
             let (stream, quality_factors, outcome) = batch[i];
-            (stream, quality_factors, outcome, None)
+            (stream, quality_factors, outcome, false)
         })
     }
 
@@ -439,22 +437,15 @@ impl ShardedEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidInput`] when adaptation is not enabled,
-    /// or [`CoreError`] on feature-arity mismatch of **any** batch entry
-    /// or a rejected admission; the batch is validated up front, so on
-    /// such an error no stream state has been modified.
+    /// As [`ShardedEngine::step_many_borrowed`], and
+    /// [`CoreError::InvalidInput`] when adaptation is not enabled.
     pub fn step_many_adaptive(
         &mut self,
         batch: &[AdaptiveStreamStep],
     ) -> Result<Vec<TauwStep>, CoreError> {
-        self.run_wave(batch.len(), |i| {
-            let step = &batch[i];
-            (
-                step.stream,
-                step.quality_factors.as_slice(),
-                step.outcome,
-                Some(step.failed),
-            )
+        self.run_wave(batch.len(), true, |i| {
+            let s = &batch[i];
+            (s.stream, &s.quality_factors[..], s.outcome, s.failed)
         })
     }
 
@@ -503,27 +494,31 @@ impl ShardedEngine {
     }
 
     /// The one wave core behind every step path. `entry(i)` yields batch
-    /// entry `i` as `(stream, quality factors, outcome, failed)`, where
-    /// `failed: None` serves a plain step and `Some(failed)` an adaptive
-    /// one. See the [module docs](self) for the four phases.
-    ///
-    /// Workers propagate errors instead of panicking: the precheck makes
-    /// failure unreachable for well-formed wrappers, but an internally
-    /// inconsistent model must surface as `Err`, not abort the process.
-    /// Such an error leaves the streams that already stepped advanced.
-    fn run_wave<'a, F>(&mut self, n: usize, entry: F) -> Result<Vec<TauwStep>, CoreError>
+    /// entry `i` as `(stream, quality factors, outcome, failed)`; `failed`
+    /// is read only when `adaptive` is set. See the [module docs](self)
+    /// for the four phases: every error comes before the first row is
+    /// created, and the workers run the infallible step core.
+    fn run_wave<'a, F>(
+        &mut self,
+        n: usize,
+        adaptive: bool,
+        entry: F,
+    ) -> Result<Vec<TauwStep>, CoreError>
     where
-        F: Fn(usize) -> (StreamId, &'a [f64], u32, Option<bool>) + Sync,
+        F: Fn(usize) -> (StreamId, &'a [f64], u32, bool) + Sync,
     {
         let n32 = u32::try_from(n).map_err(|_| CoreError::InvalidInput {
             reason: format!("a wave holds at most {} steps, got {n}", u32::MAX),
         })?;
+        let config = adaptive
+            .then(|| self.adaptive_config.ok_or_else(adaptation_disabled))
+            .transpose()?;
 
-        // 1. Precheck: one read-only index probe per entry, fanned out on
-        //    large waves, writes each entry's key in batch order; streams
-        //    that are not live yet carry the row `ABSENT`.
-        let expected = self.wrapper.stateless().feature_names().len();
-        let adaptive = self.adaptive_config.is_some();
+        // 1. Precheck: one arity check and one read-only index probe per
+        //    entry, fanned out on large waves, writes each entry's key in
+        //    batch order; streams that are not live yet carry the row
+        //    `ABSENT`.
+        let wrapper = &self.wrapper;
         let threads = self.n_threads.unwrap_or_else(parallel::max_threads);
         if self.positions.len() < n {
             self.positions.extend(self.positions.len() as u32..n32);
@@ -537,16 +532,8 @@ impl ShardedEngine {
             &mut self.order,
             |positions, keys| {
                 for (&i, key) in positions.iter().zip(keys) {
-                    let (stream, quality_factors, _, failed) = entry(i as usize);
-                    if failed.is_some() && !adaptive {
-                        return Err(adaptation_disabled());
-                    }
-                    if quality_factors.len() != expected {
-                        return Err(CoreError::FeatureArityMismatch {
-                            expected,
-                            actual: quality_factors.len(),
-                        });
-                    }
+                    let (stream, quality_factors, _, _) = entry(i as usize);
+                    wrapper.check_features(quality_factors)?;
                     let row = index.get(&stream).copied().unwrap_or(ABSENT);
                     *key = wave_key(row, i);
                 }
@@ -636,40 +623,28 @@ impl ShardedEngine {
             row_base = row_end;
         }
         let wrapper = &self.wrapper;
-        let config = self.adaptive_config;
-        let per_chunk = parallel::par_map_mut(threads, &mut chunks, |chunk| {
+        parallel::par_map_mut(threads, &mut chunks, |chunk| {
             for (&key, out) in chunk.entries.iter().zip(chunk.out.iter_mut()) {
                 let row = &mut chunk.rows[key_row(key) as usize - chunk.row_base];
                 let (_, quality_factors, outcome, failed) = entry(key as u32 as usize);
-                *out = Some(match failed {
-                    None => wrapper.step_with_parts(
-                        &mut row.buffer,
-                        chunk.scratch,
-                        quality_factors,
-                        outcome,
-                    )?,
-                    Some(failed) => {
-                        let state = match &mut row.adaptive {
-                            Some(state) => state,
-                            slot @ None => slot.insert(Box::new(AdaptiveState::new(
-                                config.ok_or_else(adaptation_disabled)?,
-                            )?)),
-                        };
-                        adaptive_step_with_parts(
-                            wrapper,
-                            &mut row.buffer,
-                            state,
-                            chunk.scratch,
-                            quality_factors,
-                            outcome,
-                            failed,
-                        )?
-                    }
+                let features = wrapper
+                    .check_features(quality_factors)
+                    .expect("the precheck accepted every entry");
+                let adaptive = config.map(|config| {
+                    let state = row
+                        .adaptive
+                        .get_or_insert_with(|| Box::new(AdaptiveState::fresh(config)));
+                    (&mut **state, failed)
                 });
+                *out = Some(wrapper.serve(
+                    &mut row.buffer,
+                    chunk.scratch,
+                    features,
+                    outcome,
+                    adaptive,
+                ));
             }
-            Ok::<(), CoreError>(())
         });
-        per_chunk.into_iter().collect::<Result<(), CoreError>>()?;
 
         // 4. Scatter back to batch order.
         self.rank.resize(n, 0);
@@ -1052,7 +1027,10 @@ mod tests {
             engine.adaptive_state(StreamId(0)).unwrap(),
             session.adaptive_state()
         );
-        assert_eq!(engine.stream_drift(StreamId(0)), Some(session.drift()));
+        assert_eq!(
+            engine.stream_drift(StreamId(0)),
+            Some(session.adaptive_state().last_drift())
+        );
         assert!(
             engine
                 .adaptive_state(StreamId(0))

@@ -127,6 +127,18 @@ fn from_json<T: DeserializeOwned>(kind: ArtifactKind, json: &str) -> Result<T, C
     Ok(envelope.model)
 }
 
+fn write_artifact(path: &Path, json: &str) -> Result<(), CoreError> {
+    std::fs::write(path, json).map_err(|e| CoreError::InvalidInput {
+        reason: format!("writing artifact failed: {e}"),
+    })
+}
+
+fn read_artifact(path: &Path) -> Result<String, CoreError> {
+    std::fs::read_to_string(path).map_err(|e| CoreError::InvalidInput {
+        reason: format!("reading artifact failed: {e}"),
+    })
+}
+
 impl UncertaintyWrapper {
     /// Serializes the wrapper (QIM tree, calibrated bounds, scope model)
     /// to a versioned JSON artifact.
@@ -158,10 +170,7 @@ impl UncertaintyWrapper {
     ///
     /// Returns [`CoreError::InvalidInput`] on serialization or I/O errors.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CoreError> {
-        let json = self.to_artifact_json()?;
-        std::fs::write(path.as_ref(), json).map_err(|e| CoreError::InvalidInput {
-            reason: format!("writing artifact failed: {e}"),
-        })
+        write_artifact(path.as_ref(), &self.to_artifact_json()?)
     }
 
     /// Reads an artifact file written by [`UncertaintyWrapper::save`].
@@ -170,10 +179,7 @@ impl UncertaintyWrapper {
     ///
     /// Returns [`CoreError::InvalidInput`] on I/O or format errors.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, CoreError> {
-        let json = std::fs::read_to_string(path.as_ref()).map_err(|e| CoreError::InvalidInput {
-            reason: format!("reading artifact failed: {e}"),
-        })?;
-        Self::from_artifact_json(&json)
+        Self::from_artifact_json(&read_artifact(path.as_ref())?)
     }
 }
 
@@ -195,11 +201,10 @@ impl TimeseriesAwareWrapper {
     ///
     /// Returns [`CoreError::InvalidInput`] on malformed JSON, a format
     /// version mismatch, a wrong artifact kind, or an internally
-    /// inconsistent model (e.g. a hand-edited bound table).
+    /// inconsistent model (e.g. a hand-edited bound table), which the
+    /// wrapper's `Deserialize` rejects.
     pub fn from_artifact_json(json: &str) -> Result<Self, CoreError> {
-        let model: Self = from_json(ArtifactKind::TimeseriesAwareWrapper, json)?;
-        model.validate()?;
-        Ok(model)
+        from_json(ArtifactKind::TimeseriesAwareWrapper, json)
     }
 
     /// Writes the artifact to a file.
@@ -208,10 +213,7 @@ impl TimeseriesAwareWrapper {
     ///
     /// Returns [`CoreError::InvalidInput`] on serialization or I/O errors.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CoreError> {
-        let json = self.to_artifact_json()?;
-        std::fs::write(path.as_ref(), json).map_err(|e| CoreError::InvalidInput {
-            reason: format!("writing artifact failed: {e}"),
-        })
+        write_artifact(path.as_ref(), &self.to_artifact_json()?)
     }
 
     /// Reads an artifact file written by [`TimeseriesAwareWrapper::save`].
@@ -220,10 +222,7 @@ impl TimeseriesAwareWrapper {
     ///
     /// Returns [`CoreError::InvalidInput`] on I/O or format errors.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, CoreError> {
-        let json = std::fs::read_to_string(path.as_ref()).map_err(|e| CoreError::InvalidInput {
-            reason: format!("reading artifact failed: {e}"),
-        })?;
-        Self::from_artifact_json(&json)
+        Self::from_artifact_json(&read_artifact(path.as_ref())?)
     }
 }
 
@@ -240,8 +239,9 @@ impl CalibratedForestQim {
     }
 
     /// Loads a calibrated forest from a JSON artifact produced by
-    /// [`CalibratedForestQim::to_artifact_json`], re-validating every
-    /// ensemble invariant (member consistency, canonical member order).
+    /// [`CalibratedForestQim::to_artifact_json`]. The forest's
+    /// `Deserialize` re-validates every ensemble invariant (member
+    /// consistency, canonical member order).
     ///
     /// # Errors
     ///
@@ -250,9 +250,7 @@ impl CalibratedForestQim {
     /// inconsistent model (e.g. a hand-edited bound table or a permuted
     /// member list).
     pub fn from_artifact_json(json: &str) -> Result<Self, CoreError> {
-        let model: Self = from_json(ArtifactKind::ForestQim, json)?;
-        model.validate()?;
-        Ok(model)
+        from_json(ArtifactKind::ForestQim, json)
     }
 
     /// Writes the artifact to a file.
@@ -261,10 +259,7 @@ impl CalibratedForestQim {
     ///
     /// Returns [`CoreError::InvalidInput`] on serialization or I/O errors.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CoreError> {
-        let json = self.to_artifact_json()?;
-        std::fs::write(path.as_ref(), json).map_err(|e| CoreError::InvalidInput {
-            reason: format!("writing artifact failed: {e}"),
-        })
+        write_artifact(path.as_ref(), &self.to_artifact_json()?)
     }
 
     /// Reads an artifact file written by [`CalibratedForestQim::save`].
@@ -273,10 +268,7 @@ impl CalibratedForestQim {
     ///
     /// Returns [`CoreError::InvalidInput`] on I/O or format errors.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, CoreError> {
-        let json = std::fs::read_to_string(path.as_ref()).map_err(|e| CoreError::InvalidInput {
-            reason: format!("reading artifact failed: {e}"),
-        })?;
-        Self::from_artifact_json(&json)
+        Self::from_artifact_json(&read_artifact(path.as_ref())?)
     }
 }
 
@@ -314,10 +306,7 @@ impl CalibratedQim {
     ///
     /// Returns [`CoreError::InvalidInput`] on serialization or I/O errors.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CoreError> {
-        let json = self.to_artifact_json()?;
-        std::fs::write(path.as_ref(), json).map_err(|e| CoreError::InvalidInput {
-            reason: format!("writing artifact failed: {e}"),
-        })
+        write_artifact(path.as_ref(), &self.to_artifact_json()?)
     }
 
     /// Reads an artifact file written by [`CalibratedQim::save`].
@@ -326,10 +315,7 @@ impl CalibratedQim {
     ///
     /// Returns [`CoreError::InvalidInput`] on I/O or format errors.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, CoreError> {
-        let json = std::fs::read_to_string(path.as_ref()).map_err(|e| CoreError::InvalidInput {
-            reason: format!("reading artifact failed: {e}"),
-        })?;
-        Self::from_artifact_json(&json)
+        Self::from_artifact_json(&read_artifact(path.as_ref())?)
     }
 }
 
@@ -367,10 +353,7 @@ impl ConformalQim {
     ///
     /// Returns [`CoreError::InvalidInput`] on serialization or I/O errors.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CoreError> {
-        let json = self.to_artifact_json()?;
-        std::fs::write(path.as_ref(), json).map_err(|e| CoreError::InvalidInput {
-            reason: format!("writing artifact failed: {e}"),
-        })
+        write_artifact(path.as_ref(), &self.to_artifact_json()?)
     }
 
     /// Reads an artifact file written by [`ConformalQim::save`].
@@ -379,10 +362,7 @@ impl ConformalQim {
     ///
     /// Returns [`CoreError::InvalidInput`] on I/O or format errors.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, CoreError> {
-        let json = std::fs::read_to_string(path.as_ref()).map_err(|e| CoreError::InvalidInput {
-            reason: format!("reading artifact failed: {e}"),
-        })?;
-        Self::from_artifact_json(&json)
+        Self::from_artifact_json(&read_artifact(path.as_ref())?)
     }
 }
 
@@ -423,10 +403,7 @@ impl TimeseriesBuffer {
     ///
     /// Returns [`CoreError::InvalidInput`] on serialization or I/O errors.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CoreError> {
-        let json = self.to_artifact_json()?;
-        std::fs::write(path.as_ref(), json).map_err(|e| CoreError::InvalidInput {
-            reason: format!("writing artifact failed: {e}"),
-        })
+        write_artifact(path.as_ref(), &self.to_artifact_json()?)
     }
 
     /// Reads an artifact file written by [`TimeseriesBuffer::save`].
@@ -435,10 +412,7 @@ impl TimeseriesBuffer {
     ///
     /// Returns [`CoreError::InvalidInput`] on I/O or format errors.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, CoreError> {
-        let json = std::fs::read_to_string(path.as_ref()).map_err(|e| CoreError::InvalidInput {
-            reason: format!("reading artifact failed: {e}"),
-        })?;
-        Self::from_artifact_json(&json)
+        Self::from_artifact_json(&read_artifact(path.as_ref())?)
     }
 }
 
@@ -480,10 +454,7 @@ impl crate::adaptive::AdaptiveState {
     ///
     /// Returns [`CoreError::InvalidInput`] on serialization or I/O errors.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CoreError> {
-        let json = self.to_artifact_json()?;
-        std::fs::write(path.as_ref(), json).map_err(|e| CoreError::InvalidInput {
-            reason: format!("writing artifact failed: {e}"),
-        })
+        write_artifact(path.as_ref(), &self.to_artifact_json()?)
     }
 
     /// Reads an artifact file written by
@@ -493,10 +464,7 @@ impl crate::adaptive::AdaptiveState {
     ///
     /// Returns [`CoreError::InvalidInput`] on I/O or format errors.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, CoreError> {
-        let json = std::fs::read_to_string(path.as_ref()).map_err(|e| CoreError::InvalidInput {
-            reason: format!("reading artifact failed: {e}"),
-        })?;
-        Self::from_artifact_json(&json)
+        Self::from_artifact_json(&read_artifact(path.as_ref())?)
     }
 }
 
@@ -540,10 +508,7 @@ impl crate::sharded::EngineShardState {
     ///
     /// Returns [`CoreError::InvalidInput`] on serialization or I/O errors.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CoreError> {
-        let json = self.to_artifact_json()?;
-        std::fs::write(path.as_ref(), json).map_err(|e| CoreError::InvalidInput {
-            reason: format!("writing artifact failed: {e}"),
-        })
+        write_artifact(path.as_ref(), &self.to_artifact_json()?)
     }
 
     /// Reads an artifact file written by
@@ -553,17 +518,14 @@ impl crate::sharded::EngineShardState {
     ///
     /// Returns [`CoreError::InvalidInput`] on I/O or format errors.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, CoreError> {
-        let json = std::fs::read_to_string(path.as_ref()).map_err(|e| CoreError::InvalidInput {
-            reason: format!("reading artifact failed: {e}"),
-        })?;
-        Self::from_artifact_json(&json)
+        Self::from_artifact_json(&read_artifact(path.as_ref())?)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::calibration::CalibrationOptions;
+    use crate::calibration::{CalibrationOptions, ServingScratch};
     use crate::conformal::ConformalOptions;
     use crate::tauw::{BackendSpec, TauwBuilder};
     use crate::training::{TrainingSeries, TrainingStep};
@@ -1193,14 +1155,32 @@ mod tests {
     }
 
     #[test]
+    fn plain_deserialization_rejects_a_wrapper_that_fails_validate() {
+        // Deserialize itself validates, so no caller can build a wrapper
+        // whose step would fail after its arity check. Mask 7 selects
+        // three taQFs for a taQIM trained on four.
+        for tauw in [fitted(), fitted_forest(), fitted_conformal()] {
+            let json = serde_json::to_string_pretty(&tauw).unwrap();
+            let back: TimeseriesAwareWrapper = serde_json::from_str(&json).unwrap();
+            assert_eq!(back, tauw);
+            let tampered = json.replacen("\"taqf_set\": 15", "\"taqf_set\": 7", 1);
+            assert_ne!(tampered, json, "tamper edit must hit the wrapper");
+            let err = serde_json::from_str::<TimeseriesAwareWrapper>(&tampered).unwrap_err();
+            assert!(err.to_string().contains("taQIM reads"), "{err}");
+        }
+    }
+
+    #[test]
     fn buffer_snapshot_roundtrips_mid_wrap_and_resumes_bit_identically() {
         // A bounded buffer that has wrapped (ring head != 0) must reload
         // into the same semantic state: same window, same lifetime counter,
         // and bit-identical estimates for every future step.
         let tauw = fitted();
         let mut buffer = TimeseriesBuffer::bounded(3);
+        let mut scratch = ServingScratch::new();
         for (o, q) in [(0u32, 0.2), (1, 0.9), (0, 0.4), (1, 0.8), (0, 0.1)] {
-            tauw.step_with_buffer(&mut buffer, &[q], o).unwrap();
+            tauw.step_with_parts(&mut buffer, &mut scratch, &[q], o)
+                .unwrap();
         }
         assert_eq!(buffer.total_steps(), 5);
         let json = buffer.to_artifact_json().unwrap();
@@ -1208,8 +1188,12 @@ mod tests {
         assert_eq!(buffer, back);
         assert_eq!(back.total_steps(), 5);
         for (o, q) in [(1u32, 0.7), (0, 0.3), (1, 0.5)] {
-            let a = tauw.step_with_buffer(&mut buffer, &[q], o).unwrap();
-            let b = tauw.step_with_buffer(&mut back, &[q], o).unwrap();
+            let a = tauw
+                .step_with_parts(&mut buffer, &mut scratch, &[q], o)
+                .unwrap();
+            let b = tauw
+                .step_with_parts(&mut back, &mut scratch, &[q], o)
+                .unwrap();
             assert_eq!(a.uncertainty.to_bits(), b.uncertainty.to_bits());
             assert_eq!(a, b);
         }

@@ -637,7 +637,7 @@ mod tests {
             );
             assert_eq!(
                 sharded.stream_drift(StreamId(s)),
-                Some(sessions[s as usize].drift())
+                Some(sessions[s as usize].adaptive_state().last_drift())
             );
         }
     }

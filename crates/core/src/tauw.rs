@@ -10,6 +10,7 @@
 //! CART tree over stateless QFs + taQFs) produces the dependable
 //! uncertainty for the *fused* outcome.
 
+use crate::adaptive::{AdaptiveConfig, AdaptiveState, AdaptiveTauwSession, DriftSignal};
 use crate::buffer::TimeseriesBuffer;
 use crate::calibration::{
     CalibratedForestQim, CalibratedQim, CalibrationOptions, RouteSupport, ServingScratch, TaQim,
@@ -270,11 +271,13 @@ impl TauwBuilder {
                 )?)
             }
         };
-        Ok(TimeseriesAwareWrapper {
+        let wrapper = TimeseriesAwareWrapper {
             stateless,
             taqim,
             taqf_set: self.taqf_set,
-        })
+        };
+        wrapper.check_fit()?;
+        Ok(wrapper)
     }
 
     /// Assembles the taQIM training dataset `[stateless QFs ‖ selected
@@ -418,22 +421,72 @@ fn clone_tree_builder(wb: &WrapperBuilder) -> TreeBuilder {
     tb
 }
 
-/// A trained timeseries-aware uncertainty wrapper.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A trained timeseries-aware uncertainty wrapper. Every wrapper is
+/// valid: fitting checks that its two models fit together, and
+/// deserializing runs [`TimeseriesAwareWrapper::validate`].
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TimeseriesAwareWrapper {
     stateless: UncertaintyWrapper,
     taqim: TaQim,
     taqf_set: TaqfSet,
 }
 
+impl Deserialize for TimeseriesAwareWrapper {
+    /// Reads the three serialized fields and validates the wrapper; a
+    /// forest taQIM has validated itself while deserializing.
+    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
+        let map = serde::__expect_map(value, "TimeseriesAwareWrapper")?;
+        let field = |name| serde::__field(map, name, "TimeseriesAwareWrapper");
+        let wrapper = TimeseriesAwareWrapper {
+            stateless: Deserialize::deserialize(field("stateless")?)?,
+            taqim: Deserialize::deserialize(field("taqim")?)?,
+            taqf_set: Deserialize::deserialize(field("taqf_set")?)?,
+        };
+        wrapper
+            .stateless
+            .validate()
+            .and_then(|()| match &wrapper.taqim {
+                TaQim::Forest(_) => Ok(()),
+                taqim => taqim.validate(),
+            })
+            .and_then(|()| wrapper.check_fit())
+            .map_err(|e| serde::Error::custom(e.to_string()))?;
+        Ok(wrapper)
+    }
+}
+
+/// A stateless quality-factor row of the arity the wrapper's stateless
+/// model reads. Only [`TimeseriesAwareWrapper::check_features`] builds
+/// one.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CheckedFeatures<'a>(&'a [f64]);
+
 impl TimeseriesAwareWrapper {
     /// Starts a runtime session (one session per camera stream; call
     /// [`TauwSession::begin_series`] whenever tracking reports a new
     /// object).
     pub fn new_session(&self) -> TauwSession<'_> {
+        self.session_with(())
+    }
+
+    /// Starts an adaptive runtime session: the classic serving path plus
+    /// the online coverage feedback loop of [`AdaptiveState`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidInput`] when the config is invalid.
+    pub fn new_adaptive_session(
+        &self,
+        config: AdaptiveConfig,
+    ) -> Result<AdaptiveTauwSession<'_>, CoreError> {
+        Ok(self.session_with(AdaptiveState::new(config)?))
+    }
+
+    fn session_with<A>(&self, adaptive: A) -> TauwSession<'_, A> {
         TauwSession {
             wrapper: self,
             buffer: TimeseriesBuffer::with_capacity(32),
+            adaptive,
             scratch: ServingScratch::new(),
         }
     }
@@ -453,9 +506,9 @@ impl TimeseriesAwareWrapper {
     /// Checks the internal consistency of both calibrated models (see
     /// [`CalibratedQim::validate`]) and that they fit together: the taQF
     /// set names only the four factors, and the taQIM reads exactly the
-    /// stateless features plus the selected taQFs — so a loaded wrapper
-    /// cannot fail a step on arity after its buffer push. Called by the
-    /// persistence layer on every load.
+    /// stateless features plus the selected taQFs — so a step whose
+    /// stateless row has the right arity cannot fail. Deserializing a
+    /// wrapper runs it.
     ///
     /// # Errors
     ///
@@ -463,6 +516,12 @@ impl TimeseriesAwareWrapper {
     pub fn validate(&self) -> Result<(), CoreError> {
         self.stateless.validate()?;
         self.taqim.validate()?;
+        self.check_fit()
+    }
+
+    /// The part of [`TimeseriesAwareWrapper::validate`] that checks how the
+    /// two models fit together.
+    fn check_fit(&self) -> Result<(), CoreError> {
         if !self.taqf_set.is_valid() {
             return Err(CoreError::InvalidInput {
                 reason: format!(
@@ -504,49 +563,35 @@ impl TimeseriesAwareWrapper {
         crate::engine::TauwEngine::new(self)
     }
 
-    /// Processes one timestep against an externally owned buffer — the
-    /// convenience form of [`TimeseriesAwareWrapper::step_with_parts`]
-    /// with a throwaway [`ServingScratch`]. Results are bit-identical to
-    /// the scratch-reusing form; hot loops (sessions, engine waves) hold a
-    /// scratch and call `step_with_parts` directly so the steady state
-    /// performs no per-step allocation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError`] on feature-arity mismatch.
-    pub fn step_with_buffer(
+    /// The arity check every step passes before it touches any state.
+    pub(crate) fn check_features<'a>(
         &self,
-        buffer: &mut TimeseriesBuffer,
-        quality_factors: &[f64],
-        outcome: u32,
-    ) -> Result<TauwStep, CoreError> {
-        self.step_with_parts(buffer, &mut ServingScratch::new(), quality_factors, outcome)
+        quality_factors: &'a [f64],
+    ) -> Result<CheckedFeatures<'a>, CoreError> {
+        let expected = self.stateless.qim().flat().n_features();
+        match quality_factors.len() {
+            actual if actual == expected => Ok(CheckedFeatures(quality_factors)),
+            actual => Err(CoreError::FeatureArityMismatch { expected, actual }),
+        }
     }
 
     /// Processes one timestep against an externally owned buffer and
-    /// serving scratch. This is **the** per-step computation:
-    /// [`TauwSession::step`] and the multi-stream
-    /// [`crate::sharded::ShardedEngine`] wave workers all delegate here, so a
-    /// batched engine step is exactly a session step by construction.
+    /// serving scratch: the arity check, then the step core that both
+    /// session kinds and every [`crate::sharded::ShardedEngine`] wave
+    /// worker run, so a batched engine step is exactly a session step by
+    /// construction.
     ///
-    /// Every stage is O(1) in the series length: both tree lookups run on
-    /// the compiled [`tauw_dtree::FlatTree`] serving form (one flat
-    /// traversal plus one bound-array index per model), the buffer push is
-    /// a ring write, and the fused outcome and taQF vector are reads of the
-    /// buffer's running aggregates
-    /// ([`TimeseriesBuffer::fused_outcome`], [`TaqfVector::compute`]). The
-    /// O(window) recompute survives as the verification reference
-    /// ([`TimeseriesBuffer::fused_outcome_reference`],
-    /// [`TaqfVector::compute_reference`]), bit-identical by construction.
-    ///
-    /// With a bounded `buffer` and a warmed `scratch` the steady state
-    /// performs **no heap allocation**: the taQIM feature row assembles in
-    /// `scratch.features` (cleared and refilled in place), and every taQIM
-    /// shape serves without allocating (pinned by `tests/allocation.rs`).
+    /// Every stage is O(1) in the series length: two flat model lookups,
+    /// a ring write, and reads of the buffer's running aggregates
+    /// ([`TimeseriesBuffer::fused_outcome`], [`TaqfVector::compute`]),
+    /// bit-identical to their O(window) references. With a bounded
+    /// `buffer` and a warmed `scratch` the steady state performs **no heap
+    /// allocation** (pinned by `tests/allocation.rs`).
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError`] on feature-arity mismatch.
+    /// Returns [`CoreError::FeatureArityMismatch`] on a wrong feature
+    /// count, in which case `buffer` is untouched.
     pub fn step_with_parts(
         &self,
         buffer: &mut TimeseriesBuffer,
@@ -554,36 +599,49 @@ impl TimeseriesAwareWrapper {
         quality_factors: &[f64],
         outcome: u32,
     ) -> Result<TauwStep, CoreError> {
-        let (step, ()) =
-            self.step_and_lookup(buffer, scratch, quality_factors, outcome, |taqim, row| {
-                Ok((taqim.uncertainty(row)?, ()))
-            })?;
-        Ok(step)
+        let features = self.check_features(quality_factors)?;
+        Ok(self.serve(buffer, scratch, features, outcome, None))
     }
 
-    /// The per-step core behind [`TimeseriesAwareWrapper::step_with_parts`]
-    /// and the adaptive step: stateless QIM, buffer push, fused outcome,
-    /// taQF vector, then one `lookup` of the taQIM on the assembled row.
-    /// The plain step looks up the bound only; the adaptive step looks up
-    /// the bound and its route support in the same traversal
-    /// ([`TaQim::uncertainty_with_support`]).
-    pub(crate) fn step_and_lookup<T>(
+    /// The step core: stateless QIM, buffer push, fused outcome, taQF
+    /// vector, one taQIM lookup and, for an adaptive stream, the adapted
+    /// bound and drift signal. It cannot fail: `features` passed the arity
+    /// check, and a valid wrapper's taQIM reads exactly the assembled row.
+    /// The adaptive lookup takes the bound and its route support from one
+    /// traversal, and serves before it observes `failed`, so the bound
+    /// served for step `i` never peeks at outcome `i`.
+    #[inline]
+    pub(crate) fn serve(
         &self,
         buffer: &mut TimeseriesBuffer,
         scratch: &mut ServingScratch,
-        quality_factors: &[f64],
+        features: CheckedFeatures<'_>,
         outcome: u32,
-        lookup: impl FnOnce(&TaQim, &[f64]) -> Result<(f64, T), CoreError>,
-    ) -> Result<(TauwStep, T), CoreError> {
-        let stateless_uncertainty = self.stateless.uncertainty(quality_factors)?;
+        adaptive: Option<(&mut AdaptiveState, bool)>,
+    ) -> TauwStep {
+        const VALID: &str = "a valid wrapper serves every row of the checked arity";
+        let stateless_uncertainty = self.stateless.uncertainty(features.0).expect(VALID);
         buffer.push(outcome, stateless_uncertainty);
         let fused = buffer
             .fused_outcome()
             .expect("buffer is non-empty after push");
         let taqf = TaqfVector::compute(buffer, fused).expect("buffer is non-empty");
-        let row = self.assemble_row(scratch, quality_factors, &taqf);
-        let (uncertainty, looked_up) = lookup(&self.taqim, row)?;
-        let step = TauwStep {
+        let row = self.assemble_row(scratch, features.0, &taqf);
+        let (uncertainty, adapted_uncertainty, drift) = match adaptive {
+            None => {
+                let uncertainty = self.taqim.uncertainty(row).expect(VALID);
+                (uncertainty, uncertainty, DriftSignal::Stable)
+            }
+            Some((state, failed)) => {
+                let (uncertainty, support) = self.taqim.uncertainty_with_support(row).expect(VALID);
+                let adapted = state.adapted_bound(uncertainty);
+                let drift = state.classify(support);
+                state.record_drift(drift);
+                state.observe(adapted, failed);
+                (uncertainty, adapted, drift)
+            }
+        };
+        TauwStep {
             fused_outcome: fused,
             uncertainty,
             stateless_uncertainty,
@@ -591,10 +649,9 @@ impl TimeseriesAwareWrapper {
             // Saturate rather than wrap on targets where usize is narrower
             // than the lifetime counter (a >2^32-step stream on 32 bits).
             series_length: usize::try_from(buffer.total_steps()).unwrap_or(usize::MAX),
-            adapted_uncertainty: uncertainty,
-            drift: crate::adaptive::DriftSignal::Stable,
-        };
-        Ok((step, looked_up))
+            adapted_uncertainty,
+            drift,
+        }
     }
 
     /// Fills `scratch.features` with `[stateless QFs ‖ selected taQFs]` in
@@ -618,25 +675,9 @@ impl TimeseriesAwareWrapper {
     }
 
     /// The taQIM lookup for one step: assembles `[stateless QFs ‖ selected
-    /// taQFs]` and routes it through the flat taQIM. Exposed so callers
-    /// that already hold a [`TaqfVector`] (diagnostics, verification
-    /// harnesses) query exactly the routine the serving path uses.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError`] on feature-arity mismatch.
-    pub fn ta_uncertainty(
-        &self,
-        quality_factors: &[f64],
-        taqf: &TaqfVector,
-    ) -> Result<f64, CoreError> {
-        self.ta_uncertainty_with_scratch(&mut ServingScratch::new(), quality_factors, taqf)
-    }
-
-    /// [`TimeseriesAwareWrapper::ta_uncertainty`] against caller-owned
-    /// scratch: the feature row assembles in `scratch.features` (cleared
-    /// and refilled in place), so a warmed scratch makes the lookup
-    /// allocation-free. Bit-identical to the allocating form.
+    /// taQFs]` in `scratch.features` and routes it through the flat taQIM,
+    /// exactly as the serving path does, for callers that already hold a
+    /// [`TaqfVector`] (diagnostics, verification harnesses).
     ///
     /// # Errors
     ///
@@ -657,25 +698,8 @@ impl TimeseriesAwareWrapper {
     /// [`RouteSupport::Unsupported`] for a leafless backend. The adaptive
     /// layer uses this to separate epistemic drift (thin calibration
     /// support) from aleatoric noise — see
-    /// [`crate::adaptive::AdaptiveState::classify`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError`] on feature-arity mismatch.
-    pub fn route_support(
-        &self,
-        quality_factors: &[f64],
-        taqf: &TaqfVector,
-    ) -> Result<RouteSupport, CoreError> {
-        self.route_support_with_scratch(&mut ServingScratch::new(), quality_factors, taqf)
-    }
-
-    /// [`TimeseriesAwareWrapper::route_support`] against caller-owned
-    /// scratch (same contract as
-    /// [`TimeseriesAwareWrapper::ta_uncertainty_with_scratch`]): the
-    /// feature row assembles in `scratch.features`, so a warmed scratch
-    /// makes the lookup allocation-free. The adaptive step does not call
-    /// this: it takes the support from the same traversal as the bound.
+    /// [`crate::adaptive::AdaptiveState::classify`]. Same scratch contract
+    /// as [`TimeseriesAwareWrapper::ta_uncertainty_with_scratch`].
     ///
     /// # Errors
     ///
@@ -691,23 +715,27 @@ impl TimeseriesAwareWrapper {
     }
 }
 
-/// Mutable runtime state: the timeseries buffer plus a reference to the
-/// trained models, and a reusable [`ServingScratch`] so steady-state
-/// stepping performs no per-step allocation.
+/// One stream's runtime state: the trained models, the timeseries buffer,
+/// a reusable [`ServingScratch`], and `adaptive` — `()` for a plain
+/// session, an [`AdaptiveState`] for an [`AdaptiveTauwSession`].
 #[derive(Debug, Clone)]
-pub struct TauwSession<'w> {
+pub struct TauwSession<'w, A = ()> {
     wrapper: &'w TimeseriesAwareWrapper,
     buffer: TimeseriesBuffer,
+    adaptive: A,
     scratch: ServingScratch,
 }
 
-impl TauwSession<'_> {
+impl<A> TauwSession<'_, A> {
     /// Clears the buffer at the onset of a new timeseries (new physical
     /// object reported by tracking). This resets the fusion window **and**
     /// the lifetime step counter — the next step's `series_length` (and
     /// taQF2) restarts at 1, exactly like
     /// [`crate::sharded::ShardedEngine::begin_series`] on the multi-stream
-    /// path (the regression suite pins both).
+    /// path (the regression suite pins both). An adaptive session's
+    /// coverage window deliberately survives: drift is a property of the
+    /// *stream* (the camera, the deployment site), not of the individual
+    /// tracked object.
     pub fn begin_series(&mut self) {
         self.buffer.clear();
     }
@@ -722,13 +750,16 @@ impl TauwSession<'_> {
     pub fn buffer(&self) -> &TimeseriesBuffer {
         &self.buffer
     }
+}
 
+impl TauwSession<'_> {
     /// Processes one timestep: quality factors + DDM outcome in, fused
     /// outcome + dependable uncertainty out.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError`] on feature-arity mismatch.
+    /// Returns [`CoreError::FeatureArityMismatch`] on a wrong feature
+    /// count, in which case the session is untouched.
     pub fn step(&mut self, quality_factors: &[f64], outcome: u32) -> Result<TauwStep, CoreError> {
         self.wrapper.step_with_parts(
             &mut self.buffer,
@@ -736,6 +767,39 @@ impl TauwSession<'_> {
             quality_factors,
             outcome,
         )
+    }
+}
+
+impl AdaptiveTauwSession<'_> {
+    /// Processes one timestep with coverage feedback: quality factors +
+    /// DDM outcome in, classic [`TauwStep`] fields plus
+    /// [`TauwStep::adapted_uncertainty`] and [`TauwStep::drift`] out.
+    /// `failed` is the realized ground truth for *this* step (fed back
+    /// only after the adapted bound is computed — serve-then-observe).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::FeatureArityMismatch`] on a wrong feature
+    /// count, in which case the session is untouched.
+    pub fn step(
+        &mut self,
+        quality_factors: &[f64],
+        outcome: u32,
+        failed: bool,
+    ) -> Result<TauwStep, CoreError> {
+        let features = self.wrapper.check_features(quality_factors)?;
+        Ok(self.wrapper.serve(
+            &mut self.buffer,
+            &mut self.scratch,
+            features,
+            outcome,
+            Some((&mut self.adaptive, failed)),
+        ))
+    }
+
+    /// Read access to the adaptive state (diagnostics, persistence).
+    pub fn adaptive_state(&self) -> &AdaptiveState {
+        &self.adaptive
     }
 }
 
@@ -926,7 +990,19 @@ mod tests {
     fn step_rejects_wrong_arity() {
         let w = fitted();
         let mut s = w.new_session();
-        assert!(s.step(&[0.1, 0.2], 7).is_err());
+        assert!(matches!(
+            s.step(&[0.1, 0.2], 7),
+            Err(CoreError::FeatureArityMismatch {
+                expected: 1,
+                actual: 2
+            })
+        ));
+        assert!(s.buffer().is_empty(), "a rejected step must not push");
+        assert_eq!(s.series_length(), 0);
+        let mut a = w.new_adaptive_session(AdaptiveConfig::default()).unwrap();
+        assert!(a.step(&[], 7, true).is_err());
+        assert!(a.buffer().is_empty(), "a rejected step must not push");
+        assert_eq!(a.adaptive_state().coverage_window().len(), 0);
     }
 
     #[test]
@@ -946,8 +1022,10 @@ mod tests {
         for i in 0..8 {
             let out = s.step(&[0.3], if i % 4 == 0 { 3 } else { 7 }).unwrap();
             assert!(out.uncertainty > 0.0 && out.uncertainty <= 1.0);
-            // The per-step estimate is the shared ta_uncertainty routine.
-            let again = w.ta_uncertainty(&[0.3], &out.taqf).unwrap();
+            // The per-step estimate is the shared taQIM lookup routine.
+            let again = w
+                .ta_uncertainty_with_scratch(&mut ServingScratch::new(), &[0.3], &out.taqf)
+                .unwrap();
             assert_eq!(out.uncertainty.to_bits(), again.to_bits());
             // And the pointer-member reference recompute agrees bitwise.
             let mut features = vec![0.3];
@@ -981,8 +1059,11 @@ mod tests {
         for i in 0..8 {
             let out = s.step(&[0.3], if i % 4 == 0 { 3 } else { 7 }).unwrap();
             assert!(out.uncertainty > 0.0 && out.uncertainty <= 1.0);
-            // The per-step estimate is the shared ta_uncertainty routine.
-            let again = w.ta_uncertainty(&[0.3], &out.taqf).unwrap();
+            // The per-step estimate is the shared taQIM lookup routine.
+            let mut scratch = ServingScratch::new();
+            let again = w
+                .ta_uncertainty_with_scratch(&mut scratch, &[0.3], &out.taqf)
+                .unwrap();
             assert_eq!(out.uncertainty.to_bits(), again.to_bits());
             // And the nested-table reference recompute agrees bitwise.
             let mut features = vec![0.3];
@@ -991,7 +1072,8 @@ mod tests {
             assert_eq!(out.uncertainty.to_bits(), reference.to_bits());
             // Leafless: support introspection degrades explicitly.
             assert_eq!(
-                w.route_support(&[0.3], &out.taqf).unwrap(),
+                w.route_support_with_scratch(&mut scratch, &[0.3], &out.taqf)
+                    .unwrap(),
                 RouteSupport::Unsupported
             );
         }
@@ -1022,8 +1104,8 @@ mod tests {
     /// warmed scratch, the only growable buffer on the step path is
     /// `scratch.features` — asserting its pointer and capacity stay fixed
     /// across hundreds of steps proves it is reused in place rather than
-    /// reallocated, while a twin session on the allocating convenience path
-    /// pins bit-identical results.
+    /// reallocated, while a twin buffer stepped with a fresh scratch every
+    /// step pins bit-identical results.
     #[test]
     fn step_with_parts_reuses_scratch_without_reallocating() {
         let train = make_series(300, 1, 10);
@@ -1049,7 +1131,8 @@ mod tests {
             // Warm-up: the feature row grows to its working size once.
             w.step_with_parts(&mut buffer, &mut scratch, &[0.3], 7)
                 .unwrap();
-            w.step_with_buffer(&mut twin, &[0.3], 7).unwrap();
+            w.step_with_parts(&mut twin, &mut ServingScratch::new(), &[0.3], 7)
+                .unwrap();
             let ptr = scratch.features.as_ptr();
             let capacity = scratch.features.capacity();
             assert!(capacity > 0, "warm-up must size the feature row");
@@ -1059,7 +1142,9 @@ mod tests {
                 let fast = w
                     .step_with_parts(&mut buffer, &mut scratch, &q, outcome)
                     .unwrap();
-                let reference = w.step_with_buffer(&mut twin, &q, outcome).unwrap();
+                let reference = w
+                    .step_with_parts(&mut twin, &mut ServingScratch::new(), &q, outcome)
+                    .unwrap();
                 assert_eq!(fast, reference, "step {i}");
             }
             assert_eq!(

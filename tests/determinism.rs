@@ -1,7 +1,7 @@
 //! Reproducibility: the entire pipeline — world generation, training,
 //! calibration, runtime estimates — is a pure function of (config, seed).
 
-use tauw_suite::core::calibration::CalibrationOptions;
+use tauw_suite::core::calibration::{CalibrationOptions, ServingScratch};
 use tauw_suite::core::tauw::{BackendSpec, TauwBuilder};
 use tauw_suite::core::training::{TrainingSeries, TrainingStep};
 use tauw_suite::core::wrapper::WrapperBuilder;
@@ -349,7 +349,9 @@ fn tauw_flat_serving_matches_pointer_reference_paths() {
                     "taQIM stream {s} step {j} threads={threads}"
                 );
                 // And the shared per-step routine reproduces it exactly.
-                let again = tauw.ta_uncertainty(qf, &out.taqf).unwrap();
+                let again = tauw
+                    .ta_uncertainty_with_scratch(&mut ServingScratch::new(), qf, &out.taqf)
+                    .unwrap();
                 assert_eq!(out.uncertainty.to_bits(), again.to_bits());
                 compared += 1;
             }
@@ -980,7 +982,7 @@ fn sharded_engine_matches_sequential_sessions_across_shard_and_thread_grid() {
     // Shifted set: six windows spread over the test split per family (so
     // the regime switch's second half is in), served through 4-step
     // windows. Reference: one bounded buffer per stream through
-    // `step_with_buffer`.
+    // `step_with_parts`.
     const WINDOW: usize = 4;
     let mut shifted = Vec::new();
     for family in [
@@ -1003,11 +1005,12 @@ fn sharded_engine_matches_sequential_sessions_across_shard_and_thread_grid() {
         .iter()
         .map(|series| {
             let mut buffer = TimeseriesBuffer::bounded(WINDOW);
+            let mut scratch = ServingScratch::new();
             series
                 .steps
                 .iter()
                 .map(|s| {
-                    tauw.step_with_buffer(&mut buffer, &s.quality_factors, s.outcome)
+                    tauw.step_with_parts(&mut buffer, &mut scratch, &s.quality_factors, s.outcome)
                         .unwrap()
                 })
                 .collect()
@@ -1174,8 +1177,10 @@ fn waves_above_the_precheck_fan_out_floor_match_sessions_and_reject_atomically()
     // scattered positions, must match one sequential session per stream
     // bit for bit: plain and adaptive, at K = 1/7 and thread budgets
     // 1/2/8. A wave with bad-arity entries in two different precheck
-    // chunks must then report the earlier entry and change no stream.
-    use tauw_suite::core::adaptive::AdaptiveConfig;
+    // chunks must then report the earlier entry and change nothing. So
+    // must a well-formed wave with new streams when it is adaptive on an
+    // engine without adaptation, or overflows a per-shard cap.
+    use tauw_suite::core::adaptive::{AdaptiveConfig, AdaptiveState};
     use tauw_suite::core::engine::{AdaptiveStreamStep, StreamId};
     use tauw_suite::core::error::CoreError;
     use tauw_suite::core::sharded::ShardedEngine;
@@ -1340,8 +1345,29 @@ fn waves_above_the_precheck_fan_out_floor_match_sessions_and_reject_atomically()
                 }
                 assert_eq!(engine.stream_ids(), all_ids, "{ctx}");
 
-                let lens: Vec<Option<usize>> =
-                    all_ids.iter().map(|&id| engine.stream_len(id)).collect();
+                // Everything a rejected wave could touch: the live ids,
+                // every stream's lifetime steps and adaptive state, and the
+                // snapshot artifact bytes.
+                let state_of = |engine: &ShardedEngine| {
+                    let ids = engine.stream_ids();
+                    let steps: Vec<Option<u64>> = ids
+                        .iter()
+                        .map(|&id| engine.stream_total_steps(id))
+                        .collect();
+                    let adaptive: Vec<Option<AdaptiveState>> = ids
+                        .iter()
+                        .map(|&id| engine.adaptive_state(id).cloned())
+                        .collect();
+                    let bytes: Vec<String> = engine
+                        .snapshot()
+                        .iter()
+                        .map(|shard| shard.to_artifact_json().unwrap())
+                        .collect();
+                    (ids, steps, adaptive, bytes)
+                };
+                let before = state_of(&engine);
+                assert_eq!(before.0, all_ids, "{ctx}");
+
                 let err = serve(&mut engine, &bad_wave, &bad_features, adaptive).unwrap_err();
                 assert!(
                     matches!(
@@ -1351,12 +1377,40 @@ fn waves_above_the_precheck_fan_out_floor_match_sessions_and_reject_atomically()
                     ),
                     "{ctx}: {err}"
                 );
-                assert_eq!(engine.stream_ids(), all_ids, "{ctx}");
-                let after: Vec<Option<usize>> =
-                    all_ids.iter().map(|&id| engine.stream_len(id)).collect();
-                assert_eq!(
-                    after, lens,
-                    "{ctx}: a rejected wave must not step any stream"
+                assert!(
+                    state_of(&engine) == before,
+                    "{ctx}: a wave rejected on arity changed the engine"
+                );
+
+                // A well-formed wave with new streams: adaptive on an
+                // engine without adaptation, then past a per-shard cap
+                // every shard already meets.
+                let new_wave = &bad_wave;
+                let new_features = features_of(new_wave);
+                if !adaptive {
+                    let err = serve(&mut engine, new_wave, &new_features, true).unwrap_err();
+                    assert!(
+                        err.to_string().contains("enable_adaptation"),
+                        "{ctx}: {err}"
+                    );
+                    assert!(
+                        state_of(&engine) == before,
+                        "{ctx}: an adaptive wave without adaptation changed the engine"
+                    );
+                }
+                let cap = (0..shards)
+                    .map(|shard| engine.shard_n_streams(shard).unwrap())
+                    .min()
+                    .unwrap();
+                engine.max_streams_per_shard(cap);
+                let err = serve(&mut engine, new_wave, &new_features, adaptive).unwrap_err();
+                assert!(
+                    err.to_string().contains("admission rejected"),
+                    "{ctx}: {err}"
+                );
+                assert!(
+                    state_of(&engine) == before,
+                    "{ctx}: a wave rejected on admission changed the engine"
                 );
             }
         }

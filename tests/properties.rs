@@ -1464,9 +1464,12 @@ fn mutate(json: &str, rng: &mut SplitMix64) -> String {
 /// restore. Served errors are fine; a panic fails the caller.
 fn exercise_wrapper(tauw: &TimeseriesAwareWrapper) {
     let n = tauw.stateless().feature_names().len();
+    // Any wrapper that loads must then serve without an error.
     let mut session = tauw.new_session();
     for k in 0..40 {
-        let _ = session.step(&extreme_row(n, k), [3, 7][k % 2]);
+        if let Err(e) = session.step(&extreme_row(n, k), [3, 7][k % 2]) {
+            panic!("a loaded taUW failed session step {k}: {e}");
+        }
     }
     let adaptive_engine = |shards: usize| {
         let mut engine = ShardedEngine::new(tauw.clone(), shards);
@@ -1480,7 +1483,9 @@ fn exercise_wrapper(tauw: &TimeseriesAwareWrapper) {
                 AdaptiveStreamStep::new(StreamId(s as u64), extreme_row(n, k + s), 3, k % 3 == 0)
             })
             .collect();
-        let _ = engine.step_many_adaptive(&batch);
+        if let Err(e) = engine.step_many_adaptive(&batch) {
+            panic!("a loaded taUW failed adaptive wave {k}: {e}");
+        }
     }
     let mut restored = adaptive_engine(2);
     for state in engine.snapshot() {
@@ -1494,7 +1499,7 @@ fn exercise_wrapper(tauw: &TimeseriesAwareWrapper) {
 /// validates and then serves extreme inputs. A panic fails the caller.
 fn load_and_exercise(label: &str, json: &str) -> Result<bool, String> {
     use tauw_suite::core::buffer::TimeseriesBuffer;
-    use tauw_suite::core::calibration::{CalibratedForestQim, CalibratedQim};
+    use tauw_suite::core::calibration::{CalibratedForestQim, CalibratedQim, ServingScratch};
     use tauw_suite::core::conformal::ConformalQim;
     use tauw_suite::core::taqf::TaqfVector;
     let invalid = |what: &str| Err(format!("{label}: loaded {what}"));
@@ -1559,8 +1564,16 @@ fn load_and_exercise(label: &str, json: &str) -> Result<bool, String> {
                     return invalid("a buffer whose taQFs disagree with the recompute");
                 }
             }
+            let mut scratch = ServingScratch::new();
             for k in 0..40 {
-                let _ = sharded_fixture().step_with_buffer(&mut buffer, &extreme_row(1, k), 7);
+                if let Err(e) = sharded_fixture().step_with_parts(
+                    &mut buffer,
+                    &mut scratch,
+                    &extreme_row(1, k),
+                    7,
+                ) {
+                    return Err(format!("{label}: a loaded buffer failed to serve: {e}"));
+                }
             }
         }
         "adaptive_state" => {
