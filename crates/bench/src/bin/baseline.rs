@@ -261,10 +261,12 @@ fn bench_pipeline(opts: &Options) {
 
     // The calibrated QIM lookup itself: pointer reference vs the flat
     // serving path, over every stateless quality-factor vector in the test
-    // windows. This is the per-step tree cost the wrapper pays twice
-    // (stateless QIM + taQIM), isolated from buffering and fusion. Both
-    // sides serve one query at a time, the shape every session and engine
-    // step uses.
+    // windows. The stateless QIM is the paper's tree as a one-member
+    // `CalibratedForestQim`, which serves through member 0's flat walk and
+    // bound array, not the lockstep kernel. This is the per-step tree cost
+    // the wrapper pays twice (stateless QIM + taQIM), isolated from
+    // buffering and fusion. Both sides serve one query at a time, the
+    // shape every session and engine step uses.
     let qim = ctx.tauw.stateless().qim();
     let qfs: Vec<&[f64]> = ctx
         .test

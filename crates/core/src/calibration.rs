@@ -7,12 +7,13 @@
 //! least 200 calibration samples, then compute a statistical uncertainty
 //! guarantee per leaf at confidence 0.999.
 //!
-//! [`CalibratedQim`] is that single-tree model. [`CalibratedForestQim`]
-//! applies the identical per-tree procedure to every member of a
-//! bootstrap [`Forest`] and reports the **mean** of the members' bounds —
-//! the hard-boundary mitigation of Gerber, Jöckel & Kläs: one tree's
-//! estimate jumps discontinuously at its split thresholds, while an
-//! ensemble average steps through many small boundaries.
+//! [`CalibratedForestQim`] applies that per-tree procedure to every member
+//! of a [`Forest`] and reports the **mean** of the members' bounds — the
+//! hard-boundary mitigation of Gerber, Jöckel & Kläs: one tree's estimate
+//! jumps discontinuously at its split thresholds, while an ensemble
+//! average steps through many small boundaries. The paper's single tree is
+//! the one-member model (`Forest::from_trees(vec![tree])`): the mean of one
+//! bound is that bound, and it serves through the tree's own flat walk.
 //!
 //! **The backend seam.** [`TaQim`] is the closed set of backend shapes a
 //! wrapper serves — a plain enum, so every lookup is a statically
@@ -21,13 +22,15 @@
 //! (the bound plus its [`RouteSupport`] from one traversal, what the
 //! adaptive step calls), a bitwise [`TaQim::uncertainty_reference`]
 //! recompute, and structural [`TaQim::validate`]. The split-conformal
-//! backend ([`ConformalQim`]) is the first non-tree member of the set.
+//! backend ([`ConformalQim`]) is the non-tree member of the set.
 //!
-//! **Adding a backend.** Implement the model type with those per-sample
-//! methods (plus a deterministic `calibrate` constructor), add a [`TaQim`]
-//! variant and its dispatch arms, a `BackendSpec` variant in
-//! `crate::tauw`, an `ArtifactKind` in `crate::persist` with
-//! round-trip/tamper/version tests, and extend the backend proptests in
+//! **Adding a backend.** A new tree-shaped estimator is not a new backend:
+//! build its trees into a [`Forest`] and calibrate a
+//! [`CalibratedForestQim`]. Any other model type implements those
+//! per-sample methods (plus a deterministic `calibrate` constructor) and
+//! adds a [`TaQim`] variant and its dispatch arms, a `BackendSpec` variant
+//! in `crate::tauw`, an `ArtifactKind` in `crate::persist` with
+//! round-trip/tamper/version tests, and a case in the backend proptests in
 //! `tests/properties.rs`. The engine and session layers need no changes —
 //! they only call [`TaQim`].
 
@@ -35,9 +38,7 @@ use crate::conformal::ConformalQim;
 use crate::error::CoreError;
 use serde::{Deserialize, Serialize};
 use tauw_dtree::prune::prune_to_min_count;
-use tauw_dtree::{
-    DecisionTree, DtreeError, FlatForest, FlatTree, Forest, LeafId, NodeId, NodeKind,
-};
+use tauw_dtree::{DecisionTree, DtreeError, FlatForest, FlatTree, Forest, NodeId, NodeKind};
 use tauw_stats::binomial::{upper_bound, BoundMethod};
 
 /// Calibration statistics and the resulting bound for one leaf.
@@ -165,311 +166,6 @@ impl RouteSupport {
     }
 }
 
-/// A quality impact model after calibration: routing tree + per-leaf
-/// dependable uncertainty bounds.
-///
-/// Two representations of the same model are kept:
-///
-/// * the pointer [`DecisionTree`] plus a [`NodeId`]-indexed bound table —
-///   the transparent, reviewable form used for export, explanations and as
-///   the reference path in bit-identity checks;
-/// * a compiled [`FlatTree`] plus a dense [`LeafId`]-indexed bound array —
-///   the serving form. [`CalibratedQim::uncertainty`] is one flat
-///   traversal and one array index, which is what every wrapper, session
-///   and engine step executes.
-///
-/// Both forms are serialized, so a persisted artifact round-trips the flat
-/// form byte-for-byte instead of re-deriving it at load time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CalibratedQim {
-    tree: DecisionTree,
-    /// Indexed by [`NodeId`]; `None` for internal nodes.
-    leaves: Vec<Option<CalibratedLeaf>>,
-    options: CalibrationOptions,
-    /// The compiled serving form of `tree`.
-    flat: FlatTree,
-    /// Uncertainty bounds indexed by [`LeafId`] — the leaf-ID fast path.
-    leaf_bounds: Vec<f64>,
-}
-
-impl CalibratedQim {
-    /// Calibrates a trained tree against a calibration set.
-    ///
-    /// `samples` yields `(features, failed)` pairs; the tree is pruned so
-    /// every leaf keeps at least `options.min_samples_per_leaf` of them,
-    /// then each leaf receives an `upper_bound` on its failure rate.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError`] if the options are invalid (see
-    /// [`CalibrationOptions::validate`]), the calibration set is empty, too
-    /// small for even the root to satisfy the minimum, or rows have the
-    /// wrong arity.
-    pub fn calibrate(
-        tree: DecisionTree,
-        samples: &[(Vec<f64>, bool)],
-        options: CalibrationOptions,
-    ) -> Result<Self, CoreError> {
-        options.validate()?;
-        if samples.is_empty() {
-            return Err(CoreError::InvalidInput {
-                reason: "calibration set is empty".into(),
-            });
-        }
-        let parts = calibrate_tree(tree, samples, options)?;
-        Ok(CalibratedQim {
-            tree: parts.tree,
-            leaves: parts.leaves,
-            options,
-            flat: parts.flat,
-            leaf_bounds: parts.leaf_bounds,
-        })
-    }
-
-    /// Dependable uncertainty for a feature vector: one flat traversal to
-    /// the leaf id plus one array index. This is **the** per-step serving
-    /// routine behind every wrapper, session and engine step.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError`] on feature-arity mismatch.
-    #[inline]
-    pub fn uncertainty(&self, features: &[f64]) -> Result<f64, CoreError> {
-        Ok(self.leaf_bounds[self.flat.predict_leaf_id(features)? as usize])
-    }
-
-    /// [`CalibratedQim::uncertainty`] and the *calibration support* behind
-    /// it from one flat traversal: the routed leaf's bound and how many
-    /// calibration samples routed to that leaf. The adaptive layer reads
-    /// the support to tell a knowledge gap (thin support) from plain noise.
-    pub(crate) fn uncertainty_with_support(
-        &self,
-        features: &[f64],
-    ) -> Result<(f64, u64), CoreError> {
-        let (leaf_id, node) = self.route_ids(features)?;
-        let support = self.calibrated_leaf(node).map_or(0, |l| l.total);
-        Ok((self.leaf_bounds[leaf_id as usize], support))
-    }
-
-    /// Reference implementation of [`CalibratedQim::uncertainty`] over the
-    /// pointer tree. Kept for bit-identity verification (tests, the bench
-    /// baseline's flat-vs-pointer rows) — not a serving path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError`] on feature-arity mismatch.
-    pub fn uncertainty_reference(&self, features: &[f64]) -> Result<f64, CoreError> {
-        let leaf = self.tree.leaf_id(features)?;
-        Ok(self.leaves[leaf]
-            .as_ref()
-            .expect("every reachable leaf was calibrated")
-            .uncertainty_bound)
-    }
-
-    /// Routes a feature vector on the flat form, returning both identities
-    /// of the leaf it lands in: the dense [`LeafId`] and the arena
-    /// [`NodeId`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError`] on feature-arity mismatch.
-    pub fn route_ids(&self, features: &[f64]) -> Result<(LeafId, NodeId), CoreError> {
-        let leaf_id = self.flat.predict_leaf_id(features)?;
-        Ok((leaf_id, self.flat.leaf(leaf_id).node_id))
-    }
-
-    /// The calibrated leaf a feature vector routes to (id + statistics).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError`] on feature-arity mismatch.
-    pub fn route(&self, features: &[f64]) -> Result<(NodeId, CalibratedLeaf), CoreError> {
-        let (_, node) = self.route_ids(features)?;
-        Ok((
-            node,
-            self.calibrated_leaf(node)
-                .expect("every reachable leaf was calibrated"),
-        ))
-    }
-
-    /// Calibration statistics of the leaf at arena node `node`, or `None`
-    /// for internal/unknown nodes.
-    pub fn calibrated_leaf(&self, node: NodeId) -> Option<CalibratedLeaf> {
-        self.leaves.get(node).copied().flatten()
-    }
-
-    /// Checks the internal consistency of the two model representations:
-    /// the flat form must be exactly the lowering of the pointer tree, and
-    /// the leaf-ID bound table must mirror the node-indexed calibrated
-    /// leaves. Freshly calibrated models satisfy this by construction; the
-    /// persistence layer calls it on every load so a truncated or
-    /// hand-edited artifact fails with a clean error instead of panicking
-    /// on the serving path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidInput`] describing the first
-    /// inconsistency found.
-    pub fn validate(&self) -> Result<(), CoreError> {
-        validate_parts(
-            &self.tree,
-            &self.leaves,
-            &self.flat,
-            &self.leaf_bounds,
-            "calibrated QIM",
-        )
-    }
-
-    /// The underlying (pruned) routing tree, for transparency/export.
-    pub fn tree(&self) -> &DecisionTree {
-        &self.tree
-    }
-
-    /// The compiled serving form of the routing tree.
-    pub fn flat(&self) -> &FlatTree {
-        &self.flat
-    }
-
-    /// The dependable uncertainty bounds indexed by [`LeafId`] — the
-    /// lookup table the serving path reads after routing.
-    pub fn leaf_bounds(&self) -> &[f64] {
-        &self.leaf_bounds
-    }
-
-    /// Calibration options used.
-    pub fn options(&self) -> CalibrationOptions {
-        self.options
-    }
-
-    /// All calibrated leaves `(id, leaf)` in depth-first order.
-    pub fn calibrated_leaves(&self) -> Vec<(NodeId, CalibratedLeaf)> {
-        self.tree
-            .leaf_ids()
-            .into_iter()
-            .map(|id| {
-                (
-                    id,
-                    self.leaves[id].expect("every reachable leaf was calibrated"),
-                )
-            })
-            .collect()
-    }
-
-    /// The smallest uncertainty bound any leaf guarantees — the "lowest
-    /// uncertainty" highlighted in the paper's Fig. 5.
-    pub fn min_uncertainty(&self) -> f64 {
-        self.calibrated_leaves()
-            .iter()
-            .map(|(_, l)| l.uncertainty_bound)
-            .fold(1.0, f64::min)
-    }
-}
-
-/// The artifacts calibrating one routing tree produces — the shared core
-/// of the single-tree and forest procedures.
-struct CalibratedTreeParts {
-    tree: DecisionTree,
-    leaves: Vec<Option<CalibratedLeaf>>,
-    flat: FlatTree,
-    leaf_bounds: Vec<f64>,
-}
-
-/// Prunes one tree against the calibration set, compiles it, and bounds
-/// every reachable leaf — the paper's per-tree calibration procedure,
-/// applied identically by [`CalibratedQim::calibrate`] (once) and
-/// [`CalibratedForestQim::calibrate`] (once per member).
-fn calibrate_tree(
-    mut tree: DecisionTree,
-    samples: &[(Vec<f64>, bool)],
-    options: CalibrationOptions,
-) -> Result<CalibratedTreeParts, CoreError> {
-    // 1. Route calibration samples and prune.
-    let counts = tree.node_sample_counts(samples.iter().map(|(f, _)| f.as_slice()))?;
-    prune_to_min_count(&mut tree, &counts, options.min_samples_per_leaf)?;
-
-    // 2. Compile the pruned tree and re-route the calibration set on
-    // the flat form (batched, thread-fanned, input-order) to collect
-    // per-leaf failure stats keyed by the dense leaf id.
-    let flat = FlatTree::from_tree(&tree);
-    let rows: Vec<&[f64]> = samples.iter().map(|(f, _)| f.as_slice()).collect();
-    let routed = flat.predict_leaf_ids(parallel::max_threads(), &rows)?;
-    let mut failures = vec![0u64; flat.n_leaves()];
-    let mut totals = vec![0u64; flat.n_leaves()];
-    for (leaf, (_, failed)) in routed.into_iter().zip(samples) {
-        totals[leaf as usize] += 1;
-        if *failed {
-            failures[leaf as usize] += 1;
-        }
-    }
-
-    // 3. Bound per leaf, filling both the dense leaf-id array (serving
-    // path) and the node-indexed table (transparency path).
-    let mut leaf_bounds = vec![0.0; flat.n_leaves()];
-    let mut leaves = vec![None; tree.n_nodes()];
-    for (leaf_id, flat_leaf) in flat.leaves().iter().enumerate() {
-        let bound = upper_bound(
-            options.method,
-            failures[leaf_id],
-            totals[leaf_id],
-            options.confidence,
-        )?;
-        leaf_bounds[leaf_id] = bound;
-        leaves[flat_leaf.node_id] = Some(CalibratedLeaf {
-            failures: failures[leaf_id],
-            total: totals[leaf_id],
-            uncertainty_bound: bound,
-        });
-    }
-    Ok(CalibratedTreeParts {
-        tree,
-        leaves,
-        flat,
-        leaf_bounds,
-    })
-}
-
-/// Checks that one (tree, calibrated leaves, flat form, bound table)
-/// quadruple is internally consistent; `context` labels error messages
-/// (e.g. `"calibrated QIM"`, `"calibrated forest QIM member 3"`).
-fn validate_parts(
-    tree: &DecisionTree,
-    leaves: &[Option<CalibratedLeaf>],
-    flat: &FlatTree,
-    leaf_bounds: &[f64],
-    context: &str,
-) -> Result<(), CoreError> {
-    if *flat != FlatTree::from_tree(tree) {
-        return Err(CoreError::InvalidInput {
-            reason: format!("{context}: flat form is not the lowering of its tree"),
-        });
-    }
-    if leaf_bounds.len() != flat.n_leaves() {
-        return Err(CoreError::InvalidInput {
-            reason: format!(
-                "{context}: {} leaf bounds for {} leaves",
-                leaf_bounds.len(),
-                flat.n_leaves()
-            ),
-        });
-    }
-    for (leaf_id, flat_leaf) in flat.leaves().iter().enumerate() {
-        let Some(leaf) = leaves.get(flat_leaf.node_id).copied().flatten() else {
-            return Err(CoreError::InvalidInput {
-                reason: format!(
-                    "{context}: leaf node {} carries no calibration record",
-                    flat_leaf.node_id
-                ),
-            });
-        };
-        if leaf.uncertainty_bound.to_bits() != leaf_bounds[leaf_id].to_bits() {
-            return Err(CoreError::InvalidInput {
-                reason: format!("{context}: bound table diverges at leaf id {leaf_id}"),
-            });
-        }
-    }
-    Ok(())
-}
-
 /// The canonical ordering key of one calibrated member: the serialized
 /// pruned tree. Members are stored (and summed) in ascending key order, so
 /// the assembled model — and therefore every served estimate, bit for bit
@@ -478,10 +174,10 @@ fn member_key(tree: &DecisionTree) -> String {
     serde_json::to_string(tree).expect("a decision tree always serializes")
 }
 
-/// A forest quality impact model after calibration: `K` routing trees,
-/// each pruned and bounded by the exact single-tree procedure, whose
-/// served uncertainty is the **mean of the members' calibrated leaf
-/// bounds**.
+/// A calibrated quality impact model: `K ≥ 1` routing trees, each pruned
+/// and bounded by the paper's per-tree procedure, whose served uncertainty
+/// is the **mean of the members' calibrated leaf bounds**. At `K = 1` this
+/// is the paper's single calibrated tree.
 ///
 /// Why a forest: a single tree's bound jumps discontinuously at its split
 /// thresholds (the *hard boundary* problem — an input 1 mm either side of
@@ -490,22 +186,30 @@ fn member_key(tree: &DecisionTree) -> String {
 /// ones, smoothing the estimate while each member's bound keeps its
 /// per-leaf statistical pedigree.
 ///
-/// Determinism contract, mirroring [`CalibratedQim`]:
+/// Two representations of every member are kept: the pointer
+/// [`DecisionTree`] with a [`NodeId`]-indexed calibration table (the
+/// transparent form for export, explanations and the bitwise reference
+/// path) and the compiled [`FlatTree`] with a dense
+/// [`LeafId`](tauw_dtree::LeafId)-indexed bound array (the serving form).
+/// Both are serialized, so an artifact round-trips the flat form byte for
+/// byte.
+///
+/// Determinism contract:
 ///
 /// * members are stored in a **canonical order** (sorted by serialized
 ///   form at calibration), so the mean — summed left-to-right over that
 ///   order — is bit-identical no matter how the input [`Forest`] ordered
 ///   its trees;
 /// * at `K = 1` the mean degenerates to `bound / 1.0`, which is exactly
-///   the member's bound: a one-tree forest serves **bitwise** the value
-///   the equivalent [`CalibratedQim`] would (asserted by proptest);
-/// * serving walks all members in lockstep over one packed node array
-///   derived from the members at calibration and at load (never
+///   the member's bound, so the one-member model serves through member 0's
+///   flat walk and one bound load (asserted bitwise against the pointer
+///   reference by proptest);
+/// * from `K = 2` on, serving walks all members in lockstep over one packed
+///   node array derived from the members at calibration and at load (never
 ///   serialized), then reads each member's bound and calibration support
 ///   from one leaf table — one walk plus one load per member, no
-///   allocation; the compiled [`FlatForest`] and the pointer members stay
-///   aboard as the per-member references
-///   ([`CalibratedForestQim::uncertainty_reference`]).
+///   allocation; the pointer members stay aboard as the per-member
+///   references ([`CalibratedForestQim::uncertainty_reference`]).
 ///
 /// # Examples
 ///
@@ -551,14 +255,15 @@ pub struct CalibratedForestQim {
     options: CalibrationOptions,
     /// The compiled per-member form: one flat tree per member.
     flat: FlatForest,
-    /// Per-member uncertainty bounds indexed by [`LeafId`].
+    /// Per-member uncertainty bounds indexed by [`LeafId`](tauw_dtree::LeafId).
     leaf_bounds: Vec<Vec<f64>>,
     /// The smallest uncertainty the ensemble *actually served* over the
     /// calibration set (min over calibration-sample routings) — the
     /// attainable floor [`CalibratedForestQim::min_uncertainty`] reports.
     min_served_bound: f64,
-    /// The serving form, derived from the fields above (never serialized).
-    kernel: ForestKernel,
+    /// The lockstep serving form for `K ≥ 2`, derived from the fields above
+    /// (never serialized); `None` for a one-member model.
+    kernel: Option<ForestKernel>,
 }
 
 impl Serialize for CalibratedForestQim {
@@ -580,8 +285,7 @@ impl Serialize for CalibratedForestQim {
 impl Deserialize for CalibratedForestQim {
     /// Reads the six serialized fields, runs
     /// [`CalibratedForestQim::validate`], and only then derives the
-    /// serving kernel, so a hostile payload never reaches the lockstep
-    /// walk.
+    /// serving kernel, so a hostile payload never reaches a serving walk.
     fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
         let map = serde::__expect_map(value, "CalibratedForestQim")?;
         let field = |name| serde::__field(map, name, "CalibratedForestQim");
@@ -592,7 +296,7 @@ impl Deserialize for CalibratedForestQim {
             flat: Deserialize::deserialize(field("flat")?)?,
             leaf_bounds: Deserialize::deserialize(field("leaf_bounds")?)?,
             min_served_bound: Deserialize::deserialize(field("min_served_bound")?)?,
-            kernel: ForestKernel::default(),
+            kernel: None,
         };
         qim.validate()
             .map_err(|e| serde::Error::custom(e.to_string()))?;
@@ -638,25 +342,35 @@ struct LaneBlock {
 ///
 /// Derived from a validated model by [`ForestKernel::build`]; it holds
 /// nothing the serialized fields do not determine.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 struct ForestKernel {
     nodes: Vec<PackedNode>,
     /// `(uncertainty_bound, total)` per slot; read at leaf slots only.
     leaves: Vec<(f64, u64)>,
     blocks: Vec<LaneBlock>,
     n_features: usize,
+    n_members: usize,
 }
 
 impl ForestKernel {
     /// Packs the members of a model that has passed
     /// [`CalibratedForestQim::validate`]: every reachable leaf carries a
-    /// calibration record and a bound at its depth-first [`LeafId`].
-    fn build(qim: &CalibratedForestQim) -> Self {
+    /// calibration record and a bound at its depth-first [`LeafId`](tauw_dtree::LeafId).
+    ///
+    /// Returns `None` for a one-member model. Its flat walk stops at the
+    /// leaf, while a one-lane block walks to the tree's full depth: on the
+    /// depth-8 wrapper trees that measured 1.5-2x slower per lookup on a
+    /// 2-vCPU guest.
+    fn build(qim: &CalibratedForestQim) -> Option<Self> {
+        if qim.trees.len() < 2 {
+            return None;
+        }
         let mut kernel = ForestKernel {
             nodes: Vec::new(),
             leaves: Vec::new(),
             blocks: Vec::with_capacity(qim.trees.len().div_ceil(LANES)),
             n_features: qim.n_features(),
+            n_members: qim.trees.len(),
         };
         let members = qim.trees.iter().zip(&qim.leaves).zip(&qim.leaf_bounds);
         for (t, ((tree, records), bounds)) in members.enumerate() {
@@ -710,14 +424,24 @@ impl ForestKernel {
                 }
             }
         }
-        kernel
+        Some(kernel)
     }
 
-    /// Walks `x` (of checked arity) through every member and returns the
-    /// left-to-right sum of the members' bounds in canonical order and the
-    /// minimum of their calibration supports.
-    #[inline]
-    fn walk(&self, x: &[f64]) -> (f64, u64) {
+    /// Walks `x` through every member and returns the mean of the members'
+    /// bounds, summed left to right in canonical order, and the minimum of
+    /// their calibration supports.
+    ///
+    /// Kept out of line: inlined, the walk's register saves and stack frame
+    /// land on the one-member lookup that shares its caller.
+    #[inline(never)]
+    fn serve(&self, x: &[f64]) -> Result<(f64, u64), CoreError> {
+        if x.len() != self.n_features {
+            return Err(DtreeError::PredictArityMismatch {
+                expected: self.n_features,
+                actual: x.len(),
+            }
+            .into());
+        }
         let mut sum = 0.0;
         let mut support = u64::MAX;
         for block in &self.blocks {
@@ -735,7 +459,7 @@ impl ForestKernel {
                 support = support.min(total);
             }
         }
-        (sum, support)
+        Ok((sum / self.n_members as f64, support))
     }
 }
 
@@ -762,25 +486,61 @@ impl CalibratedForestQim {
                 reason: "calibration set is empty".into(),
             });
         }
-        let mut parts = Vec::with_capacity(forest.n_trees());
-        for tree in forest.into_trees() {
-            let member = calibrate_tree(tree, samples, options)?;
-            parts.push((member_key(&member.tree), member));
+        let rows: Vec<&[f64]> = samples.iter().map(|(f, _)| f.as_slice()).collect();
+        let mut members = Vec::with_capacity(forest.n_trees());
+        for mut tree in forest.into_trees() {
+            // 1. Route the calibration samples and prune.
+            let counts = tree.node_sample_counts(rows.iter().copied())?;
+            prune_to_min_count(&mut tree, &counts, options.min_samples_per_leaf)?;
+
+            // 2. Compile the pruned tree and re-route the calibration set
+            // on the flat form (batched, thread-fanned, input-order) to
+            // collect per-leaf failure stats keyed by the dense leaf id.
+            let flat = FlatTree::from_tree(&tree);
+            let routed = flat.predict_leaf_ids(parallel::max_threads(), &rows)?;
+            let mut failures = vec![0u64; flat.n_leaves()];
+            let mut totals = vec![0u64; flat.n_leaves()];
+            for (leaf, (_, failed)) in routed.into_iter().zip(samples) {
+                totals[leaf as usize] += 1;
+                if *failed {
+                    failures[leaf as usize] += 1;
+                }
+            }
+
+            // 3. Bound per leaf, filling both the dense leaf-id array
+            // (serving path) and the node-indexed table (transparency path).
+            let mut bounds = vec![0.0; flat.n_leaves()];
+            let mut records = vec![None; tree.n_nodes()];
+            for (leaf_id, flat_leaf) in flat.leaves().iter().enumerate() {
+                let bound = upper_bound(
+                    options.method,
+                    failures[leaf_id],
+                    totals[leaf_id],
+                    options.confidence,
+                )?;
+                bounds[leaf_id] = bound;
+                records[flat_leaf.node_id] = Some(CalibratedLeaf {
+                    failures: failures[leaf_id],
+                    total: totals[leaf_id],
+                    uncertainty_bound: bound,
+                });
+            }
+            members.push((member_key(&tree), tree, records, flat, bounds));
         }
         // Canonical member order: ascending serialized-tree key. Equal keys
         // are identical members (same tree, same calibration data, same
         // bounds), so their relative order cannot affect the sum.
-        parts.sort_by(|(a, _), (b, _)| a.cmp(b));
+        members.sort_by(|a, b| a.0.cmp(&b.0));
 
-        let mut trees = Vec::with_capacity(parts.len());
-        let mut leaves = Vec::with_capacity(parts.len());
-        let mut flats = Vec::with_capacity(parts.len());
-        let mut leaf_bounds = Vec::with_capacity(parts.len());
-        for (_, member) in parts {
-            trees.push(member.tree);
-            leaves.push(member.leaves);
-            flats.push(member.flat);
-            leaf_bounds.push(member.leaf_bounds);
+        let mut trees = Vec::with_capacity(members.len());
+        let mut leaves = Vec::with_capacity(members.len());
+        let mut flats = Vec::with_capacity(members.len());
+        let mut leaf_bounds = Vec::with_capacity(members.len());
+        for (_, tree, records, flat, bounds) in members {
+            trees.push(tree);
+            leaves.push(records);
+            flats.push(flat);
+            leaf_bounds.push(bounds);
         }
         let mut qim = CalibratedForestQim {
             trees,
@@ -789,7 +549,7 @@ impl CalibratedForestQim {
             flat: FlatForest::from_flat_trees(flats)?,
             leaf_bounds,
             min_served_bound: 1.0,
-            kernel: ForestKernel::default(),
+            kernel: None,
         };
         qim.kernel = ForestKernel::build(&qim);
         // The attainable serving floor: the smallest mean-of-member-bounds
@@ -805,39 +565,41 @@ impl CalibratedForestQim {
         Ok(qim)
     }
 
-    /// Dependable uncertainty for a feature vector: one lockstep walk of
-    /// all `K` members, one leaf-table load per member, one left-to-right
-    /// sum over the canonical member order, one division. No allocation;
-    /// bit-identical regardless of the order the forest's trees were
-    /// supplied in (the canonical order is part of the model).
+    /// Dependable uncertainty for a feature vector, bit-identical
+    /// regardless of the order the forest's trees were supplied in (the
+    /// canonical order is part of the model). A one-member model takes one
+    /// flat walk to the leaf id and one bound load; from `K = 2` on, one
+    /// lockstep walk of all members, one leaf-table load per member, one
+    /// left-to-right sum over the canonical member order and one division.
+    /// No allocation either way.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError`] on feature-arity mismatch.
     #[inline]
     pub fn uncertainty(&self, features: &[f64]) -> Result<f64, CoreError> {
-        Ok(self.uncertainty_with_support(features)?.0)
+        match &self.kernel {
+            None => Ok(self.leaf_bounds[0][self.flat.tree(0).predict_leaf_id(features)? as usize]),
+            Some(kernel) => Ok(kernel.serve(features)?.0),
+        }
     }
 
     /// [`CalibratedForestQim::uncertainty`] and its calibration support
-    /// from the same walk: the same left-to-right bound sum in canonical
-    /// member order, and the **minimum** over members of the routed leaf's
-    /// calibration-sample count (the ensemble's estimate is only as
-    /// grounded as its least-supported member).
+    /// from the same walk: the same bound, and the **minimum** over members
+    /// of the routed leaf's calibration-sample count (the ensemble's
+    /// estimate is only as grounded as its least-supported member).
     #[inline]
     pub(crate) fn uncertainty_with_support(
         &self,
         features: &[f64],
     ) -> Result<(f64, u64), CoreError> {
-        if features.len() != self.kernel.n_features {
-            return Err(DtreeError::PredictArityMismatch {
-                expected: self.kernel.n_features,
-                actual: features.len(),
-            }
-            .into());
-        }
-        let (sum, support) = self.kernel.walk(features);
-        Ok((sum / self.trees.len() as f64, support))
+        let Some(kernel) = &self.kernel else {
+            let flat = self.flat.tree(0);
+            let leaf = flat.predict_leaf_id(features)?;
+            let support = self.leaves[0][flat.leaf(leaf).node_id].map_or(0, |l| l.total);
+            return Ok((self.leaf_bounds[0][leaf as usize], support));
+        };
+        kernel.serve(features)
     }
 
     /// Reference implementation of [`CalibratedForestQim::uncertainty`]
@@ -881,7 +643,7 @@ impl CalibratedForestQim {
         &self.flat
     }
 
-    /// Per-member dependable bounds indexed by [`LeafId`] — the lookup
+    /// Per-member dependable bounds indexed by [`LeafId`](tauw_dtree::LeafId) — the lookup
     /// tables the serving path reads after routing.
     pub fn leaf_bounds(&self) -> &[Vec<f64>] {
         &self.leaf_bounds
@@ -902,8 +664,9 @@ impl CalibratedForestQim {
     /// minimum of `uncertainty(x)` over the calibration samples, computed
     /// once at calibration time. Every value entering this minimum is a
     /// real served estimate, so `min_uncertainty() <= uncertainty(x)`
-    /// holds for every calibration sample `x` — the attainability contract
-    /// [`CalibratedQim::min_uncertainty`] gives for a single tree.
+    /// holds for every calibration sample `x`. At `K = 1` it is the
+    /// smallest leaf bound, since calibration bounds only leaves that
+    /// calibration samples reach.
     ///
     /// (The previous formulation — the mean of per-member minima, still
     /// available as [`CalibratedForestQim::min_member_mean_bound`] — is
@@ -928,11 +691,16 @@ impl CalibratedForestQim {
         sum / self.leaf_bounds.len() as f64
     }
 
-    /// Checks the internal consistency of every member (see
-    /// [`CalibratedQim::validate`]) plus the ensemble-level invariants:
-    /// parallel tables of equal length, at least one member, and the
-    /// canonical member order — so a hand-edited artifact cannot smuggle
-    /// in a permutation that silently changes the served sum.
+    /// Checks the internal consistency of every member — its flat form is
+    /// exactly the lowering of its pointer tree, and its leaf-ID bound
+    /// table mirrors its node-indexed calibration records — plus the
+    /// ensemble-level invariants: parallel tables of equal length, at least
+    /// one member, one routing shape, the canonical member order (so a
+    /// hand-edited artifact cannot smuggle in a permutation that silently
+    /// changes the served sum) and an attainable served minimum. The
+    /// persistence layer runs it on every load, so a truncated or edited
+    /// artifact fails with a clean error instead of panicking on the
+    /// serving path.
     ///
     /// # Errors
     ///
@@ -978,13 +746,31 @@ impl CalibratedForestQim {
                     ),
                 });
             }
-            validate_parts(
-                tree,
-                &self.leaves[t],
-                self.flat.tree(t),
-                &self.leaf_bounds[t],
-                &format!("calibrated forest QIM member {t}"),
-            )?;
+            let member = |what: String| CoreError::InvalidInput {
+                reason: format!("calibrated forest QIM member {t}: {what}"),
+            };
+            let (flat, bounds) = (self.flat.tree(t), &self.leaf_bounds[t]);
+            if *flat != FlatTree::from_tree(tree) {
+                return Err(member("flat form is not the lowering of its tree".into()));
+            }
+            if bounds.len() != flat.n_leaves() {
+                return Err(member(format!(
+                    "{} leaf bounds for {} leaves",
+                    bounds.len(),
+                    flat.n_leaves()
+                )));
+            }
+            for (leaf_id, flat_leaf) in flat.leaves().iter().enumerate() {
+                let Some(leaf) = self.calibrated_leaf(t, flat_leaf.node_id) else {
+                    return Err(member(format!(
+                        "leaf node {} carries no calibration record",
+                        flat_leaf.node_id
+                    )));
+                };
+                if leaf.uncertainty_bound.to_bits() != bounds[leaf_id].to_bits() {
+                    return Err(member(format!("bound table diverges at leaf id {leaf_id}")));
+                }
+            }
             let key = member_key(tree);
             if previous_key.as_ref().is_some_and(|prev| *prev > key) {
                 return Err(CoreError::InvalidInput {
@@ -1021,16 +807,16 @@ impl CalibratedForestQim {
 }
 
 /// The closed set of quality-impact-model shapes a timeseries-aware
-/// wrapper can serve: the paper's single calibrated tree, a
-/// boundary-smoothing calibrated forest, or a leafless split-conformal
-/// model. Every serving, reference and validation entry point dispatches
-/// on the shape — a plain `match`, so the hot path stays statically
-/// dispatched — and wrapper, session and engine code is shape-agnostic.
+/// wrapper can serve: a calibrated forest of `K ≥ 1` trees (`K = 1` is the
+/// paper's single calibrated tree, larger `K` smooths its boundaries) or a
+/// leafless split-conformal model. Every serving, reference and validation
+/// entry point dispatches on the shape — a plain `match`, so the hot path
+/// stays statically dispatched — and wrapper, session and engine code is
+/// shape-agnostic.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum TaQim {
-    /// A single calibrated tree (the paper's taQIM).
-    Tree(CalibratedQim),
-    /// A calibrated bootstrap forest (mean of per-member bounds).
+    /// A calibrated forest (mean of per-member bounds); one member is the
+    /// paper's taQIM.
     Forest(CalibratedForestQim),
     /// A split-conformal model (distribution-free one-sided bounds).
     Conformal(ConformalQim),
@@ -1044,15 +830,14 @@ impl TaQim {
     /// Returns [`CoreError`] on feature-arity mismatch.
     pub fn uncertainty(&self, features: &[f64]) -> Result<f64, CoreError> {
         match self {
-            TaQim::Tree(qim) => qim.uncertainty(features),
             TaQim::Forest(qim) => qim.uncertainty(features),
             TaQim::Conformal(qim) => qim.uncertainty(features),
         }
     }
 
     /// [`TaQim::uncertainty`] and [`TaQim::route_support`] from a single
-    /// traversal, bit for bit: one flat route for the single tree, one
-    /// pass over the members for a forest, and the bound plus
+    /// traversal, bit for bit: one flat route for a one-member forest, one
+    /// lockstep walk of the members from `K = 2` on, and the bound plus
     /// [`RouteSupport::Unsupported`] for a leafless backend. The adaptive
     /// step serves through this lookup.
     ///
@@ -1064,9 +849,6 @@ impl TaQim {
         features: &[f64],
     ) -> Result<(f64, RouteSupport), CoreError> {
         match self {
-            TaQim::Tree(qim) => qim
-                .uncertainty_with_support(features)
-                .map(|(bound, n)| (bound, RouteSupport::Samples(n))),
             TaQim::Forest(qim) => qim
                 .uncertainty_with_support(features)
                 .map(|(bound, n)| (bound, RouteSupport::Samples(n))),
@@ -1082,31 +864,27 @@ impl TaQim {
     /// Returns [`CoreError`] on feature-arity mismatch.
     pub fn uncertainty_reference(&self, features: &[f64]) -> Result<f64, CoreError> {
         match self {
-            TaQim::Tree(qim) => qim.uncertainty_reference(features),
             TaQim::Forest(qim) => qim.uncertainty_reference(features),
             TaQim::Conformal(qim) => qim.uncertainty_reference(features),
         }
     }
 
     /// Internal-consistency check of the underlying model (see
-    /// [`CalibratedQim::validate`] / [`CalibratedForestQim::validate`]).
+    /// [`CalibratedForestQim::validate`] / [`ConformalQim::validate`]).
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidInput`] on an inconsistent model.
     pub fn validate(&self) -> Result<(), CoreError> {
         match self {
-            TaQim::Tree(qim) => qim.validate(),
             TaQim::Forest(qim) => qim.validate(),
             TaQim::Conformal(qim) => qim.validate(),
         }
     }
 
-    /// Number of routing trees (1 for the single-tree shape, 0 for
-    /// leafless backends).
+    /// Number of routing trees (0 for leafless backends).
     pub fn n_trees(&self) -> usize {
         match self {
-            TaQim::Tree(_) => 1,
             TaQim::Forest(qim) => qim.n_trees(),
             TaQim::Conformal(_) => 0,
         }
@@ -1116,7 +894,6 @@ impl TaQim {
     /// backends).
     pub fn n_leaves(&self) -> usize {
         match self {
-            TaQim::Tree(qim) => qim.flat().n_leaves(),
             TaQim::Forest(qim) => qim.flat().n_leaves_total(),
             TaQim::Conformal(_) => 0,
         }
@@ -1125,19 +902,17 @@ impl TaQim {
     /// Number of features the model reads.
     pub fn n_features(&self) -> usize {
         match self {
-            TaQim::Tree(qim) => qim.tree().n_features(),
             TaQim::Forest(qim) => qim.n_features(),
             TaQim::Conformal(qim) => qim.n_features(),
         }
     }
 
-    /// The smallest uncertainty the model actually serves — the minimum
-    /// leaf bound for the single-tree shape, the minimum served mean over
-    /// the calibration set for forests (see
+    /// The smallest uncertainty the model actually serves — for a forest
+    /// the minimum served mean over the calibration set, which at `K = 1`
+    /// is the minimum leaf bound (see
     /// [`CalibratedForestQim::min_uncertainty`]).
     pub fn min_uncertainty(&self) -> f64 {
         match self {
-            TaQim::Tree(qim) => qim.min_uncertainty(),
             TaQim::Forest(qim) => qim.min_uncertainty(),
             TaQim::Conformal(qim) => qim.min_uncertainty(),
         }
@@ -1154,14 +929,6 @@ impl TaQim {
     /// Returns [`CoreError`] on feature-arity mismatch.
     pub fn route_support(&self, features: &[f64]) -> Result<RouteSupport, CoreError> {
         Ok(self.uncertainty_with_support(features)?.1)
-    }
-
-    /// The single-tree model, if this is the tree shape.
-    pub fn as_tree(&self) -> Option<&CalibratedQim> {
-        match self {
-            TaQim::Tree(qim) => Some(qim),
-            _ => None,
-        }
     }
 
     /// The forest model, if this is the forest shape.
@@ -1205,12 +972,29 @@ mod tests {
             .collect()
     }
 
+    /// The paper's single tree, calibrated as the one-member model.
+    fn one_member(
+        tree: DecisionTree,
+        calib: &[(Vec<f64>, bool)],
+        options: CalibrationOptions,
+    ) -> Result<CalibratedForestQim, CoreError> {
+        CalibratedForestQim::calibrate(Forest::from_trees(vec![tree])?, calib, options)
+    }
+
+    /// Member 0's calibrated leaves in depth-first order.
+    fn member_leaves(qim: &CalibratedForestQim) -> Vec<CalibratedLeaf> {
+        qim.trees()[0]
+            .leaf_ids()
+            .into_iter()
+            .map(|id| qim.calibrated_leaf(0, id).unwrap())
+            .collect()
+    }
+
     #[test]
     fn calibrated_bounds_cover_observed_rates() {
-        let tree = trained_tree(400);
         let calib = calib_samples(1000, |x| x > 0.5);
-        let qim = CalibratedQim::calibrate(tree, &calib, CalibrationOptions::default()).unwrap();
-        for (_, leaf) in qim.calibrated_leaves() {
+        let qim = one_member(trained_tree(400), &calib, CalibrationOptions::default()).unwrap();
+        for leaf in member_leaves(&qim) {
             assert!(leaf.total >= 200);
             assert!(leaf.uncertainty_bound >= leaf.point_estimate());
             assert!(leaf.uncertainty_bound <= 1.0);
@@ -1219,9 +1003,8 @@ mod tests {
 
     #[test]
     fn low_risk_region_gets_low_bound() {
-        let tree = trained_tree(400);
         let calib = calib_samples(2000, |x| x > 0.5);
-        let qim = CalibratedQim::calibrate(tree, &calib, CalibrationOptions::default()).unwrap();
+        let qim = one_member(trained_tree(400), &calib, CalibrationOptions::default()).unwrap();
         let low = qim.uncertainty(&[0.1]).unwrap();
         let high = qim.uncertainty(&[0.9]).unwrap();
         assert!(low < 0.05, "clean region bound {low}");
@@ -1238,10 +1021,10 @@ mod tests {
             min_samples_per_leaf: 200,
             ..Default::default()
         };
-        let qim = CalibratedQim::calibrate(tree, &calib, opts).unwrap();
-        assert!(qim.tree().n_leaves() <= n_leaves_before);
+        let qim = one_member(tree, &calib, opts).unwrap();
+        assert!(qim.trees()[0].n_leaves() <= n_leaves_before);
         assert!(
-            qim.tree().n_leaves() <= 2,
+            qim.trees()[0].n_leaves() <= 2,
             "450 samples / 200 per leaf allows at most 2 leaves"
         );
     }
@@ -1250,42 +1033,30 @@ mod tests {
     fn higher_confidence_widens_bounds() {
         let tree = trained_tree(400);
         let calib = calib_samples(2000, |x| x > 0.5);
-        let loose = CalibratedQim::calibrate(
-            tree.clone(),
-            &calib,
-            CalibrationOptions {
-                confidence: 0.9,
+        let with_confidence = |confidence| {
+            let opts = CalibrationOptions {
+                confidence,
                 ..Default::default()
-            },
-        )
-        .unwrap();
-        let tight = CalibratedQim::calibrate(
-            tree,
-            &calib,
-            CalibrationOptions {
-                confidence: 0.9999,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+            };
+            one_member(tree.clone(), &calib, opts).unwrap()
+        };
+        let (loose, tight) = (with_confidence(0.9), with_confidence(0.9999));
         assert!(tight.uncertainty(&[0.1]).unwrap() > loose.uncertainty(&[0.1]).unwrap());
     }
 
     #[test]
     fn empty_calibration_is_rejected() {
-        let tree = trained_tree(100);
         assert!(matches!(
-            CalibratedQim::calibrate(tree, &[], CalibrationOptions::default()),
+            one_member(trained_tree(100), &[], CalibrationOptions::default()),
             Err(CoreError::InvalidInput { .. })
         ));
     }
 
     #[test]
     fn tiny_calibration_is_infeasible() {
-        let tree = trained_tree(100);
         let calib = calib_samples(50, |x| x > 0.5);
         assert!(matches!(
-            CalibratedQim::calibrate(tree, &calib, CalibrationOptions::default()),
+            one_member(trained_tree(100), &calib, CalibrationOptions::default()),
             Err(CoreError::Tree(
                 tauw_dtree::DtreeError::CalibrationInfeasible { .. }
             ))
@@ -1294,40 +1065,40 @@ mod tests {
 
     #[test]
     fn arity_mismatch_at_query_time() {
-        let tree = trained_tree(200);
         let calib = calib_samples(500, |x| x > 0.5);
-        let qim = CalibratedQim::calibrate(tree, &calib, CalibrationOptions::default()).unwrap();
+        let qim = one_member(trained_tree(200), &calib, CalibrationOptions::default()).unwrap();
         assert!(qim.uncertainty(&[0.5, 0.5]).is_err());
+        assert!(qim.uncertainty_with_support(&[0.5, 0.5]).is_err());
+        assert!(qim.uncertainty_reference(&[0.5, 0.5]).is_err());
     }
 
     #[test]
-    fn route_returns_leaf_statistics() {
-        let tree = trained_tree(200);
-        let calib = calib_samples(1000, |x| x > 0.5);
-        let qim = CalibratedQim::calibrate(tree, &calib, CalibrationOptions::default()).unwrap();
-        let (id, leaf) = qim.route(&[0.2]).unwrap();
-        assert!(leaf.total >= 200);
-        assert_eq!(qim.uncertainty(&[0.2]).unwrap(), leaf.uncertainty_bound);
-        let (id2, _) = qim.route(&[0.21]).unwrap();
-        assert_eq!(id, id2, "nearby inputs route to the same leaf");
-    }
-
-    #[test]
-    fn flat_serving_path_matches_pointer_reference() {
-        let tree = trained_tree(400);
+    fn one_member_model_serves_its_tree_flat_walk() {
         let calib = calib_samples(2000, |x| x > 0.5);
-        let qim = CalibratedQim::calibrate(tree, &calib, CalibrationOptions::default()).unwrap();
-        assert_eq!(qim.flat().n_leaves(), qim.tree().n_leaves());
-        assert_eq!(qim.leaf_bounds().len(), qim.flat().n_leaves());
+        let qim = one_member(trained_tree(400), &calib, CalibrationOptions::default()).unwrap();
+        assert_eq!(qim.n_trees(), 1);
+        assert!(qim.kernel.is_none(), "one member builds no lockstep kernel");
+        let flat = qim.flat().tree(0);
+        assert_eq!(flat.n_leaves(), qim.trees()[0].n_leaves());
+        assert_eq!(qim.leaf_bounds()[0].len(), flat.n_leaves());
         for i in 0..200 {
             let q = [i as f64 / 199.0];
-            let fast = qim.uncertainty(&q).unwrap();
+            let served = qim.uncertainty(&q).unwrap();
+            let leaf_id = flat.predict_leaf_id(&q).unwrap();
+            let leaf = qim.calibrated_leaf(0, flat.leaf(leaf_id).node_id).unwrap();
+            assert!(leaf.total >= 200);
+            assert_eq!(
+                served.to_bits(),
+                qim.leaf_bounds()[0][leaf_id as usize].to_bits()
+            );
+            assert_eq!(served.to_bits(), leaf.uncertainty_bound.to_bits());
             let reference = qim.uncertainty_reference(&q).unwrap();
-            assert_eq!(fast.to_bits(), reference.to_bits(), "x={}", q[0]);
-            let (leaf_id, node_id) = qim.route_ids(&q).unwrap();
-            assert_eq!(qim.leaf_bounds()[leaf_id as usize], fast);
-            assert_eq!(qim.route(&q).unwrap().0, node_id);
+            assert_eq!(served.to_bits(), reference.to_bits(), "x={}", q[0]);
+            let (fused, support) = qim.uncertainty_with_support(&q).unwrap();
+            assert_eq!((fused.to_bits(), support), (served.to_bits(), leaf.total));
         }
+        let min_leaf = qim.leaf_bounds()[0].iter().copied().fold(1.0, f64::min);
+        assert_eq!(qim.min_uncertainty().to_bits(), min_leaf.to_bits());
     }
 
     /// A small bootstrap forest over the same toy world as the tree tests.
@@ -1341,38 +1112,6 @@ mod tests {
         let mut builder = tauw_dtree::ForestBuilder::new(k, seed);
         builder.tree(TreeBuilder::new().max_depth(4).clone());
         builder.fit(&ds).unwrap()
-    }
-
-    #[test]
-    fn one_member_forest_is_bitwise_the_single_tree_path() {
-        let tree = trained_tree(400);
-        let calib = calib_samples(1000, |x| x > 0.5);
-        let single =
-            CalibratedQim::calibrate(tree.clone(), &calib, CalibrationOptions::default()).unwrap();
-        let forest = CalibratedForestQim::calibrate(
-            tauw_dtree::Forest::from_trees(vec![tree]).unwrap(),
-            &calib,
-            CalibrationOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(forest.n_trees(), 1);
-        for i in 0..200 {
-            let q = [i as f64 / 199.0];
-            assert_eq!(
-                forest.uncertainty(&q).unwrap().to_bits(),
-                single.uncertainty(&q).unwrap().to_bits(),
-                "x={}",
-                q[0]
-            );
-            assert_eq!(
-                forest.uncertainty_reference(&q).unwrap().to_bits(),
-                single.uncertainty_reference(&q).unwrap().to_bits()
-            );
-        }
-        assert_eq!(
-            forest.min_uncertainty().to_bits(),
-            single.min_uncertainty().to_bits()
-        );
     }
 
     #[test]
@@ -1411,6 +1150,10 @@ mod tests {
         let qim =
             CalibratedForestQim::calibrate(forest, &calib, CalibrationOptions::default()).unwrap();
         assert_eq!(qim.n_trees(), 6);
+        assert!(
+            qim.kernel.is_some(),
+            "K >= 2 serves through the lockstep kernel"
+        );
         assert_eq!(qim.leaf_bounds().len(), 6);
         for i in 0..200 {
             let q = [i as f64 / 199.0];
@@ -1508,27 +1251,25 @@ mod tests {
 
     #[test]
     fn taqim_dispatch_matches_the_underlying_models() {
-        let tree = trained_tree(400);
         let calib = calib_samples(1000, |x| x > 0.5);
-        let single =
-            CalibratedQim::calibrate(tree.clone(), &calib, CalibrationOptions::default()).unwrap();
+        let single = one_member(trained_tree(400), &calib, CalibrationOptions::default()).unwrap();
         let forest_qim = CalibratedForestQim::calibrate(
             trained_forest(3, 2, 400),
             &calib,
             CalibrationOptions::default(),
         )
         .unwrap();
-        let as_tree = TaQim::Tree(single.clone());
+        let one_tree = TaQim::Forest(single.clone());
         let as_forest = TaQim::Forest(forest_qim.clone());
-        assert_eq!(as_tree.n_trees(), 1);
+        assert_eq!(one_tree.n_trees(), 1);
         assert_eq!(as_forest.n_trees(), 3);
-        assert_eq!(as_tree.n_features(), 1);
+        assert_eq!(one_tree.n_features(), 1);
+        assert_eq!(one_tree.n_leaves(), single.flat().tree(0).n_leaves());
         assert_eq!(as_forest.n_leaves(), forest_qim.flat().n_leaves_total());
-        assert!(as_tree.as_tree().is_some() && as_tree.as_forest().is_none());
-        assert!(as_forest.as_forest().is_some() && as_forest.as_tree().is_none());
+        assert!(one_tree.as_forest().is_some() && as_forest.as_forest().is_some());
         for q in [[0.1], [0.5], [0.9]] {
             assert_eq!(
-                as_tree.uncertainty(&q).unwrap().to_bits(),
+                one_tree.uncertainty(&q).unwrap().to_bits(),
                 single.uncertainty(&q).unwrap().to_bits()
             );
             assert_eq!(
@@ -1540,9 +1281,9 @@ mod tests {
                 forest_qim.uncertainty_reference(&q).unwrap().to_bits()
             );
         }
-        as_tree.validate().unwrap();
+        one_tree.validate().unwrap();
         as_forest.validate().unwrap();
-        assert_eq!(as_tree.min_uncertainty(), single.min_uncertainty());
+        assert_eq!(one_tree.min_uncertainty(), single.min_uncertainty());
         assert_eq!(as_forest.min_uncertainty(), forest_qim.min_uncertainty());
 
         // The leafless backend dispatches through the same arms.
@@ -1557,9 +1298,8 @@ mod tests {
         assert_eq!(as_conf.n_trees(), 0);
         assert_eq!(as_conf.n_leaves(), 0);
         assert_eq!(as_conf.n_features(), 1);
-        assert!(as_conf.as_conformal().is_some());
-        assert!(as_conf.as_tree().is_none() && as_conf.as_forest().is_none());
-        assert!(as_tree.as_conformal().is_none() && as_forest.as_conformal().is_none());
+        assert!(as_conf.as_conformal().is_some() && as_conf.as_forest().is_none());
+        assert!(one_tree.as_conformal().is_none() && as_forest.as_conformal().is_none());
         for q in [[0.1], [0.5], [0.9]] {
             assert_eq!(
                 as_conf.uncertainty(&q).unwrap().to_bits(),
@@ -1585,9 +1325,7 @@ mod tests {
     #[test]
     fn every_taqim_shape_serves_through_the_enum() {
         let calib = calib_samples(1000, |x| x > 0.5);
-        let single =
-            CalibratedQim::calibrate(trained_tree(400), &calib, CalibrationOptions::default())
-                .unwrap();
+        let single = one_member(trained_tree(400), &calib, CalibrationOptions::default()).unwrap();
         let forest_qim = CalibratedForestQim::calibrate(
             trained_forest(3, 2, 400),
             &calib,
@@ -1602,7 +1340,7 @@ mod tests {
         )
         .unwrap();
         for backend in [
-            TaQim::Tree(single),
+            TaQim::Forest(single),
             TaQim::Forest(forest_qim),
             TaQim::Conformal(conformal),
         ] {
@@ -1633,10 +1371,9 @@ mod tests {
     fn calibration_shift_is_detected_in_bounds() {
         // Tree learned "failure iff x > 0.5" but calibration data fails
         // everywhere: bounds must reflect calibration, not training.
-        let tree = trained_tree(200);
         let calib = calib_samples(800, |_| true);
-        let qim = CalibratedQim::calibrate(tree, &calib, CalibrationOptions::default()).unwrap();
-        for (_, leaf) in qim.calibrated_leaves() {
+        let qim = one_member(trained_tree(200), &calib, CalibrationOptions::default()).unwrap();
+        for leaf in member_leaves(&qim) {
             assert!(leaf.uncertainty_bound > 0.98);
         }
     }
@@ -1670,7 +1407,7 @@ mod tests {
     }
 
     #[test]
-    fn invalid_confidence_is_rejected_at_both_calibrate_entries() {
+    fn invalid_confidence_is_rejected_before_calibration() {
         let assert_names_field = |err: CoreError| {
             let CoreError::InvalidInput { reason } = err else {
                 panic!("expected InvalidInput");
@@ -1683,9 +1420,7 @@ mod tests {
                 confidence,
                 ..Default::default()
             };
-            assert_names_field(
-                CalibratedQim::calibrate(trained_tree(400), &calib, opts).unwrap_err(),
-            );
+            assert_names_field(one_member(trained_tree(400), &calib, opts).unwrap_err());
             assert_names_field(
                 CalibratedForestQim::calibrate(trained_forest(2, 1, 400), &calib, opts)
                     .unwrap_err(),
@@ -1696,14 +1431,14 @@ mod tests {
     #[test]
     fn route_support_reports_calibration_sample_counts() {
         let calib = calib_samples(1000, |x| x > 0.5);
-        let single =
-            CalibratedQim::calibrate(trained_tree(400), &calib, CalibrationOptions::default())
-                .unwrap();
+        let single = one_member(trained_tree(400), &calib, CalibrationOptions::default()).unwrap();
         // Single tree: support is exactly the routed leaf's total, wrapped
         // in `RouteSupport::Samples`.
-        let tree = TaQim::Tree(single.clone());
+        let tree = TaQim::Forest(single.clone());
+        let flat = single.flat().tree(0);
         for q in [[0.1], [0.5], [0.9]] {
-            let (_, leaf) = single.route(&q).unwrap();
+            let node = flat.leaf(flat.predict_leaf_id(&q).unwrap()).node_id;
+            let leaf = single.calibrated_leaf(0, node).unwrap();
             assert_eq!(
                 tree.route_support(&q).unwrap(),
                 RouteSupport::Samples(leaf.total)

@@ -25,11 +25,12 @@
 //! * [`calibration`] — calibrated quality impact models (prune to a
 //!   minimum calibration count, bound each leaf at high confidence); the
 //!   serving path is a compiled [`tauw_dtree::FlatTree`] plus a leaf-ID →
-//!   bound lookup table, bit-identical to the pointer tree. The taQIM can
-//!   also be a calibrated bootstrap **forest** (mean of per-member bounds,
-//!   served by one lockstep walk of all `K` members over a packed node
-//!   array) that smooths the hard split boundaries
-//!   of a single tree. All taQIM backends are shapes of one closed
+//!   bound lookup table, bit-identical to the pointer tree. The paper's
+//!   tree is a one-member [`calibration::CalibratedForestQim`]; the taQIM
+//!   can also be a bootstrap **forest** of `K ≥ 2` members (mean of
+//!   per-member bounds, served by one lockstep walk of all members over a
+//!   packed node array) that smooths the hard split boundaries of a single
+//!   tree. All taQIM backends are shapes of one closed
 //!   [`calibration::TaQim`] enum, served per sample.
 //! * [`conformal`] — the first leafless taQIM backend: a **split-conformal**
 //!   model serving distribution-free bounds from a histogram base scorer
@@ -103,8 +104,7 @@ pub use adaptive::{
 };
 pub use buffer::{BufferEntry, TimeseriesBuffer};
 pub use calibration::{
-    CalibratedForestQim, CalibratedLeaf, CalibratedQim, CalibrationOptions, RouteSupport,
-    ServingScratch, TaQim,
+    CalibratedForestQim, CalibratedLeaf, CalibrationOptions, RouteSupport, ServingScratch, TaQim,
 };
 pub use conformal::{ConformalOptions, ConformalQim};
 pub use engine::{StreamId, TauwEngine};

@@ -8,7 +8,7 @@
 //! safety assessor has to sign off on.
 
 use crate::buffer::TimeseriesBuffer;
-use crate::calibration::{CalibratedForestQim, CalibratedQim};
+use crate::calibration::CalibratedForestQim;
 use crate::conformal::ConformalQim;
 use crate::error::CoreError;
 use crate::tauw::TimeseriesAwareWrapper;
@@ -34,8 +34,12 @@ use std::path::Path;
 /// deployable envelope; v6 adds the `EngineShard` artifact kind (one
 /// serving shard's complete per-stream runtime state — buffers plus
 /// adaptive state — so a sharded serving process restarts, or reshards,
-/// without losing windows).
-pub const FORMAT_VERSION: u32 = 6;
+/// without losing windows); v7 folds the single calibrated tree into the
+/// one-member [`CalibratedForestQim`]: the stateless wrapper's QIM and a
+/// tree taQIM serialize as forests, the taQIM enum loses its `Tree` shape
+/// and the `TreeQim` artifact kind is gone (a tree QIM ships as a
+/// `ForestQim` artifact).
+pub const FORMAT_VERSION: u32 = 7;
 
 /// Kind tag inside the envelope, so a stateless wrapper cannot be loaded
 /// where a timeseries-aware one is expected.
@@ -48,12 +52,10 @@ enum ArtifactKind {
     /// A [`TimeseriesBuffer`] snapshot (per-stream runtime state, e.g. for
     /// migrating a long-running stream between hosts).
     TimeseriesBuffer,
-    /// A standalone [`CalibratedForestQim`] (a boundary-smoothing forest
-    /// quality impact model, deployable without a surrounding wrapper).
+    /// A standalone [`CalibratedForestQim`] (a calibrated tree or
+    /// boundary-smoothing forest quality impact model, deployable without a
+    /// surrounding wrapper).
     ForestQim,
-    /// A standalone [`CalibratedQim`] (single calibrated tree quality
-    /// impact model, deployable without a surrounding wrapper).
-    TreeQim,
     /// A standalone [`ConformalQim`] (leafless split-conformal quality
     /// impact model, deployable without a surrounding wrapper).
     ConformalQim,
@@ -157,10 +159,11 @@ impl UncertaintyWrapper {
     ///
     /// Returns [`CoreError::InvalidInput`] on malformed JSON, a format
     /// version mismatch, a wrong artifact kind, or an internally
-    /// inconsistent model (e.g. a hand-edited bound table).
+    /// inconsistent model (e.g. a hand-edited bound table or a feature-name
+    /// list that disagrees with the QIM).
     pub fn from_artifact_json(json: &str) -> Result<Self, CoreError> {
         let model: Self = from_json(ArtifactKind::StatelessWrapper, json)?;
-        model.validate()?;
+        model.check_shape()?;
         Ok(model)
     }
 
@@ -227,9 +230,9 @@ impl TimeseriesAwareWrapper {
 }
 
 impl CalibratedForestQim {
-    /// Serializes the calibrated forest (pruned pointer members in
-    /// canonical order, compiled flat members, per-member bound tables) to
-    /// a versioned JSON artifact.
+    /// Serializes the calibrated forest or single tree (pruned pointer
+    /// members in canonical order, compiled flat members, per-member bound
+    /// tables) to a versioned JSON artifact.
     ///
     /// # Errors
     ///
@@ -263,53 +266,6 @@ impl CalibratedForestQim {
     }
 
     /// Reads an artifact file written by [`CalibratedForestQim::save`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidInput`] on I/O or format errors.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, CoreError> {
-        Self::from_artifact_json(&read_artifact(path.as_ref())?)
-    }
-}
-
-impl CalibratedQim {
-    /// Serializes the calibrated tree QIM (pruned pointer tree, compiled
-    /// flat serving form, leaf-ID-indexed bound table) to a versioned JSON
-    /// artifact.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidInput`] if serialization fails.
-    pub fn to_artifact_json(&self) -> Result<String, CoreError> {
-        to_json(ArtifactKind::TreeQim, self)
-    }
-
-    /// Loads a calibrated tree QIM from a JSON artifact produced by
-    /// [`CalibratedQim::to_artifact_json`], re-validating every invariant
-    /// (flat form consistent with the pointer tree, bound table aligned
-    /// with the leaves).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidInput`] on malformed JSON, a format
-    /// version mismatch, a wrong artifact kind, or an internally
-    /// inconsistent model (e.g. a hand-edited bound table).
-    pub fn from_artifact_json(json: &str) -> Result<Self, CoreError> {
-        let model: Self = from_json(ArtifactKind::TreeQim, json)?;
-        model.validate()?;
-        Ok(model)
-    }
-
-    /// Writes the artifact to a file.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidInput`] on serialization or I/O errors.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CoreError> {
-        write_artifact(path.as_ref(), &self.to_artifact_json()?)
-    }
-
-    /// Reads an artifact file written by [`CalibratedQim::save`].
     ///
     /// # Errors
     ///
@@ -606,15 +562,19 @@ mod tests {
         let back = TimeseriesAwareWrapper::from_artifact_json(&json).unwrap();
         // The flat serving form is stored in the artifact, not re-derived;
         // it must come back identical and consistent with its pointer tree.
-        let taqim = tauw.taqim().as_tree().expect("default taQIM is a tree");
-        let taqim_back = back.taqim().as_tree().expect("default taQIM is a tree");
+        let taqim = tauw.taqim().as_forest().expect("default taQIM is one tree");
+        let taqim_back = back.taqim().as_forest().expect("default taQIM is one tree");
         for (qim, qim_back) in [
             (tauw.stateless().qim(), back.stateless().qim()),
             (taqim, taqim_back),
         ] {
+            assert_eq!(qim_back.n_trees(), 1);
             assert_eq!(qim.flat(), qim_back.flat());
             assert_eq!(qim.leaf_bounds(), qim_back.leaf_bounds());
-            assert_eq!(qim_back.flat(), &FlatTree::from_tree(qim_back.tree()));
+            assert_eq!(
+                qim_back.flat().tree(0),
+                &FlatTree::from_tree(&qim_back.trees()[0])
+            );
         }
     }
 
@@ -852,23 +812,27 @@ mod tests {
 
     #[test]
     fn tampered_tree_graphs_are_rejected_by_every_tree_artifact() {
-        use crate::calibration::CalibratedQim;
         let wrapper = fitted();
         let forest = fitted_forest();
         type Load = fn(&str) -> bool;
-        let artifacts: [(&str, String, Load); 3] = [
+        let artifacts: [(&str, String, Load); 4] = [
             ("wrapper", wrapper.to_artifact_json().unwrap(), |json| {
                 TimeseriesAwareWrapper::from_artifact_json(json).is_ok()
             }),
             (
+                "stateless wrapper",
+                wrapper.stateless().to_artifact_json().unwrap(),
+                |json| UncertaintyWrapper::from_artifact_json(json).is_ok(),
+            ),
+            (
                 "tree taQIM",
                 wrapper
                     .taqim()
-                    .as_tree()
+                    .as_forest()
                     .unwrap()
                     .to_artifact_json()
                     .unwrap(),
-                |json| CalibratedQim::from_artifact_json(json).is_ok(),
+                |json| CalibratedForestQim::from_artifact_json(json).is_ok(),
             ),
             (
                 "forest taQIM",
@@ -898,12 +862,12 @@ mod tests {
 
     #[test]
     fn tree_qim_artifact_roundtrips_byte_for_byte() {
-        // Satellite of the backend seam: the single tree gets its own
-        // standalone envelope like every other backend.
+        // The single tree ships in the forest envelope as its one member.
         let tauw = fitted();
-        let qim = tauw.taqim().as_tree().unwrap();
+        let qim = tauw.taqim().as_forest().unwrap();
         let json = qim.to_artifact_json().unwrap();
-        let back = crate::calibration::CalibratedQim::from_artifact_json(&json).unwrap();
+        let back = CalibratedForestQim::from_artifact_json(&json).unwrap();
+        assert_eq!(back.n_trees(), 1);
         assert_eq!(qim, &back);
         assert_eq!(json, back.to_artifact_json().unwrap());
         for q in [
@@ -916,8 +880,7 @@ mod tests {
                 back.uncertainty(&q).unwrap().to_bits()
             );
         }
-        // A tree envelope is not a forest or conformal one.
-        assert!(CalibratedForestQim::from_artifact_json(&json).is_err());
+        // A tree envelope is not a conformal one.
         assert!(ConformalQim::from_artifact_json(&json).is_err());
     }
 
@@ -1058,7 +1021,7 @@ mod tests {
         for nested in [&arrays, &closed_arrays, &objects, &closed_objects] {
             inputs.push(nested.clone());
             inputs.push(format!(
-                "{{\"format_version\": {FORMAT_VERSION}, \"kind\": \"TreeQim\", \"model\": {nested}}}"
+                "{{\"format_version\": {FORMAT_VERSION}, \"kind\": \"ForestQim\", \"model\": {nested}}}"
             ));
         }
         for input in &inputs {
@@ -1066,7 +1029,6 @@ mod tests {
             assert!(TimeseriesAwareWrapper::from_artifact_json(input).is_err());
             assert!(TimeseriesBuffer::from_artifact_json(input).is_err());
             assert!(CalibratedForestQim::from_artifact_json(input).is_err());
-            assert!(CalibratedQim::from_artifact_json(input).is_err());
             assert!(ConformalQim::from_artifact_json(input).is_err());
             assert!(crate::adaptive::AdaptiveState::from_artifact_json(input).is_err());
             assert!(crate::sharded::EngineShardState::from_artifact_json(input).is_err());
@@ -1116,19 +1078,100 @@ mod tests {
         // calibrated leaves must fail at load, not panic mid-serving.
         let tauw = fitted();
         let json = tauw.to_artifact_json().unwrap();
-        // Splice one extra entry into the (last) leaf_bounds array so it no
-        // longer matches the flat tree's leaf count.
+        // Splice one extra entry into the taQIM's member bound table so it
+        // no longer matches the flat tree's leaf count.
         let field = json.rfind("\"leaf_bounds\"").expect("field present");
-        let bracket = field + json[field..].find('[').expect("array opens");
+        let outer = field + json[field..].find('[').expect("outer array opens");
+        let bracket = outer + 1 + json[outer + 1..].find('[').expect("member array opens");
         let mut tampered = json.clone();
         tampered.insert_str(bracket + 1, " 0.123456789,");
         assert_ne!(tampered, json, "tamper edit must hit the artifact");
         match TimeseriesAwareWrapper::from_artifact_json(&tampered) {
             Err(CoreError::InvalidInput { reason }) => {
-                assert!(reason.contains("calibrated QIM"), "reason: {reason}");
+                assert!(
+                    reason.contains("calibrated forest QIM member 0"),
+                    "reason: {reason}"
+                );
             }
             other => panic!("expected InvalidInput, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn stateless_feature_names_that_disagree_with_the_qim_are_rejected() {
+        // One name per stateless QIM feature: an extra name would size rows
+        // that every step rejects.
+        let tauw = fitted();
+        let add_name = |json: &str| {
+            let scope = json.find("\"scope\"").expect("field present");
+            let names = scope
+                + json[scope..]
+                    .find("\"feature_names\"")
+                    .expect("field present");
+            let bracket = names + json[names..].find('[').expect("array opens");
+            let mut tampered = json.to_string();
+            tampered.insert_str(bracket + 1, " \"extra\",");
+            tampered
+        };
+        let stateless_json = tauw.stateless().to_artifact_json().unwrap();
+        let tauw_json = tauw.to_artifact_json().unwrap();
+        let plain_json = serde_json::to_string_pretty(&tauw).unwrap();
+        assert!(UncertaintyWrapper::from_artifact_json(&stateless_json).is_ok());
+        assert!(TimeseriesAwareWrapper::from_artifact_json(&tauw_json).is_ok());
+        for (kind, loaded) in [
+            (
+                "stateless artifact",
+                UncertaintyWrapper::from_artifact_json(&add_name(&stateless_json))
+                    .map(drop)
+                    .map_err(|e| e.to_string()),
+            ),
+            (
+                "taUW artifact",
+                TimeseriesAwareWrapper::from_artifact_json(&add_name(&tauw_json))
+                    .map(drop)
+                    .map_err(|e| e.to_string()),
+            ),
+            (
+                "plain taUW",
+                serde_json::from_str::<TimeseriesAwareWrapper>(&add_name(&plain_json))
+                    .map(drop)
+                    .map_err(|e| e.to_string()),
+            ),
+        ] {
+            let reason = loaded.expect_err(kind);
+            assert!(reason.contains("names 2 features"), "{kind}: {reason}");
+        }
+    }
+
+    #[test]
+    fn stateless_wrapper_rejects_a_multi_member_qim() {
+        // `explain` describes one tree, so the stateless QIM must be one.
+        use tauw_dtree::{Dataset, ForestBuilder, TreeBuilder};
+        let rows: Vec<(Vec<f64>, bool)> = (0..400)
+            .map(|i| (vec![i as f64 / 400.0], i % 3 == 0 || i > 280))
+            .collect();
+        let mut ds = Dataset::new(vec!["q".into()], 2).unwrap();
+        for (x, failed) in &rows {
+            ds.push_row(x, u32::from(*failed)).unwrap();
+        }
+        let mut builder = ForestBuilder::new(2, 3);
+        builder.tree(TreeBuilder::new().max_depth(2).clone());
+        let options = CalibrationOptions {
+            min_samples_per_leaf: 20,
+            ..Default::default()
+        };
+        let two =
+            CalibratedForestQim::calibrate(builder.fit(&ds).unwrap(), &rows, options).unwrap();
+        // Swap the artifact's one-member QIM for the two-member one.
+        let json = fitted().stateless().to_artifact_json().unwrap();
+        let start = json.find("\"qim\": ").unwrap() + "\"qim\": ".len();
+        let end = json[..start + json[start..].find("\"scope\"").unwrap()]
+            .rfind(',')
+            .unwrap();
+        let two = serde_json::to_string(&two).unwrap();
+        let json = format!("{}{two}{}", &json[..start], &json[end..]);
+        let err = UncertaintyWrapper::from_artifact_json(&json).unwrap_err();
+        assert!(err.to_string().contains("QIM of 2 trees"), "{err}");
     }
 
     #[test]

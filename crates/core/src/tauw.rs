@@ -13,7 +13,7 @@
 use crate::adaptive::{AdaptiveConfig, AdaptiveState, AdaptiveTauwSession, DriftSignal};
 use crate::buffer::TimeseriesBuffer;
 use crate::calibration::{
-    CalibratedForestQim, CalibratedQim, CalibrationOptions, RouteSupport, ServingScratch, TaQim,
+    CalibratedForestQim, CalibrationOptions, RouteSupport, ServingScratch, TaQim,
 };
 use crate::conformal::{ConformalOptions, ConformalQim};
 use crate::error::CoreError;
@@ -21,7 +21,7 @@ use crate::taqf::{TaqfKind, TaqfSet, TaqfVector};
 use crate::training::{flatten_stateless, validate_series, TrainingSeries};
 use crate::wrapper::{UncertaintyWrapper, WrapperBuilder};
 use serde::{Deserialize, Serialize};
-use tauw_dtree::{Dataset, ForestBuilder, TreeBuilder};
+use tauw_dtree::{Dataset, Forest, ForestBuilder, TreeBuilder};
 
 /// Output of one taUW timestep.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -57,7 +57,8 @@ pub struct TauwStep {
 /// serving surface.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub enum BackendSpec {
-    /// The paper's single calibrated CART tree (the default).
+    /// The paper's single calibrated CART tree (the default), served as
+    /// a one-member [`CalibratedForestQim`].
     #[default]
     Tree,
     /// A calibrated bootstrap forest: `n_trees` members resampled
@@ -240,16 +241,15 @@ impl TauwBuilder {
             .collect();
         let options = self.calibration_options();
         let taqim = match self.backend {
-            BackendSpec::Tree => {
+            BackendSpec::Tree | BackendSpec::Forest { .. } => {
                 let ds = self.ta_dataset(feature_names, train_replay)?;
-                let tree = clone_tree_builder(&self.stateless).fit(&ds)?;
-                TaQim::Tree(CalibratedQim::calibrate(tree, &calib_rows, options)?)
-            }
-            BackendSpec::Forest { n_trees, seed } => {
-                let ds = self.ta_dataset(feature_names, train_replay)?;
-                let mut forest_builder = ForestBuilder::new(n_trees, seed);
-                forest_builder.tree(clone_tree_builder(&self.stateless));
-                let forest = forest_builder.fit(&ds)?;
+                let tree_builder = clone_tree_builder(&self.stateless);
+                let forest = match self.backend {
+                    BackendSpec::Forest { n_trees, seed } => ForestBuilder::new(n_trees, seed)
+                        .tree(tree_builder)
+                        .fit(&ds)?,
+                    _ => Forest::from_trees(vec![tree_builder.fit(&ds)?])?,
+                };
                 TaQim::Forest(CalibratedForestQim::calibrate(
                     forest,
                     &calib_rows,
@@ -432,8 +432,8 @@ pub struct TimeseriesAwareWrapper {
 }
 
 impl Deserialize for TimeseriesAwareWrapper {
-    /// Reads the three serialized fields and validates the wrapper; a
-    /// forest taQIM has validated itself while deserializing.
+    /// Reads the three serialized fields and validates the wrapper; the
+    /// calibrated forests have validated themselves while deserializing.
     fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
         let map = serde::__expect_map(value, "TimeseriesAwareWrapper")?;
         let field = |name| serde::__field(map, name, "TimeseriesAwareWrapper");
@@ -444,10 +444,10 @@ impl Deserialize for TimeseriesAwareWrapper {
         };
         wrapper
             .stateless
-            .validate()
+            .check_shape()
             .and_then(|()| match &wrapper.taqim {
                 TaQim::Forest(_) => Ok(()),
-                taqim => taqim.validate(),
+                TaQim::Conformal(qim) => qim.validate(),
             })
             .and_then(|()| wrapper.check_fit())
             .map_err(|e| serde::Error::custom(e.to_string()))?;
@@ -496,19 +496,19 @@ impl TimeseriesAwareWrapper {
         &self.stateless
     }
 
-    /// The calibrated timeseries-aware quality impact model — a single
-    /// tree by default; see [`TauwBuilder::backend`] and [`BackendSpec`]
-    /// for the other shapes.
+    /// The calibrated timeseries-aware quality impact model — a one-member
+    /// forest (the paper's single tree) by default; see
+    /// [`TauwBuilder::backend`] and [`BackendSpec`] for the other shapes.
     pub fn taqim(&self) -> &TaQim {
         &self.taqim
     }
 
     /// Checks the internal consistency of both calibrated models (see
-    /// [`CalibratedQim::validate`]) and that they fit together: the taQF
-    /// set names only the four factors, and the taQIM reads exactly the
-    /// stateless features plus the selected taQFs — so a step whose
-    /// stateless row has the right arity cannot fail. Deserializing a
-    /// wrapper runs it.
+    /// [`UncertaintyWrapper::validate`] and [`TaQim::validate`]) and that
+    /// they fit together: the taQF set names only the four factors, and
+    /// the taQIM reads exactly the stateless features plus the selected
+    /// taQFs — so a step whose stateless row has the right arity cannot
+    /// fail. Deserializing a wrapper runs it.
     ///
     /// # Errors
     ///
@@ -530,7 +530,7 @@ impl TimeseriesAwareWrapper {
                 ),
             });
         }
-        let expected = self.stateless.qim().flat().n_features() + self.taqf_set.len();
+        let expected = self.stateless.qim().n_features() + self.taqf_set.len();
         if self.taqim.n_features() != expected {
             return Err(CoreError::InvalidInput {
                 reason: format!(
@@ -549,9 +549,9 @@ impl TimeseriesAwareWrapper {
     }
 
     /// The smallest uncertainty the taQIM actually serves (Fig. 5's
-    /// "lowest uncertainty"): the minimum leaf bound for the single-tree
-    /// shape, the minimum served mean over the calibration set for a
-    /// forest (see
+    /// "lowest uncertainty"): the minimum served mean over the calibration
+    /// set for a forest, which for the paper's one-member forest is the
+    /// minimum leaf bound (see
     /// [`crate::calibration::CalibratedForestQim::min_uncertainty`]).
     pub fn min_uncertainty(&self) -> f64 {
         self.taqim.min_uncertainty()
@@ -568,7 +568,7 @@ impl TimeseriesAwareWrapper {
         &self,
         quality_factors: &'a [f64],
     ) -> Result<CheckedFeatures<'a>, CoreError> {
-        let expected = self.stateless.qim().flat().n_features();
+        let expected = self.stateless.qim().n_features();
         match quality_factors.len() {
             actual if actual == expected => Ok(CheckedFeatures(quality_factors)),
             actual => Err(CoreError::FeatureArityMismatch { expected, actual }),
@@ -1042,7 +1042,7 @@ mod tests {
         .backend(BackendSpec::Tree);
         let w2 = b2.fit(vec!["q".into()], &train, &calib).unwrap();
         assert_eq!(w2.taqim().n_trees(), 1);
-        assert!(w2.taqim().as_tree().is_some());
+        assert!(w2.taqim().as_forest().is_some());
     }
 
     #[test]

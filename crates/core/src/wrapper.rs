@@ -6,11 +6,11 @@
 //! high-confidence upper bound on the probability that the wrapped DDM's
 //! outcome is wrong in the current situation.
 
-use crate::calibration::{CalibratedQim, CalibrationOptions};
+use crate::calibration::{CalibratedForestQim, CalibrationOptions};
 use crate::error::CoreError;
 use crate::scope::{ScopeComplianceModel, ScopeVerdict};
 use serde::{Deserialize, Serialize};
-use tauw_dtree::{Dataset, LeafId, NodeId, SplitCriterion, Splitter, TreeBuilder};
+use tauw_dtree::{Dataset, Forest, LeafId, NodeId, SplitCriterion, Splitter, TreeBuilder};
 
 /// A complete uncertainty estimate for one input.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -31,7 +31,8 @@ pub struct Explanation {
     /// Leaf the input routed to.
     pub leaf_id: NodeId,
     /// The same leaf as a dense, stable [`LeafId`] in the compiled serving
-    /// form — the index into [`crate::calibration::CalibratedQim::leaf_bounds`].
+    /// form — the index into member 0's table in
+    /// [`CalibratedForestQim::leaf_bounds`].
     pub flat_leaf_id: LeafId,
     /// Calibration failures observed in the leaf.
     pub leaf_failures: u64,
@@ -170,7 +171,11 @@ impl WrapperBuilder {
             .max_depth(self.max_depth)
             .min_samples_leaf(self.min_samples_leaf)
             .fit(&ds)?;
-        let qim = CalibratedQim::calibrate(tree, calib, self.calibration)?;
+        let qim = CalibratedForestQim::calibrate(
+            Forest::from_trees(vec![tree])?,
+            calib,
+            self.calibration,
+        )?;
         let scope = match self.scope_padding {
             Some(padding) => Some(ScopeComplianceModel::fit(
                 train.iter().map(|(f, _)| f.as_slice()),
@@ -187,10 +192,11 @@ impl WrapperBuilder {
     }
 }
 
-/// A trained, calibrated stateless uncertainty wrapper.
+/// A trained, calibrated stateless uncertainty wrapper: the paper's single
+/// calibrated tree, held as a one-member [`CalibratedForestQim`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct UncertaintyWrapper {
-    qim: CalibratedQim,
+    qim: CalibratedForestQim,
     scope: Option<ScopeComplianceModel>,
     feature_names: Vec<String>,
 }
@@ -239,12 +245,14 @@ impl UncertaintyWrapper {
     ///
     /// Returns [`CoreError`] on feature-arity mismatch.
     pub fn explain(&self, quality_factors: &[f64]) -> Result<Explanation, CoreError> {
-        let (flat_leaf_id, leaf_id) = self.qim.route_ids(quality_factors)?;
+        let flat = self.qim.flat().tree(0);
+        let flat_leaf_id = flat.predict_leaf_id(quality_factors)?;
+        let leaf_id = flat.leaf(flat_leaf_id).node_id;
         let leaf = self
             .qim
-            .calibrated_leaf(leaf_id)
+            .calibrated_leaf(0, leaf_id)
             .expect("every reachable leaf was calibrated");
-        let path = self.qim.tree().decision_path(quality_factors)?;
+        let path = self.qim.trees()[0].decision_path(quality_factors)?;
         let scope = match &self.scope {
             Some(model) => Some(model.check(quality_factors)?),
             None => None,
@@ -259,20 +267,40 @@ impl UncertaintyWrapper {
         })
     }
 
-    /// The calibrated quality impact model.
-    pub fn qim(&self) -> &CalibratedQim {
+    /// The calibrated quality impact model: one member, the paper's tree.
+    pub fn qim(&self) -> &CalibratedForestQim {
         &self.qim
     }
 
     /// Checks the internal consistency of the model representations (see
-    /// [`CalibratedQim::validate`]); called by the persistence layer on
-    /// every load.
+    /// [`CalibratedForestQim::validate`]), that the QIM is one tree, and
+    /// that there is one feature name per QIM feature.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidInput`] on an inconsistent model.
     pub fn validate(&self) -> Result<(), CoreError> {
-        self.qim.validate()
+        self.qim.validate()?;
+        self.check_shape()
+    }
+
+    /// The part of [`UncertaintyWrapper::validate`] that checks the QIM's
+    /// shape: one tree (what [`UncertaintyWrapper::explain`] describes),
+    /// over one feature per name. Loading runs it; the QIM has validated
+    /// itself while deserializing.
+    pub(crate) fn check_shape(&self) -> Result<(), CoreError> {
+        if self.qim.n_trees() != 1 || self.feature_names.len() != self.qim.n_features() {
+            return Err(CoreError::InvalidInput {
+                reason: format!(
+                    "stateless wrapper names {} features for a QIM of {} trees over {} \
+                     features; it needs one tree and one name per feature",
+                    self.feature_names.len(),
+                    self.qim.n_trees(),
+                    self.qim.n_features()
+                ),
+            });
+        }
+        Ok(())
     }
 
     /// The attached scope model, if any.
@@ -362,7 +390,7 @@ mod tests {
         assert_eq!(*ex.path.first().unwrap(), 0, "path starts at the root");
         assert_eq!(*ex.path.last().unwrap(), ex.leaf_id);
         assert_eq!(
-            w.qim().flat().leaf(ex.flat_leaf_id).node_id,
+            w.qim().flat().tree(0).leaf(ex.flat_leaf_id).node_id,
             ex.leaf_id,
             "flat leaf id names the same leaf"
         );
@@ -412,7 +440,7 @@ mod tests {
             .max_depth(1)
             .fit(vec!["rain".into(), "blur".into()], &train, &calib)
             .unwrap();
-        assert!(w.qim().tree().depth() <= 1);
+        assert!(w.qim().trees()[0].depth() <= 1);
         assert_eq!(w.feature_names(), &["rain", "blur"]);
     }
 }

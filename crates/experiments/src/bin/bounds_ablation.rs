@@ -2,9 +2,9 @@
 //! calibration count per leaf affect the wrapper's guarantees? (A design
 //! choice called out in `DESIGN.md` §5; not a paper figure.)
 
-use tauw_core::calibration::{CalibratedQim, CalibrationOptions};
+use tauw_core::calibration::{CalibratedForestQim, CalibrationOptions};
 use tauw_core::training::flatten_stateless;
-use tauw_dtree::TreeBuilder;
+use tauw_dtree::{Forest, TreeBuilder};
 use tauw_experiments::report::{emit, fmt_prob, section, TextTable};
 use tauw_experiments::{CliOptions, ExperimentContext};
 use tauw_stats::binomial::BoundMethod;
@@ -49,7 +49,8 @@ fn main() {
                 confidence: 0.999,
                 method,
             };
-            let qim = match CalibratedQim::calibrate(tree.clone(), &calib_rows, options) {
+            let one_tree = Forest::from_trees(vec![tree.clone()]).expect("one tree");
+            let qim = match CalibratedForestQim::calibrate(one_tree, &calib_rows, options) {
                 Ok(q) => q,
                 Err(e) => {
                     table.row(vec![
@@ -77,7 +78,7 @@ fn main() {
             table.row(vec![
                 method.name().to_string(),
                 min_count.to_string(),
-                qim.tree().n_leaves().to_string(),
+                qim.trees()[0].n_leaves().to_string(),
                 fmt_prob(qim.min_uncertainty()),
                 fmt_prob(mean_u),
                 fmt_prob(brier),

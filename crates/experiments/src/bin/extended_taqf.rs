@@ -5,14 +5,15 @@
 //! best set of timeseries-aware features". This experiment probes two
 //! candidate features on the synthetic substrate — the trailing agreement
 //! streak and an exponentially recency-weighted agreement ratio — by
-//! assembling taQIMs manually through the public `CalibratedQim` API.
+//! assembling taQIMs manually through the public `CalibratedForestQim`
+//! API, one tree each.
 
 use tauw_core::buffer::TimeseriesBuffer;
-use tauw_core::calibration::CalibratedQim;
+use tauw_core::calibration::CalibratedForestQim;
 use tauw_core::taqf::{extra, TaqfVector};
 use tauw_core::training::TrainingSeries;
 use tauw_core::wrapper::UncertaintyWrapper;
-use tauw_dtree::{Dataset, TreeBuilder};
+use tauw_dtree::{Dataset, Forest, TreeBuilder};
 use tauw_experiments::report::{emit, fmt_prob, section, TextTable};
 use tauw_experiments::{CliOptions, ExperimentContext};
 use tauw_fusion::info::{InformationFusion, MajorityVote};
@@ -125,10 +126,11 @@ fn main() {
             ds.push_row(features, u32::from(*failed)).expect("row");
         }
         let tree = TreeBuilder::new().max_depth(8).fit(&ds).expect("tree");
+        let one_tree = Forest::from_trees(vec![tree]).expect("one tree");
         // Calibrate.
         let calib_rows = replay_rows(stateless, &ctx.calib, set);
-        let qim =
-            CalibratedQim::calibrate(tree, &calib_rows, ctx.calibration).expect("calibration");
+        let qim = CalibratedForestQim::calibrate(one_tree, &calib_rows, ctx.calibration)
+            .expect("calibration");
         // Evaluate.
         let test_rows = replay_rows(stateless, &ctx.test, set);
         let mut forecasts = Vec::with_capacity(test_rows.len());
@@ -141,7 +143,7 @@ fn main() {
         briers.push((set, brier));
         table.row(vec![
             set.label().to_string(),
-            qim.tree().n_leaves().to_string(),
+            qim.trees()[0].n_leaves().to_string(),
             fmt_prob(brier),
             fmt_prob(qim.min_uncertainty()),
         ]);

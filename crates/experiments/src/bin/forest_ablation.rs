@@ -13,6 +13,9 @@
 //! distinct uncertainty levels the estimator emits, and the median jump
 //! between adjacent levels — the granularity measures a hard boundary
 //! shows up in.
+//!
+//! The binary exits non-zero if any shape check is VIOLATED, so CI can
+//! assert the verdicts.
 
 use tauw_experiments::eval::evaluate;
 use tauw_experiments::report::{emit, fmt_prob, section, TextTable};
@@ -59,8 +62,8 @@ fn main() {
 
     let mut results: Vec<VariantResult> = Vec::new();
     for (name, k) in variants {
-        // K = 1 is the paper's single-tree taQIM itself, not a one-member
-        // bootstrap forest: the ablation pivots on the estimator family.
+        // K = 1 is the paper's taQIM itself, whose one tree trains on every
+        // replay row rather than on a bootstrap resample.
         let tauw = if k == 1 {
             ctx.tauw.clone()
         } else {
@@ -116,7 +119,11 @@ fn main() {
     let forest16 = &results[2];
     out.push_str(&section("shape checks"));
     let mut checks = TextTable::new(vec!["check", "status"]);
+    let mut violations = 0usize;
     let mut check = |label: &str, holds: bool| {
+        if !holds {
+            violations += 1;
+        }
         checks.row(vec![
             label.to_string(),
             if holds { "HOLDS" } else { "VIOLATED" }.to_string(),
@@ -146,4 +153,8 @@ fn main() {
     out.push_str(&checks.render());
 
     emit(&opts.out_dir, "forest_ablation.txt", &out).expect("write results");
+    if violations > 0 {
+        eprintln!("forest_ablation: {violations} shape check(s) VIOLATED");
+        std::process::exit(1);
+    }
 }

@@ -76,9 +76,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // lookup is one SoA traversal plus one leaf-ID-indexed bound read.
     let ta_qim = tauw
         .taqim()
-        .as_tree()
+        .as_forest()
         .expect("this example trains the default single-tree taQIM");
-    let (stateless_flat, ta_flat) = (tauw.stateless().qim().flat(), ta_qim.flat());
+    let (stateless_flat, ta_flat) = (tauw.stateless().qim().flat().tree(0), ta_qim.flat().tree(0));
     println!(
         "serving {} test windows on a {COHORT_STREAMS}-stream, {N_SHARDS}-shard engine",
         test.len()

@@ -225,12 +225,12 @@ fn buffer_reset_isolates_series() {
 #[test]
 fn qim_trees_are_exportable_and_transparent() {
     let w = build_world(6);
-    let tree = w
+    let tree = &w
         .tauw
         .taqim()
-        .as_tree()
-        .expect("default taQIM is a single tree")
-        .tree();
+        .as_forest()
+        .expect("default taQIM is a one-member forest")
+        .trees()[0];
     let text = tauw_suite::dtree::export::to_text(tree);
     assert!(text.contains("leaf"));
     // taQF columns appear in the learned tree's export when they carry

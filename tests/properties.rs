@@ -642,13 +642,16 @@ proptest! {
 
     #[test]
     fn forest_qim_degenerates_to_the_single_tree_path_at_k1(
+        // The one-member model serves through its tree's flat walk: bound
+        // and support equal, bit for bit, the pointer reference, member 0's
+        // bound table at the flat leaf id and that leaf's calibration
+        // record, on finite, NaN and ±inf features (mask 1 = NaN, 2 =
+        // +inf, 3 = -inf).
         rows in prop::collection::vec((0.0f64..1.0, prop::bool::ANY), 60..200),
-        queries in prop::collection::vec(0.0f64..1.0, 1..20),
+        queries in prop::collection::vec((0.0f64..1.0, 0u8..4), 1..20),
         depth in 1usize..5,
     ) {
-        use tauw_suite::core::calibration::{
-            CalibratedForestQim, CalibratedQim, CalibrationOptions,
-        };
+        use tauw_suite::core::calibration::{CalibratedForestQim, CalibrationOptions};
         use tauw_suite::dtree::{Dataset, Forest, TreeBuilder};
         let mut ds = Dataset::new(vec!["x".into()], 2).unwrap();
         for (x, failed) in &rows {
@@ -662,31 +665,33 @@ proptest! {
             confidence: 0.95,
             ..Default::default()
         };
-        let single = CalibratedQim::calibrate(tree.clone(), &calib, options).unwrap();
-        let forest = CalibratedForestQim::calibrate(
-            Forest::from_trees(vec![tree]).unwrap(),
-            &calib,
-            options,
-        )
-        .unwrap();
-        // A one-member forest is the single-tree path, bit for bit: the
-        // mean of one bound is `bound / 1.0 == bound` exactly.
-        prop_assert_eq!(forest.n_trees(), 1);
-        for x in &queries {
-            let q = [*x];
-            prop_assert_eq!(
-                forest.uncertainty(&q).unwrap().to_bits(),
-                single.uncertainty(&q).unwrap().to_bits()
-            );
-            prop_assert_eq!(
-                forest.uncertainty_reference(&q).unwrap().to_bits(),
-                single.uncertainty_reference(&q).unwrap().to_bits()
-            );
-        }
-        prop_assert_eq!(
-            forest.min_uncertainty().to_bits(),
-            single.min_uncertainty().to_bits()
+        let backend = TaQim::Forest(
+            CalibratedForestQim::calibrate(Forest::from_trees(vec![tree]).unwrap(), &calib, options)
+                .unwrap(),
         );
+        let qim = backend.as_forest().unwrap();
+        prop_assert_eq!(qim.n_trees(), 1);
+        let flat = qim.flat().tree(0);
+        for (x, mask) in &queries {
+            let q = [match mask {
+                1 => f64::NAN,
+                2 => f64::INFINITY,
+                3 => f64::NEG_INFINITY,
+                _ => *x,
+            }];
+            let leaf = flat.predict_leaf_id(&q).unwrap();
+            let bound = qim.leaf_bounds()[0][leaf as usize];
+            let record = qim.calibrated_leaf(0, flat.leaf(leaf).node_id).unwrap();
+            let (served, support) = backend.uncertainty_with_support(&q).unwrap();
+            prop_assert_eq!(served.to_bits(), bound.to_bits());
+            prop_assert_eq!(qim.uncertainty(&q).unwrap().to_bits(), bound.to_bits());
+            prop_assert_eq!(qim.uncertainty_reference(&q).unwrap().to_bits(), bound.to_bits());
+            prop_assert_eq!(record.uncertainty_bound.to_bits(), bound.to_bits());
+            prop_assert_eq!(support, RouteSupport::Samples(record.total));
+        }
+        // The served floor is the single tree's: its smallest leaf bound.
+        let min_leaf = qim.leaf_bounds()[0].iter().copied().fold(1.0, f64::min);
+        prop_assert_eq!(qim.min_uncertainty().to_bits(), min_leaf.to_bits());
     }
 
     #[test]
@@ -758,8 +763,8 @@ proptest! {
 
     #[test]
     fn backend_seam_per_sample_and_reference_agree_bitwise(
-        // The seam contract, checked for every `TaQim` shape (tree, forest,
-        // conformal): the per-sample `uncertainty` path and the
+        // The seam contract, checked for every serving route (one-member
+        // forest, forest, conformal): the per-sample `uncertainty` path and the
         // `uncertainty_reference` recompute are bitwise identical under
         // NaN-injected queries (bit 0 of the mask poisons the feature),
         // support has the shape's kind, the served floor holds on the
@@ -950,9 +955,9 @@ proptest! {
 
 use tauw_suite::core::calibration::{RouteSupport, TaQim};
 
-/// One calibrated model per `TaQim` shape over a single feature `x`: the
-/// tree at `depth`, a `k`-member forest from `seed`, and a conformal model
-/// with `bins` cells, all calibrated on `rows`.
+/// One calibrated model per serving route over a single feature `x`: the
+/// tree at `depth` as a one-member forest, a `k`-member forest from `seed`,
+/// and a conformal model with `bins` cells, all calibrated on `rows`.
 fn seam_backends(
     rows: &[(f64, bool)],
     depth: usize,
@@ -960,9 +965,9 @@ fn seam_backends(
     bins: usize,
     seed: u64,
 ) -> [TaQim; 3] {
-    use tauw_suite::core::calibration::{CalibratedForestQim, CalibratedQim, CalibrationOptions};
+    use tauw_suite::core::calibration::{CalibratedForestQim, CalibrationOptions};
     use tauw_suite::core::conformal::{ConformalOptions, ConformalQim};
-    use tauw_suite::dtree::{Dataset, ForestBuilder, TreeBuilder};
+    use tauw_suite::dtree::{Dataset, Forest, ForestBuilder, TreeBuilder};
     let mut ds = Dataset::new(vec!["x".into()], 2).unwrap();
     for (x, failed) in rows {
         ds.push_row(&[*x], u32::from(*failed)).unwrap();
@@ -973,12 +978,10 @@ fn seam_backends(
         confidence: 0.95,
         ..Default::default()
     };
-    let tree = CalibratedQim::calibrate(
-        TreeBuilder::new().max_depth(depth).fit(&ds).unwrap(),
-        &calib,
-        options,
-    )
-    .unwrap();
+    let tree = TreeBuilder::new().max_depth(depth).fit(&ds).unwrap();
+    let tree =
+        CalibratedForestQim::calibrate(Forest::from_trees(vec![tree]).unwrap(), &calib, options)
+            .unwrap();
     let mut builder = ForestBuilder::new(k, seed);
     builder.tree(TreeBuilder::new().max_depth(depth).clone());
     let forest =
@@ -986,7 +989,7 @@ fn seam_backends(
     let conformal =
         ConformalQim::calibrate(&calib, &calib, options, ConformalOptions { bins }).unwrap();
     [
-        TaQim::Tree(tree),
+        TaQim::Forest(tree),
         TaQim::Forest(forest),
         TaQim::Conformal(conformal),
     ]
@@ -997,7 +1000,6 @@ fn seam_backends(
 /// independent of the fused lookup.
 fn support_reference(backend: &TaQim, q: &[f64]) -> RouteSupport {
     match backend {
-        TaQim::Tree(qim) => RouteSupport::Samples(qim.route(q).unwrap().1.total),
         TaQim::Forest(qim) => RouteSupport::Samples(
             (0..qim.n_trees())
                 .map(|t| {
@@ -1499,7 +1501,7 @@ fn exercise_wrapper(tauw: &TimeseriesAwareWrapper) {
 /// validates and then serves extreme inputs. A panic fails the caller.
 fn load_and_exercise(label: &str, json: &str) -> Result<bool, String> {
     use tauw_suite::core::buffer::TimeseriesBuffer;
-    use tauw_suite::core::calibration::{CalibratedForestQim, CalibratedQim, ServingScratch};
+    use tauw_suite::core::calibration::{CalibratedForestQim, ServingScratch};
     use tauw_suite::core::conformal::ConformalQim;
     use tauw_suite::core::taqf::TaqfVector;
     let invalid = |what: &str| Err(format!("{label}: loaded {what}"));
@@ -1535,11 +1537,7 @@ fn load_and_exercise(label: &str, json: &str) -> Result<bool, String> {
             }
             exercise_wrapper(&tauw);
         }
-        "tree_qim" => match CalibratedQim::from_artifact_json(json) {
-            Ok(qim) => return qim_serves(TaQim::Tree(qim)),
-            Err(_) => return Ok(false),
-        },
-        "forest_qim" => match CalibratedForestQim::from_artifact_json(json) {
+        "tree_qim" | "forest_qim" => match CalibratedForestQim::from_artifact_json(json) {
             Ok(qim) => return qim_serves(TaQim::Forest(qim)),
             Err(_) => return Ok(false),
         },
