@@ -38,7 +38,7 @@ use crate::conformal::ConformalQim;
 use crate::error::CoreError;
 use serde::{Deserialize, Serialize};
 use tauw_dtree::prune::prune_to_min_count;
-use tauw_dtree::{DecisionTree, DtreeError, FlatForest, FlatTree, Forest, NodeId, NodeKind};
+use tauw_dtree::{DecisionTree, DtreeError, FlatTree, Forest, NodeId, NodeKind};
 use tauw_stats::binomial::{upper_bound, BoundMethod};
 
 /// Calibration statistics and the resulting bound for one leaf.
@@ -186,13 +186,15 @@ fn member_key(tree: &DecisionTree) -> String {
 /// ones, smoothing the estimate while each member's bound keeps its
 /// per-leaf statistical pedigree.
 ///
-/// Two representations of every member are kept: the pointer
-/// [`DecisionTree`] with a [`NodeId`]-indexed calibration table (the
-/// transparent form for export, explanations and the bitwise reference
-/// path) and the compiled [`FlatTree`] with a dense
-/// [`LeafId`](tauw_dtree::LeafId)-indexed bound array (the serving form).
-/// Both are serialized, so an artifact round-trips the flat form byte for
-/// byte.
+/// The model is stored once, as its source: the pruned pointer
+/// [`DecisionTree`] members with their [`NodeId`]-indexed calibration
+/// records (the transparent form for review, export, explanations and the
+/// bitwise reference path), the calibration options and the served
+/// minimum. These four fields are all an artifact carries. Every serving
+/// form is derived from them, by calibration and by loading alike: one
+/// compiled [`FlatTree`] per member with a dense
+/// [`LeafId`](tauw_dtree::LeafId)-indexed bound array, and from `K = 2` on
+/// the lockstep kernel.
 ///
 /// Determinism contract:
 ///
@@ -205,8 +207,8 @@ fn member_key(tree: &DecisionTree) -> String {
 ///   flat walk and one bound load (asserted bitwise against the pointer
 ///   reference by proptest);
 /// * from `K = 2` on, serving walks all members in lockstep over one packed
-///   node array derived from the members at calibration and at load (never
-///   serialized), then reads each member's bound and calibration support
+///   node array derived from the members, then reads each member's bound
+///   and calibration support
 ///   from one leaf table — one walk plus one load per member, no
 ///   allocation; the pointer members stay aboard as the per-member
 ///   references ([`CalibratedForestQim::uncertainty_reference`]).
@@ -253,16 +255,17 @@ pub struct CalibratedForestQim {
     /// Per-member [`NodeId`]-indexed calibration records.
     leaves: Vec<Vec<Option<CalibratedLeaf>>>,
     options: CalibrationOptions,
-    /// The compiled per-member form: one flat tree per member.
-    flat: FlatForest,
-    /// Per-member uncertainty bounds indexed by [`LeafId`](tauw_dtree::LeafId).
-    leaf_bounds: Vec<Vec<f64>>,
     /// The smallest uncertainty the ensemble *actually served* over the
     /// calibration set (min over calibration-sample routings) — the
     /// attainable floor [`CalibratedForestQim::min_uncertainty`] reports.
     min_served_bound: f64,
-    /// The lockstep serving form for `K ≥ 2`, derived from the fields above
-    /// (never serialized); `None` for a one-member model.
+    /// Derived: the compiled form, one flat tree per member.
+    flat: Vec<FlatTree>,
+    /// Derived: per-member uncertainty bounds indexed by
+    /// [`LeafId`](tauw_dtree::LeafId).
+    leaf_bounds: Vec<Vec<f64>>,
+    /// Derived: the lockstep serving form for `K ≥ 2`; `None` for a
+    /// one-member model.
     kernel: Option<ForestKernel>,
 }
 
@@ -272,8 +275,6 @@ impl Serialize for CalibratedForestQim {
             ("trees".to_string(), self.trees.serialize()),
             ("leaves".to_string(), self.leaves.serialize()),
             ("options".to_string(), self.options.serialize()),
-            ("flat".to_string(), self.flat.serialize()),
-            ("leaf_bounds".to_string(), self.leaf_bounds.serialize()),
             (
                 "min_served_bound".to_string(),
                 self.min_served_bound.serialize(),
@@ -283,25 +284,25 @@ impl Serialize for CalibratedForestQim {
 }
 
 impl Deserialize for CalibratedForestQim {
-    /// Reads the six serialized fields, runs
-    /// [`CalibratedForestQim::validate`], and only then derives the
-    /// serving kernel, so a hostile payload never reaches a serving walk.
+    /// Reads the four stored fields, runs
+    /// [`CalibratedForestQim::validate`] on them, and only then derives the
+    /// serving forms, so a hostile payload never reaches a serving walk.
     fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
         let map = serde::__expect_map(value, "CalibratedForestQim")?;
         let field = |name| serde::__field(map, name, "CalibratedForestQim");
-        let mut qim = CalibratedForestQim {
+        let stored = CalibratedForestQim {
             trees: Deserialize::deserialize(field("trees")?)?,
             leaves: Deserialize::deserialize(field("leaves")?)?,
             options: Deserialize::deserialize(field("options")?)?,
-            flat: Deserialize::deserialize(field("flat")?)?,
-            leaf_bounds: Deserialize::deserialize(field("leaf_bounds")?)?,
             min_served_bound: Deserialize::deserialize(field("min_served_bound")?)?,
+            flat: Vec::new(),
+            leaf_bounds: Vec::new(),
             kernel: None,
         };
-        qim.validate()
+        stored
+            .validate()
             .map_err(|e| serde::Error::custom(e.to_string()))?;
-        qim.kernel = ForestKernel::build(&qim);
-        Ok(qim)
+        Ok(stored.assemble())
     }
 }
 
@@ -493,65 +494,48 @@ impl CalibratedForestQim {
             let counts = tree.node_sample_counts(rows.iter().copied())?;
             prune_to_min_count(&mut tree, &counts, options.min_samples_per_leaf)?;
 
-            // 2. Compile the pruned tree and re-route the calibration set
-            // on the flat form (batched, thread-fanned, input-order) to
-            // collect per-leaf failure stats keyed by the dense leaf id.
-            let flat = FlatTree::from_tree(&tree);
-            let routed = flat.predict_leaf_ids(parallel::max_threads(), &rows)?;
-            let mut failures = vec![0u64; flat.n_leaves()];
-            let mut totals = vec![0u64; flat.n_leaves()];
-            for (leaf, (_, failed)) in routed.into_iter().zip(samples) {
-                totals[leaf as usize] += 1;
-                if *failed {
-                    failures[leaf as usize] += 1;
-                }
+            // 2. Re-route the calibration set on the pruned tree to collect
+            // per-leaf failure stats, and bound every reachable leaf.
+            let mut failures = vec![0u64; tree.n_nodes()];
+            let mut totals = vec![0u64; tree.n_nodes()];
+            for (features, failed) in samples {
+                let leaf = tree.leaf_id(features)?;
+                totals[leaf] += 1;
+                failures[leaf] += u64::from(*failed);
             }
-
-            // 3. Bound per leaf, filling both the dense leaf-id array
-            // (serving path) and the node-indexed table (transparency path).
-            let mut bounds = vec![0.0; flat.n_leaves()];
             let mut records = vec![None; tree.n_nodes()];
-            for (leaf_id, flat_leaf) in flat.leaves().iter().enumerate() {
-                let bound = upper_bound(
-                    options.method,
-                    failures[leaf_id],
-                    totals[leaf_id],
-                    options.confidence,
-                )?;
-                bounds[leaf_id] = bound;
-                records[flat_leaf.node_id] = Some(CalibratedLeaf {
-                    failures: failures[leaf_id],
-                    total: totals[leaf_id],
-                    uncertainty_bound: bound,
+            for leaf in tree.leaf_ids() {
+                records[leaf] = Some(CalibratedLeaf {
+                    failures: failures[leaf],
+                    total: totals[leaf],
+                    uncertainty_bound: upper_bound(
+                        options.method,
+                        failures[leaf],
+                        totals[leaf],
+                        options.confidence,
+                    )?,
                 });
             }
-            members.push((member_key(&tree), tree, records, flat, bounds));
+            members.push((member_key(&tree), tree, records));
         }
         // Canonical member order: ascending serialized-tree key. Equal keys
         // are identical members (same tree, same calibration data, same
         // bounds), so their relative order cannot affect the sum.
         members.sort_by(|a, b| a.0.cmp(&b.0));
-
-        let mut trees = Vec::with_capacity(members.len());
-        let mut leaves = Vec::with_capacity(members.len());
-        let mut flats = Vec::with_capacity(members.len());
-        let mut leaf_bounds = Vec::with_capacity(members.len());
-        for (_, tree, records, flat, bounds) in members {
-            trees.push(tree);
-            leaves.push(records);
-            flats.push(flat);
-            leaf_bounds.push(bounds);
-        }
+        let (trees, leaves) = members
+            .into_iter()
+            .map(|(_, tree, records)| (tree, records))
+            .unzip();
         let mut qim = CalibratedForestQim {
             trees,
             leaves,
             options,
-            flat: FlatForest::from_flat_trees(flats)?,
-            leaf_bounds,
             min_served_bound: 1.0,
+            flat: Vec::new(),
+            leaf_bounds: Vec::new(),
             kernel: None,
-        };
-        qim.kernel = ForestKernel::build(&qim);
+        }
+        .assemble();
         // The attainable serving floor: the smallest mean-of-member-bounds
         // any *calibration sample* actually receives. Unlike the mean of
         // per-member minima (which no single input generally attains —
@@ -563,6 +547,27 @@ impl CalibratedForestQim {
         }
         qim.min_served_bound = min_served;
         Ok(qim)
+    }
+
+    /// Derives every serving form from the stored fields: each member
+    /// lowered once to its [`FlatTree`], the leaf-id bound tables read from
+    /// the calibration records, and from `K = 2` on the lockstep kernel.
+    /// Calibration and deserialization both build the model through here;
+    /// every reachable leaf must carry a calibration record.
+    fn assemble(mut self) -> Self {
+        self.flat = self.trees.iter().map(FlatTree::from_tree).collect();
+        self.leaf_bounds = (self.flat.iter().zip(&self.leaves))
+            .map(|(member, records)| {
+                let calibrated =
+                    |id: NodeId| records[id].expect("every reachable leaf was calibrated");
+                let leaves = member.leaves().iter();
+                leaves
+                    .map(|leaf| calibrated(leaf.node_id).uncertainty_bound)
+                    .collect()
+            })
+            .collect();
+        self.kernel = ForestKernel::build(&self);
+        self
     }
 
     /// Dependable uncertainty for a feature vector, bit-identical
@@ -579,7 +584,7 @@ impl CalibratedForestQim {
     #[inline]
     pub fn uncertainty(&self, features: &[f64]) -> Result<f64, CoreError> {
         match &self.kernel {
-            None => Ok(self.leaf_bounds[0][self.flat.tree(0).predict_leaf_id(features)? as usize]),
+            None => Ok(self.leaf_bounds[0][self.flat[0].predict_leaf_id(features)? as usize]),
             Some(kernel) => Ok(kernel.serve(features)?.0),
         }
     }
@@ -594,7 +599,7 @@ impl CalibratedForestQim {
         features: &[f64],
     ) -> Result<(f64, u64), CoreError> {
         let Some(kernel) = &self.kernel else {
-            let flat = self.flat.tree(0);
+            let flat = &self.flat[0];
             let leaf = flat.predict_leaf_id(features)?;
             let support = self.leaves[0][flat.leaf(leaf).node_id].map_or(0, |l| l.total);
             return Ok((self.leaf_bounds[0][leaf as usize], support));
@@ -629,7 +634,7 @@ impl CalibratedForestQim {
 
     /// Number of features the members route on.
     pub fn n_features(&self) -> usize {
-        self.flat.n_features()
+        self.trees[0].n_features()
     }
 
     /// The pruned pointer members in canonical order, for
@@ -638,8 +643,9 @@ impl CalibratedForestQim {
         &self.trees
     }
 
-    /// The compiled serving form of the ensemble.
-    pub fn flat(&self) -> &FlatForest {
+    /// The compiled members in canonical order, each the lowering of its
+    /// pointer member — derived, never stored.
+    pub fn flat(&self) -> &[FlatTree] {
         &self.flat
     }
 
@@ -666,41 +672,26 @@ impl CalibratedForestQim {
     /// real served estimate, so `min_uncertainty() <= uncertainty(x)`
     /// holds for every calibration sample `x`. At `K = 1` it is the
     /// smallest leaf bound, since calibration bounds only leaves that
-    /// calibration samples reach.
-    ///
-    /// (The previous formulation — the mean of per-member minima, still
-    /// available as [`CalibratedForestQim::min_member_mean_bound`] — is
-    /// generally *unachievable*: no single feature vector routes every
-    /// member to its own best leaf at once, so it could undercut every
-    /// value the model can produce.)
+    /// calibration samples reach. (The mean of the members' smallest
+    /// bounds, by contrast, is generally attained by no input: no single
+    /// feature vector routes every member to its own best leaf at once.)
     pub fn min_uncertainty(&self) -> f64 {
         self.min_served_bound
     }
 
-    /// The mean of the members' per-leaf minimum bounds — a **lower
-    /// bound** on [`CalibratedForestQim::min_uncertainty`] that is
-    /// generally not attained by any input (each member would have to
-    /// route it to that member's own best leaf simultaneously). Kept for
-    /// diagnostics; never served.
-    pub fn min_member_mean_bound(&self) -> f64 {
-        let sum: f64 = self
-            .leaf_bounds
-            .iter()
-            .map(|bounds| bounds.iter().copied().fold(1.0, f64::min))
-            .sum();
-        sum / self.leaf_bounds.len() as f64
-    }
-
-    /// Checks the internal consistency of every member — its flat form is
-    /// exactly the lowering of its pointer tree, and its leaf-ID bound
-    /// table mirrors its node-indexed calibration records — plus the
-    /// ensemble-level invariants: parallel tables of equal length, at least
-    /// one member, one routing shape, the canonical member order (so a
-    /// hand-edited artifact cannot smuggle in a permutation that silently
-    /// changes the served sum) and an attainable served minimum. The
-    /// persistence layer runs it on every load, so a truncated or edited
-    /// artifact fails with a clean error instead of panicking on the
-    /// serving path.
+    /// Checks the stored fields, the only ones an artifact carries: one
+    /// calibration table per member (at least one), valid options, one
+    /// routing shape, a record on every reachable leaf whose bound is, bit
+    /// for bit, the bound its counts give at the options (so the number an
+    /// assessor reviews is the number served), the canonical member order
+    /// (a permutation would change the served sum) and the served minimum.
+    /// Deserialization runs it before deriving anything.
+    ///
+    /// At `K = 1` the served minimum must be the smallest leaf bound, since
+    /// calibration reaches every leaf. From `K = 2` on it must lie between
+    /// the means of the members' smallest and largest leaf bounds; which
+    /// leaves an input reaches together depends on the calibration samples,
+    /// which the model does not keep, so nothing tighter can be checked.
     ///
     /// # Errors
     ///
@@ -712,22 +703,19 @@ impl CalibratedForestQim {
                 reason: "calibrated forest QIM: no members".into(),
             });
         }
-        if self.leaves.len() != self.trees.len()
-            || self.flat.n_trees() != self.trees.len()
-            || self.leaf_bounds.len() != self.trees.len()
-        {
+        if self.leaves.len() != self.trees.len() {
             return Err(CoreError::InvalidInput {
                 reason: format!(
-                    "calibrated forest QIM: {} trees but {} leaf tables, {} flat members, \
-                     {} bound tables",
+                    "calibrated forest QIM: {} trees but {} leaf tables",
                     self.trees.len(),
-                    self.leaves.len(),
-                    self.flat.n_trees(),
-                    self.leaf_bounds.len()
+                    self.leaves.len()
                 ),
             });
         }
+        self.options.validate()?;
         let mut previous_key: Option<String> = None;
+        // Sums over members of each member's smallest and largest bound.
+        let (mut floor, mut ceiling) = (0.0, 0.0);
         for (t, tree) in self.trees.iter().enumerate() {
             // Members must agree on the routing shape; otherwise a loaded
             // model would pass per-member checks yet fail (arity mismatch)
@@ -749,28 +737,28 @@ impl CalibratedForestQim {
             let member = |what: String| CoreError::InvalidInput {
                 reason: format!("calibrated forest QIM member {t}: {what}"),
             };
-            let (flat, bounds) = (self.flat.tree(t), &self.leaf_bounds[t]);
-            if *flat != FlatTree::from_tree(tree) {
-                return Err(member("flat form is not the lowering of its tree".into()));
-            }
-            if bounds.len() != flat.n_leaves() {
-                return Err(member(format!(
-                    "{} leaf bounds for {} leaves",
-                    bounds.len(),
-                    flat.n_leaves()
-                )));
-            }
-            for (leaf_id, flat_leaf) in flat.leaves().iter().enumerate() {
-                let Some(leaf) = self.calibrated_leaf(t, flat_leaf.node_id) else {
+            let (mut lowest, mut highest) = (1.0f64, 0.0f64);
+            for id in tree.leaf_ids() {
+                let Some(leaf) = self.calibrated_leaf(t, id) else {
                     return Err(member(format!(
-                        "leaf node {} carries no calibration record",
-                        flat_leaf.node_id
+                        "leaf node {id} carries no calibration record"
                     )));
                 };
-                if leaf.uncertainty_bound.to_bits() != bounds[leaf_id].to_bits() {
-                    return Err(member(format!("bound table diverges at leaf id {leaf_id}")));
+                let (method, confidence) = (self.options.method, self.options.confidence);
+                let bound = upper_bound(method, leaf.failures, leaf.total, confidence)
+                    .map_err(|e| member(format!("leaf node {id}: {e}")))?;
+                if leaf.uncertainty_bound.to_bits() != bound.to_bits() {
+                    return Err(member(format!(
+                        "leaf node {id} carries bound {} but {} failures in {} samples give \
+                         {bound} ({method:?} at confidence {confidence})",
+                        leaf.uncertainty_bound, leaf.failures, leaf.total
+                    )));
                 }
+                lowest = lowest.min(bound);
+                highest = highest.max(bound);
             }
+            floor += lowest;
+            ceiling += highest;
             let key = member_key(tree);
             if previous_key.as_ref().is_some_and(|prev| *prev > key) {
                 return Err(CoreError::InvalidInput {
@@ -781,24 +769,34 @@ impl CalibratedForestQim {
             }
             previous_key = Some(key);
         }
-        if !self.min_served_bound.is_finite() || !(0.0..=1.0).contains(&self.min_served_bound) {
+        let served = self.min_served_bound;
+        let k = self.trees.len() as f64;
+        let (floor, ceiling) = (floor / k, ceiling / k);
+        if self.trees.len() == 1 && served.to_bits() != floor.to_bits() {
             return Err(CoreError::InvalidInput {
                 reason: format!(
-                    "calibrated forest QIM: served minimum bound {} lies outside [0, 1]",
-                    self.min_served_bound
+                    "calibrated forest QIM: served minimum bound {served} is not the smallest \
+                     leaf bound {floor}"
                 ),
             });
         }
-        // Any served value is a mean of per-member bounds, each at least
-        // its member's minimum; f64 addition and division are monotone, so
-        // the mean of minima is a hard floor on every servable value.
-        if self.min_served_bound < self.min_member_mean_bound() {
+        // Any served value is a mean of per-member bounds, each between its
+        // member's smallest and largest bound; f64 addition and division
+        // are monotone, so the means of minima and maxima enclose every
+        // servable value.
+        if served.is_nan() || served < floor {
             return Err(CoreError::InvalidInput {
                 reason: format!(
-                    "calibrated forest QIM: served minimum bound {} undercuts the member-minima \
-                     floor {}",
-                    self.min_served_bound,
-                    self.min_member_mean_bound()
+                    "calibrated forest QIM: served minimum bound {served} undercuts the \
+                     member-minima floor {floor}"
+                ),
+            });
+        }
+        if served > ceiling {
+            return Err(CoreError::InvalidInput {
+                reason: format!(
+                    "calibrated forest QIM: served minimum bound {served} exceeds the \
+                     member-maxima ceiling {ceiling}"
                 ),
             });
         }
@@ -894,7 +892,7 @@ impl TaQim {
     /// backends).
     pub fn n_leaves(&self) -> usize {
         match self {
-            TaQim::Forest(qim) => qim.flat().n_leaves_total(),
+            TaQim::Forest(qim) => qim.flat().iter().map(FlatTree::n_leaves).sum(),
             TaQim::Conformal(_) => 0,
         }
     }
@@ -979,6 +977,18 @@ mod tests {
         options: CalibrationOptions,
     ) -> Result<CalibratedForestQim, CoreError> {
         CalibratedForestQim::calibrate(Forest::from_trees(vec![tree])?, calib, options)
+    }
+
+    /// The means of the members' smallest and largest leaf bounds: every
+    /// servable value lies between them.
+    fn member_envelope(qim: &CalibratedForestQim) -> (f64, f64) {
+        let k = qim.n_trees() as f64;
+        let (mut floor, mut ceiling) = (0.0, 0.0);
+        for bounds in qim.leaf_bounds() {
+            floor += bounds.iter().copied().fold(1.0, f64::min);
+            ceiling += bounds.iter().copied().fold(0.0, f64::max);
+        }
+        (floor / k, ceiling / k)
     }
 
     /// Member 0's calibrated leaves in depth-first order.
@@ -1078,7 +1088,7 @@ mod tests {
         let qim = one_member(trained_tree(400), &calib, CalibrationOptions::default()).unwrap();
         assert_eq!(qim.n_trees(), 1);
         assert!(qim.kernel.is_none(), "one member builds no lockstep kernel");
-        let flat = qim.flat().tree(0);
+        let flat = &qim.flat()[0];
         assert_eq!(flat.n_leaves(), qim.trees()[0].n_leaves());
         assert_eq!(qim.leaf_bounds()[0].len(), flat.n_leaves());
         for i in 0..200 {
@@ -1163,7 +1173,7 @@ mod tests {
             // The mean lies inside the envelope of the member bounds.
             let member_bounds: Vec<f64> = (0..qim.n_trees())
                 .map(|t| {
-                    let leaf = qim.flat().tree(t).predict_leaf_id(&q).unwrap();
+                    let leaf = qim.flat()[t].predict_leaf_id(&q).unwrap();
                     qim.leaf_bounds()[t][leaf as usize]
                 })
                 .collect();
@@ -1206,10 +1216,6 @@ mod tests {
         let mut permuted = qim.clone();
         permuted.trees.swap(0, qim.n_trees() - 1);
         permuted.leaves.swap(0, qim.n_trees() - 1);
-        permuted.leaf_bounds.swap(0, qim.n_trees() - 1);
-        let mut flats = qim.flat.trees().to_vec();
-        flats.swap(0, qim.n_trees() - 1);
-        permuted.flat = FlatForest::from_flat_trees(flats).unwrap();
         if permuted.trees != qim.trees {
             let err = permuted.validate().unwrap_err();
             let CoreError::InvalidInput { reason } = err else {
@@ -1218,10 +1224,11 @@ mod tests {
             assert!(reason.contains("canonical member order"), "{reason}");
         }
 
-        // A desynchronized bound table must be rejected by the per-member
-        // representation check.
+        // A leaf bound its calibration counts do not give must be rejected
+        // by the per-member bound check.
         let mut tampered = qim.clone();
-        tampered.leaf_bounds[1][0] += 0.25;
+        let leaf = qim.trees()[1].leaf_ids()[0];
+        tampered.leaves[1][leaf].as_mut().unwrap().uncertainty_bound += 0.25;
         let err = tampered.validate().unwrap_err();
         let CoreError::InvalidInput { reason } = err else {
             panic!("expected InvalidInput");
@@ -1264,8 +1271,11 @@ mod tests {
         assert_eq!(one_tree.n_trees(), 1);
         assert_eq!(as_forest.n_trees(), 3);
         assert_eq!(one_tree.n_features(), 1);
-        assert_eq!(one_tree.n_leaves(), single.flat().tree(0).n_leaves());
-        assert_eq!(as_forest.n_leaves(), forest_qim.flat().n_leaves_total());
+        assert_eq!(one_tree.n_leaves(), single.flat()[0].n_leaves());
+        assert_eq!(
+            as_forest.n_leaves(),
+            forest_qim.trees().iter().map(DecisionTree::n_leaves).sum()
+        );
         assert!(one_tree.as_forest().is_some() && as_forest.as_forest().is_some());
         for q in [[0.1], [0.5], [0.9]] {
             assert_eq!(
@@ -1401,8 +1411,8 @@ mod tests {
             attained |= served.to_bits() == qim.min_uncertainty().to_bits();
         }
         assert!(attained, "the minimum must be a real served value");
-        // The old formulation survives as a documented diagnostic floor.
-        assert!(qim.min_member_mean_bound() <= qim.min_uncertainty());
+        // The mean of the members' smallest bounds is a floor below it.
+        assert!(member_envelope(&qim).0 <= qim.min_uncertainty());
         qim.validate().unwrap();
     }
 
@@ -1435,7 +1445,7 @@ mod tests {
         // Single tree: support is exactly the routed leaf's total, wrapped
         // in `RouteSupport::Samples`.
         let tree = TaQim::Forest(single.clone());
-        let flat = single.flat().tree(0);
+        let flat = &single.flat()[0];
         for q in [[0.1], [0.5], [0.9]] {
             let node = flat.leaf(flat.predict_leaf_id(&q).unwrap()).node_id;
             let leaf = single.calibrated_leaf(0, node).unwrap();
@@ -1457,8 +1467,8 @@ mod tests {
         for q in [[0.1], [0.5], [0.9]] {
             let expected = (0..qim.n_trees())
                 .map(|t| {
-                    let leaf = qim.flat().tree(t).predict_leaf_id(&q).unwrap();
-                    let node = qim.flat().tree(t).leaf(leaf).node_id;
+                    let leaf = qim.flat()[t].predict_leaf_id(&q).unwrap();
+                    let node = qim.flat()[t].leaf(leaf).node_id;
                     qim.calibrated_leaf(t, node).unwrap().total
                 })
                 .min()
@@ -1479,7 +1489,8 @@ mod tests {
             CalibratedForestQim::calibrate(forest, &calib, CalibrationOptions::default()).unwrap();
         // Below the member-minima floor: provably unservable.
         let mut tampered = qim.clone();
-        tampered.min_served_bound = qim.min_member_mean_bound() / 2.0;
+        let (floor, ceiling) = member_envelope(&qim);
+        tampered.min_served_bound = floor / 2.0;
         let err = tampered.validate().unwrap_err();
         let CoreError::InvalidInput { reason } = err else {
             panic!("expected InvalidInput");
@@ -1490,5 +1501,72 @@ mod tests {
         let mut tampered = qim.clone();
         tampered.min_served_bound = f64::NAN;
         assert!(tampered.validate().is_err());
+        // Above the mean of the members' largest bounds: no input is served
+        // that much.
+        let mut tampered = qim.clone();
+        tampered.min_served_bound = f64::from_bits(ceiling.to_bits() + 1);
+        let err = tampered.validate().unwrap_err();
+        assert!(err.to_string().contains("member-maxima ceiling"), "{err}");
+        // Inside the envelope, in either direction: loads.
+        let mut moved = qim.clone();
+        moved.min_served_bound = floor;
+        moved.validate().unwrap();
+    }
+
+    #[test]
+    fn one_member_served_minimum_must_be_the_smallest_leaf_bound() {
+        let calib = calib_samples(1000, |x| x > 0.5);
+        let qim = one_member(trained_tree(400), &calib, CalibrationOptions::default()).unwrap();
+        qim.validate().unwrap();
+        let smallest = qim.leaf_bounds()[0].iter().copied().fold(1.0, f64::min);
+        assert_eq!(qim.min_uncertainty().to_bits(), smallest.to_bits());
+        // Any other value — even one inside [0, 1], even the largest leaf
+        // bound — is not what the one-member model serves at its floor.
+        for wrong in [1.0, smallest * 2.0, f64::from_bits(smallest.to_bits() + 1)] {
+            let mut tampered = qim.clone();
+            tampered.min_served_bound = wrong;
+            let err = tampered.validate().unwrap_err();
+            assert!(err.to_string().contains("smallest leaf bound"), "{err}");
+        }
+    }
+
+    #[test]
+    fn leaf_records_are_checked_against_their_counts_and_options() {
+        let calib = calib_samples(1500, |x| x > 0.5);
+        let qim =
+            CalibratedForestQim::calibrate(trained_forest(3, 5, 400), &calib, Default::default())
+                .unwrap();
+        let leaf = qim.trees()[0].leaf_ids()[0];
+        let reason = |tampered: CalibratedForestQim| match tampered.validate() {
+            Err(CoreError::InvalidInput { reason }) => reason,
+            other => panic!("expected InvalidInput, got {other:?}"),
+        };
+        let edit_record = |edit: fn(&mut CalibratedLeaf)| {
+            let mut tampered = qim.clone();
+            edit(tampered.leaves[0][leaf].as_mut().unwrap());
+            reason(tampered)
+        };
+        // The bound, the counts behind it, or the options it was computed at.
+        for edit in [
+            (|leaf| leaf.uncertainty_bound = 7.5) as fn(&mut CalibratedLeaf),
+            |leaf| leaf.failures += 1,
+            |leaf| leaf.failures = leaf.total + 1,
+            |leaf| leaf.total = 0,
+        ] {
+            assert!(edit_record(edit).contains("member 0: leaf node"));
+        }
+        let mut tampered = qim.clone();
+        tampered.options.confidence = 0.99;
+        assert!(reason(tampered).contains("member 0: leaf node"));
+        let mut tampered = qim.clone();
+        tampered.options.confidence = 1.5;
+        assert!(reason(tampered).contains("`confidence`"));
+        // A reachable leaf without a record.
+        let mut tampered = qim.clone();
+        tampered.leaves[0][leaf] = None;
+        assert!(reason(tampered).contains("carries no calibration record"));
+        let mut tampered = qim.clone();
+        tampered.leaves.pop();
+        assert!(reason(tampered).contains("3 trees but 2 leaf tables"));
     }
 }

@@ -84,13 +84,11 @@ impl ConformalOptions {
 /// pointer-vs-flat split of the tree backends:
 ///
 /// * `bin_rates` — the nested per-feature table, the transparent form the
-///   reference path reads;
+///   reference path reads, and the one an artifact stores;
 /// * `flat_rates` — the same rates lowered row-major
-///   (`feature · bins + cell`), the dense form the serving path reads.
-///
-/// [`ConformalQim::validate`] checks the lowering bitwise, so a persisted
-/// artifact cannot desynchronize the two.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///   (`feature · bins + cell`), the dense form the serving path reads,
+///   derived by calibration and by loading alike and never stored.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConformalQim {
     options: CalibrationOptions,
     conformal: ConformalOptions,
@@ -102,9 +100,6 @@ pub struct ConformalQim {
     feature_hi: Vec<f64>,
     /// Per-feature per-cell failure rates — the reference form.
     bin_rates: Vec<Vec<f64>>,
-    /// `bin_rates` lowered row-major (`feature · bins + cell`) — the
-    /// serving form.
-    flat_rates: Vec<f64>,
     /// Training failure rate: the fallback for `NaN` features and empty
     /// cells.
     global_rate: f64,
@@ -116,6 +111,61 @@ pub struct ConformalQim {
     calibration_size: u64,
     /// The smallest bound actually served over the calibration split.
     min_served_bound: f64,
+    /// Derived: `bin_rates` lowered row-major (`feature · bins + cell`) —
+    /// the serving form.
+    flat_rates: Vec<f64>,
+}
+
+impl Serialize for ConformalQim {
+    fn serialize(&self) -> serde::Value {
+        serde::Value::Map(vec![
+            ("options".to_string(), self.options.serialize()),
+            ("conformal".to_string(), self.conformal.serialize()),
+            ("n_features".to_string(), self.n_features.serialize()),
+            ("feature_lo".to_string(), self.feature_lo.serialize()),
+            ("feature_hi".to_string(), self.feature_hi.serialize()),
+            ("bin_rates".to_string(), self.bin_rates.serialize()),
+            ("global_rate".to_string(), self.global_rate.serialize()),
+            (
+                "quantile_shift".to_string(),
+                self.quantile_shift.serialize(),
+            ),
+            (
+                "calibration_size".to_string(),
+                self.calibration_size.serialize(),
+            ),
+            (
+                "min_served_bound".to_string(),
+                self.min_served_bound.serialize(),
+            ),
+        ])
+    }
+}
+
+impl Deserialize for ConformalQim {
+    /// Reads the stored fields, runs [`ConformalQim::validate`] on them,
+    /// and only then lowers the rate table into its serving form.
+    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
+        let map = serde::__expect_map(value, "ConformalQim")?;
+        let field = |name| serde::__field(map, name, "ConformalQim");
+        let mut qim = ConformalQim {
+            options: Deserialize::deserialize(field("options")?)?,
+            conformal: Deserialize::deserialize(field("conformal")?)?,
+            n_features: Deserialize::deserialize(field("n_features")?)?,
+            feature_lo: Deserialize::deserialize(field("feature_lo")?)?,
+            feature_hi: Deserialize::deserialize(field("feature_hi")?)?,
+            bin_rates: Deserialize::deserialize(field("bin_rates")?)?,
+            global_rate: Deserialize::deserialize(field("global_rate")?)?,
+            quantile_shift: Deserialize::deserialize(field("quantile_shift")?)?,
+            calibration_size: Deserialize::deserialize(field("calibration_size")?)?,
+            min_served_bound: Deserialize::deserialize(field("min_served_bound")?)?,
+            flat_rates: Vec::new(),
+        };
+        qim.validate()
+            .map_err(|e| serde::Error::custom(e.to_string()))?;
+        qim.flat_rates = qim.bin_rates.concat();
+        Ok(qim)
+    }
 }
 
 /// The deterministic cell index of value `x` on an axis with range
@@ -243,7 +293,6 @@ impl ConformalQim {
                     .collect()
             })
             .collect();
-        let flat_rates: Vec<f64> = bin_rates.iter().flatten().copied().collect();
 
         let mut qim = ConformalQim {
             options,
@@ -251,8 +300,8 @@ impl ConformalQim {
             n_features,
             feature_lo,
             feature_hi,
+            flat_rates: bin_rates.concat(),
             bin_rates,
-            flat_rates,
             global_rate,
             quantile_shift: 0.0,
             calibration_size: calib.len() as u64,
@@ -384,11 +433,11 @@ impl ConformalQim {
         self.min_served_bound
     }
 
-    /// Checks the internal consistency of the two rate-table
-    /// representations and every stored statistic, so a truncated or
-    /// hand-edited artifact fails with a clean error instead of serving
-    /// garbage. Freshly calibrated models satisfy this by construction;
-    /// the persistence layer calls it on every load.
+    /// Checks every stored field — table shapes, ranges, rates, shift and
+    /// served minimum — so a truncated or hand-edited artifact fails with a
+    /// clean error instead of serving garbage. Freshly calibrated models
+    /// satisfy this by construction; deserialization runs it before
+    /// deriving the serving table.
     ///
     /// # Errors
     ///
@@ -445,27 +494,6 @@ impl ConformalQim {
                         reason: format!(
                             "conformal QIM: rate {rate} at feature {j} cell {cell} lies \
                              outside [0, 1]"
-                        ),
-                    });
-                }
-            }
-        }
-        if self.flat_rates.len() != self.n_features * bins {
-            return Err(CoreError::InvalidInput {
-                reason: format!(
-                    "conformal QIM: {} flat rates for {} features x {} bins",
-                    self.flat_rates.len(),
-                    self.n_features,
-                    bins
-                ),
-            });
-        }
-        for (j, row) in self.bin_rates.iter().enumerate() {
-            for (cell, &rate) in row.iter().enumerate() {
-                if self.flat_rates[j * bins + cell].to_bits() != rate.to_bits() {
-                    return Err(CoreError::InvalidInput {
-                        reason: format!(
-                            "conformal QIM: flat rate table diverges at feature {j} cell {cell}"
                         ),
                     });
                 }
@@ -718,11 +746,6 @@ mod tests {
     #[test]
     fn validate_catches_tampering() {
         let qim = fitted(0.9);
-        // Desynchronized flat table.
-        let mut tampered = qim.clone();
-        tampered.flat_rates[3] += 0.25;
-        let err = tampered.validate().unwrap_err();
-        assert!(err.to_string().contains("flat rate table"), "{err}");
         // Out-of-range rate.
         let mut tampered = qim.clone();
         tampered.bin_rates[0][0] = 1.5;

@@ -38,8 +38,11 @@ use std::path::Path;
 /// one-member [`CalibratedForestQim`]: the stateless wrapper's QIM and a
 /// tree taQIM serialize as forests, the taQIM enum loses its `Tree` shape
 /// and the `TreeQim` artifact kind is gone (a tree QIM ships as a
-/// `ForestQim` artifact).
-pub const FORMAT_VERSION: u32 = 7;
+/// `ForestQim` artifact); v8 stores each model once, as trees plus
+/// calibration records (or the nested conformal rate table), and derives
+/// every serving form at load, after checking each leaf bound against its
+/// calibration counts.
+pub const FORMAT_VERSION: u32 = 8;
 
 /// Kind tag inside the envelope, so a stateless wrapper cannot be loaded
 /// where a timeseries-aware one is expected.
@@ -159,12 +162,10 @@ impl UncertaintyWrapper {
     ///
     /// Returns [`CoreError::InvalidInput`] on malformed JSON, a format
     /// version mismatch, a wrong artifact kind, or an internally
-    /// inconsistent model (e.g. a hand-edited bound table or a feature-name
+    /// inconsistent model (e.g. a hand-edited leaf bound or a feature-name
     /// list that disagrees with the QIM).
     pub fn from_artifact_json(json: &str) -> Result<Self, CoreError> {
-        let model: Self = from_json(ArtifactKind::StatelessWrapper, json)?;
-        model.check_shape()?;
-        Ok(model)
+        from_json(ArtifactKind::StatelessWrapper, json)
     }
 
     /// Writes the artifact to a file.
@@ -204,7 +205,7 @@ impl TimeseriesAwareWrapper {
     ///
     /// Returns [`CoreError::InvalidInput`] on malformed JSON, a format
     /// version mismatch, a wrong artifact kind, or an internally
-    /// inconsistent model (e.g. a hand-edited bound table), which the
+    /// inconsistent model (e.g. a hand-edited leaf bound), which the
     /// wrapper's `Deserialize` rejects.
     pub fn from_artifact_json(json: &str) -> Result<Self, CoreError> {
         from_json(ArtifactKind::TimeseriesAwareWrapper, json)
@@ -231,8 +232,9 @@ impl TimeseriesAwareWrapper {
 
 impl CalibratedForestQim {
     /// Serializes the calibrated forest or single tree (pruned pointer
-    /// members in canonical order, compiled flat members, per-member bound
-    /// tables) to a versioned JSON artifact.
+    /// members in canonical order with their calibration records, the
+    /// calibration options and the served minimum) to a versioned JSON
+    /// artifact.
     ///
     /// # Errors
     ///
@@ -243,14 +245,15 @@ impl CalibratedForestQim {
 
     /// Loads a calibrated forest from a JSON artifact produced by
     /// [`CalibratedForestQim::to_artifact_json`]. The forest's
-    /// `Deserialize` re-validates every ensemble invariant (member
-    /// consistency, canonical member order).
+    /// `Deserialize` validates the stored fields (member consistency, every
+    /// leaf bound against its counts, canonical member order) before it
+    /// derives the serving forms.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidInput`] on malformed JSON, a format
     /// version mismatch, a wrong artifact kind, or an internally
-    /// inconsistent model (e.g. a hand-edited bound table or a permuted
+    /// inconsistent model (e.g. a hand-edited leaf bound or a permuted
     /// member list).
     pub fn from_artifact_json(json: &str) -> Result<Self, CoreError> {
         from_json(ArtifactKind::ForestQim, json)
@@ -276,9 +279,8 @@ impl CalibratedForestQim {
 }
 
 impl ConformalQim {
-    /// Serializes the split-conformal QIM (histogram ranges, nested and
-    /// flat rate tables, conformal quantile shift) to a versioned JSON
-    /// artifact.
+    /// Serializes the split-conformal QIM (histogram ranges, rate table,
+    /// conformal quantile shift) to a versioned JSON artifact.
     ///
     /// # Errors
     ///
@@ -288,9 +290,9 @@ impl ConformalQim {
     }
 
     /// Loads a split-conformal QIM from a JSON artifact produced by
-    /// [`ConformalQim::to_artifact_json`], re-validating every invariant
-    /// (flat table bitwise consistent with the nested one, rates and
-    /// shift in range, served minimum attainable).
+    /// [`ConformalQim::to_artifact_json`]. Its `Deserialize` validates
+    /// every invariant (table shapes, rates and shift in range, served
+    /// minimum attainable) before it derives the serving table.
     ///
     /// # Errors
     ///
@@ -298,9 +300,7 @@ impl ConformalQim {
     /// version mismatch, a wrong artifact kind, or an internally
     /// inconsistent model (e.g. a hand-edited rate table).
     pub fn from_artifact_json(json: &str) -> Result<Self, CoreError> {
-        let model: Self = from_json(ArtifactKind::ConformalQim, json)?;
-        model.validate()?;
-        Ok(model)
+        from_json(ArtifactKind::ConformalQim, json)
     }
 
     /// Writes the artifact to a file.
@@ -560,22 +560,42 @@ mod tests {
         let tauw = fitted();
         let json = tauw.to_artifact_json().unwrap();
         let back = TimeseriesAwareWrapper::from_artifact_json(&json).unwrap();
-        // The flat serving form is stored in the artifact, not re-derived;
-        // it must come back identical and consistent with its pointer tree.
+        // The flat serving form is derived at load, not stored: it must
+        // come back identical, be the lowering of its pointer tree, and
+        // serve bit for bit what the calibrated model serves.
         let taqim = tauw.taqim().as_forest().expect("default taQIM is one tree");
         let taqim_back = back.taqim().as_forest().expect("default taQIM is one tree");
-        for (qim, qim_back) in [
-            (tauw.stateless().qim(), back.stateless().qim()),
-            (taqim, taqim_back),
+        for (qim, qim_back, rows) in [
+            (
+                tauw.stateless().qim(),
+                back.stateless().qim(),
+                vec![vec![0.1], vec![0.5], vec![0.9], vec![f64::NAN]],
+            ),
+            (taqim, taqim_back, taqim_rows()),
         ] {
             assert_eq!(qim_back.n_trees(), 1);
             assert_eq!(qim.flat(), qim_back.flat());
             assert_eq!(qim.leaf_bounds(), qim_back.leaf_bounds());
             assert_eq!(
-                qim_back.flat().tree(0),
-                &FlatTree::from_tree(&qim_back.trees()[0])
+                qim_back.flat()[0],
+                FlatTree::from_tree(&qim_back.trees()[0])
             );
+            for row in &rows {
+                assert_eq!(
+                    qim.uncertainty(row).unwrap().to_bits(),
+                    qim_back.uncertainty(row).unwrap().to_bits()
+                );
+            }
         }
+    }
+
+    /// taQIM feature rows: [stateless QF ‖ ratio, length, size, certainty].
+    fn taqim_rows() -> Vec<Vec<f64>> {
+        vec![
+            vec![0.1, 1.0, 1.0, 1.0, 0.9],
+            vec![0.5, 0.6, 5.0, 2.0, 2.5],
+            vec![0.9, 0.3, 9.0, 3.0, 1.1],
+        ]
     }
 
     fn fitted_forest() -> TimeseriesAwareWrapper {
@@ -633,19 +653,15 @@ mod tests {
         let json = qim.to_artifact_json().unwrap();
         let back = CalibratedForestQim::from_artifact_json(&json).unwrap();
         assert_eq!(qim, &back);
-        // The flat members are stored, not re-derived, and each is exactly
-        // the lowering of its pointer member.
+        // The flat members are derived at load, each exactly the lowering
+        // of its pointer member, and serve bit for bit what the calibrated
+        // model serves.
         assert_eq!(qim.flat(), back.flat());
         assert_eq!(qim.leaf_bounds(), back.leaf_bounds());
-        for (t, tree) in back.trees().iter().enumerate() {
-            assert_eq!(back.flat().tree(t), &FlatTree::from_tree(tree));
+        for (flat, tree) in back.flat().iter().zip(back.trees()) {
+            assert_eq!(flat, &FlatTree::from_tree(tree));
         }
-        // taQIM features: [stateless QF ‖ ratio, length, size, certainty].
-        for q in [
-            [0.1, 1.0, 1.0, 1.0, 0.9],
-            [0.5, 0.6, 5.0, 2.0, 2.5],
-            [0.9, 0.3, 9.0, 3.0, 1.1],
-        ] {
+        for q in taqim_rows() {
             assert_eq!(
                 qim.uncertainty(&q).unwrap().to_bits(),
                 back.uncertainty(&q).unwrap().to_bits()
@@ -659,12 +675,10 @@ mod tests {
         let qim = tauw.taqim().as_forest().unwrap();
         let json = qim.to_artifact_json().unwrap();
 
-        // Desynchronize the first member's bound table: one extra entry.
-        let field = json.find("\"leaf_bounds\"").expect("field present");
-        let bracket = field + json[field..].find('[').expect("outer array opens");
-        let inner = bracket + 1 + json[bracket + 1..].find('[').expect("member array opens");
-        let mut tampered = json.clone();
-        tampered.insert_str(inner + 1, " 0.123456789,");
+        // Move one of the second member's leaf bounds off the bound its
+        // calibration counts give.
+        let first = json.match_indices("\"uncertainty_bound\"").count() - 1;
+        let tampered = set_nth(&json, "uncertainty_bound", first, 0.123456789);
         assert_ne!(tampered, json, "tamper edit must hit the artifact");
         match CalibratedForestQim::from_artifact_json(&tampered) {
             Err(CoreError::InvalidInput { reason }) => {
@@ -726,64 +740,6 @@ mod tests {
         }
     }
 
-    /// Rewrites the `nth` integer of the `children` table of the first
-    /// flat member at or after `anchor`.
-    fn set_flat_child(json: &str, anchor: &str, nth: usize, value: u64) -> String {
-        let flat = json.find(anchor).unwrap();
-        let flat = flat + json[flat..].find("\"flat\"").unwrap();
-        let mut at = flat + json[flat..].find("\"children\"").unwrap() + "\"children\"".len();
-        for _ in 0..nth {
-            at += json[at..].find(|c: char| c.is_ascii_digit()).unwrap();
-            at += json[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
-        }
-        let start = at + json[at..].find(|c: char| c.is_ascii_digit()).unwrap();
-        let end = start + json[start..].find(|c: char| !c.is_ascii_digit()).unwrap();
-        format!("{}{value}{}", &json[..start], &json[end..])
-    }
-
-    #[test]
-    fn tampered_flat_forest_members_are_rejected_before_serving() {
-        let tauw = fitted_forest();
-        let qim_json = tauw
-            .taqim()
-            .as_forest()
-            .unwrap()
-            .to_artifact_json()
-            .unwrap();
-        let wrapper_json = tauw.to_artifact_json().unwrap();
-        type Load = fn(&str) -> Result<(), CoreError>;
-        // The anchor precedes the forest's own `flat` field.
-        let artifacts: [(&str, &str, &str, Load); 2] = [
-            ("forest taQIM", &qim_json, "\"model\"", |json| {
-                CalibratedForestQim::from_artifact_json(json).map(drop)
-            }),
-            ("forest wrapper", &wrapper_json, "\"Forest\"", |json| {
-                TimeseriesAwareWrapper::from_artifact_json(json).map(drop)
-            }),
-        ];
-        for (kind, json, anchor, load) in artifacts {
-            load(json).unwrap();
-            // Member 0's root splits into node 1 (children entries 0 and
-            // 1), and node 1 splits too (entries 2 and 3).
-            for (defect, tampered) in [
-                (
-                    "out-of-range child",
-                    set_flat_child(json, anchor, 0, 1_000_000),
-                ),
-                ("cycle", set_flat_child(json, anchor, 2, 0)),
-            ] {
-                assert_ne!(tampered, json, "{kind}: {defect} edit must hit");
-                match load(&tampered) {
-                    Err(CoreError::InvalidInput { reason }) => assert!(
-                        reason.contains("flat form is not the lowering of its tree"),
-                        "{kind}: {defect}: {reason}"
-                    ),
-                    other => panic!("{kind}: {defect}: expected InvalidInput, got {other:?}"),
-                }
-            }
-        }
-    }
-
     #[test]
     fn forest_qim_save_and_load_file() {
         let tauw = fitted_forest();
@@ -798,16 +754,22 @@ mod tests {
         let _ = std::fs::remove_file(path);
     }
 
-    /// Rewrites the integer value of the `nth` `"key": <int>` field.
-    fn set_nth_int(json: &str, key: &str, nth: usize, value: u64) -> String {
+    /// The byte range of the number after the `nth` `"key": `.
+    fn nth_number(json: &str, key: &str, nth: usize) -> std::ops::Range<usize> {
         let pattern = format!("\"{key}\": ");
         let (at, _) = json
             .match_indices(&pattern)
             .nth(nth)
             .expect("field present");
         let start = at + pattern.len();
-        let end = start + json[start..].find(|c: char| !c.is_ascii_digit()).unwrap();
-        format!("{}{value}{}", &json[..start], &json[end..])
+        let number = |c: char| c.is_ascii_digit() || "+-.eE".contains(c);
+        start..start + json[start..].find(|c: char| !number(c)).unwrap()
+    }
+
+    /// Rewrites the number after the `nth` `"key": `.
+    fn set_nth(json: &str, key: &str, nth: usize, value: impl std::fmt::Display) -> String {
+        let range = nth_number(json, key, nth);
+        format!("{}{value}{}", &json[..range.start], &json[range.end..])
     }
 
     #[test]
@@ -850,9 +812,9 @@ mod tests {
             // The first tree is compact: its root (node 0) splits into node
             // 1 (left) and a right child, and has a second internal node.
             for (defect, tampered) in [
-                ("out-of-range child", set_nth_int(&json, "left", 0, 1 << 32)),
-                ("back-edge", set_nth_int(&json, "left", 1, 0)),
-                ("shared child", set_nth_int(&json, "right", 0, 1)),
+                ("out-of-range child", set_nth(&json, "left", 0, 1u64 << 32)),
+                ("back-edge", set_nth(&json, "left", 1, 0)),
+                ("shared child", set_nth(&json, "right", 0, 1)),
             ] {
                 assert_ne!(tampered, json, "{kind}: {defect} edit must hit");
                 assert!(!loads(&tampered), "{kind}: {defect} must be rejected");
@@ -870,11 +832,7 @@ mod tests {
         assert_eq!(back.n_trees(), 1);
         assert_eq!(qim, &back);
         assert_eq!(json, back.to_artifact_json().unwrap());
-        for q in [
-            [0.1, 1.0, 1.0, 1.0, 0.9],
-            [0.5, 0.6, 5.0, 2.0, 2.5],
-            [0.9, 0.3, 9.0, 3.0, 1.1],
-        ] {
+        for q in taqim_rows() {
             assert_eq!(
                 qim.uncertainty(&q).unwrap().to_bits(),
                 back.uncertainty(&q).unwrap().to_bits()
@@ -912,11 +870,7 @@ mod tests {
         let back = ConformalQim::from_artifact_json(&json).unwrap();
         assert_eq!(qim, &back);
         assert_eq!(json, back.to_artifact_json().unwrap());
-        for q in [
-            [0.1, 1.0, 1.0, 1.0, 0.9],
-            [0.5, 0.6, 5.0, 2.0, 2.5],
-            [0.9, 0.3, 9.0, 3.0, 1.1],
-        ] {
+        for q in taqim_rows() {
             assert_eq!(
                 qim.uncertainty(&q).unwrap().to_bits(),
                 back.uncertainty(&q).unwrap().to_bits()
@@ -930,18 +884,21 @@ mod tests {
         let qim = tauw.taqim().as_conformal().unwrap();
         let json = qim.to_artifact_json().unwrap();
 
-        // Desynchronize the flat rate table from the nested one: splice an
-        // extra entry into the flat array.
-        let field = json.find("\"flat_rates\"").expect("field present");
-        let bracket = field + json[field..].find('[').expect("array opens");
+        // No serving table is stored; the rate table it is derived from is
+        // checked. Splice an extra cell into feature 0's rates.
+        assert!(!json.contains("flat_rates"));
+        let field = json.find("\"bin_rates\"").expect("field present");
+        let outer = field + json[field..].find('[').expect("outer array opens");
+        let bracket = outer + 1 + json[outer + 1..].find('[').expect("row opens");
         let mut tampered = json.clone();
         tampered.insert_str(bracket + 1, " 0.123456789,");
         assert_ne!(tampered, json, "tamper edit must hit the artifact");
         match ConformalQim::from_artifact_json(&tampered) {
             Err(CoreError::InvalidInput { reason }) => {
-                // The splice desynchronizes the table length, which the
-                // shape check reports before the bitwise comparison runs.
-                assert!(reason.contains("flat rate"), "reason: {reason}");
+                assert!(
+                    reason.contains("feature 0 carries 17 cells"),
+                    "reason: {reason}"
+                );
             }
             other => panic!("expected InvalidInput, got {other:?}"),
         }
@@ -1073,18 +1030,13 @@ mod tests {
 
     #[test]
     fn tampered_bound_table_is_rejected_at_load() {
-        // The artifact format is deliberately reviewable/editable JSON;
-        // an edit that desynchronizes the leaf-ID bound table from the
-        // calibrated leaves must fail at load, not panic mid-serving.
+        // The artifact format is deliberately reviewable/editable JSON; an
+        // edit that moves a leaf bound off its calibration counts must fail
+        // at load, not be served. The taQIM's records come last.
         let tauw = fitted();
         let json = tauw.to_artifact_json().unwrap();
-        // Splice one extra entry into the taQIM's member bound table so it
-        // no longer matches the flat tree's leaf count.
-        let field = json.rfind("\"leaf_bounds\"").expect("field present");
-        let outer = field + json[field..].find('[').expect("outer array opens");
-        let bracket = outer + 1 + json[outer + 1..].find('[').expect("member array opens");
-        let mut tampered = json.clone();
-        tampered.insert_str(bracket + 1, " 0.123456789,");
+        let last = json.match_indices("\"uncertainty_bound\"").count() - 1;
+        let tampered = set_nth(&json, "uncertainty_bound", last, 0.123456789);
         assert_ne!(tampered, json, "tamper edit must hit the artifact");
         match TimeseriesAwareWrapper::from_artifact_json(&tampered) {
             Err(CoreError::InvalidInput { reason }) => {
@@ -1093,6 +1045,179 @@ mod tests {
                     "reason: {reason}"
                 );
             }
+            other => panic!("expected InvalidInput, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn edited_leaf_bounds_counts_and_confidence_are_rejected_by_every_qim_artifact() {
+        // A bound of 7.5 is no probability; an edited failure count or
+        // confidence level no longer gives the stored bound. Every artifact
+        // that carries a calibrated QIM must refuse all three.
+        let tauw = fitted();
+        let qim_json = tauw
+            .taqim()
+            .as_forest()
+            .unwrap()
+            .to_artifact_json()
+            .unwrap();
+        let stateless_json = tauw.stateless().to_artifact_json().unwrap();
+        let tauw_json = tauw.to_artifact_json().unwrap();
+        type Load = fn(&str) -> Result<(), CoreError>;
+        let artifacts: [(&str, &str, Load); 3] = [
+            ("ForestQim", &qim_json, |json| {
+                CalibratedForestQim::from_artifact_json(json).map(drop)
+            }),
+            ("stateless", &stateless_json, |json| {
+                UncertaintyWrapper::from_artifact_json(json).map(drop)
+            }),
+            ("taUW", &tauw_json, |json| {
+                TimeseriesAwareWrapper::from_artifact_json(json).map(drop)
+            }),
+        ];
+        for (kind, json, load) in artifacts {
+            load(json).unwrap();
+            let bump = |key: &str, nth: usize| {
+                let value: u64 = json[nth_number(json, key, nth)].parse().unwrap();
+                set_nth(json, key, nth, value + 1)
+            };
+            let last = |key: &str| json.match_indices(&format!("\"{key}\"")).count() - 1;
+            let mut edits = Vec::new();
+            // The first QIM in the artifact, and the last (the taQIM of a
+            // taUW artifact).
+            for (key, nth) in [("uncertainty_bound", 0), ("failures", 0), ("confidence", 0)]
+                .into_iter()
+                .chain([
+                    ("uncertainty_bound", last("uncertainty_bound")),
+                    ("failures", last("failures")),
+                    ("confidence", last("confidence")),
+                ])
+            {
+                edits.push(match key {
+                    "uncertainty_bound" => set_nth(json, key, nth, 7.5),
+                    "failures" => bump(key, nth),
+                    _ => set_nth(json, key, nth, 0.995),
+                });
+            }
+            for tampered in edits {
+                assert_ne!(&tampered, json, "{kind}: tamper edit must hit");
+                match load(&tampered) {
+                    Err(CoreError::InvalidInput { reason }) => {
+                        assert!(reason.contains("leaf node"), "{kind}: {reason}")
+                    }
+                    other => panic!("{kind}: expected InvalidInput, got {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_member_served_minimum_above_the_smallest_leaf_bound_is_rejected() {
+        // Loaded, it would report a `min_uncertainty()` of 1.0 while the
+        // model serves far less.
+        let tauw = fitted();
+        let qim = tauw.taqim().as_forest().unwrap();
+        assert!(qim.uncertainty(&taqim_rows()[0]).unwrap() < 1.0);
+        let json = qim.to_artifact_json().unwrap();
+        let tampered = set_nth(&json, "min_served_bound", 0, "1.0");
+        assert_ne!(tampered, json, "tamper edit must hit the artifact");
+        match CalibratedForestQim::from_artifact_json(&tampered) {
+            Err(CoreError::InvalidInput { reason }) => {
+                assert!(reason.contains("smallest leaf bound"), "reason: {reason}");
+            }
+            other => panic!("expected InvalidInput, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn scope_models_that_disagree_with_the_qim_are_rejected() {
+        // A scope model with a second boundary would load, and then every
+        // `estimate()` would fail on arity.
+        let mut wb = WrapperBuilder::new();
+        wb.max_depth(3)
+            .calibration(CalibrationOptions {
+                min_samples_per_leaf: 50,
+                confidence: 0.99,
+                ..Default::default()
+            })
+            .with_scope_model(0.1);
+        let mut b = TauwBuilder::new();
+        b.wrapper(wb);
+        let tauw = b
+            .fit(vec!["q".into()], &toy_series(200, 1), &toy_series(200, 2))
+            .unwrap();
+        assert!(tauw.stateless().estimate(&[0.5]).is_ok());
+        let add_boundary = |json: &str| {
+            let field = json.find("\"boundaries\"").expect("field present");
+            let bracket = field + json[field..].find('[').expect("array opens");
+            let mut tampered = json.to_string();
+            tampered.insert_str(bracket + 1, "[0.0, 1.0], ");
+            tampered
+        };
+        let stateless_json = tauw.stateless().to_artifact_json().unwrap();
+        let tauw_json = tauw.to_artifact_json().unwrap();
+        let plain_json = serde_json::to_string_pretty(tauw.stateless()).unwrap();
+        assert!(UncertaintyWrapper::from_artifact_json(&stateless_json).is_ok());
+        assert!(TimeseriesAwareWrapper::from_artifact_json(&tauw_json).is_ok());
+        assert!(serde_json::from_str::<UncertaintyWrapper>(&plain_json).is_ok());
+        for (kind, loaded) in [
+            (
+                "stateless artifact",
+                UncertaintyWrapper::from_artifact_json(&add_boundary(&stateless_json))
+                    .map(drop)
+                    .map_err(|e| e.to_string()),
+            ),
+            (
+                "taUW artifact",
+                TimeseriesAwareWrapper::from_artifact_json(&add_boundary(&tauw_json))
+                    .map(drop)
+                    .map_err(|e| e.to_string()),
+            ),
+            (
+                "plain stateless",
+                serde_json::from_str::<UncertaintyWrapper>(&add_boundary(&plain_json))
+                    .map(drop)
+                    .map_err(|e| e.to_string()),
+            ),
+        ] {
+            let reason = loaded.expect_err(kind);
+            assert!(reason.contains("2 boundaries"), "{kind}: {reason}");
+        }
+    }
+
+    #[test]
+    fn qim_artifacts_store_only_their_source_fields() {
+        let keys = |value: serde::Value| match value {
+            serde::Value::Map(fields) => fields.into_iter().map(|(k, _)| k).collect::<Vec<_>>(),
+            other => panic!("expected a map, got {other:?}"),
+        };
+        for tauw in [fitted(), fitted_forest()] {
+            let qim = tauw.taqim().as_forest().unwrap();
+            assert_eq!(
+                keys(qim.serialize()),
+                ["trees", "leaves", "options", "min_served_bound"]
+            );
+        }
+        let conformal = fitted_conformal();
+        let fields = keys(conformal.taqim().as_conformal().unwrap().serialize());
+        assert!(!fields.iter().any(|k| k == "flat_rates"), "{fields:?}");
+        assert!(fields.iter().any(|k| k == "bin_rates"), "{fields:?}");
+    }
+
+    #[test]
+    fn v7_artifacts_are_rejected_with_the_version_error() {
+        let json = fitted().to_artifact_json().unwrap();
+        let v7 = json.replacen(
+            &format!("\"format_version\": {FORMAT_VERSION}"),
+            "\"format_version\": 7",
+            1,
+        );
+        assert_ne!(v7, json, "version edit must hit the artifact");
+        match TimeseriesAwareWrapper::from_artifact_json(&v7) {
+            Err(CoreError::InvalidInput { reason }) => assert!(
+                reason.contains("format version 7 is not supported (expected 8)"),
+                "reason: {reason}"
+            ),
             other => panic!("expected InvalidInput, got {other:?}"),
         }
     }

@@ -432,8 +432,8 @@ pub struct TimeseriesAwareWrapper {
 }
 
 impl Deserialize for TimeseriesAwareWrapper {
-    /// Reads the three serialized fields and validates the wrapper; the
-    /// calibrated forests have validated themselves while deserializing.
+    /// Reads the three serialized fields and checks that the two models
+    /// fit together; each model has validated itself while deserializing.
     fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
         let map = serde::__expect_map(value, "TimeseriesAwareWrapper")?;
         let field = |name| serde::__field(map, name, "TimeseriesAwareWrapper");
@@ -443,13 +443,7 @@ impl Deserialize for TimeseriesAwareWrapper {
             taqf_set: Deserialize::deserialize(field("taqf_set")?)?,
         };
         wrapper
-            .stateless
-            .check_shape()
-            .and_then(|()| match &wrapper.taqim {
-                TaQim::Forest(_) => Ok(()),
-                TaQim::Conformal(qim) => qim.validate(),
-            })
-            .and_then(|()| wrapper.check_fit())
+            .check_fit()
             .map_err(|e| serde::Error::custom(e.to_string()))?;
         Ok(wrapper)
     }

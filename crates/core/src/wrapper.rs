@@ -194,11 +194,29 @@ impl WrapperBuilder {
 
 /// A trained, calibrated stateless uncertainty wrapper: the paper's single
 /// calibrated tree, held as a one-member [`CalibratedForestQim`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct UncertaintyWrapper {
     qim: CalibratedForestQim,
     scope: Option<ScopeComplianceModel>,
     feature_names: Vec<String>,
+}
+
+impl Deserialize for UncertaintyWrapper {
+    /// Reads the three serialized fields and checks the wrapper's shape;
+    /// the QIM has validated itself while deserializing.
+    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
+        let map = serde::__expect_map(value, "UncertaintyWrapper")?;
+        let field = |name| serde::__field(map, name, "UncertaintyWrapper");
+        let wrapper = UncertaintyWrapper {
+            qim: Deserialize::deserialize(field("qim")?)?,
+            scope: Deserialize::deserialize(field("scope")?)?,
+            feature_names: Deserialize::deserialize(field("feature_names")?)?,
+        };
+        wrapper
+            .check_shape()
+            .map_err(|e| serde::Error::custom(e.to_string()))?;
+        Ok(wrapper)
+    }
 }
 
 impl UncertaintyWrapper {
@@ -245,7 +263,7 @@ impl UncertaintyWrapper {
     ///
     /// Returns [`CoreError`] on feature-arity mismatch.
     pub fn explain(&self, quality_factors: &[f64]) -> Result<Explanation, CoreError> {
-        let flat = self.qim.flat().tree(0);
+        let flat = &self.qim.flat()[0];
         let flat_leaf_id = flat.predict_leaf_id(quality_factors)?;
         let leaf_id = flat.leaf(flat_leaf_id).node_id;
         let leaf = self
@@ -272,9 +290,10 @@ impl UncertaintyWrapper {
         &self.qim
     }
 
-    /// Checks the internal consistency of the model representations (see
+    /// Checks the internal consistency of the QIM (see
     /// [`CalibratedForestQim::validate`]), that the QIM is one tree, and
-    /// that there is one feature name per QIM feature.
+    /// that there is one feature name, and one scope boundary and name,
+    /// per QIM feature.
     ///
     /// # Errors
     ///
@@ -286,19 +305,30 @@ impl UncertaintyWrapper {
 
     /// The part of [`UncertaintyWrapper::validate`] that checks the QIM's
     /// shape: one tree (what [`UncertaintyWrapper::explain`] describes),
-    /// over one feature per name. Loading runs it; the QIM has validated
-    /// itself while deserializing.
-    pub(crate) fn check_shape(&self) -> Result<(), CoreError> {
-        if self.qim.n_trees() != 1 || self.feature_names.len() != self.qim.n_features() {
+    /// over one feature per name and per scope boundary and name.
+    fn check_shape(&self) -> Result<(), CoreError> {
+        let n = self.qim.n_features();
+        if self.qim.n_trees() != 1 || self.feature_names.len() != n {
             return Err(CoreError::InvalidInput {
                 reason: format!(
-                    "stateless wrapper names {} features for a QIM of {} trees over {} \
+                    "stateless wrapper names {} features for a QIM of {} trees over {n} \
                      features; it needs one tree and one name per feature",
                     self.feature_names.len(),
                     self.qim.n_trees(),
-                    self.qim.n_features()
                 ),
             });
+        }
+        if let Some(scope) = &self.scope {
+            if scope.boundaries().len() != n || scope.feature_names().len() != n {
+                return Err(CoreError::InvalidInput {
+                    reason: format!(
+                        "stateless wrapper's scope model has {} boundaries and {} names for a \
+                         QIM over {n} features",
+                        scope.boundaries().len(),
+                        scope.feature_names().len()
+                    ),
+                });
+            }
         }
         Ok(())
     }
@@ -390,7 +420,7 @@ mod tests {
         assert_eq!(*ex.path.first().unwrap(), 0, "path starts at the root");
         assert_eq!(*ex.path.last().unwrap(), ex.leaf_id);
         assert_eq!(
-            w.qim().flat().tree(0).leaf(ex.flat_leaf_id).node_id,
+            w.qim().flat()[0].leaf(ex.flat_leaf_id).node_id,
             ex.leaf_id,
             "flat leaf id names the same leaf"
         );

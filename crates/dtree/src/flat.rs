@@ -27,7 +27,6 @@
 
 use crate::error::DtreeError;
 use crate::tree::{DecisionTree, NodeId, NodeKind};
-use serde::{Deserialize, Serialize};
 
 /// Dense, stable identifier of a reachable leaf: its position in the
 /// depth-first (left-before-right) leaf order, i.e. `flat.leaf(k).node_id
@@ -39,7 +38,7 @@ const LEAF_SENTINEL: u32 = u32::MAX;
 
 /// Payload of one reachable leaf, retained for transparency and for
 /// recomputing class predictions exactly as the pointer tree does.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlatLeaf {
     /// Arena id of this leaf in the source [`DecisionTree`].
     pub node_id: NodeId,
@@ -98,7 +97,7 @@ impl FlatLeaf {
 /// assert_eq!(flat.n_leaves(), tree.n_leaves());
 /// # Ok::<(), tauw_dtree::DtreeError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlatTree {
     /// Per-node split feature; `LEAF_SENTINEL` marks a leaf.
     feature: Vec<u32>,
@@ -182,11 +181,6 @@ impl FlatTree {
         self.n_features
     }
 
-    /// Number of classes.
-    pub fn n_classes(&self) -> u32 {
-        self.n_classes
-    }
-
     /// Number of nodes in the flat form (reachable nodes only).
     pub fn n_nodes(&self) -> usize {
         self.feature.len()
@@ -267,8 +261,8 @@ impl FlatTree {
     /// [`parallel::par_zip_chunks_mut`], so the result is identical for
     /// every thread budget). Each chunk routes its rows one at a time
     /// through [`FlatTree::predict_leaf_id`], writing leaf ids straight
-    /// into `out` — no intermediate buffer. Calibration routes its sample
-    /// set through here once at set-up; serving routes per sample.
+    /// into `out` — no intermediate buffer. Serving routes per sample
+    /// instead.
     ///
     /// On error `out` is untouched (observably: the appended region is
     /// rolled back before returning), and the reported error is the first
@@ -642,21 +636,6 @@ mod tests {
         let before = out.clone();
         assert!(flat.predict_proba_into(&[0.0], &mut out).is_err());
         assert_eq!(out, before);
-    }
-
-    #[test]
-    fn serde_roundtrip_preserves_routing() {
-        let tree = toy_tree();
-        let flat = FlatTree::from_tree(&tree);
-        let json = serde_json::to_string(&flat).unwrap();
-        let back: FlatTree = serde_json::from_str(&json).unwrap();
-        assert_eq!(flat, back);
-        for q in [[0.0, 0.0], [2.0, 4.0], [2.0, 9.0]] {
-            assert_eq!(
-                flat.predict_leaf_id(&q).unwrap(),
-                back.predict_leaf_id(&q).unwrap()
-            );
-        }
     }
 
     #[test]

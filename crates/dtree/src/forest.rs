@@ -26,19 +26,14 @@
 //!   orders and weights, never a copy of the dataset, and each worker
 //!   reuses one such pair of buffers for all of its members.
 //! * [`Forest`] — the trained pointer-tree ensemble (the transparent,
-//!   reviewable form).
-//! * [`FlatForest`] — the compiled per-member form: one [`FlatTree`] per
-//!   member, each routing a sample to a dense leaf id. `tauw-core` serves
-//!   a calibrated forest through its own lockstep kernel, packed from the
-//!   members, and keeps these flat members as the per-member reference
-//!   the kernel is pinned to.
+//!   reviewable form). `tauw-core` lowers each calibrated member to a
+//!   [`crate::flat::FlatTree`] and serves the ensemble through its own
+//!   lockstep kernel, packed from the members.
 
 use crate::builder::TreeBuilder;
 use crate::data::Dataset;
 use crate::error::DtreeError;
-use crate::flat::FlatTree;
 use crate::tree::DecisionTree;
-use serde::{Deserialize, Serialize};
 
 /// Minimal SplitMix64 PRNG (Steele et al. 2014), duplicated from
 /// `tauw-stats` so `tauw-dtree` stays a leaf crate. Deterministic and more
@@ -185,27 +180,9 @@ fn bootstrap_weights(weights: &mut [u32], seed: u64) {
 /// A trained bootstrap ensemble of pointer trees — the transparent,
 /// reviewable form (each member exports/prints like any
 /// [`DecisionTree`]).
-///
-/// Deserialization funnels through [`Forest::from_trees`], so a crafted
-/// payload cannot bypass the non-empty / matching-shape invariants the
-/// constructor establishes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Forest {
     trees: Vec<DecisionTree>,
-}
-
-impl Serialize for Forest {
-    fn serialize(&self) -> serde::Value {
-        serde::Value::Map(vec![("trees".to_string(), self.trees.serialize())])
-    }
-}
-
-impl Deserialize for Forest {
-    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
-        let map = serde::__expect_map(value, "Forest")?;
-        let trees = Vec::<DecisionTree>::deserialize(serde::__field(map, "trees", "Forest")?)?;
-        Forest::from_trees(trees).map_err(|e| serde::Error::custom(e.to_string()))
-    }
 }
 
 impl Forest {
@@ -242,173 +219,9 @@ impl Forest {
         &self.trees
     }
 
-    /// One member tree.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is out of bounds.
-    pub fn tree(&self, t: usize) -> &DecisionTree {
-        &self.trees[t]
-    }
-
     /// Consumes the forest, returning the member trees.
     pub fn into_trees(self) -> Vec<DecisionTree> {
         self.trees
-    }
-
-    /// Number of features the members were trained on.
-    pub fn n_features(&self) -> usize {
-        self.trees[0].n_features()
-    }
-
-    /// Number of classes.
-    pub fn n_classes(&self) -> u32 {
-        self.trees[0].n_classes()
-    }
-}
-
-/// The compiled form of a [`Forest`]: one [`FlatTree`] per member.
-///
-/// Member `t` routes a sample with [`FlatTree::predict_leaf_id`]; its leaf
-/// ids index the member's dense leaf range, so callers attach per-leaf
-/// metadata (calibrated bounds) as one plain `Vec` per member — the same
-/// leaf-identity contract [`FlatTree`] established, `K` times over.
-///
-/// # Examples
-///
-/// ```
-/// use tauw_dtree::forest::{FlatForest, ForestBuilder};
-/// use tauw_dtree::{Dataset, TreeBuilder};
-///
-/// let mut ds = Dataset::new(vec!["x".into()], 2)?;
-/// for i in 0..200 {
-///     ds.push_row(&[i as f64], u32::from(i >= 100))?;
-/// }
-/// let mut builder = ForestBuilder::new(4, 7);
-/// builder.tree(TreeBuilder::new().max_depth(3).clone());
-/// let forest = builder.fit(&ds)?;
-/// let flat = FlatForest::from_forest(&forest);
-///
-/// // One sample routes to one leaf id per member tree...
-/// for t in 0..flat.n_trees() {
-///     let leaf = flat.tree(t).predict_leaf_id(&[10.0])?;
-///     assert!((leaf as usize) < flat.tree(t).n_leaves());
-/// }
-/// // ...and the ensemble prediction agrees with the members' majority.
-/// assert_eq!(flat.predict(&[10.0])?, 0);
-/// assert_eq!(flat.predict(&[190.0])?, 1);
-/// # Ok::<(), tauw_dtree::DtreeError>(())
-/// ```
-///
-/// Like [`Forest`], deserialization funnels through the validating
-/// [`FlatForest::from_flat_trees`] constructor.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlatForest {
-    trees: Vec<FlatTree>,
-}
-
-impl Serialize for FlatForest {
-    fn serialize(&self) -> serde::Value {
-        serde::Value::Map(vec![("trees".to_string(), self.trees.serialize())])
-    }
-}
-
-impl Deserialize for FlatForest {
-    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
-        let map = serde::__expect_map(value, "FlatForest")?;
-        let trees = Vec::<FlatTree>::deserialize(serde::__field(map, "trees", "FlatForest")?)?;
-        FlatForest::from_flat_trees(trees).map_err(|e| serde::Error::custom(e.to_string()))
-    }
-}
-
-impl FlatForest {
-    /// Lowers every member of a trained forest.
-    pub fn from_forest(forest: &Forest) -> Self {
-        FlatForest {
-            trees: forest.trees().iter().map(FlatTree::from_tree).collect(),
-        }
-    }
-
-    /// Assembles a flat forest from already-lowered members, validating
-    /// that they agree on feature arity and class count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DtreeError::InvalidHyperParameter`] for an empty member
-    /// list or members of incompatible shapes.
-    pub fn from_flat_trees(trees: Vec<FlatTree>) -> Result<Self, DtreeError> {
-        let Some(first) = trees.first() else {
-            return Err(DtreeError::InvalidHyperParameter {
-                constraint: "a forest needs at least one tree",
-            });
-        };
-        for tree in &trees {
-            if tree.n_features() != first.n_features() || tree.n_classes() != first.n_classes() {
-                return Err(DtreeError::InvalidHyperParameter {
-                    constraint: "all forest members must share feature arity and class count",
-                });
-            }
-        }
-        Ok(FlatForest { trees })
-    }
-
-    /// Number of member trees.
-    pub fn n_trees(&self) -> usize {
-        self.trees.len()
-    }
-
-    /// All compiled members, in member order.
-    pub fn trees(&self) -> &[FlatTree] {
-        &self.trees
-    }
-
-    /// One compiled member.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is out of bounds.
-    pub fn tree(&self, t: usize) -> &FlatTree {
-        &self.trees[t]
-    }
-
-    /// Number of features the members were trained on.
-    pub fn n_features(&self) -> usize {
-        self.trees[0].n_features()
-    }
-
-    /// Number of classes.
-    pub fn n_classes(&self) -> u32 {
-        self.trees[0].n_classes()
-    }
-
-    /// Total leaves across all members (the size a per-leaf metadata table
-    /// spanning the whole ensemble would have).
-    pub fn n_leaves_total(&self) -> usize {
-        self.trees.iter().map(FlatTree::n_leaves).sum()
-    }
-
-    /// Ensemble prediction: majority vote over the members' leaf classes,
-    /// ties broken by the lowest class id (the same tie rule every member
-    /// applies internally).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DtreeError::PredictArityMismatch`] if `x` has the wrong
-    /// number of features.
-    pub fn predict(&self, x: &[f64]) -> Result<u32, DtreeError> {
-        let mut votes = vec![0u64; self.n_classes() as usize];
-        for tree in &self.trees {
-            votes[tree.predict(x)? as usize] += 1;
-        }
-        let mut class = 0u32;
-        let mut best = 0u64;
-        for (c, &count) in votes.iter().enumerate() {
-            if count > best {
-                class = c as u32;
-                best = count;
-            }
-        }
-        Ok(class)
     }
 }
 
@@ -416,6 +229,7 @@ impl FlatForest {
 mod tests {
     use super::*;
     use crate::criterion::SplitCriterion;
+    use crate::flat::FlatTree;
 
     /// Draws `data.n_samples()` rows with replacement into a fresh
     /// dataset: the materialized resample the multiplicity bootstrap must
@@ -505,11 +319,14 @@ mod tests {
     fn forest_training_is_bit_identical_across_thread_budgets() {
         let ds = dataset(400);
         let serial = builder(8, 42).threads(1).fit(&ds).unwrap();
-        let serial_json = serde_json::to_string(&serial).unwrap();
+        let serial_json = serde_json::to_string(&serial.trees().to_vec()).unwrap();
         for threads in [2usize, 4, 8] {
             let par = builder(8, 42).threads(threads).fit(&ds).unwrap();
             assert_eq!(serial, par, "threads={threads}");
-            assert_eq!(serial_json, serde_json::to_string(&par).unwrap());
+            assert_eq!(
+                serial_json,
+                serde_json::to_string(&par.trees().to_vec()).unwrap()
+            );
         }
     }
 
@@ -529,66 +346,18 @@ mod tests {
     }
 
     #[test]
-    fn flat_forest_routing_matches_members_bitwise() {
+    fn lowered_members_route_like_their_pointer_trees() {
         let ds = dataset(300);
         let forest = builder(5, 9).fit(&ds).unwrap();
-        let flat = FlatForest::from_forest(&forest);
-        assert_eq!(flat.n_trees(), 5);
-        assert_eq!(flat.n_features(), 1);
-        assert_eq!(
-            flat.n_leaves_total(),
-            forest.trees().iter().map(DecisionTree::n_leaves).sum()
-        );
-        for i in 0..50 {
-            let q = [i as f64 / 49.0];
-            for t in 0..flat.n_trees() {
-                let leaf = flat.tree(t).predict_leaf_id(&q).unwrap();
-                assert_eq!(
-                    flat.tree(t).leaf(leaf).node_id,
-                    forest.tree(t).leaf_id(&q).unwrap(),
-                    "member {t} x={}",
-                    q[0]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn member_routing_handles_nan_rows() {
-        let ds = dataset(200);
-        let forest = builder(4, 2).fit(&ds).unwrap();
-        let flat = FlatForest::from_forest(&forest);
         // NaN rows route right in every member, like the pointer members.
-        for row in [[f64::NAN], [0.25], [0.75]] {
-            for t in 0..flat.n_trees() {
-                let leaf = flat.tree(t).predict_leaf_id(&row).unwrap();
-                assert_eq!(
-                    flat.tree(t).leaf(leaf).node_id,
-                    forest.tree(t).leaf_id(&row).unwrap()
-                );
+        let rows = (0..50).map(|i| [i as f64 / 49.0]).chain([[f64::NAN]]);
+        for row in rows {
+            for tree in forest.trees() {
+                let flat = FlatTree::from_tree(tree);
+                let leaf = flat.predict_leaf_id(&row).unwrap();
+                assert_eq!(flat.leaf(leaf).node_id, tree.leaf_id(&row).unwrap());
             }
         }
-    }
-
-    #[test]
-    fn ensemble_prediction_follows_the_majority() {
-        let ds = dataset(500);
-        let flat = FlatForest::from_forest(&builder(9, 3).fit(&ds).unwrap());
-        assert_eq!(flat.predict(&[0.05]).unwrap(), 0);
-        assert_eq!(flat.predict(&[0.95]).unwrap(), 1);
-    }
-
-    #[test]
-    fn arity_mismatch_is_rejected() {
-        let ds = dataset(100);
-        let flat = FlatForest::from_forest(&builder(2, 1).fit(&ds).unwrap());
-        assert!(matches!(
-            flat.predict(&[0.1, 0.2]),
-            Err(DtreeError::PredictArityMismatch {
-                expected: 1,
-                actual: 2
-            })
-        ));
     }
 
     #[test]
@@ -607,10 +376,6 @@ mod tests {
             Forest::from_trees(Vec::new()),
             Err(DtreeError::InvalidHyperParameter { .. })
         ));
-        assert!(matches!(
-            FlatForest::from_flat_trees(Vec::new()),
-            Err(DtreeError::InvalidHyperParameter { .. })
-        ));
     }
 
     #[test]
@@ -624,72 +389,11 @@ mod tests {
         }
         let other = TreeBuilder::new().fit(&two_features).unwrap();
         assert!(matches!(
-            Forest::from_trees(vec![one.clone(), other.clone()]),
-            Err(DtreeError::InvalidHyperParameter { .. })
-        ));
-        assert!(matches!(
-            FlatForest::from_flat_trees(vec![
-                FlatTree::from_tree(&one),
-                FlatTree::from_tree(&other)
-            ]),
+            Forest::from_trees(vec![one.clone(), other]),
             Err(DtreeError::InvalidHyperParameter { .. })
         ));
         // A single-member forest is the degenerate-but-valid case.
         let single = Forest::from_trees(vec![one]).unwrap();
         assert_eq!(single.n_trees(), 1);
-    }
-
-    #[test]
-    fn deserialization_cannot_bypass_constructor_invariants() {
-        // An empty member list panics on trees[0] everywhere; the manual
-        // Deserialize impls funnel through the validating constructors so
-        // a crafted payload is rejected up front (the same pattern the
-        // core TimeseriesBuffer uses for its snapshots).
-        assert!(serde_json::from_str::<Forest>(r#"{"trees": []}"#).is_err());
-        assert!(serde_json::from_str::<FlatForest>(r#"{"trees": []}"#).is_err());
-
-        // Mixed member shapes are rejected the same way.
-        let one = TreeBuilder::new().fit(&dataset(60)).unwrap();
-        let mut two_features = Dataset::new(vec!["a".into(), "b".into()], 2).unwrap();
-        for i in 0..60 {
-            two_features
-                .push_row(&[i as f64, 0.0], u32::from(i >= 30))
-                .unwrap();
-        }
-        let other = TreeBuilder::new().fit(&two_features).unwrap();
-        let mixed = format!(
-            r#"{{"trees": [{}, {}]}}"#,
-            serde_json::to_string(&one).unwrap(),
-            serde_json::to_string(&other).unwrap()
-        );
-        assert!(serde_json::from_str::<Forest>(&mixed).is_err());
-        let mixed_flat = format!(
-            r#"{{"trees": [{}, {}]}}"#,
-            serde_json::to_string(&FlatTree::from_tree(&one)).unwrap(),
-            serde_json::to_string(&FlatTree::from_tree(&other)).unwrap()
-        );
-        assert!(serde_json::from_str::<FlatForest>(&mixed_flat).is_err());
-    }
-
-    #[test]
-    fn serde_roundtrip_preserves_routing() {
-        let ds = dataset(200);
-        let forest = builder(3, 11).fit(&ds).unwrap();
-        let flat = FlatForest::from_forest(&forest);
-        let forest_back: Forest =
-            serde_json::from_str(&serde_json::to_string(&forest).unwrap()).unwrap();
-        assert_eq!(forest, forest_back);
-        let flat_back: FlatForest =
-            serde_json::from_str(&serde_json::to_string(&flat).unwrap()).unwrap();
-        assert_eq!(flat, flat_back);
-        for q in [[0.1], [0.5], [0.9]] {
-            for t in 0..flat.n_trees() {
-                assert_eq!(
-                    flat.tree(t).predict_leaf_id(&q).unwrap(),
-                    flat_back.tree(t).predict_leaf_id(&q).unwrap()
-                );
-            }
-            assert_eq!(flat.predict(&q).unwrap(), flat_back.predict(&q).unwrap());
-        }
     }
 }

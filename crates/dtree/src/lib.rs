@@ -18,10 +18,9 @@
 //! * [`flat::FlatTree`] — the compiled struct-of-arrays serving form:
 //!   branch-light routing to dense, stable leaf IDs, single-sample and
 //!   batched (thread-fanned) prediction, bit-identical to the pointer tree.
-//! * [`forest`] — bootstrap tree ensembles: deterministic per-tree
-//!   bootstrap multiplicities fanned over the thread budget, plus the
-//!   [`forest::FlatForest`] serving form (one flat traversal per member)
-//!   that smooths the hard split boundaries of a single tree.
+//! * [`forest`] — bootstrap tree ensembles that smooth the hard split
+//!   boundaries of a single tree: deterministic per-tree bootstrap
+//!   multiplicities fanned over the thread budget.
 //! * [`prune`] — calibration-driven bottom-up pruning.
 //! * [`export`] — text / DOT / JSON rendering for expert review.
 //! * [`importance`] — mean-decrease-in-impurity feature importances.
@@ -64,6 +63,6 @@ pub use criterion::SplitCriterion;
 pub use data::Dataset;
 pub use error::DtreeError;
 pub use flat::{FlatLeaf, FlatTree, LeafId};
-pub use forest::{FlatForest, Forest, ForestBuilder};
+pub use forest::{Forest, ForestBuilder};
 pub use splitter::Splitter;
 pub use tree::{DecisionTree, Node, NodeId, NodeInfo, NodeKind};

@@ -87,11 +87,11 @@ impl DecisionTree {
     ///
     /// # Errors
     ///
-    /// Returns [`DtreeError`] if the arena is empty, a child index or
-    /// feature is out of bounds, a threshold is not finite, or the nodes
-    /// do not form one tree rooted at node `0` (the root has a parent, or
-    /// another node has no parent or several — which also rules out
-    /// cycles).
+    /// Returns [`DtreeError`] if the arena is empty, there is not one
+    /// feature name per feature, a child index or feature is out of
+    /// bounds, a threshold is not finite, or the nodes do not form one tree
+    /// rooted at node `0` (the root has a parent, or another node has no
+    /// parent or several — which also rules out cycles).
     pub fn from_parts(
         nodes: Vec<Node>,
         n_features: usize,
@@ -101,6 +101,9 @@ impl DecisionTree {
         let invalid = |constraint| Err(DtreeError::InvalidHyperParameter { constraint });
         if nodes.is_empty() {
             return Err(DtreeError::EmptyDataset);
+        }
+        if feature_names.len() != n_features {
+            return invalid("one feature name per feature");
         }
         for node in &nodes {
             if let NodeKind::Internal {
@@ -518,6 +521,15 @@ mod tests {
         }];
         assert!(DecisionTree::from_parts(bad, 1, 2, vec!["f0".into()]).is_err());
         assert!(DecisionTree::from_parts(vec![], 1, 2, vec!["f0".into()]).is_err());
+        // The arity a loaded tree serves at is the one its names give.
+        let names = |n: usize| (0..n).map(|i| format!("f{i}")).collect();
+        assert!(DecisionTree::from_parts(toy_tree().nodes, 2, 2, names(2)).is_ok());
+        for (n_features, n_names) in [(2, 1), (2, 3), (1 << 32, 2)] {
+            assert!(matches!(
+                DecisionTree::from_parts(toy_tree().nodes, n_features, 2, names(n_names)),
+                Err(DtreeError::InvalidHyperParameter { .. })
+            ));
+        }
     }
 
     #[test]

@@ -78,7 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .taqim()
         .as_forest()
         .expect("this example trains the default single-tree taQIM");
-    let (stateless_flat, ta_flat) = (tauw.stateless().qim().flat().tree(0), ta_qim.flat().tree(0));
+    let (stateless_flat, ta_flat) = (&tauw.stateless().qim().flat()[0], &ta_qim.flat()[0]);
     println!(
         "serving {} test windows on a {COHORT_STREAMS}-stream, {N_SHARDS}-shard engine",
         test.len()

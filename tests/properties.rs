@@ -580,9 +580,7 @@ proptest! {
         k in 1usize..5,
         seed in 0u64..u64::MAX,
     ) {
-        use tauw_suite::dtree::{
-            Dataset, FlatForest, FlatTree, ForestBuilder, LeafId, TreeBuilder,
-        };
+        use tauw_suite::dtree::{Dataset, FlatTree, ForestBuilder, LeafId, TreeBuilder};
         let mut ds = Dataset::new(vec!["a".into(), "b".into()], 3).unwrap();
         for (a, b, label) in &rows {
             ds.push_row(&[*a, *b], *label).unwrap();
@@ -593,7 +591,7 @@ proptest! {
         let mut builder = ForestBuilder::new(k, seed);
         builder.tree(TreeBuilder::new().max_depth(depth).clone());
         let forest = builder.fit(&ds).unwrap();
-        let flat_forest = FlatForest::from_forest(&forest);
+        let members: Vec<FlatTree> = forest.trees().iter().map(FlatTree::from_tree).collect();
 
         let query_rows: Vec<Vec<f64>> = queries
             .iter()
@@ -611,19 +609,13 @@ proptest! {
             .map(|q| flat.predict_leaf_id(q).unwrap())
             .collect();
 
-        // Every flat member routes exactly like its pointer member, and
-        // the ensemble vote is the members' majority.
-        prop_assert_eq!(flat_forest.n_trees(), k);
+        // Every lowered member routes exactly like its pointer member.
+        prop_assert_eq!(members.len(), k);
         for q in &query_rows {
-            let mut votes = [0usize; 3];
-            for (t, tree) in forest.trees().iter().enumerate() {
-                let member = flat_forest.tree(t);
+            for (member, tree) in members.iter().zip(forest.trees()) {
                 let leaf = member.predict_leaf_id(q).unwrap();
                 prop_assert_eq!(member.leaf(leaf).node_id, tree.leaf_id(q).unwrap());
-                votes[member.leaf(leaf).class as usize] += 1;
             }
-            let majority = (0..3).rev().max_by_key(|&c| votes[c]).unwrap() as u32;
-            prop_assert_eq!(flat_forest.predict(q).unwrap(), majority);
         }
 
         // Ragged batches (empty / single row / full) through the threaded
@@ -671,7 +663,7 @@ proptest! {
         );
         let qim = backend.as_forest().unwrap();
         prop_assert_eq!(qim.n_trees(), 1);
-        let flat = qim.flat().tree(0);
+        let flat = &qim.flat()[0];
         for (x, mask) in &queries {
             let q = [match mask {
                 1 => f64::NAN,
@@ -919,7 +911,7 @@ proptest! {
             let mut sum = 0.0;
             let mut support = u64::MAX;
             for t in 0..k {
-                let member = qim.flat().tree(t);
+                let member = &qim.flat()[t];
                 let leaf = member.predict_leaf_id(&q).unwrap();
                 sum += qim.leaf_bounds()[t][leaf as usize];
                 let node = member.leaf(leaf).node_id;
@@ -1003,7 +995,7 @@ fn support_reference(backend: &TaQim, q: &[f64]) -> RouteSupport {
         TaQim::Forest(qim) => RouteSupport::Samples(
             (0..qim.n_trees())
                 .map(|t| {
-                    let tree = qim.flat().tree(t);
+                    let tree = &qim.flat()[t];
                     let node = tree.leaf(tree.predict_leaf_id(q).unwrap()).node_id;
                     qim.calibrated_leaf(t, node).unwrap().total
                 })
@@ -1296,7 +1288,7 @@ use std::sync::OnceLock;
 use tauw_suite::core::adaptive::{AdaptiveConfig, AdaptiveState};
 use tauw_suite::core::engine::{AdaptiveStreamStep, StreamId};
 use tauw_suite::core::sharded::{EngineShardState, ShardedEngine};
-use tauw_suite::core::tauw::TimeseriesAwareWrapper;
+use tauw_suite::core::tauw::{TauwStep, TimeseriesAwareWrapper};
 use tauw_suite::core::wrapper::UncertaintyWrapper;
 use tauw_suite::stats::bootstrap::SplitMix64;
 
@@ -1461,16 +1453,28 @@ fn mutate(json: &str, rng: &mut SplitMix64) -> String {
     String::from_utf8(out).expect("artifacts are ASCII")
 }
 
+/// Whether every uncertainty a served step reports is a probability.
+fn step_in_unit_interval(step: &TauwStep) -> bool {
+    [step.uncertainty, step.adapted_uncertainty]
+        .iter()
+        .all(|u| (0.0..=1.0).contains(u))
+}
+
 /// Serves 40 extreme steps through a session and through a K = 3
 /// adaptive engine, then moves the engine state through snapshot ->
-/// restore. Served errors are fine; a panic fails the caller.
+/// restore. A panic fails the caller.
 fn exercise_wrapper(tauw: &TimeseriesAwareWrapper) {
     let n = tauw.stateless().feature_names().len();
-    // Any wrapper that loads must then serve without an error.
+    // Any wrapper that loads must then serve without an error, and serve
+    // probabilities.
     let mut session = tauw.new_session();
     for k in 0..40 {
-        if let Err(e) = session.step(&extreme_row(n, k), [3, 7][k % 2]) {
-            panic!("a loaded taUW failed session step {k}: {e}");
+        match session.step(&extreme_row(n, k), [3, 7][k % 2]) {
+            Ok(step) => assert!(
+                step_in_unit_interval(&step),
+                "a loaded taUW served {step:?} at session step {k}"
+            ),
+            Err(e) => panic!("a loaded taUW failed session step {k}: {e}"),
         }
     }
     let adaptive_engine = |shards: usize| {
@@ -1485,8 +1489,12 @@ fn exercise_wrapper(tauw: &TimeseriesAwareWrapper) {
                 AdaptiveStreamStep::new(StreamId(s as u64), extreme_row(n, k + s), 3, k % 3 == 0)
             })
             .collect();
-        if let Err(e) = engine.step_many_adaptive(&batch) {
-            panic!("a loaded taUW failed adaptive wave {k}: {e}");
+        match engine.step_many_adaptive(&batch) {
+            Ok(steps) => assert!(
+                steps.iter().all(step_in_unit_interval),
+                "a loaded taUW served {steps:?} in adaptive wave {k}"
+            ),
+            Err(e) => panic!("a loaded taUW failed adaptive wave {k}: {e}"),
         }
     }
     let mut restored = adaptive_engine(2);
@@ -1511,7 +1519,12 @@ fn load_and_exercise(label: &str, json: &str) -> Result<bool, String> {
         }
         for k in 0..40 {
             let row = extreme_row(qim.n_features(), k);
-            let _ = (qim.uncertainty(&row), qim.uncertainty_reference(&row));
+            let _ = qim.uncertainty_reference(&row);
+            if let Ok(u) = qim.uncertainty(&row) {
+                if !(0.0..=1.0).contains(&u) {
+                    return invalid(&format!("a QIM that serves {u}"));
+                }
+            }
         }
         Ok(true)
     };
@@ -1525,7 +1538,17 @@ fn load_and_exercise(label: &str, json: &str) -> Result<bool, String> {
             }
             for k in 0..40 {
                 let row = extreme_row(wrapper.feature_names().len(), k);
-                let _ = (wrapper.estimate(&row), wrapper.explain(&row));
+                let _ = wrapper.explain(&row);
+                if let Ok(e) = wrapper.estimate(&row) {
+                    let fields = [
+                        e.quality_uncertainty,
+                        e.scope_compliance,
+                        e.combined_uncertainty,
+                    ];
+                    if !fields.iter().all(|v| (0.0..=1.0).contains(v)) {
+                        return invalid(&format!("a wrapper that estimates {e:?}"));
+                    }
+                }
             }
         }
         "tauw_tree" | "tauw_forest" | "tauw_conformal" => {
