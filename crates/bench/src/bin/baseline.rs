@@ -183,30 +183,13 @@ fn bench_dtree(opts: &Options) {
         && pointer_leaves
             .iter()
             .zip(&flat_leaves)
-            .all(|(&node, &lid)| flat.leaf(lid).node_id == node);
+            .all(|(&node, &lid)| flat.leaf_node(lid) == node);
     results.push(Comparison::new(
         "route_single_pointer_vs_flat",
         rows as u64,
         ("pointer", pointer_s),
         ("flat", flat_s),
         identical,
-    ));
-    results.last().expect("just pushed").print();
-
-    // Batched flat routing across the thread fan-out.
-    let (batch1_s, batch1) = time_best(opts.repetitions, || {
-        flat.predict_leaf_ids(1, &queries).expect("batch")
-    });
-    let (batch_n_s, batch_n) = time_best(opts.repetitions, || {
-        flat.predict_leaf_ids(opts.threads, &queries)
-            .expect("batch")
-    });
-    results.push(Comparison::new(
-        "route_batch_flat",
-        rows as u64,
-        ("serial", batch1_s),
-        (&parallel_label, batch_n_s),
-        batch1 == batch_n && batch1 == flat_leaves,
     ));
     results.last().expect("just pushed").print();
 

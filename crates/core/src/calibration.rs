@@ -560,9 +560,10 @@ impl CalibratedForestQim {
             .map(|(member, records)| {
                 let calibrated =
                     |id: NodeId| records[id].expect("every reachable leaf was calibrated");
-                let leaves = member.leaves().iter();
-                leaves
-                    .map(|leaf| calibrated(leaf.node_id).uncertainty_bound)
+                member
+                    .leaf_nodes()
+                    .iter()
+                    .map(|&node| calibrated(node).uncertainty_bound)
                     .collect()
             })
             .collect();
@@ -601,7 +602,7 @@ impl CalibratedForestQim {
         let Some(kernel) = &self.kernel else {
             let flat = &self.flat[0];
             let leaf = flat.predict_leaf_id(features)?;
-            let support = self.leaves[0][flat.leaf(leaf).node_id].map_or(0, |l| l.total);
+            let support = self.leaves[0][flat.leaf_node(leaf)].map_or(0, |l| l.total);
             return Ok((self.leaf_bounds[0][leaf as usize], support));
         };
         kernel.serve(features)
@@ -1095,7 +1096,7 @@ mod tests {
             let q = [i as f64 / 199.0];
             let served = qim.uncertainty(&q).unwrap();
             let leaf_id = flat.predict_leaf_id(&q).unwrap();
-            let leaf = qim.calibrated_leaf(0, flat.leaf(leaf_id).node_id).unwrap();
+            let leaf = qim.calibrated_leaf(0, flat.leaf_node(leaf_id)).unwrap();
             assert!(leaf.total >= 200);
             assert_eq!(
                 served.to_bits(),
@@ -1447,7 +1448,7 @@ mod tests {
         let tree = TaQim::Forest(single.clone());
         let flat = &single.flat()[0];
         for q in [[0.1], [0.5], [0.9]] {
-            let node = flat.leaf(flat.predict_leaf_id(&q).unwrap()).node_id;
+            let node = flat.leaf_node(flat.predict_leaf_id(&q).unwrap());
             let leaf = single.calibrated_leaf(0, node).unwrap();
             assert_eq!(
                 tree.route_support(&q).unwrap(),
@@ -1468,7 +1469,7 @@ mod tests {
             let expected = (0..qim.n_trees())
                 .map(|t| {
                     let leaf = qim.flat()[t].predict_leaf_id(&q).unwrap();
-                    let node = qim.flat()[t].leaf(leaf).node_id;
+                    let node = qim.flat()[t].leaf_node(leaf);
                     qim.calibrated_leaf(t, node).unwrap().total
                 })
                 .min()

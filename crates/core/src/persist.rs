@@ -7,10 +7,12 @@
 //! paper makes for decision trees extends to the calibrated bounds a
 //! safety assessor has to sign off on.
 
+use crate::adaptive::AdaptiveState;
 use crate::buffer::TimeseriesBuffer;
 use crate::calibration::CalibratedForestQim;
 use crate::conformal::ConformalQim;
 use crate::error::CoreError;
+use crate::sharded::EngineShardState;
 use crate::tauw::TimeseriesAwareWrapper;
 use crate::wrapper::UncertaintyWrapper;
 use serde::de::DeserializeOwned;
@@ -45,12 +47,15 @@ use std::path::Path;
 pub const FORMAT_VERSION: u32 = 8;
 
 /// Kind tag inside the envelope, so a stateless wrapper cannot be loaded
-/// where a timeseries-aware one is expected.
+/// where a timeseries-aware one is expected. Each [`Artifact`] type
+/// carries exactly one kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-enum ArtifactKind {
-    /// A stateless [`UncertaintyWrapper`].
+pub enum ArtifactKind {
+    /// A stateless [`UncertaintyWrapper`] (QIM tree, calibrated bounds,
+    /// scope model).
     StatelessWrapper,
-    /// A [`TimeseriesAwareWrapper`].
+    /// A [`TimeseriesAwareWrapper`] (stateless wrapper + taQIM + taQF
+    /// configuration).
     TimeseriesAwareWrapper,
     /// A [`TimeseriesBuffer`] snapshot (per-stream runtime state, e.g. for
     /// migrating a long-running stream between hosts).
@@ -62,13 +67,12 @@ enum ArtifactKind {
     /// A standalone [`ConformalQim`] (leafless split-conformal quality
     /// impact model, deployable without a surrounding wrapper).
     ConformalQim,
-    /// An [`crate::adaptive::AdaptiveState`] snapshot (one stream's online
-    /// calibration state: coverage window, correction notch, last drift
-    /// signal).
+    /// An [`AdaptiveState`] snapshot (one stream's online calibration
+    /// state: coverage window, correction notch, last drift signal).
     AdaptiveState,
-    /// An [`crate::sharded::EngineShardState`] snapshot (one serving
-    /// shard's complete per-stream runtime state: every stream's fusion
-    /// buffer plus adaptive state, restorable under any shard count).
+    /// An [`EngineShardState`] snapshot (one serving shard's complete
+    /// per-stream runtime state: every stream's fusion buffer plus
+    /// adaptive state, restorable under any shard count).
     EngineShard,
 }
 
@@ -132,40 +136,53 @@ fn from_json<T: DeserializeOwned>(kind: ArtifactKind, json: &str) -> Result<T, C
     Ok(envelope.model)
 }
 
-fn write_artifact(path: &Path, json: &str) -> Result<(), CoreError> {
-    std::fs::write(path, json).map_err(|e| CoreError::InvalidInput {
-        reason: format!("writing artifact failed: {e}"),
-    })
-}
+/// A type that ships as a versioned JSON artifact: an envelope of
+/// [`FORMAT_VERSION`], the type's [`ArtifactKind`] and its serde form.
+///
+/// Loading checks the version and the kind before it reads the payload,
+/// and then runs the type's own `Deserialize`, which validates every
+/// invariant the type keeps (a hand-edited leaf bound, a feature-name list
+/// that disagrees with the QIM, a buffer over its capacity, a shard
+/// snapshot whose streams are not ascending) and derives any serving form.
+/// A crafted artifact therefore loads as an error or as a valid model,
+/// never as a model that serves something it would not have served when
+/// saved.
+///
+/// # Examples
+///
+/// ```
+/// use tauw_core::persist::Artifact;
+/// use tauw_core::TimeseriesBuffer;
+///
+/// let mut buffer = TimeseriesBuffer::bounded(4);
+/// buffer.push(1, 0.25);
+/// let json = buffer.to_artifact_json()?;
+/// assert_eq!(TimeseriesBuffer::from_artifact_json(&json)?, buffer);
+/// # Ok::<(), tauw_core::CoreError>(())
+/// ```
+pub trait Artifact: Serialize + DeserializeOwned {
+    /// The kind tag this type's envelope carries.
+    const KIND: ArtifactKind;
 
-fn read_artifact(path: &Path) -> Result<String, CoreError> {
-    std::fs::read_to_string(path).map_err(|e| CoreError::InvalidInput {
-        reason: format!("reading artifact failed: {e}"),
-    })
-}
-
-impl UncertaintyWrapper {
-    /// Serializes the wrapper (QIM tree, calibrated bounds, scope model)
-    /// to a versioned JSON artifact.
+    /// Serializes to a versioned JSON artifact.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidInput`] if serialization fails.
-    pub fn to_artifact_json(&self) -> Result<String, CoreError> {
-        to_json(ArtifactKind::StatelessWrapper, self)
+    fn to_artifact_json(&self) -> Result<String, CoreError> {
+        to_json(Self::KIND, self)
     }
 
-    /// Loads a wrapper from a JSON artifact produced by
-    /// [`UncertaintyWrapper::to_artifact_json`].
+    /// Loads from a JSON artifact produced by
+    /// [`Artifact::to_artifact_json`].
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidInput`] on malformed JSON, a format
-    /// version mismatch, a wrong artifact kind, or an internally
-    /// inconsistent model (e.g. a hand-edited leaf bound or a feature-name
-    /// list that disagrees with the QIM).
-    pub fn from_artifact_json(json: &str) -> Result<Self, CoreError> {
-        from_json(ArtifactKind::StatelessWrapper, json)
+    /// version mismatch, a wrong artifact kind, or a payload that violates
+    /// the type's invariants.
+    fn from_artifact_json(json: &str) -> Result<Self, CoreError> {
+        from_json(Self::KIND, json)
     }
 
     /// Writes the artifact to a file.
@@ -173,309 +190,51 @@ impl UncertaintyWrapper {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidInput`] on serialization or I/O errors.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CoreError> {
-        write_artifact(path.as_ref(), &self.to_artifact_json()?)
+    fn save(&self, path: impl AsRef<Path>) -> Result<(), CoreError> {
+        std::fs::write(path, self.to_artifact_json()?).map_err(|e| CoreError::InvalidInput {
+            reason: format!("writing artifact failed: {e}"),
+        })
     }
 
-    /// Reads an artifact file written by [`UncertaintyWrapper::save`].
+    /// Reads an artifact file written by [`Artifact::save`].
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidInput`] on I/O or format errors.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, CoreError> {
-        Self::from_artifact_json(&read_artifact(path.as_ref())?)
+    fn load(path: impl AsRef<Path>) -> Result<Self, CoreError> {
+        let json = std::fs::read_to_string(path).map_err(|e| CoreError::InvalidInput {
+            reason: format!("reading artifact failed: {e}"),
+        })?;
+        Self::from_artifact_json(&json)
     }
 }
 
-impl TimeseriesAwareWrapper {
-    /// Serializes the full taUW (stateless wrapper + taQIM + taQF
-    /// configuration) to a versioned JSON artifact.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidInput`] if serialization fails.
-    pub fn to_artifact_json(&self) -> Result<String, CoreError> {
-        to_json(ArtifactKind::TimeseriesAwareWrapper, self)
-    }
-
-    /// Loads a taUW from a JSON artifact produced by
-    /// [`TimeseriesAwareWrapper::to_artifact_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidInput`] on malformed JSON, a format
-    /// version mismatch, a wrong artifact kind, or an internally
-    /// inconsistent model (e.g. a hand-edited leaf bound), which the
-    /// wrapper's `Deserialize` rejects.
-    pub fn from_artifact_json(json: &str) -> Result<Self, CoreError> {
-        from_json(ArtifactKind::TimeseriesAwareWrapper, json)
-    }
-
-    /// Writes the artifact to a file.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidInput`] on serialization or I/O errors.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CoreError> {
-        write_artifact(path.as_ref(), &self.to_artifact_json()?)
-    }
-
-    /// Reads an artifact file written by [`TimeseriesAwareWrapper::save`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidInput`] on I/O or format errors.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, CoreError> {
-        Self::from_artifact_json(&read_artifact(path.as_ref())?)
-    }
+impl Artifact for UncertaintyWrapper {
+    const KIND: ArtifactKind = ArtifactKind::StatelessWrapper;
 }
 
-impl CalibratedForestQim {
-    /// Serializes the calibrated forest or single tree (pruned pointer
-    /// members in canonical order with their calibration records, the
-    /// calibration options and the served minimum) to a versioned JSON
-    /// artifact.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidInput`] if serialization fails.
-    pub fn to_artifact_json(&self) -> Result<String, CoreError> {
-        to_json(ArtifactKind::ForestQim, self)
-    }
-
-    /// Loads a calibrated forest from a JSON artifact produced by
-    /// [`CalibratedForestQim::to_artifact_json`]. The forest's
-    /// `Deserialize` validates the stored fields (member consistency, every
-    /// leaf bound against its counts, canonical member order) before it
-    /// derives the serving forms.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidInput`] on malformed JSON, a format
-    /// version mismatch, a wrong artifact kind, or an internally
-    /// inconsistent model (e.g. a hand-edited leaf bound or a permuted
-    /// member list).
-    pub fn from_artifact_json(json: &str) -> Result<Self, CoreError> {
-        from_json(ArtifactKind::ForestQim, json)
-    }
-
-    /// Writes the artifact to a file.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidInput`] on serialization or I/O errors.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CoreError> {
-        write_artifact(path.as_ref(), &self.to_artifact_json()?)
-    }
-
-    /// Reads an artifact file written by [`CalibratedForestQim::save`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidInput`] on I/O or format errors.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, CoreError> {
-        Self::from_artifact_json(&read_artifact(path.as_ref())?)
-    }
+impl Artifact for TimeseriesAwareWrapper {
+    const KIND: ArtifactKind = ArtifactKind::TimeseriesAwareWrapper;
 }
 
-impl ConformalQim {
-    /// Serializes the split-conformal QIM (histogram ranges, rate table,
-    /// conformal quantile shift) to a versioned JSON artifact.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidInput`] if serialization fails.
-    pub fn to_artifact_json(&self) -> Result<String, CoreError> {
-        to_json(ArtifactKind::ConformalQim, self)
-    }
-
-    /// Loads a split-conformal QIM from a JSON artifact produced by
-    /// [`ConformalQim::to_artifact_json`]. Its `Deserialize` validates
-    /// every invariant (table shapes, rates and shift in range, served
-    /// minimum attainable) before it derives the serving table.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidInput`] on malformed JSON, a format
-    /// version mismatch, a wrong artifact kind, or an internally
-    /// inconsistent model (e.g. a hand-edited rate table).
-    pub fn from_artifact_json(json: &str) -> Result<Self, CoreError> {
-        from_json(ArtifactKind::ConformalQim, json)
-    }
-
-    /// Writes the artifact to a file.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidInput`] on serialization or I/O errors.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CoreError> {
-        write_artifact(path.as_ref(), &self.to_artifact_json()?)
-    }
-
-    /// Reads an artifact file written by [`ConformalQim::save`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidInput`] on I/O or format errors.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, CoreError> {
-        Self::from_artifact_json(&read_artifact(path.as_ref())?)
-    }
+impl Artifact for TimeseriesBuffer {
+    const KIND: ArtifactKind = ArtifactKind::TimeseriesBuffer;
 }
 
-impl TimeseriesBuffer {
-    /// Serializes the buffer (window contents in temporal order, bound,
-    /// lifetime step counter) to a versioned JSON artifact — a snapshot of
-    /// one stream's runtime state.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidInput`] if serialization fails.
-    pub fn to_artifact_json(&self) -> Result<String, CoreError> {
-        to_json(ArtifactKind::TimeseriesBuffer, self)
-    }
-
-    /// Loads a buffer snapshot produced by
-    /// [`TimeseriesBuffer::to_artifact_json`].
-    ///
-    /// Deserialization funnels through [`TimeseriesBuffer::from_parts`], so
-    /// every `push` invariant is re-established: a crafted artifact cannot
-    /// carry uncertainties outside `[0, 1]`, non-finite values, more
-    /// entries than its capacity bound, or a lifetime counter smaller than
-    /// the window — such artifacts are rejected, like tampered model
-    /// artifacts.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidInput`] on malformed JSON, a format
-    /// version mismatch, a wrong artifact kind, or state that violates the
-    /// buffer invariants.
-    pub fn from_artifact_json(json: &str) -> Result<Self, CoreError> {
-        from_json(ArtifactKind::TimeseriesBuffer, json)
-    }
-
-    /// Writes the artifact to a file.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidInput`] on serialization or I/O errors.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CoreError> {
-        write_artifact(path.as_ref(), &self.to_artifact_json()?)
-    }
-
-    /// Reads an artifact file written by [`TimeseriesBuffer::save`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidInput`] on I/O or format errors.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, CoreError> {
-        Self::from_artifact_json(&read_artifact(path.as_ref())?)
-    }
+impl Artifact for CalibratedForestQim {
+    const KIND: ArtifactKind = ArtifactKind::ForestQim;
 }
 
-impl crate::adaptive::AdaptiveState {
-    /// Serializes one stream's adaptive calibration state (config,
-    /// coverage window in temporal order, correction notch, last drift
-    /// signal) to a versioned JSON artifact.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidInput`] if serialization fails.
-    pub fn to_artifact_json(&self) -> Result<String, CoreError> {
-        to_json(ArtifactKind::AdaptiveState, self)
-    }
-
-    /// Loads adaptive state produced by
-    /// [`crate::adaptive::AdaptiveState::to_artifact_json`].
-    ///
-    /// Deserialization funnels through
-    /// [`crate::adaptive::AdaptiveState::from_parts`], so every invariant
-    /// is re-established: a crafted artifact cannot carry an invalid
-    /// config, a coverage window whose capacity disagrees with the config,
-    /// non-binary coverage outcomes, or a correction notch above the
-    /// configured cap — such artifacts are rejected, like tampered model
-    /// artifacts.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidInput`] on malformed JSON, a format
-    /// version mismatch, a wrong artifact kind, or state that violates the
-    /// adaptive invariants.
-    pub fn from_artifact_json(json: &str) -> Result<Self, CoreError> {
-        from_json(ArtifactKind::AdaptiveState, json)
-    }
-
-    /// Writes the artifact to a file.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidInput`] on serialization or I/O errors.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CoreError> {
-        write_artifact(path.as_ref(), &self.to_artifact_json()?)
-    }
-
-    /// Reads an artifact file written by
-    /// [`crate::adaptive::AdaptiveState::save`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidInput`] on I/O or format errors.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, CoreError> {
-        Self::from_artifact_json(&read_artifact(path.as_ref())?)
-    }
+impl Artifact for ConformalQim {
+    const KIND: ArtifactKind = ArtifactKind::ConformalQim;
 }
 
-impl crate::sharded::EngineShardState {
-    /// Serializes one serving shard's complete per-stream runtime state
-    /// (every stream's fusion buffer plus adaptive state, in ascending
-    /// stream-id order) to a versioned JSON artifact. Together with the
-    /// wrapper artifact this is everything a sharded serving process needs
-    /// to restart without losing windows.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidInput`] if serialization fails.
-    pub fn to_artifact_json(&self) -> Result<String, CoreError> {
-        to_json(ArtifactKind::EngineShard, self)
-    }
+impl Artifact for AdaptiveState {
+    const KIND: ArtifactKind = ArtifactKind::AdaptiveState;
+}
 
-    /// Loads a shard snapshot produced by
-    /// [`crate::sharded::EngineShardState::to_artifact_json`].
-    ///
-    /// Every stream's buffer and adaptive state deserialize through their
-    /// own validating `from_parts` paths, and the shard-level shape
-    /// (strictly ascending stream ids, in-range shard index) is
-    /// re-established via [`crate::sharded::EngineShardState::validate`] —
-    /// a crafted artifact is rejected, like tampered model artifacts.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidInput`] on malformed JSON, a format
-    /// version mismatch, a wrong artifact kind, or state that violates the
-    /// snapshot invariants.
-    pub fn from_artifact_json(json: &str) -> Result<Self, CoreError> {
-        let state: Self = from_json(ArtifactKind::EngineShard, json)?;
-        state.validate()?;
-        Ok(state)
-    }
-
-    /// Writes the artifact to a file.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidInput`] on serialization or I/O errors.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CoreError> {
-        write_artifact(path.as_ref(), &self.to_artifact_json()?)
-    }
-
-    /// Reads an artifact file written by
-    /// [`crate::sharded::EngineShardState::save`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidInput`] on I/O or format errors.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, CoreError> {
-        Self::from_artifact_json(&read_artifact(path.as_ref())?)
-    }
+impl Artifact for EngineShardState {
+    const KIND: ArtifactKind = ArtifactKind::EngineShard;
 }
 
 #[cfg(test)]
@@ -939,12 +698,92 @@ mod tests {
         let _ = std::fs::remove_file(path);
     }
 
+    /// Loads `json` as a `T` artifact and serializes the result again.
+    fn reload<T: Artifact>(json: &str) -> Result<String, CoreError> {
+        T::from_artifact_json(json)?.to_artifact_json()
+    }
+
     #[test]
-    fn kind_mismatch_is_rejected() {
+    fn every_artifact_kind_roundtrips_and_refuses_the_other_six() {
+        type Reload = fn(&str) -> Result<String, CoreError>;
         let tauw = fitted();
-        let json = tauw.to_artifact_json().unwrap();
-        let err = UncertaintyWrapper::from_artifact_json(&json);
-        assert!(matches!(err, Err(CoreError::InvalidInput { .. })));
+        let mut buffer = TimeseriesBuffer::bounded(3);
+        for (outcome, u) in [(0u32, 0.2), (1, 0.9), (0, 0.4), (1, 0.8)] {
+            buffer.push(outcome, u);
+        }
+        let kinds: [(ArtifactKind, String, Reload); 7] = [
+            (
+                UncertaintyWrapper::KIND,
+                tauw.stateless().to_artifact_json().unwrap(),
+                reload::<UncertaintyWrapper>,
+            ),
+            (
+                TimeseriesAwareWrapper::KIND,
+                tauw.to_artifact_json().unwrap(),
+                reload::<TimeseriesAwareWrapper>,
+            ),
+            (
+                TimeseriesBuffer::KIND,
+                buffer.to_artifact_json().unwrap(),
+                reload::<TimeseriesBuffer>,
+            ),
+            (
+                CalibratedForestQim::KIND,
+                fitted_forest()
+                    .taqim()
+                    .as_forest()
+                    .unwrap()
+                    .to_artifact_json()
+                    .unwrap(),
+                reload::<CalibratedForestQim>,
+            ),
+            (
+                ConformalQim::KIND,
+                fitted_conformal()
+                    .taqim()
+                    .as_conformal()
+                    .unwrap()
+                    .to_artifact_json()
+                    .unwrap(),
+                reload::<ConformalQim>,
+            ),
+            (
+                AdaptiveState::KIND,
+                adapted_state().to_artifact_json().unwrap(),
+                reload::<AdaptiveState>,
+            ),
+            (
+                EngineShardState::KIND,
+                sharded_engine_with_traffic()
+                    .snapshot_shard(0)
+                    .unwrap()
+                    .to_artifact_json()
+                    .unwrap(),
+                reload::<EngineShardState>,
+            ),
+        ];
+        // Seven pairwise distinct kinds: every `ArtifactKind` is covered.
+        for (i, (a, ..)) in kinds.iter().enumerate() {
+            for (b, ..) in &kinds[i + 1..] {
+                assert_ne!(a, b);
+            }
+        }
+        for (kind, json, _) in &kinds {
+            for (expected, _, load) in &kinds {
+                let loaded = load(json);
+                if kind == expected {
+                    assert_eq!(&loaded.unwrap(), json, "{kind:?} reloads byte for byte");
+                    continue;
+                }
+                match loaded {
+                    Err(CoreError::InvalidInput { reason }) => assert_eq!(
+                        reason,
+                        format!("artifact kind {kind:?} does not match expected {expected:?}")
+                    ),
+                    other => panic!("{expected:?} loader on a {kind:?} artifact: {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]
@@ -1665,6 +1504,32 @@ mod tests {
 
         // The untampered artifact still loads.
         assert!(EngineShardState::from_artifact_json(&json).is_ok());
+    }
+
+    #[test]
+    fn plain_engine_shard_parse_validates() {
+        let engine = sharded_engine_with_traffic();
+        let state = engine.snapshot_shard(0).unwrap();
+        assert!(state.streams.len() > 1, "shard 0 must carry two streams");
+        let parse = |state: &EngineShardState| {
+            let json = serde_json::to_string_pretty(state).unwrap();
+            serde_json::from_str::<EngineShardState>(&json).map_err(|e| e.to_string())
+        };
+        assert_eq!(parse(&state).unwrap(), state);
+
+        let mut descending = state.clone();
+        descending.streams.reverse();
+        let reason = parse(&descending).unwrap_err();
+        assert!(reason.contains("strictly ascending"), "{reason}");
+
+        for shard in [state.n_shards, state.n_shards + 7] {
+            let out_of_range = EngineShardState {
+                shard,
+                ..state.clone()
+            };
+            let reason = parse(&out_of_range).unwrap_err();
+            assert!(reason.contains("shard index"), "{reason}");
+        }
     }
 
     #[test]

@@ -110,10 +110,18 @@ impl ScopeComplianceModel {
         let mut violations = Vec::new();
         let mut log_similarity = 0.0;
         for (i, (&v, &(lo, hi))) in features.iter().zip(&self.boundaries).enumerate() {
-            if v < lo || v > hi {
+            // A NaN reading lies in no range: it violates the scope at an
+            // infinite distance, like ±inf.
+            if !(lo..=hi).contains(&v) {
                 violations.push(i);
                 let width = (hi - lo).max(1e-12);
-                let dist = if v < lo { lo - v } else { v - hi };
+                let dist = if v < lo {
+                    lo - v
+                } else if v > hi {
+                    v - hi
+                } else {
+                    f64::INFINITY
+                };
                 // Each violated feature multiplies the similarity by
                 // exp(−3·normalized distance): one full range-width outside
                 // drives compliance to ~5%.
@@ -170,6 +178,18 @@ mod tests {
         let far = m.check(&[3.0, 50.0]).unwrap().similarity;
         assert!(far < near);
         assert!(near < 1.0);
+    }
+
+    #[test]
+    fn non_finite_inputs_are_violations_with_zero_similarity() {
+        let m = model();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let v = m.check(&[0.5, bad]).unwrap();
+            assert!(!v.in_scope, "{bad}");
+            assert_eq!(v.violations, vec![1], "{bad}");
+            assert_eq!(v.similarity, 0.0, "{bad}");
+            assert_eq!(v.scope_uncertainty(), 1.0, "{bad}");
+        }
     }
 
     #[test]

@@ -164,15 +164,17 @@ fn splitmix64(seed: u64) -> u64 {
 
 /// A snapshot of one shard's complete per-stream runtime state: the
 /// restartable half of a serving process. Model state (the trained
-/// wrapper) is persisted separately via
-/// [`crate::tauw::TimeseriesAwareWrapper::save`]; stream state is what a
-/// restart would otherwise lose.
+/// wrapper) is persisted separately as its own
+/// [`Artifact`](crate::persist::Artifact); stream state is what a restart
+/// would otherwise lose.
 ///
-/// Produced by [`ShardedEngine::snapshot_shard`], persisted via
-/// [`EngineShardState::save`]/[`EngineShardState::to_artifact_json`]
+/// Produced by [`ShardedEngine::snapshot_shard`], persisted through
+/// [`Artifact::save`](crate::persist::Artifact::save) or
+/// [`Artifact::to_artifact_json`](crate::persist::Artifact::to_artifact_json)
 /// (artifact kind `EngineShard`), and re-installed — under *any* shard
-/// count — via [`ShardedEngine::restore`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// count — via [`ShardedEngine::restore`]. Deserializing validates the
+/// snapshot ([`EngineShardState::validate`]).
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EngineShardState {
     /// Index of the shard this snapshot was taken from.
     pub shard: usize,
@@ -195,8 +197,27 @@ pub struct StreamState {
     pub adaptive: Option<AdaptiveState>,
 }
 
+impl Deserialize for EngineShardState {
+    /// Reads the three serialized fields and checks the shard-level shape;
+    /// every stream's buffer and adaptive state have validated themselves
+    /// while deserializing.
+    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
+        let map = serde::__expect_map(value, "EngineShardState")?;
+        let field = |name| serde::__field(map, name, "EngineShardState");
+        let state = EngineShardState {
+            shard: Deserialize::deserialize(field("shard")?)?,
+            n_shards: Deserialize::deserialize(field("n_shards")?)?,
+            streams: Deserialize::deserialize(field("streams")?)?,
+        };
+        state
+            .validate()
+            .map_err(|e| serde::Error::custom(e.to_string()))?;
+        Ok(state)
+    }
+}
+
 impl EngineShardState {
-    /// Re-establishes the snapshot invariants after deserialization. The
+    /// Checks the snapshot invariants; deserialization runs it. The
     /// component types validate themselves on load (buffers via
     /// `TimeseriesBuffer::from_parts`, adaptive state via
     /// `AdaptiveState::from_parts`); this checks the shard-level shape.

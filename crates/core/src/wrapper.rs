@@ -265,7 +265,7 @@ impl UncertaintyWrapper {
     pub fn explain(&self, quality_factors: &[f64]) -> Result<Explanation, CoreError> {
         let flat = &self.qim.flat()[0];
         let flat_leaf_id = flat.predict_leaf_id(quality_factors)?;
-        let leaf_id = flat.leaf(flat_leaf_id).node_id;
+        let leaf_id = flat.leaf_node(flat_leaf_id);
         let leaf = self
             .qim
             .calibrated_leaf(0, leaf_id)
@@ -410,6 +410,10 @@ mod tests {
         assert!(outside.scope_compliance < 1.0);
         assert!(outside.combined_uncertainty > inside.combined_uncertainty);
         assert!(outside.combined_uncertainty >= outside.quality_uncertainty);
+        // A garbage reading is out of scope entirely: no certainty left.
+        let garbage = w.estimate(&[f64::NAN, 0.2]).unwrap();
+        assert_eq!(garbage.scope_compliance, 0.0);
+        assert_eq!(garbage.combined_uncertainty, 1.0);
     }
 
     #[test]
@@ -420,7 +424,7 @@ mod tests {
         assert_eq!(*ex.path.first().unwrap(), 0, "path starts at the root");
         assert_eq!(*ex.path.last().unwrap(), ex.leaf_id);
         assert_eq!(
-            w.qim().flat()[0].leaf(ex.flat_leaf_id).node_id,
+            w.qim().flat()[0].leaf_node(ex.flat_leaf_id),
             ex.leaf_id,
             "flat leaf id names the same leaf"
         );

@@ -355,7 +355,7 @@ mod tests {
             for tree in forest.trees() {
                 let flat = FlatTree::from_tree(tree);
                 let leaf = flat.predict_leaf_id(&row).unwrap();
-                assert_eq!(flat.leaf(leaf).node_id, tree.leaf_id(&row).unwrap());
+                assert_eq!(flat.leaf_node(leaf), tree.leaf_id(&row).unwrap());
             }
         }
     }

@@ -15,9 +15,9 @@
 //!   classic stopping controls.
 //! * [`tree::DecisionTree`] — the arena-based tree: prediction, decision
 //!   paths, per-node routing counts, collapse/compact editing.
-//! * [`flat::FlatTree`] — the compiled struct-of-arrays serving form:
-//!   branch-light routing to dense, stable leaf IDs, single-sample and
-//!   batched (thread-fanned) prediction, bit-identical to the pointer tree.
+//! * [`flat::FlatTree`] — the compiled struct-of-arrays router:
+//!   branch-light per-sample routing to dense, stable leaf IDs,
+//!   bit-identical to the pointer tree.
 //! * [`forest`] — bootstrap tree ensembles that smooth the hard split
 //!   boundaries of a single tree: deterministic per-tree bootstrap
 //!   multiplicities fanned over the thread budget.
@@ -62,7 +62,7 @@ pub use builder::TreeBuilder;
 pub use criterion::SplitCriterion;
 pub use data::Dataset;
 pub use error::DtreeError;
-pub use flat::{FlatLeaf, FlatTree, LeafId};
+pub use flat::{FlatTree, LeafId};
 pub use forest::{Forest, ForestBuilder};
 pub use splitter::Splitter;
 pub use tree::{DecisionTree, Node, NodeId, NodeInfo, NodeKind};

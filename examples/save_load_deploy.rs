@@ -9,6 +9,7 @@
 //! cargo run --release --example save_load_deploy
 //! ```
 
+use tauw_suite::core::persist::Artifact;
 use tauw_suite::core::tauw::{TauwBuilder, TimeseriesAwareWrapper};
 use tauw_suite::core::training::{TrainingSeries, TrainingStep};
 use tauw_suite::core::wrapper::WrapperBuilder;

@@ -534,32 +534,15 @@ proptest! {
         // pointer tree's reachable leaves.
         prop_assert_eq!(flat.n_leaves(), tree.n_leaves());
         prop_assert_eq!(
-            flat.leaves().iter().map(|l| l.node_id).collect::<Vec<_>>(),
+            flat.leaf_nodes(),
             tree.leaf_ids()
         );
 
-        // Per-query bit-identity: routing, class, probabilities.
-        let query_rows: Vec<Vec<f64>> = queries.iter().map(|(a, b)| vec![*a, *b]).collect();
-        let mut serial = Vec::new();
-        for q in &query_rows {
-            let lid = flat.predict_leaf_id(q).unwrap();
-            serial.push(lid);
-            prop_assert_eq!(flat.leaf(lid).node_id, tree.leaf_id(q).unwrap());
-            prop_assert_eq!(flat.predict(q).unwrap(), tree.predict(q).unwrap());
-            let fp = flat.predict_proba(q).unwrap();
-            let tp = tree.predict_proba(q).unwrap();
-            prop_assert_eq!(fp.len(), tp.len());
-            for (x, y) in fp.iter().zip(&tp) {
-                prop_assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-
-        // Batched fan-out: input order, identical for every thread budget.
-        for threads in [1usize, 2, 8] {
-            prop_assert_eq!(
-                flat.predict_leaf_ids(threads, &query_rows).unwrap(),
-                serial.clone()
-            );
+        // Per-query routing to the pointer tree's leaf.
+        for (a, b) in &queries {
+            let q = [*a, *b];
+            let lid = flat.predict_leaf_id(&q).unwrap();
+            prop_assert_eq!(flat.leaf_node(lid), tree.leaf_id(&q).unwrap());
         }
     }
 
@@ -580,14 +563,13 @@ proptest! {
         k in 1usize..5,
         seed in 0u64..u64::MAX,
     ) {
-        use tauw_suite::dtree::{Dataset, FlatTree, ForestBuilder, LeafId, TreeBuilder};
+        use tauw_suite::dtree::{Dataset, FlatTree, ForestBuilder, TreeBuilder};
         let mut ds = Dataset::new(vec!["a".into(), "b".into()], 3).unwrap();
         for (a, b, label) in &rows {
             ds.push_row(&[*a, *b], *label).unwrap();
         }
-        let flat = FlatTree::from_tree(
-            &TreeBuilder::new().max_depth(depth).fit(&ds).unwrap(),
-        );
+        let tree = TreeBuilder::new().max_depth(depth).fit(&ds).unwrap();
+        let flat = FlatTree::from_tree(&tree);
         let mut builder = ForestBuilder::new(k, seed);
         builder.tree(TreeBuilder::new().max_depth(depth).clone());
         let forest = builder.fit(&ds).unwrap();
@@ -603,31 +585,15 @@ proptest! {
             })
             .collect();
 
-        // Per-sample references: the single-query routines.
-        let tree_serial: Vec<LeafId> = query_rows
-            .iter()
-            .map(|q| flat.predict_leaf_id(q).unwrap())
-            .collect();
-
-        // Every lowered member routes exactly like its pointer member.
+        // The lowered tree and every lowered member of the thread-fanned
+        // forest fit route exactly like their pointer trees.
         prop_assert_eq!(members.len(), k);
         for q in &query_rows {
-            for (member, tree) in members.iter().zip(forest.trees()) {
+            let leaf = flat.predict_leaf_id(q).unwrap();
+            prop_assert_eq!(flat.leaf_node(leaf), tree.leaf_id(q).unwrap());
+            for (member, pointer) in members.iter().zip(forest.trees()) {
                 let leaf = member.predict_leaf_id(q).unwrap();
-                prop_assert_eq!(member.leaf(leaf).node_id, tree.leaf_id(q).unwrap());
-            }
-        }
-
-        // Ragged batches (empty / single row / full) through the threaded
-        // fan-out, identical for every thread budget, appending after a
-        // sentinel that must survive untouched.
-        for threads in [1usize, 2, 8] {
-            for split in [0usize, 1.min(query_rows.len()), query_rows.len()] {
-                let batch = &query_rows[..split];
-                let mut out = vec![LeafId::MAX];
-                flat.predict_leaf_ids_into(threads, batch, &mut out).unwrap();
-                prop_assert_eq!(&out[..1], &[LeafId::MAX][..]);
-                prop_assert_eq!(&out[1..], &tree_serial[..split]);
+                prop_assert_eq!(member.leaf_node(leaf), pointer.leaf_id(q).unwrap());
             }
         }
     }
@@ -673,7 +639,7 @@ proptest! {
             }];
             let leaf = flat.predict_leaf_id(&q).unwrap();
             let bound = qim.leaf_bounds()[0][leaf as usize];
-            let record = qim.calibrated_leaf(0, flat.leaf(leaf).node_id).unwrap();
+            let record = qim.calibrated_leaf(0, flat.leaf_node(leaf)).unwrap();
             let (served, support) = backend.uncertainty_with_support(&q).unwrap();
             prop_assert_eq!(served.to_bits(), bound.to_bits());
             prop_assert_eq!(qim.uncertainty(&q).unwrap().to_bits(), bound.to_bits());
@@ -914,7 +880,7 @@ proptest! {
                 let member = &qim.flat()[t];
                 let leaf = member.predict_leaf_id(&q).unwrap();
                 sum += qim.leaf_bounds()[t][leaf as usize];
-                let node = member.leaf(leaf).node_id;
+                let node = member.leaf_node(leaf);
                 support = support.min(qim.calibrated_leaf(t, node).unwrap().total);
             }
             let (bound, served_support) = backend.uncertainty_with_support(&q).unwrap();
@@ -996,7 +962,7 @@ fn support_reference(backend: &TaQim, q: &[f64]) -> RouteSupport {
             (0..qim.n_trees())
                 .map(|t| {
                     let tree = &qim.flat()[t];
-                    let node = tree.leaf(tree.predict_leaf_id(q).unwrap()).node_id;
+                    let node = tree.leaf_node(tree.predict_leaf_id(q).unwrap());
                     qim.calibrated_leaf(t, node).unwrap().total
                 })
                 .min()
@@ -1287,6 +1253,7 @@ proptest! {
 use std::sync::OnceLock;
 use tauw_suite::core::adaptive::{AdaptiveConfig, AdaptiveState};
 use tauw_suite::core::engine::{AdaptiveStreamStep, StreamId};
+use tauw_suite::core::persist::Artifact;
 use tauw_suite::core::sharded::{EngineShardState, ShardedEngine};
 use tauw_suite::core::tauw::{TauwStep, TimeseriesAwareWrapper};
 use tauw_suite::core::wrapper::UncertaintyWrapper;
