@@ -147,7 +147,10 @@ impl ForestBuilder {
         let members: Vec<Vec<Result<DecisionTree, DtreeError>>> =
             parallel::par_map(threads, &runs, |seeds| {
                 let mut weights = vec![0u32; data.n_samples()];
-                let mut member_orders = Vec::new();
+                // Sized once for the largest possible resample: grown by
+                // doubling instead, every reallocation would copy it and
+                // leave its old block behind as a hole in the heap.
+                let mut member_orders = Vec::with_capacity(orders.len());
                 seeds
                     .iter()
                     .map(|&seed| {
