@@ -144,9 +144,8 @@ fn from_json<T: DeserializeOwned>(kind: ArtifactKind, json: &str) -> Result<T, C
 /// invariant the type keeps (a hand-edited leaf bound, a feature-name list
 /// that disagrees with the QIM, a buffer over its capacity, a shard
 /// snapshot whose streams are not ascending) and derives any serving form.
-/// A crafted artifact therefore loads as an error or as a valid model,
-/// never as a model that serves something it would not have served when
-/// saved.
+/// A crafted artifact therefore loads as an error or as a value that
+/// holds every invariant its type keeps.
 ///
 /// # Examples
 ///
@@ -1283,7 +1282,7 @@ mod tests {
         assert!(matches!(err, Err(CoreError::InvalidInput { .. })));
     }
 
-    use crate::adaptive::{AdaptiveConfig, AdaptiveState, DriftSignal};
+    use crate::adaptive::{AdaptiveConfig, DriftSignal};
 
     fn adapted_state() -> AdaptiveState {
         let mut state = AdaptiveState::new(AdaptiveConfig {
@@ -1387,7 +1386,7 @@ mod tests {
     }
 
     use crate::engine::StreamId;
-    use crate::sharded::{EngineShardState, ShardedEngine};
+    use crate::sharded::ShardedEngine;
 
     fn sharded_engine_with_traffic() -> ShardedEngine {
         let tauw = fitted();
