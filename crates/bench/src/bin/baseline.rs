@@ -29,7 +29,7 @@ use tauw_core::buffer::TimeseriesBuffer;
 use tauw_core::engine::TauwEngine;
 use tauw_core::taqf::TaqfVector;
 use tauw_core::tauw::replay_with_threads;
-use tauw_dtree::{Dataset, FlatTree, Splitter, TreeBuilder};
+use tauw_dtree::{Dataset, FlatTree, TreeBuilder};
 use tauw_experiments::ExperimentContext;
 use tauw_stats::bootstrap::SplitMix64;
 
@@ -132,39 +132,28 @@ fn bench_dtree(opts: &Options) {
     let ds = make_dataset(rows, 10);
     let mut results = Vec::new();
     let parallel_label = format!("parallel({})", opts.threads);
-    for (name, splitter) in [
-        ("fit_exact_depth8", Splitter::Exact),
-        ("fit_histogram64_depth8", Splitter::Histogram { bins: 64 }),
-    ] {
-        let fit = |threads: usize| {
-            TreeBuilder::new()
-                .splitter(splitter)
-                .max_depth(8)
-                .threads(threads)
-                .fit(&ds)
-                .expect("fit")
-        };
-        let (serial_s, serial_tree) = time_best(opts.repetitions, || fit(1));
-        let (parallel_s, parallel_tree) = time_best(opts.repetitions, || fit(opts.threads));
-        let identical = serde_json::to_string(&serial_tree).expect("tree serializes")
-            == serde_json::to_string(&parallel_tree).expect("tree serializes");
-        results.push(Comparison::new(
-            name,
-            rows as u64,
-            ("serial", serial_s),
-            (&parallel_label, parallel_s),
-            identical,
-        ));
-        results.last().expect("just pushed").print();
-    }
+    let fit = |threads: usize| {
+        TreeBuilder::new()
+            .max_depth(8)
+            .threads(threads)
+            .fit(&ds)
+            .expect("fit")
+    };
+    let (serial_s, tree) = time_best(opts.repetitions, || fit(1));
+    let (parallel_s, parallel_tree) = time_best(opts.repetitions, || fit(opts.threads));
+    let identical = serde_json::to_string(&tree).expect("tree serializes")
+        == serde_json::to_string(&parallel_tree).expect("tree serializes");
+    results.push(Comparison::new(
+        "fit_exact_depth8",
+        rows as u64,
+        ("serial", serial_s),
+        (&parallel_label, parallel_s),
+        identical,
+    ));
+    results.last().expect("just pushed").print();
 
     // Routing: the pointer arena tree vs the flattened SoA serving form,
     // one query at a time (the wrapper's per-step shape).
-    let tree = TreeBuilder::new()
-        .splitter(Splitter::Exact)
-        .max_depth(8)
-        .fit(&ds)
-        .expect("fit");
     let flat = FlatTree::from_tree(&tree);
     let queries = make_queries(rows, 10);
     let (pointer_s, pointer_leaves) = time_best(opts.repetitions, || {

@@ -21,7 +21,7 @@ use crate::taqf::{TaqfKind, TaqfSet, TaqfVector};
 use crate::training::{flatten_stateless, validate_series, TrainingSeries};
 use crate::wrapper::{UncertaintyWrapper, WrapperBuilder};
 use serde::{Deserialize, Serialize};
-use tauw_dtree::{Dataset, Forest, ForestBuilder, TreeBuilder};
+use tauw_dtree::{Dataset, Forest, ForestBuilder};
 
 /// Output of one taUW timestep.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -102,7 +102,7 @@ impl TauwBuilder {
         Self::default()
     }
 
-    /// Configures the underlying stateless wrapper (tree depth, criterion,
+    /// Configures the underlying stateless wrapper (tree depth and
     /// calibration options — shared by the taQIM).
     pub fn wrapper(&mut self, builder: WrapperBuilder) -> &mut Self {
         self.stateless = builder;
@@ -202,22 +202,23 @@ impl TauwBuilder {
         // 1. Stateless wrapper.
         let stateless_train = flatten_stateless(train);
         let stateless_calib = flatten_stateless(calib);
-        let stateless =
-            self.stateless
-                .fit(feature_names.clone(), &stateless_train, &stateless_calib)?;
+        let stateless = self
+            .stateless
+            .fit(feature_names, &stateless_train, &stateless_calib)?;
 
         // 2. Replay series to build the timeseries-aware rows.
         let train_rows = replay(&stateless, train)?;
         let calib_rows = replay(&stateless, calib)?;
 
         // 3./4. Fit + calibrate the taQIM.
-        self.fit_reusing_stateless(stateless, &feature_names, &train_rows, &calib_rows)
+        self.fit_reusing_stateless(stateless, &train_rows, &calib_rows)
     }
 
     /// Fits only the timeseries-aware part on top of an already trained
     /// stateless wrapper, consuming pre-computed [`replay`] rows. This is
     /// the fast path for the RQ3 subset sweep, where 16 taQIM variants
-    /// share one stateless wrapper and one replay pass.
+    /// share one stateless wrapper and one replay pass. The taQIM's
+    /// leading feature names are the stateless wrapper's own.
     ///
     /// # Errors
     ///
@@ -226,7 +227,6 @@ impl TauwBuilder {
     pub fn fit_reusing_stateless(
         &self,
         stateless: UncertaintyWrapper,
-        feature_names: &[String],
         train_replay: &[ReplayRow],
         calib_replay: &[ReplayRow],
     ) -> Result<TimeseriesAwareWrapper, CoreError> {
@@ -242,8 +242,8 @@ impl TauwBuilder {
         let options = self.calibration_options();
         let taqim = match self.backend {
             BackendSpec::Tree | BackendSpec::Forest { .. } => {
-                let ds = self.ta_dataset(feature_names, train_replay)?;
-                let tree_builder = clone_tree_builder(&self.stateless);
+                let ds = self.ta_dataset(stateless.feature_names(), train_replay)?;
+                let tree_builder = self.stateless.tree_builder();
                 let forest = match self.backend {
                     BackendSpec::Forest { n_trees, seed } => ForestBuilder::new(n_trees, seed)
                         .tree(tree_builder)
@@ -408,17 +408,6 @@ fn ta_feature_names(stateless: &[String], set: TaqfSet) -> Vec<String> {
         .cloned()
         .chain(set.kinds().into_iter().map(|k| k.name().to_string()))
         .collect()
-}
-
-/// Rebuilds a `TreeBuilder` with the wrapper builder's tree
-/// hyper-parameters.
-fn clone_tree_builder(wb: &WrapperBuilder) -> TreeBuilder {
-    let mut tb = TreeBuilder::new();
-    tb.criterion(wb.criterion_value())
-        .splitter(wb.splitter_value())
-        .max_depth(wb.max_depth_value())
-        .min_samples_leaf(wb.min_samples_leaf_value());
-    tb
 }
 
 /// A trained timeseries-aware uncertainty wrapper. Every wrapper is
@@ -964,6 +953,40 @@ mod tests {
         b.taqf_set(TaqfSet::EMPTY);
         let w = b.fit(vec!["q".into()], &train, &calib).unwrap();
         assert_eq!(w.taqim().n_features(), 1);
+    }
+
+    #[test]
+    fn reused_stateless_names_lead_every_taqim_member() {
+        let train = make_series(300, 9, 10);
+        let calib = make_series(300, 10, 10);
+        let mut b = small_builder();
+        b.backend(BackendSpec::Forest {
+            n_trees: 3,
+            seed: 5,
+        });
+        let stateless = b
+            .stateless
+            .fit(
+                vec!["quality".into()],
+                &flatten_stateless(&train),
+                &flatten_stateless(&calib),
+            )
+            .unwrap();
+        let train_replay = replay(&stateless, &train).unwrap();
+        let calib_replay = replay(&stateless, &calib).unwrap();
+        let w = b
+            .fit_reusing_stateless(stateless, &train_replay, &calib_replay)
+            .unwrap();
+        let TaQim::Forest(forest) = w.taqim() else {
+            panic!("a forest backend fits a forest taQIM");
+        };
+        let stateless_names = w.stateless().feature_names();
+        assert_eq!(stateless_names, ["quality"]);
+        for tree in forest.trees() {
+            let names = tree.feature_names();
+            assert_eq!(&names[..stateless_names.len()], stateless_names);
+            assert_eq!(names.len(), stateless_names.len() + w.taqf_set().len());
+        }
     }
 
     #[test]

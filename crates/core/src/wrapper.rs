@@ -10,7 +10,7 @@ use crate::calibration::{CalibratedForestQim, CalibrationOptions};
 use crate::error::CoreError;
 use crate::scope::{ScopeComplianceModel, ScopeVerdict};
 use serde::{Deserialize, Serialize};
-use tauw_dtree::{Dataset, Forest, LeafId, NodeId, SplitCriterion, Splitter, TreeBuilder};
+use tauw_dtree::{Dataset, Forest, LeafId, NodeId, TreeBuilder};
 
 /// A complete uncertainty estimate for one input.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -46,13 +46,11 @@ pub struct Explanation {
 
 /// Builder for [`UncertaintyWrapper`] (paper defaults: gini CART of depth
 /// 8, leaves ≥ 200 calibration samples, 0.999-confidence Clopper–Pearson
-/// bounds).
+/// bounds). The tree is always the paper's gini CART with exact split
+/// search; only its depth is set here.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WrapperBuilder {
     max_depth: usize,
-    criterion: SplitCriterion,
-    splitter: Splitter,
-    min_samples_leaf: usize,
     calibration: CalibrationOptions,
     scope_padding: Option<f64>,
 }
@@ -61,9 +59,6 @@ impl Default for WrapperBuilder {
     fn default() -> Self {
         WrapperBuilder {
             max_depth: 8,
-            criterion: SplitCriterion::Gini,
-            splitter: Splitter::Exact,
-            min_samples_leaf: 1,
             calibration: CalibrationOptions::default(),
             scope_padding: None,
         }
@@ -79,24 +74,6 @@ impl WrapperBuilder {
     /// Maximum QIM tree depth (paper: 8).
     pub fn max_depth(&mut self, depth: usize) -> &mut Self {
         self.max_depth = depth;
-        self
-    }
-
-    /// Split criterion (paper: gini).
-    pub fn criterion(&mut self, criterion: SplitCriterion) -> &mut Self {
-        self.criterion = criterion;
-        self
-    }
-
-    /// Split search strategy (exact by default; histogram for speed).
-    pub fn splitter(&mut self, splitter: Splitter) -> &mut Self {
-        self.splitter = splitter;
-        self
-    }
-
-    /// Minimum training samples per leaf during tree growth.
-    pub fn min_samples_leaf(&mut self, n: usize) -> &mut Self {
-        self.min_samples_leaf = n;
         self
     }
 
@@ -119,24 +96,12 @@ impl WrapperBuilder {
         self.calibration
     }
 
-    /// The configured split criterion.
-    pub fn criterion_value(&self) -> SplitCriterion {
-        self.criterion
-    }
-
-    /// The configured splitter.
-    pub fn splitter_value(&self) -> Splitter {
-        self.splitter
-    }
-
-    /// The configured maximum tree depth.
-    pub fn max_depth_value(&self) -> usize {
-        self.max_depth
-    }
-
-    /// The configured minimum training samples per leaf.
-    pub fn min_samples_leaf_value(&self) -> usize {
-        self.min_samples_leaf
+    /// The tree builder for the stateless QIM and, through
+    /// [`crate::tauw::TauwBuilder`], for every tree-shaped taQIM.
+    pub(crate) fn tree_builder(&self) -> TreeBuilder {
+        let mut builder = TreeBuilder::new();
+        builder.max_depth(self.max_depth);
+        builder
     }
 
     /// Trains and calibrates a stateless uncertainty wrapper.
@@ -165,12 +130,7 @@ impl WrapperBuilder {
         for (features, failed) in train {
             ds.push_row(features, u32::from(*failed))?;
         }
-        let tree = TreeBuilder::new()
-            .criterion(self.criterion)
-            .splitter(self.splitter)
-            .max_depth(self.max_depth)
-            .min_samples_leaf(self.min_samples_leaf)
-            .fit(&ds)?;
+        let tree = self.tree_builder().fit(&ds)?;
         let qim = CalibratedForestQim::calibrate(
             Forest::from_trees(vec![tree])?,
             calib,

@@ -1,10 +1,12 @@
-//! CART tree construction with the classic stopping controls
-//! (`max_depth`, `min_samples_split`, `min_samples_leaf`,
-//! `min_impurity_decrease`).
+//! CART tree construction: gini impurity, exact split search, and two
+//! stopping controls (`max_depth`, `min_samples_leaf`).
 //!
-//! The paper trains its quality impact models "up to a maximum depth of 8
-//! without pruning during this phase" — pruning happens later against the
-//! calibration set (see [`crate::prune`]).
+//! The paper trains its quality impact models with the gini index "up to a
+//! maximum depth of 8 without pruning during this phase" (Section IV-C.2) —
+//! pruning happens later against the calibration set (see
+//! [`crate::prune`]). A node stays a leaf when it is pure, at the depth
+//! limit, or when no split leaves `min_samples_leaf` samples on each side
+//! with a positive gain.
 //!
 //! # Presorted construction
 //!
@@ -19,12 +21,11 @@
 //! ([`crate::splitter`]). Each row's side (`x[feature] <= threshold`) is
 //! then flagged, and every segment is stably partitioned by the flags into
 //! left rows then right rows. Both halves keep their order, so they are the
-//! children's segments as they stand. The histogram splitter needs no
-//! order and keeps a single unsorted segment instead.
+//! children's segments as they stand.
 //!
 //! Rows may carry integer weights (a row of weight `w` stands for `w`
 //! identical samples; [`crate::forest`] passes bootstrap draw counts).
-//! Node counts, `min_samples_*` and the split search all count weighted
+//! Node counts, `min_samples_leaf` and the split search all count weighted
 //! samples, so a weighted fit equals the fit on the materialized
 //! duplicates. Together with the tie argument in [`crate::splitter`], the
 //! tree is `==` to the one a per-node sort of the samples builds: same
@@ -38,15 +39,16 @@
 //! the serial recursion would have produced, and every floating-point
 //! reduction keeps its serial order.
 
-use crate::criterion::SplitCriterion;
+use crate::criterion::gini_impurity;
 use crate::data::Dataset;
 use crate::error::DtreeError;
-use crate::splitter::{best_split, row_orders, Splitter, PARALLEL_SPLIT_MIN_WORK};
+use crate::splitter::{best_split, row_orders, PARALLEL_SPLIT_MIN_WORK};
 use crate::tree::{DecisionTree, Node, NodeInfo, NodeKind};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Sibling subtrees build concurrently only when **both** children hold at
-/// least this many samples; below it, thread-spawn overhead dominates.
+/// least this many samples; below it, handing a subtree to a pool worker
+/// costs more than building it on the current lane.
 const PARALLEL_FIT_MIN_SAMPLES: usize = 1024;
 
 /// Non-consuming builder for [`DecisionTree`]s.
@@ -67,46 +69,26 @@ const PARALLEL_FIT_MIN_SAMPLES: usize = 1024;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct TreeBuilder {
-    criterion: SplitCriterion,
-    splitter: Splitter,
     max_depth: Option<usize>,
-    min_samples_split: usize,
     min_samples_leaf: usize,
-    min_impurity_decrease: f64,
     n_threads: Option<usize>,
 }
 
 impl Default for TreeBuilder {
     fn default() -> Self {
         TreeBuilder {
-            criterion: SplitCriterion::Gini,
-            splitter: Splitter::Exact,
             max_depth: None,
-            min_samples_split: 2,
             min_samples_leaf: 1,
-            min_impurity_decrease: 0.0,
             n_threads: None,
         }
     }
 }
 
 impl TreeBuilder {
-    /// Creates a builder with CART defaults (gini, exact splitter,
-    /// unlimited depth).
+    /// Creates a builder with CART defaults (unlimited depth, one sample
+    /// per leaf, the process-wide thread budget).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Sets the impurity criterion.
-    pub fn criterion(&mut self, criterion: SplitCriterion) -> &mut Self {
-        self.criterion = criterion;
-        self
-    }
-
-    /// Sets the split search strategy.
-    pub fn splitter(&mut self, splitter: Splitter) -> &mut Self {
-        self.splitter = splitter;
-        self
     }
 
     /// Limits tree depth (root = depth 0). The paper uses 8.
@@ -115,27 +97,9 @@ impl TreeBuilder {
         self
     }
 
-    /// Removes any depth limit.
-    pub fn unlimited_depth(&mut self) -> &mut Self {
-        self.max_depth = None;
-        self
-    }
-
-    /// Minimum samples required to attempt a split (default 2).
-    pub fn min_samples_split(&mut self, n: usize) -> &mut Self {
-        self.min_samples_split = n.max(2);
-        self
-    }
-
     /// Minimum samples that must land in each child (default 1).
     pub fn min_samples_leaf(&mut self, n: usize) -> &mut Self {
         self.min_samples_leaf = n.max(1);
-        self
-    }
-
-    /// Minimum impurity decrease for a split to be accepted (default 0).
-    pub fn min_impurity_decrease(&mut self, d: f64) -> &mut Self {
-        self.min_impurity_decrease = d.max(0.0);
         self
     }
 
@@ -147,12 +111,6 @@ impl TreeBuilder {
         self
     }
 
-    /// Restores the default (process-wide) thread budget.
-    pub fn auto_threads(&mut self) -> &mut Self {
-        self.n_threads = None;
-        self
-    }
-
     /// Trains a tree on the dataset.
     ///
     /// # Errors
@@ -161,19 +119,13 @@ impl TreeBuilder {
     /// [`DtreeError::InvalidHyperParameter`] if it has more than
     /// `u32::MAX`.
     pub fn fit(&self, data: &Dataset) -> Result<DecisionTree, DtreeError> {
-        let mut orders = self.row_orders(data)?;
+        let mut orders = row_orders(data)?;
         self.fit_weighted(data, &mut orders, &vec![1; data.n_samples()])
     }
 
-    /// The row orders a fit with this builder's splitter starts from
-    /// (presorted per feature for the exact splitter).
-    pub(crate) fn row_orders(&self, data: &Dataset) -> Result<Vec<u32>, DtreeError> {
-        row_orders(data, self.splitter)
-    }
-
     /// Trains on per-row integer `weights` (a row of weight `w` counts as
-    /// `w` identical samples). `orders` are [`TreeBuilder::row_orders`]
-    /// with the rows of weight 0 removed from every block; they become the
+    /// `w` identical samples). `orders` are the presorted row orders of
+    /// [`row_orders`] with the rows of weight 0 removed from every block; they become the
     /// root's segments and are left permuted.
     pub(crate) fn fit_weighted(
         &self,
@@ -207,8 +159,7 @@ impl TreeBuilder {
     /// Recursively builds the subtree over the node's rows into `nodes`
     /// (pre-order: parent, left block, right block); returns the node id.
     ///
-    /// Each of `segments` holds the node's rows (for the exact splitter,
-    /// `segments[f]` sorted by feature `f`). After the split search, every
+    /// `segments[f]` holds the node's rows sorted by feature `f`. After the split search, every
     /// segment is stably partitioned into the rows going left followed by
     /// the rows going right; both halves keep their order, so they are the
     /// children's segments as they stand.
@@ -231,7 +182,7 @@ impl TreeBuilder {
             counts[data.label(row as usize) as usize] += u64::from(weights[row as usize]);
         }
         let n: u64 = counts.iter().sum();
-        let impurity = self.criterion.impurity(&counts);
+        let impurity = gini_impurity(&counts);
         let id = nodes.len();
         nodes.push(Node {
             info: NodeInfo {
@@ -244,21 +195,18 @@ impl TreeBuilder {
         });
 
         let depth_ok = self.max_depth.is_none_or(|d| depth < d);
-        if !depth_ok || n < self.min_samples_split as u64 || impurity <= 0.0 {
+        if !depth_ok || impurity <= 0.0 {
             return id;
         }
-        let split = match best_split(
+        let Some(split) = best_split(
             data,
             weights,
             &segments,
             &counts,
-            self.criterion,
-            self.splitter,
             self.min_samples_leaf,
             threads,
-        ) {
-            Some(s) if s.gain >= self.min_impurity_decrease => s,
-            _ => return id,
+        ) else {
+            return id;
         };
 
         // Flag each row's side, then stably partition every segment by the
@@ -340,9 +288,10 @@ struct FitContext<'a> {
     weights: &'a [u32],
     /// Side of each row at the node being partitioned (`true` = left),
     /// indexed by row. A node writes its rows' flags before it partitions
-    /// (the partition workers' spawn orders those writes before their
-    /// reads), and concurrently built subtrees own disjoint rows, so the
-    /// flags publish nothing else and `Relaxed` suffices.
+    /// (posting the partition to a pool worker goes through the worker's
+    /// task mutex, which orders those writes before the worker's reads),
+    /// and concurrently built subtrees own disjoint rows, so the flags
+    /// publish nothing else and `Relaxed` suffices.
     goes_left: Vec<AtomicBool>,
 }
 
@@ -402,7 +351,7 @@ mod tests {
             for &i in idx.iter() {
                 counts[data.label(i) as usize] += 1;
             }
-            let impurity = b.criterion.impurity(&counts);
+            let impurity = gini_impurity(&counts);
             let id = nodes.len();
             nodes.push(Node {
                 info: NodeInfo {
@@ -414,19 +363,11 @@ mod tests {
                 kind: NodeKind::Leaf,
             });
             let depth_ok = b.max_depth.is_none_or(|d| depth < d);
-            if !depth_ok || idx.len() < b.min_samples_split || impurity <= 0.0 {
+            if !depth_ok || impurity <= 0.0 {
                 return id;
             }
-            let split = match find_best_split(
-                data,
-                idx,
-                &counts,
-                b.criterion,
-                b.splitter,
-                b.min_samples_leaf,
-            ) {
-                Some(s) if s.gain >= b.min_impurity_decrease => s,
-                _ => return id,
+            let Some(split) = find_best_split(data, idx, &counts, b.min_samples_leaf) else {
+                return id;
             };
             let (mut lo, mut hi) = (0, idx.len());
             while lo < hi {
@@ -491,25 +432,16 @@ mod tests {
         #[test]
         fn presorted_fit_is_bit_identical_to_per_node_sort_reference(
             rows in prop::collection::vec((0usize..6, 0usize..6, 0.0f64..1.0, 0u32..5), 1..300),
-            shape in (1usize..12, prop::bool::ANY, prop::bool::ANY, 0usize..9),
+            shape in (1usize..12, prop::bool::ANY, 0usize..9),
             min_samples_leaf in 1usize..6,
-            min_impurity_decrease in 0.0f64..0.04,
-            splitter_bins in 0usize..24,
         ) {
-            let (copies, entropy, five_classes, depth) = shape;
+            let (copies, five_classes, depth) = shape;
             let n_classes = if five_classes { 5 } else { 2 };
             let ds = tied_dataset(&rows, copies, n_classes);
             let mut b = TreeBuilder::new();
-            b.criterion(if entropy { SplitCriterion::Entropy } else { SplitCriterion::Gini })
-                .min_samples_leaf(min_samples_leaf);
-            if splitter_bins >= 16 {
-                b.splitter(Splitter::Histogram { bins: splitter_bins - 14 });
-            }
+            b.min_samples_leaf(min_samples_leaf);
             if depth > 0 {
                 b.max_depth(depth);
-            }
-            if copies % 2 == 0 {
-                b.min_impurity_decrease(min_impurity_decrease);
             }
             let reference = reference_fit(&b, &ds);
             for threads in [1usize, 2, 8] {
@@ -537,10 +469,10 @@ mod tests {
                 (a, b, c, label)
             })
             .collect();
-        for (criterion, n_classes) in [(SplitCriterion::Gini, 2), (SplitCriterion::Entropy, 5)] {
+        for n_classes in [2, 5] {
             let ds = tied_dataset(&rows, 2, n_classes);
             let mut b = TreeBuilder::new();
-            b.criterion(criterion).min_samples_leaf(3);
+            b.min_samples_leaf(3);
             let reference = reference_fit(&b, &ds);
             assert!(reference.n_nodes() > 15, "tree must actually grow");
             for threads in [1usize, 2, 8] {
@@ -614,17 +546,6 @@ mod tests {
     }
 
     #[test]
-    fn min_samples_split_prevents_tiny_splits() {
-        let ds = xor_like_dataset();
-        let tree = TreeBuilder::new().min_samples_split(101).fit(&ds).unwrap();
-        assert_eq!(
-            tree.n_leaves(),
-            1,
-            "root has 100 samples < 101, must stay a leaf"
-        );
-    }
-
-    #[test]
     fn pure_dataset_yields_stump() {
         let mut ds = Dataset::new(vec!["x".into()], 2).unwrap();
         for i in 0..50 {
@@ -639,38 +560,6 @@ mod tests {
     fn empty_dataset_is_rejected() {
         let ds = Dataset::new(vec!["x".into()], 2).unwrap();
         assert_eq!(TreeBuilder::new().fit(&ds), Err(DtreeError::EmptyDataset));
-    }
-
-    #[test]
-    fn histogram_splitter_reaches_high_accuracy() {
-        let ds = xor_like_dataset();
-        let tree = TreeBuilder::new()
-            .splitter(Splitter::Histogram { bins: 32 })
-            .max_depth(4)
-            .fit(&ds)
-            .unwrap();
-        let mut correct = 0;
-        for i in 0..ds.n_samples() {
-            if tree.predict(ds.row(i)).unwrap() == ds.label(i) {
-                correct += 1;
-            }
-        }
-        assert!(
-            correct >= 95,
-            "histogram splitter should be near-exact here, got {correct}/100"
-        );
-    }
-
-    #[test]
-    fn min_impurity_decrease_stops_marginal_splits() {
-        let ds = xor_like_dataset();
-        let full = TreeBuilder::new().max_depth(6).fit(&ds).unwrap();
-        let constrained = TreeBuilder::new()
-            .max_depth(6)
-            .min_impurity_decrease(0.2)
-            .fit(&ds)
-            .unwrap();
-        assert!(constrained.n_leaves() <= full.n_leaves());
     }
 
     #[test]

@@ -1,86 +1,47 @@
-//! Split-quality criteria for CART training.
+//! Gini impurity, the split-quality criterion of CART training.
 //!
 //! The paper's quality impact models are trained with the **gini index as an
-//! approximation for entropy** (Section IV-C.2); both are provided.
+//! approximation for entropy** (Section IV-C.2), so gini is the only
+//! criterion the learner evaluates.
 
-use serde::{Deserialize, Serialize};
-
-/// Impurity criterion used when searching for the best split.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-pub enum SplitCriterion {
-    /// Gini impurity `1 − Σ p_c²` (the paper's choice).
-    #[default]
-    Gini,
-    /// Shannon entropy `−Σ p_c log₂ p_c`.
-    Entropy,
+/// Gini impurity `1 − Σ p_c²` of a node given per-class counts.
+///
+/// Returns 0 for an empty node.
+///
+/// # Examples
+///
+/// ```
+/// use tauw_dtree::criterion::gini_impurity;
+///
+/// // A 50/50 binary node has maximal gini impurity 0.5.
+/// let g = gini_impurity(&[10, 10]);
+/// assert!((g - 0.5).abs() < 1e-12);
+/// ```
+pub fn gini_impurity(counts: &[u64]) -> f64 {
+    let n: u64 = counts.iter().sum();
+    if n == 0 {
+        return 0.0;
+    }
+    let n = n as f64;
+    let sum_sq: f64 = counts
+        .iter()
+        .map(|&c| {
+            let p = c as f64 / n;
+            p * p
+        })
+        .sum();
+    1.0 - sum_sq
 }
 
-impl SplitCriterion {
-    /// Impurity of a node given per-class counts.
-    ///
-    /// Returns 0 for an empty node.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use tauw_dtree::criterion::SplitCriterion;
-    ///
-    /// // A 50/50 binary node has maximal gini impurity 0.5.
-    /// let g = SplitCriterion::Gini.impurity(&[10, 10]);
-    /// assert!((g - 0.5).abs() < 1e-12);
-    /// ```
-    pub fn impurity(self, counts: &[u64]) -> f64 {
-        let n: u64 = counts.iter().sum();
-        if n == 0 {
-            return 0.0;
-        }
-        let n = n as f64;
-        match self {
-            SplitCriterion::Gini => {
-                let sum_sq: f64 = counts
-                    .iter()
-                    .map(|&c| {
-                        let p = c as f64 / n;
-                        p * p
-                    })
-                    .sum();
-                1.0 - sum_sq
-            }
-            SplitCriterion::Entropy => counts
-                .iter()
-                .filter(|&&c| c > 0)
-                .map(|&c| {
-                    let p = c as f64 / n;
-                    -p * p.log2()
-                })
-                .sum(),
-        }
+/// Weighted gini impurity of a candidate split: `(n_l·i_l + n_r·i_r) / n`.
+pub fn gini_split_impurity(left: &[u64], right: &[u64]) -> f64 {
+    let nl: u64 = left.iter().sum();
+    let nr: u64 = right.iter().sum();
+    let n = nl + nr;
+    if n == 0 {
+        return 0.0;
     }
-
-    /// Weighted impurity of a candidate split: `(n_l·i_l + n_r·i_r) / n`.
-    pub fn split_impurity(self, left: &[u64], right: &[u64]) -> f64 {
-        let nl: u64 = left.iter().sum();
-        let nr: u64 = right.iter().sum();
-        let n = nl + nr;
-        if n == 0 {
-            return 0.0;
-        }
-        (nl as f64 * self.impurity(left) + nr as f64 * self.impurity(right)) / n as f64
-    }
-
-    /// Short stable name (`"gini"` / `"entropy"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            SplitCriterion::Gini => "gini",
-            SplitCriterion::Entropy => "entropy",
-        }
-    }
-}
-
-impl std::fmt::Display for SplitCriterion {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
+    (nl as f64 * gini_impurity(left) + nr as f64 * gini_impurity(right)) / n as f64
 }
 
 #[cfg(test)]
@@ -89,66 +50,47 @@ mod tests {
 
     #[test]
     fn pure_nodes_have_zero_impurity() {
-        for crit in [SplitCriterion::Gini, SplitCriterion::Entropy] {
-            assert_eq!(crit.impurity(&[10, 0]), 0.0);
-            assert_eq!(crit.impurity(&[0, 7]), 0.0);
-            assert_eq!(crit.impurity(&[0, 0, 42]), 0.0);
-        }
+        assert_eq!(gini_impurity(&[10, 0]), 0.0);
+        assert_eq!(gini_impurity(&[0, 7]), 0.0);
+        assert_eq!(gini_impurity(&[0, 0, 42]), 0.0);
     }
 
     #[test]
     fn empty_node_is_zero() {
-        assert_eq!(SplitCriterion::Gini.impurity(&[0, 0]), 0.0);
-        assert_eq!(SplitCriterion::Entropy.impurity(&[]), 0.0);
+        assert_eq!(gini_impurity(&[0, 0]), 0.0);
+        assert_eq!(gini_impurity(&[]), 0.0);
     }
 
     #[test]
     fn gini_maximum_for_uniform() {
         // Binary uniform: 0.5; 4-class uniform: 0.75.
-        assert!((SplitCriterion::Gini.impurity(&[5, 5]) - 0.5).abs() < 1e-12);
-        assert!((SplitCriterion::Gini.impurity(&[3, 3, 3, 3]) - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn entropy_maximum_for_uniform() {
-        assert!((SplitCriterion::Entropy.impurity(&[5, 5]) - 1.0).abs() < 1e-12);
-        assert!((SplitCriterion::Entropy.impurity(&[2, 2, 2, 2]) - 2.0).abs() < 1e-12);
+        assert!((gini_impurity(&[5, 5]) - 0.5).abs() < 1e-12);
+        assert!((gini_impurity(&[3, 3, 3, 3]) - 0.75).abs() < 1e-12);
     }
 
     #[test]
     fn impurity_is_scale_invariant() {
-        for crit in [SplitCriterion::Gini, SplitCriterion::Entropy] {
-            let a = crit.impurity(&[3, 7]);
-            let b = crit.impurity(&[30, 70]);
-            assert!((a - b).abs() < 1e-12);
-        }
+        let a = gini_impurity(&[3, 7]);
+        let b = gini_impurity(&[30, 70]);
+        assert!((a - b).abs() < 1e-12);
     }
 
     #[test]
     fn perfect_split_has_zero_weighted_impurity() {
-        let crit = SplitCriterion::Gini;
-        assert_eq!(crit.split_impurity(&[10, 0], &[0, 10]), 0.0);
+        assert_eq!(gini_split_impurity(&[10, 0], &[0, 10]), 0.0);
     }
 
     #[test]
     fn useless_split_preserves_impurity() {
-        let crit = SplitCriterion::Gini;
-        let parent = crit.impurity(&[10, 10]);
-        let split = crit.split_impurity(&[5, 5], &[5, 5]);
+        let parent = gini_impurity(&[10, 10]);
+        let split = gini_split_impurity(&[5, 5], &[5, 5]);
         assert!((parent - split).abs() < 1e-12);
     }
 
     #[test]
     fn split_impurity_weighted_correctly() {
-        let crit = SplitCriterion::Gini;
         // Left: pure (4 samples), right: 50/50 (16 samples).
-        let v = crit.split_impurity(&[4, 0], &[8, 8]);
+        let v = gini_split_impurity(&[4, 0], &[8, 8]);
         assert!((v - 16.0 / 20.0 * 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn names_stable() {
-        assert_eq!(SplitCriterion::Gini.to_string(), "gini");
-        assert_eq!(SplitCriterion::default(), SplitCriterion::Gini);
     }
 }

@@ -33,6 +33,7 @@
 use crate::builder::TreeBuilder;
 use crate::data::Dataset;
 use crate::error::DtreeError;
+use crate::splitter::row_orders;
 use crate::tree::DecisionTree;
 
 /// Minimal SplitMix64 PRNG (Steele et al. 2014), duplicated from
@@ -91,9 +92,9 @@ impl ForestBuilder {
         }
     }
 
-    /// Sets the per-member tree hyper-parameters (criterion, splitter,
-    /// depth, leaf minimum). Any thread budget pinned on the template is
-    /// ignored: member fits run serially inside the forest fan-out.
+    /// Sets the per-member tree hyper-parameters (depth, leaf minimum).
+    /// Any thread budget pinned on the template is ignored: member fits
+    /// run serially inside the forest fan-out.
     pub fn tree(&mut self, builder: TreeBuilder) -> &mut Self {
         self.tree = builder;
         self
@@ -104,12 +105,6 @@ impl ForestBuilder {
     /// is bit-identical for every budget; only wall time changes.
     pub fn threads(&mut self, n: usize) -> &mut Self {
         self.n_threads = Some(n.max(1));
-        self
-    }
-
-    /// Restores the default (process-wide) thread budget.
-    pub fn auto_threads(&mut self) -> &mut Self {
-        self.n_threads = None;
         self
     }
 
@@ -137,7 +132,7 @@ impl ForestBuilder {
         let mut template = self.tree.clone();
         template.threads(1); // parallelism lives across members, not within
         let threads = self.n_threads.unwrap_or_else(parallel::max_threads).max(1);
-        let orders = template.row_orders(data)?;
+        let orders = row_orders(data)?;
         // One contiguous run of members per worker, so each worker reuses
         // its weight and order buffers from member to member (a stable
         // peak memory); the runs concatenate in seed order.
@@ -231,7 +226,6 @@ impl Forest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::criterion::SplitCriterion;
     use crate::flat::FlatTree;
 
     /// Draws `data.n_samples()` rows with replacement into a fresh
@@ -264,7 +258,7 @@ mod tests {
     #[test]
     fn multiplicity_bootstrap_matches_materialized_resamples() {
         // Two tied features (a coarse grid with both signed zeros) and one
-        // continuous one; three classes so a generic-criterion path runs too.
+        // continuous one; three classes so the multi-class scan runs too.
         let mut state = 17u64;
         let mut next = move || {
             state = state
@@ -273,7 +267,7 @@ mod tests {
             (state >> 11) as f64 / (1u64 << 53) as f64
         };
         let grid = [-1.0, -0.0, 0.0, 0.5, 2.0];
-        for (n_classes, criterion) in [(2, SplitCriterion::Gini), (3, SplitCriterion::Entropy)] {
+        for n_classes in [2, 3] {
             let mut ds = Dataset::new(vec!["a".into(), "b".into(), "c".into()], n_classes).unwrap();
             for _ in 0..1500 {
                 let row = [
@@ -290,7 +284,7 @@ mod tests {
             }
             for n_trees in [1usize, 16] {
                 let mut b = ForestBuilder::new(n_trees, 0xB007 + n_trees as u64);
-                b.tree(TreeBuilder::new().criterion(criterion).max_depth(6).clone());
+                b.tree(TreeBuilder::new().max_depth(6).clone());
                 let reference = reference_forest(&b, &ds);
                 for threads in [1usize, 2, 8] {
                     let forest = b.clone().threads(threads).fit(&ds).unwrap();

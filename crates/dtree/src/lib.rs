@@ -8,11 +8,10 @@
 //! pruning and per-leaf routing this requires, so the tree is hand-built:
 //!
 //! * [`data::Dataset`] — dense row-major feature matrix with named columns.
-//! * [`criterion::SplitCriterion`] — gini / entropy impurity.
-//! * [`splitter::Splitter`] — exact scan over presorted feature orders, or
-//!   histogram split search.
-//! * [`builder::TreeBuilder`] — recursive CART construction with the
-//!   classic stopping controls.
+//! * [`criterion`] — gini impurity, the paper's split criterion.
+//! * [`splitter`] — exact split search over presorted feature orders.
+//! * [`builder::TreeBuilder`] — recursive gini CART construction with a
+//!   depth limit and a per-leaf sample minimum.
 //! * [`tree::DecisionTree`] — the arena-based tree: prediction, decision
 //!   paths, per-node routing counts, collapse/compact editing.
 //! * [`flat::FlatTree`] — the compiled struct-of-arrays router:
@@ -59,10 +58,8 @@ pub mod splitter;
 pub mod tree;
 
 pub use builder::TreeBuilder;
-pub use criterion::SplitCriterion;
 pub use data::Dataset;
 pub use error::DtreeError;
 pub use flat::{FlatTree, LeafId};
 pub use forest::{Forest, ForestBuilder};
-pub use splitter::Splitter;
 pub use tree::{DecisionTree, Node, NodeId, NodeInfo, NodeKind};

@@ -108,71 +108,6 @@ fn ensure_supported(
     }
 }
 
-/// Minimal cost-complexity pruning (classic CART, Breiman et al. ch. 3):
-/// repeatedly collapses the internal node with the weakest link — the
-/// smallest per-leaf training-impurity increase
-/// `alpha(t) = (R(t) − R(T_t)) / (|leaves(T_t)| − 1)` — until every
-/// remaining internal node's weakest-link value exceeds `alpha`.
-///
-/// This is the standard alternative to the paper's calibration-driven
-/// pruning; the two compose (cost-complexity first, calibration second).
-///
-/// The tree is compacted afterwards, invalidating previous [`NodeId`]s.
-pub fn prune_cost_complexity(tree: &mut DecisionTree, alpha: f64) -> PruneReport {
-    let n_leaves_before = tree.n_leaves();
-    let mut collapsed = 0usize;
-    let total = tree.node(0).info.n as f64;
-    loop {
-        // Find the internal node with the smallest weakest-link alpha.
-        let mut weakest: Option<(NodeId, f64)> = None;
-        let mut stack = vec![0usize];
-        while let Some(id) = stack.pop() {
-            if let NodeKind::Internal { left, right, .. } = tree.node(id).kind {
-                stack.push(left);
-                stack.push(right);
-                let node_risk = tree.node(id).info.impurity * tree.node(id).info.n as f64 / total;
-                let (subtree_risk, subtree_leaves) = subtree_risk(tree, id, total);
-                if subtree_leaves < 2 {
-                    continue;
-                }
-                let link = (node_risk - subtree_risk) / (subtree_leaves as f64 - 1.0);
-                if weakest.is_none_or(|(_, best)| link < best) {
-                    weakest = Some((id, link));
-                }
-            }
-        }
-        match weakest {
-            Some((id, link)) if link <= alpha => {
-                tree.collapse_to_leaf(id);
-                collapsed += 1;
-            }
-            _ => break,
-        }
-    }
-    tree.compact();
-    PruneReport {
-        n_leaves_before,
-        n_leaves_after: tree.n_leaves(),
-        collapsed,
-    }
-}
-
-/// Training risk (count-weighted impurity) and leaf count of the subtree
-/// rooted at `id`.
-fn subtree_risk(tree: &DecisionTree, id: NodeId, total: f64) -> (f64, usize) {
-    match tree.node(id).kind {
-        NodeKind::Leaf => (
-            tree.node(id).info.impurity * tree.node(id).info.n as f64 / total,
-            1,
-        ),
-        NodeKind::Internal { left, right, .. } => {
-            let (rl, nl) = subtree_risk(tree, left, total);
-            let (rr, nr) = subtree_risk(tree, right, total);
-            (rl + rr, nl + nr)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,80 +205,6 @@ mod tests {
             prune_to_min_count(&mut tree, &[1, 2, 3], 1),
             Err(DtreeError::InvalidHyperParameter { .. })
         ));
-    }
-
-    #[test]
-    fn cost_complexity_zero_alpha_keeps_useful_splits() {
-        let ds = staircase_dataset(128);
-        let mut tree = TreeBuilder::new().max_depth(8).fit(&ds).unwrap();
-        let before = tree.n_leaves();
-        let report = prune_cost_complexity(&mut tree, 0.0);
-        // alpha = 0 only removes splits with zero impurity decrease.
-        assert_eq!(report.n_leaves_after, tree.n_leaves());
-        assert!(tree.n_leaves() <= before);
-        assert!(
-            tree.n_leaves() > 1,
-            "informative splits must survive alpha 0"
-        );
-    }
-
-    #[test]
-    fn cost_complexity_large_alpha_collapses_to_root() {
-        let ds = staircase_dataset(128);
-        let mut tree = TreeBuilder::new().max_depth(8).fit(&ds).unwrap();
-        let report = prune_cost_complexity(&mut tree, 1.0);
-        assert_eq!(report.n_leaves_after, 1);
-        assert_eq!(tree.n_nodes(), 1);
-        assert!(report.collapsed > 0);
-    }
-
-    #[test]
-    fn cost_complexity_is_monotone_in_alpha() {
-        let ds = staircase_dataset(256);
-        let base = TreeBuilder::new().max_depth(10).fit(&ds).unwrap();
-        let mut prev_leaves = usize::MAX;
-        for alpha in [0.0, 0.001, 0.01, 0.05, 0.5] {
-            let mut tree = base.clone();
-            prune_cost_complexity(&mut tree, alpha);
-            assert!(
-                tree.n_leaves() <= prev_leaves,
-                "larger alpha must not grow the tree (alpha {alpha})"
-            );
-            prev_leaves = tree.n_leaves();
-        }
-    }
-
-    #[test]
-    fn cost_complexity_preserves_accuracy_at_small_alpha() {
-        // Greedily separable nested thresholds (a balanced staircase would
-        // defeat greedy CART before pruning is even involved).
-        let mut ds = Dataset::new(vec!["x".into()], 2).unwrap();
-        for i in 0..256 {
-            let x = i as f64 / 256.0;
-            let label = u32::from(x > 0.75 || (x > 0.25 && x <= 0.5));
-            ds.push_row(&[x], label).unwrap();
-        }
-        let mut tree = TreeBuilder::new().max_depth(10).fit(&ds).unwrap();
-        let accuracy = |tree: &crate::tree::DecisionTree| {
-            (0..ds.n_samples())
-                .filter(|&i| tree.predict(ds.row(i)).unwrap() == ds.label(i))
-                .count()
-        };
-        assert_eq!(
-            accuracy(&tree),
-            256,
-            "tree must separate the data before pruning"
-        );
-        prune_cost_complexity(&mut tree, 1e-4);
-        assert_eq!(
-            accuracy(&tree),
-            256,
-            "tiny alpha must not collapse informative splits"
-        );
-        // But a large alpha trades accuracy for size.
-        prune_cost_complexity(&mut tree, 0.2);
-        assert!(tree.n_leaves() < 4);
-        assert!(accuracy(&tree) < 256);
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Split search strategies: exact (scan over every distinct threshold) and
-//! histogram (binned, approximate). The `baseline` bench binary times
-//! both (`fit_exact_depth8`, `fit_histogram64_depth8`).
+//! Exact CART split search: a scan over every threshold between distinct
+//! feature values. The `baseline` bench binary times it through a full fit
+//! (`fit_exact_depth8`).
 //!
 //! # Presorted exact search
 //!
@@ -13,11 +13,9 @@
 //! the split impurity at every boundary between distinct values. Rows are
 //! gathered in blocks of 256 (value, label, weight) before the scan, so
 //! the random reads of a block overlap; values stay in the dataset, with
-//! no sorted copy. Two-class Gini, the paper's criterion, runs through an
-//! inline kernel whose floating-point operations are exactly those of
-//! [`SplitCriterion::split_impurity`]; entropy and multi-class nodes use
-//! the generic call. The histogram search does not depend on row order
-//! and reads one unsorted segment.
+//! no sorted copy. Two-class nodes, the paper's case, run through an
+//! inline Gini kernel whose floating-point operations are exactly those of
+//! [`gini_split_impurity`]; multi-class nodes call it directly.
 //!
 //! Rows carry integer **weights** (multiplicities): a row of weight `w`
 //! counts as `w` identical samples. Unit weights are a plain fit; a forest
@@ -44,40 +42,14 @@
 //! feature order with the same comparison as the serial loop, so the
 //! selected split is **bit-identical** for every thread count.
 
-use crate::criterion::SplitCriterion;
+use crate::criterion::{gini_impurity, gini_split_impurity};
 use crate::data::Dataset;
 use crate::error::DtreeError;
-use serde::{Deserialize, Serialize};
 use std::ops::Deref;
 
 /// Below this node workload (`rows × features`) the parallel fan-out is
 /// pure overhead and the search stays serial regardless of budget.
 pub(crate) const PARALLEL_SPLIT_MIN_WORK: usize = 8_192;
-
-/// Strategy used to enumerate candidate thresholds at a node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-pub enum Splitter {
-    /// Considers every midpoint between consecutive distinct feature values
-    /// (classical CART; what scikit-learn's `best` splitter does).
-    #[default]
-    Exact,
-    /// Buckets values into equal-width bins over the node-local range and
-    /// considers only bin edges. `bins` must be ≥ 2.
-    Histogram {
-        /// Number of bins per feature.
-        bins: usize,
-    },
-}
-
-impl Splitter {
-    /// Short stable name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Splitter::Exact => "exact",
-            Splitter::Histogram { .. } => "histogram",
-        }
-    }
-}
 
 /// The best split found at a node, if any.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,8 +65,10 @@ pub struct BestSplit {
     pub n_left: usize,
 }
 
-/// Searches for the best split of the node containing `idx`, sorting the
-/// node's samples afresh for every feature. The tree builder never calls
+/// Searches for the best split of the node containing `idx`, considering
+/// every midpoint between consecutive distinct feature values (classical
+/// CART; what scikit-learn's `best` splitter does) and sorting the node's
+/// samples afresh for every feature. The tree builder never calls
 /// it (it keeps presorted segments instead); it is the per-node reference
 /// the presorted search is tested against, and a standalone entry point.
 ///
@@ -109,45 +83,36 @@ pub fn find_best_split(
     data: &Dataset,
     idx: &[usize],
     parent_counts: &[u64],
-    criterion: SplitCriterion,
-    splitter: Splitter,
     min_samples_leaf: usize,
 ) -> Option<BestSplit> {
     let rows: Vec<u32> = idx
         .iter()
         .map(|&i| u32::try_from(i).expect("row index exceeds u32::MAX"))
         .collect();
-    let segments: Vec<Vec<u32>> = match splitter {
-        Splitter::Exact => (0..data.n_features())
-            .map(|feature| {
-                let mut segment = rows.clone();
-                segment.sort_by(|&a, &b| {
-                    data.value(a as usize, feature)
-                        .total_cmp(&data.value(b as usize, feature))
-                });
-                segment
-            })
-            .collect(),
-        Splitter::Histogram { .. } => vec![rows],
-    };
+    let segments: Vec<Vec<u32>> = (0..data.n_features())
+        .map(|feature| {
+            let mut segment = rows.clone();
+            segment.sort_by(|&a, &b| {
+                data.value(a as usize, feature)
+                    .total_cmp(&data.value(b as usize, feature))
+            });
+            segment
+        })
+        .collect();
     let weights = vec![1u32; data.n_samples()];
     best_split(
         data,
         &weights,
         &segments,
         parent_counts,
-        criterion,
-        splitter,
         min_samples_leaf,
         1,
     )
 }
 
 /// The row orders a fit starts from, as equal blocks of `n_samples` row
-/// indices. The exact splitter gets one block per feature, block `f` in
-/// ascending `total_cmp` order of feature `f` with ties broken by row
-/// index (presorting). The histogram splitter does not depend on row order
-/// and gets a single block in row order.
+/// indices: one block per feature, block `f` in ascending `total_cmp`
+/// order of feature `f` with ties broken by row index (presorting).
 ///
 /// Features sort one after another through one `(key, row)` buffer, which
 /// keeps the transient memory of a fit at `16 · n_samples` bytes on top of
@@ -157,7 +122,7 @@ pub fn find_best_split(
 ///
 /// Returns [`DtreeError::EmptyDataset`] for an empty dataset and
 /// [`DtreeError::InvalidHyperParameter`] if row indices do not fit `u32`.
-pub(crate) fn row_orders(data: &Dataset, splitter: Splitter) -> Result<Vec<u32>, DtreeError> {
+pub(crate) fn row_orders(data: &Dataset) -> Result<Vec<u32>, DtreeError> {
     let n = data.n_samples();
     if n == 0 {
         return Err(DtreeError::EmptyDataset);
@@ -167,9 +132,6 @@ pub(crate) fn row_orders(data: &Dataset, splitter: Splitter) -> Result<Vec<u32>,
             constraint: "a tree trains on at most u32::MAX samples",
         });
     };
-    if let Splitter::Histogram { .. } = splitter {
-        return Ok((0..n_u32).collect());
-    }
     let mut orders = Vec::with_capacity(n * data.n_features());
     let mut keyed: Vec<(u64, u32)> = Vec::with_capacity(n);
     for feature in 0..data.n_features() {
@@ -192,29 +154,25 @@ fn total_order_key(v: f64) -> u64 {
 }
 
 /// Searches a node given as segments holding its rows, with per-row
-/// `weights`, fanning the features out over up to `threads` workers. The
-/// exact splitter needs one segment per feature, sorted by that feature;
-/// the histogram splitter reads only `segments[0]`, in any order.
+/// `weights`, fanning the features out over up to `threads` workers.
+/// `segments[f]` holds the node's rows sorted by feature `f`.
 ///
 /// The result is bit-identical for every budget: each feature's candidate
 /// is computed independently and the winner is reduced sequentially in
 /// ascending feature order, preferring the lower feature index on equal
 /// gain exactly like a serial loop.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn best_split<S>(
     data: &Dataset,
     weights: &[u32],
     segments: &[S],
     parent_counts: &[u64],
-    criterion: SplitCriterion,
-    splitter: Splitter,
     min_samples_leaf: usize,
     threads: usize,
 ) -> Option<BestSplit>
 where
     S: Deref<Target = [u32]> + Sync,
 {
-    let parent_impurity = criterion.impurity(parent_counts);
+    let parent_impurity = gini_impurity(parent_counts);
     if parent_impurity <= 0.0 {
         return None;
     }
@@ -222,15 +180,10 @@ where
         data,
         weights,
         parent_counts,
-        criterion,
         min_samples_leaf: min_samples_leaf as u64,
     };
     let search_feature = |feature: usize| -> Option<BestSplit> {
-        let candidate = match splitter {
-            Splitter::Exact => node.exact(&segments[feature], feature),
-            Splitter::Histogram { bins } => node.histogram(&segments[0], feature, bins.max(2)),
-        };
-        candidate.and_then(|c| {
+        node.exact(&segments[feature], feature).and_then(|c| {
             let gain = parent_impurity - c.weighted_impurity;
             (gain > 1e-12).then_some(BestSplit {
                 feature,
@@ -265,10 +218,9 @@ where
 /// Two-class Gini split impurity of the counts `(l0, l1) | (r0, r1)`.
 ///
 /// Performs exactly the floating-point operations of
-/// [`SplitCriterion::split_impurity`] on `&[l0, l1]`, `&[r0, r1]` under
-/// [`SplitCriterion::Gini`] (same conversions, divisions, products and
-/// summation order), so the result is equal bit for bit — without the
-/// slice sums and the iterator plumbing.
+/// [`gini_split_impurity`] on `&[l0, l1]`, `&[r0, r1]` (same conversions,
+/// divisions, products and summation order), so the result is equal bit
+/// for bit — without the slice sums and the iterator plumbing.
 #[inline]
 fn gini2_split_impurity(l0: u64, l1: u64, r0: u64, r1: u64) -> f64 {
     #[inline]
@@ -299,7 +251,6 @@ struct NodeScan<'a> {
     data: &'a Dataset,
     weights: &'a [u32],
     parent_counts: &'a [u64],
-    criterion: SplitCriterion,
     min_samples_leaf: u64,
 }
 
@@ -343,10 +294,8 @@ impl ScanCounts for Gini2 {
     }
 }
 
-/// Any criterion and class count, through
-/// [`SplitCriterion::split_impurity`].
+/// Any class count, through [`gini_split_impurity`].
 struct Generic {
-    criterion: SplitCriterion,
     left: Vec<u64>,
     right: Vec<u64>,
     n_left: u64,
@@ -364,15 +313,15 @@ impl ScanCounts for Generic {
     }
 
     fn split_impurity(&self) -> f64 {
-        self.criterion.split_impurity(&self.left, &self.right)
+        gini_split_impurity(&self.left, &self.right)
     }
 }
 
 impl NodeScan<'_> {
     /// Exact scan over a segment sorted by `feature`.
     fn exact(&self, rows: &[u32], feature: usize) -> Option<Candidate> {
-        match (self.criterion, self.parent_counts) {
-            (SplitCriterion::Gini, &[p0, p1]) => self.scan(
+        match *self.parent_counts {
+            [p0, p1] => self.scan(
                 rows,
                 feature,
                 Gini2 {
@@ -380,11 +329,10 @@ impl NodeScan<'_> {
                     parent: [p0, p1],
                 },
             ),
-            (criterion, parent) => self.scan(
+            ref parent => self.scan(
                 rows,
                 feature,
                 Generic {
-                    criterion,
                     left: vec![0; parent.len()],
                     right: parent.to_vec(),
                     n_left: 0,
@@ -442,61 +390,6 @@ impl NodeScan<'_> {
         }
         best
     }
-
-    /// Histogram search over the node's rows (any order).
-    fn histogram(&self, rows: &[u32], feature: usize, bins: usize) -> Option<Candidate> {
-        let data = self.data;
-        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-        for &row in rows {
-            let v = data.value(row as usize, feature);
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-        if lo.partial_cmp(&hi) != Some(std::cmp::Ordering::Less) {
-            return None; // constant feature at this node
-        }
-        let n_classes = self.parent_counts.len();
-        let width = (hi - lo) / bins as f64;
-        // counts[bin * n_classes + class]
-        let mut counts = vec![0u64; bins * n_classes];
-        for &row in rows {
-            let row = row as usize;
-            let v = data.value(row, feature);
-            let b = (((v - lo) / width) as usize).min(bins - 1);
-            counts[b * n_classes + data.label(row) as usize] += u64::from(self.weights[row]);
-        }
-        let mut left = vec![0u64; n_classes];
-        let mut right = self.parent_counts.to_vec();
-        let mut n_left = 0u64;
-        let n: u64 = self.parent_counts.iter().sum();
-        let mut best: Option<Candidate> = None;
-        for b in 0..bins - 1 {
-            for c in 0..n_classes {
-                let k = counts[b * n_classes + c];
-                left[c] += k;
-                right[c] -= k;
-                n_left += k;
-            }
-            if n_left == 0 {
-                continue;
-            }
-            if n_left >= n {
-                break;
-            }
-            if n_left < self.min_samples_leaf || n - n_left < self.min_samples_leaf {
-                continue;
-            }
-            let w = self.criterion.split_impurity(&left, &right);
-            if best.as_ref().is_none_or(|x| w < x.weighted_impurity) {
-                best = Some(Candidate {
-                    threshold: lo + (b + 1) as f64 * width,
-                    weighted_impurity: w,
-                    n_left,
-                });
-            }
-        }
-        best
-    }
 }
 
 #[cfg(test)]
@@ -523,8 +416,7 @@ mod tests {
     fn exact_finds_separating_threshold() {
         let (ds, idx) = two_cluster_data();
         let counts = ds.class_counts();
-        let split = find_best_split(&ds, &idx, &counts, SplitCriterion::Gini, Splitter::Exact, 1)
-            .expect("split must exist");
+        let split = find_best_split(&ds, &idx, &counts, 1).expect("split must exist");
         assert_eq!(split.feature, 0);
         assert!(split.threshold > 0.9 && split.threshold < 10.0);
         assert_eq!(split.n_left, 10);
@@ -535,23 +427,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_finds_similar_threshold() {
-        let (ds, idx) = two_cluster_data();
-        let counts = ds.class_counts();
-        let split = find_best_split(
-            &ds,
-            &idx,
-            &counts,
-            SplitCriterion::Gini,
-            Splitter::Histogram { bins: 16 },
-            1,
-        )
-        .expect("split must exist");
-        assert_eq!(split.feature, 0);
-        assert!(split.threshold > 0.9 && split.threshold < 10.0);
-    }
-
-    #[test]
     fn pure_node_yields_no_split() {
         let mut ds = Dataset::new(vec!["x".into()], 2).unwrap();
         for i in 0..5 {
@@ -559,9 +434,7 @@ mod tests {
         }
         let idx: Vec<usize> = (0..5).collect();
         let counts = ds.class_counts();
-        assert!(
-            find_best_split(&ds, &idx, &counts, SplitCriterion::Gini, Splitter::Exact, 1).is_none()
-        );
+        assert!(find_best_split(&ds, &idx, &counts, 1).is_none());
     }
 
     #[test]
@@ -572,11 +445,7 @@ mod tests {
         }
         let idx: Vec<usize> = (0..6).collect();
         let counts = ds.class_counts();
-        for splitter in [Splitter::Exact, Splitter::Histogram { bins: 8 }] {
-            assert!(
-                find_best_split(&ds, &idx, &counts, SplitCriterion::Gini, splitter, 1).is_none()
-            );
-        }
+        assert!(find_best_split(&ds, &idx, &counts, 1).is_none());
     }
 
     #[test]
@@ -584,15 +453,7 @@ mod tests {
         let (ds, idx) = two_cluster_data();
         let counts = ds.class_counts();
         // Requiring 11 samples per side makes the 10/10 split infeasible.
-        assert!(find_best_split(
-            &ds,
-            &idx,
-            &counts,
-            SplitCriterion::Gini,
-            Splitter::Exact,
-            11
-        )
-        .is_none());
+        assert!(find_best_split(&ds, &idx, &counts, 11).is_none());
     }
 
     #[test]
@@ -604,26 +465,8 @@ mod tests {
         ds.push_row(&[0.0], 0).unwrap();
         ds.push_row(&[1.0], 1).unwrap();
         let counts = ds.class_counts();
-        let split = find_best_split(
-            &ds,
-            &[0, 1],
-            &counts,
-            SplitCriterion::Gini,
-            Splitter::Exact,
-            1,
-        )
-        .unwrap();
+        let split = find_best_split(&ds, &[0, 1], &counts, 1).unwrap();
         assert!((split.threshold - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn entropy_and_gini_agree_on_obvious_split() {
-        let (ds, idx) = two_cluster_data();
-        let counts = ds.class_counts();
-        for crit in [SplitCriterion::Gini, SplitCriterion::Entropy] {
-            let split = find_best_split(&ds, &idx, &counts, crit, Splitter::Exact, 1).unwrap();
-            assert_eq!(split.feature, 0);
-        }
     }
 
     #[test]
@@ -635,9 +478,7 @@ mod tests {
         for &i in &idx {
             counts[ds.label(i) as usize] += 1;
         }
-        assert!(
-            find_best_split(&ds, &idx, &counts, SplitCriterion::Gini, Splitter::Exact, 1).is_none()
-        );
+        assert!(find_best_split(&ds, &idx, &counts, 1).is_none());
     }
 
     /// SplitMix64 stream for test data.
@@ -654,7 +495,7 @@ mod tests {
 
     /// The presort blocks as one segment per feature.
     fn presorted_segments(ds: &Dataset) -> Vec<Vec<u32>> {
-        let orders = row_orders(ds, Splitter::Exact).unwrap();
+        let orders = row_orders(ds).unwrap();
         orders.chunks(ds.n_samples()).map(<[u32]>::to_vec).collect()
     }
 
@@ -672,19 +513,13 @@ mod tests {
         assert_eq!(segments[0], vec![3, 1, 5, 0, 4, 2, 6]);
         assert_eq!(segments[1], vec![6, 5, 4, 3, 2, 1, 0]);
         let empty = Dataset::new(vec!["a".into()], 2).unwrap();
-        assert_eq!(
-            row_orders(&empty, Splitter::Exact),
-            Err(DtreeError::EmptyDataset)
-        );
-        let unsorted = row_orders(&ds, Splitter::Histogram { bins: 4 }).unwrap();
-        assert_eq!(unsorted, (0..7).collect::<Vec<u32>>());
+        assert_eq!(row_orders(&empty), Err(DtreeError::EmptyDataset));
     }
 
     #[test]
     fn gini2_kernel_matches_split_impurity_bitwise() {
-        let reference = |l0: u64, l1: u64, r0: u64, r1: u64| {
-            SplitCriterion::Gini.split_impurity(&[l0, l1], &[r0, r1])
-        };
+        let reference =
+            |l0: u64, l1: u64, r0: u64, r1: u64| gini_split_impurity(&[l0, l1], &[r0, r1]);
         // Exhaustive small counts, empty sides included.
         for l0 in 0..=12 {
             for l1 in 0..=12 {
@@ -719,11 +554,7 @@ mod tests {
         // and large enough to clear PARALLEL_SPLIT_MIN_WORK with 3 features.
         let mut next = rng(7);
         let grid = [-2.0, -0.0, 0.0, 0.5, 1.0, 7.25];
-        for (criterion, n_classes) in [
-            (SplitCriterion::Gini, 2u32),
-            (SplitCriterion::Entropy, 2),
-            (SplitCriterion::Gini, 5),
-        ] {
+        for n_classes in [2u32, 5] {
             let names = vec!["a".into(), "b".into(), "c".into()];
             let mut ds = Dataset::new(names.clone(), n_classes).unwrap();
             let mut weights = Vec::new();
@@ -752,42 +583,21 @@ mod tests {
                 .into_iter()
                 .map(|s| s.into_iter().filter(|&r| weights[r as usize] > 0).collect())
                 .collect();
-            for splitter in [Splitter::Exact, Splitter::Histogram { bins: 32 }] {
-                for min_leaf in [1usize, 40] {
-                    let reference = find_best_split(
-                        &materialized,
-                        &idx,
-                        &counts,
-                        criterion,
-                        splitter,
-                        min_leaf,
-                    )
-                    .unwrap();
-                    for threads in [1usize, 2, 8] {
-                        let presorted = best_split(
-                            &ds, &weights, &segments, &counts, criterion, splitter, min_leaf,
-                            threads,
-                        )
-                        .unwrap();
-                        let what =
-                            format!("{criterion} {n_classes} {splitter:?} {min_leaf} {threads}");
-                        assert_eq!(reference, presorted, "{what}");
-                        assert_eq!(reference.gain.to_bits(), presorted.gain.to_bits(), "{what}");
-                        assert_eq!(
-                            reference.threshold.to_bits(),
-                            presorted.threshold.to_bits(),
-                            "{what}"
-                        );
-                    }
+            for min_leaf in [1usize, 40] {
+                let reference = find_best_split(&materialized, &idx, &counts, min_leaf).unwrap();
+                for threads in [1usize, 2, 8] {
+                    let presorted =
+                        best_split(&ds, &weights, &segments, &counts, min_leaf, threads).unwrap();
+                    let what = format!("{n_classes} {min_leaf} {threads}");
+                    assert_eq!(reference, presorted, "{what}");
+                    assert_eq!(reference.gain.to_bits(), presorted.gain.to_bits(), "{what}");
+                    assert_eq!(
+                        reference.threshold.to_bits(),
+                        presorted.threshold.to_bits(),
+                        "{what}"
+                    );
                 }
             }
         }
-    }
-
-    #[test]
-    fn splitter_names() {
-        assert_eq!(Splitter::Exact.name(), "exact");
-        assert_eq!(Splitter::Histogram { bins: 10 }.name(), "histogram");
-        assert_eq!(Splitter::default(), Splitter::Exact);
     }
 }

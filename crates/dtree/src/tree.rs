@@ -15,7 +15,7 @@ pub struct NodeInfo {
     pub n: u64,
     /// Per-class training sample counts at this node.
     pub counts: Vec<u64>,
-    /// Training impurity of this node under the builder's criterion.
+    /// Training gini impurity of this node (weighted sample counts).
     pub impurity: f64,
     /// Depth of the node (root = 0).
     pub depth: usize,

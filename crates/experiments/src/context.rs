@@ -151,12 +151,7 @@ impl ExperimentContext {
 
         let mut tauw_builder = TauwBuilder::new();
         tauw_builder.wrapper(wrapper_builder);
-        let tauw = tauw_builder.fit_reusing_stateless(
-            stateless,
-            &feature_names,
-            &train_replay,
-            &calib_replay,
-        )?;
+        let tauw = tauw_builder.fit_reusing_stateless(stateless, &train_replay, &calib_replay)?;
 
         Ok(ExperimentContext {
             config,
@@ -229,7 +224,6 @@ impl ExperimentContext {
             .backend(BackendSpec::Forest { n_trees, seed });
         builder.fit_reusing_stateless(
             self.tauw.stateless().clone(),
-            &self.feature_names,
             &self.train_replay,
             &self.calib_replay,
         )
@@ -258,7 +252,6 @@ impl ExperimentContext {
             .backend(BackendSpec::Conformal(options));
         builder.fit_reusing_stateless(
             self.tauw.stateless().clone(),
-            &self.feature_names,
             &self.train_replay,
             &self.calib_replay,
         )
@@ -280,7 +273,6 @@ impl ExperimentContext {
             .taqf_set(set);
         builder.fit_reusing_stateless(
             self.tauw.stateless().clone(),
-            &self.feature_names,
             &self.train_replay,
             &self.calib_replay,
         )

@@ -40,7 +40,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let train = convert(&data.train);
     let calib = convert(&data.calib);
     let test = convert(&data.test);
-    let names = QualityObservation::feature_names();
 
     // Fit the stateless wrapper once and replay the series once; every
     // subset variant reuses both.
@@ -52,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut wrapper_builder = WrapperBuilder::new();
     wrapper_builder.max_depth(8).calibration(calibration);
     let stateless = wrapper_builder.fit(
-        names.clone(),
+        QualityObservation::feature_names(),
         &flatten_stateless(&train),
         &flatten_stateless(&calib),
     )?;
@@ -74,12 +73,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut wb = WrapperBuilder::new();
         wb.max_depth(8).calibration(calibration);
         builder.wrapper(wb).taqf_set(set);
-        let variant = builder.fit_reusing_stateless(
-            stateless.clone(),
-            &names,
-            &train_replay,
-            &calib_replay,
-        )?;
+        let variant =
+            builder.fit_reusing_stateless(stateless.clone(), &train_replay, &calib_replay)?;
         // Score the fused outcome's uncertainty on the test windows.
         let mut forecasts = Vec::new();
         let mut failures = Vec::new();

@@ -162,7 +162,7 @@ fn persisted_wrapper_reproduces_bit_identical_estimates() {
 fn parallel_fit_is_bit_identical_across_thread_counts() {
     // A dataset large enough that both the per-feature split fan-out and
     // the sibling-subtree fork actually engage (root children ≥ 1024).
-    use tauw_suite::dtree::{Dataset, Splitter, TreeBuilder};
+    use tauw_suite::dtree::{Dataset, TreeBuilder};
     let mut state = 0xD7EEu64;
     let mut next = move || {
         state = state
@@ -176,37 +176,29 @@ fn parallel_fit_is_bit_identical_across_thread_counts() {
         let label = ((row[0] * 2.0 + row[3]) as u32).min(2);
         ds.push_row(&row, label).unwrap();
     }
-    for splitter in [Splitter::Exact, Splitter::Histogram { bins: 32 }] {
-        let serial = TreeBuilder::new()
-            .splitter(splitter)
+    let serial = TreeBuilder::new().max_depth(8).threads(1).fit(&ds).unwrap();
+    let serial_json = serde_json::to_string(&serial).unwrap();
+    let serial_text = tauw_suite::dtree::export::to_text(&serial);
+    for threads in [2usize, 8] {
+        let par = TreeBuilder::new()
             .max_depth(8)
-            .threads(1)
+            .threads(threads)
             .fit(&ds)
             .unwrap();
-        let serial_json = serde_json::to_string(&serial).unwrap();
-        let serial_text = tauw_suite::dtree::export::to_text(&serial);
-        for threads in [2usize, 8] {
-            let par = TreeBuilder::new()
-                .splitter(splitter)
-                .max_depth(8)
-                .threads(threads)
-                .fit(&ds)
-                .unwrap();
-            // Structural equality AND byte-for-byte identical exports: the
-            // parallel build must reproduce the serial pre-order node
-            // layout exactly, not just an equivalent predictor.
-            assert_eq!(serial, par, "{splitter:?} threads={threads}");
-            assert_eq!(
-                serial_json,
-                serde_json::to_string(&par).unwrap(),
-                "{splitter:?} threads={threads}: serialized trees diverged"
-            );
-            assert_eq!(
-                serial_text,
-                tauw_suite::dtree::export::to_text(&par),
-                "{splitter:?} threads={threads}: text exports diverged"
-            );
-        }
+        // Structural equality AND byte-for-byte identical exports: the
+        // parallel build must reproduce the serial pre-order node
+        // layout exactly, not just an equivalent predictor.
+        assert_eq!(serial, par, "threads={threads}");
+        assert_eq!(
+            serial_json,
+            serde_json::to_string(&par).unwrap(),
+            "threads={threads}: serialized trees diverged"
+        );
+        assert_eq!(
+            serial_text,
+            tauw_suite::dtree::export::to_text(&par),
+            "threads={threads}: text exports diverged"
+        );
     }
 }
 
@@ -216,7 +208,7 @@ fn flat_tree_is_bit_identical_to_pointer_tree_across_thread_counts() {
     // same leaves and same routing, for a tree fitted at every thread
     // budget — proven via the leaf-id mapping and equality of the flat
     // forms.
-    use tauw_suite::dtree::{Dataset, FlatTree, Splitter, TreeBuilder};
+    use tauw_suite::dtree::{Dataset, FlatTree, TreeBuilder};
     let mut state = 0xF1A7u64;
     let mut next = move || {
         state = state
@@ -233,55 +225,124 @@ fn flat_tree_is_bit_identical_to_pointer_tree_across_thread_counts() {
     let queries: Vec<Vec<f64>> = (0..2000)
         .map(|_| (0..6).map(|_| next()).collect())
         .collect();
-    for splitter in [Splitter::Exact, Splitter::Histogram { bins: 32 }] {
-        let tree = TreeBuilder::new()
-            .splitter(splitter)
+    let tree = TreeBuilder::new().max_depth(8).fit(&ds).unwrap();
+    let flat = FlatTree::from_tree(&tree);
+    let before = flat.clone();
+    let text = tauw_suite::dtree::export::to_text(&tree);
+    assert_eq!(
+        text.lines().count(),
+        flat.n_nodes(),
+        "flat form must carry exactly the exported nodes"
+    );
+    assert_eq!(
+        flat.leaf_nodes(),
+        tree.leaf_ids(),
+        "leaf ids must follow the depth-first leaf order"
+    );
+
+    // Single-sample fast path vs the pointer tree, bit for bit.
+    let serial: Vec<u32> = queries
+        .iter()
+        .map(|q| flat.predict_leaf_id(q).unwrap())
+        .collect();
+    for (q, &lid) in queries.iter().zip(&serial) {
+        assert_eq!(flat.leaf_node(lid), tree.leaf_id(q).unwrap());
+    }
+
+    // A tree fitted at any thread budget lowers to the same flat form
+    // and routes every query to the same leaf.
+    for threads in [1usize, 2, 8] {
+        let refit = TreeBuilder::new()
             .max_depth(8)
+            .threads(threads)
             .fit(&ds)
             .unwrap();
-        let flat = FlatTree::from_tree(&tree);
-        let before = flat.clone();
-        let text = tauw_suite::dtree::export::to_text(&tree);
-        assert_eq!(
-            text.lines().count(),
-            flat.n_nodes(),
-            "{splitter:?}: flat form must carry exactly the exported nodes"
-        );
-        assert_eq!(
-            flat.leaf_nodes(),
-            tree.leaf_ids(),
-            "{splitter:?}: leaf ids must follow the depth-first leaf order"
-        );
-
-        // Single-sample fast path vs the pointer tree, bit for bit.
-        let serial: Vec<u32> = queries
-            .iter()
-            .map(|q| flat.predict_leaf_id(q).unwrap())
-            .collect();
+        let reflat = FlatTree::from_tree(&refit);
+        assert_eq!(reflat, flat, "threads={threads}");
         for (q, &lid) in queries.iter().zip(&serial) {
-            assert_eq!(flat.leaf_node(lid), tree.leaf_id(q).unwrap());
+            assert_eq!(reflat.predict_leaf_id(q).unwrap(), lid);
         }
+    }
 
-        // A tree fitted at any thread budget lowers to the same flat form
-        // and routes every query to the same leaf.
+    // The flat form itself is unchanged by serving, and lowering the
+    // tree again reproduces it.
+    assert_eq!(flat, before);
+    assert_eq!(FlatTree::from_tree(&tree), flat);
+}
+
+/// FNV-1a 64 over `bytes`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn fitted_trees_match_pinned_hashes() {
+    // Pins the serialized trees themselves, not only serial == parallel
+    // within one build: a learner change that moves any split, threshold,
+    // count or impurity bit moves these hashes.
+    use tauw_suite::dtree::{Dataset, ForestBuilder, TreeBuilder};
+    let dataset = |n_classes: u32, seed: u64| {
+        let mut state = seed;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        // Two features on a coarse grid with both signed zeros (heavy
+        // ties), three continuous ones; enough rows to fork subtrees.
+        const GRID: [f64; 6] = [-2.0, -0.0, 0.0, 0.5, 1.0, 7.25];
+        let mut ds = Dataset::with_anonymous_features(5, n_classes).unwrap();
+        for _ in 0..6000 {
+            let row = [
+                GRID[(next() * 6.0) as usize],
+                GRID[(next() * 6.0) as usize],
+                next(),
+                next(),
+                (next() * 40.0).floor(),
+            ];
+            let signal = row[0] + 2.0 * row[2] - row[3];
+            let label = if next() < 0.15 {
+                (next() * f64::from(n_classes)) as u32
+            } else {
+                ((signal.max(0.0) * 1.5) as u32).min(n_classes - 1)
+            };
+            ds.push_row(&row, label).unwrap();
+        }
+        ds
+    };
+    for (n_classes, seed, pinned) in [
+        (2u32, 0x2C1A55, 0x085a_fab9_dbb6_63c5),
+        (3, 0x3C1A55, 0xe72b_1bdd_60b0_3875),
+    ] {
+        let ds = dataset(n_classes, seed);
         for threads in [1usize, 2, 8] {
-            let refit = TreeBuilder::new()
-                .splitter(splitter)
+            let tree = TreeBuilder::new()
                 .max_depth(8)
                 .threads(threads)
                 .fit(&ds)
                 .unwrap();
-            let reflat = FlatTree::from_tree(&refit);
-            assert_eq!(reflat, flat, "{splitter:?} threads={threads}");
-            for (q, &lid) in queries.iter().zip(&serial) {
-                assert_eq!(reflat.predict_leaf_id(q).unwrap(), lid);
-            }
+            assert!(tree.n_leaves() > 50, "the tree must actually grow");
+            assert_eq!(
+                fnv1a64(serde_json::to_string(&tree).unwrap().as_bytes()),
+                pinned,
+                "{n_classes} classes, threads={threads}"
+            );
         }
-
-        // The flat form itself is unchanged by serving, and lowering the
-        // tree again reproduces it.
-        assert_eq!(flat, before);
-        assert_eq!(FlatTree::from_tree(&tree), flat);
+    }
+    let ds = dataset(2, 0xF0257);
+    let mut builder = ForestBuilder::new(4, 20230627);
+    builder.tree(TreeBuilder::new().max_depth(8).clone());
+    for threads in [1usize, 2, 8] {
+        let forest = builder.clone().threads(threads).fit(&ds).unwrap();
+        let json = serde_json::to_string(&forest.trees().to_vec()).unwrap();
+        assert_eq!(
+            fnv1a64(json.as_bytes()),
+            0x0393_e8c1_bb13_d737,
+            "forest, threads={threads}"
+        );
     }
 }
 

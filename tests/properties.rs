@@ -435,38 +435,6 @@ proptest! {
     }
 
     #[test]
-    fn histogram_split_gain_never_beats_exact_gain(
-        rows in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0, 0u32..2), 20..200),
-        bins in 2usize..64,
-        min_leaf in 1usize..8,
-    ) {
-        use tauw_suite::dtree::splitter::find_best_split;
-        use tauw_suite::dtree::{Dataset, SplitCriterion, Splitter};
-        let mut ds = Dataset::new(vec!["a".into(), "b".into()], 2).unwrap();
-        for (a, b, label) in &rows {
-            ds.push_row(&[*a, *b], *label).unwrap();
-        }
-        let idx: Vec<usize> = (0..rows.len()).collect();
-        let counts = ds.class_counts();
-        let exact = find_best_split(
-            &ds, &idx, &counts, SplitCriterion::Gini, Splitter::Exact, min_leaf,
-        );
-        let hist = find_best_split(
-            &ds, &idx, &counts, SplitCriterion::Gini,
-            Splitter::Histogram { bins }, min_leaf,
-        );
-        // Every histogram threshold induces a sample partition the exact
-        // scan also evaluates, so the exact splitter's gain dominates.
-        if let Some(h) = hist {
-            let e = exact.expect("exact must find a split whenever histogram does");
-            prop_assert!(
-                e.gain >= h.gain - 1e-9,
-                "exact gain {} < histogram gain {}", e.gain, h.gain
-            );
-        }
-    }
-
-    #[test]
     fn every_leaf_respects_min_samples_leaf(
         rows in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0, 0u32..2), 10..200),
         min_leaf in 1usize..20,
