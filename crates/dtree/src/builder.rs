@@ -12,16 +12,18 @@
 //!
 //! A fit sorts each feature's row indices once (SLIQ-style presorting) and
 //! never sorts again. Memory is one `u32` row order per feature (`4 ·
-//! n_rows · n_features` bytes, feature-major), one side flag per row, and
-//! the per-row weights, plus a `16 · n_rows`-byte sort buffer while the
-//! presort runs; values are read from the dataset in place, with no
-//! sorted-value copy. A node owns the same sub-range of every feature's
-//! order, its **segments**; each segment lists the node's rows in that
-//! feature's value order. The split search scans the segments
-//! ([`crate::splitter`]). Each row's side (`x[feature] <= threshold`) is
-//! then flagged, and every segment is stably partitioned by the flags into
-//! left rows then right rows. Both halves keep their order, so they are the
-//! children's segments as they stand.
+//! n_rows · n_features` bytes, feature-major), one side flag per row, one
+//! packed weight-and-label word per row, and one partition buffer per
+//! partition lane (`4 · n_rows` bytes each), plus a `16 · n_rows`-byte
+//! sort buffer while the presort runs; values are read from the dataset's
+//! feature columns in place, with no sorted-value copy. A node owns the
+//! same sub-range of every feature's order, its **segments**; each segment
+//! lists the node's rows in that feature's value order. The split search
+//! scans the segments ([`crate::splitter`]). Each row's side
+//! (`x[feature] <= threshold`) is then flagged, and every segment is stably
+//! partitioned by the flags into left rows then right rows, staging the
+//! right rows in the lane's partition buffer. Both halves keep their order,
+//! so they are the children's segments as they stand.
 //!
 //! Rows may carry integer weights (a row of weight `w` stands for `w`
 //! identical samples; [`crate::forest`] passes bootstrap draw counts).
@@ -32,8 +34,9 @@
 //! [`NodeInfo`]s, splits, thresholds and node ids.
 //!
 //! Construction runs on a thread budget ([`TreeBuilder::threads`]): the
-//! split search and the partition fan out across features, and large
-//! sibling subtrees build concurrently on disjoint segment halves.
+//! split search and the partition fan out across features on the worker
+//! pool, and large sibling subtrees build concurrently on disjoint segment
+//! halves and disjoint halves of the partition buffer.
 //! Parallel builds are **bit-identical** to serial ones — concurrently
 //! built subtrees are spliced back into the exact pre-order node layout
 //! the serial recursion would have produced, and every floating-point
@@ -42,7 +45,7 @@
 use crate::criterion::gini_impurity;
 use crate::data::Dataset;
 use crate::error::DtreeError;
-use crate::splitter::{best_split, row_orders, PARALLEL_SPLIT_MIN_WORK};
+use crate::splitter::{best_split, pack_weights, row_orders, PARALLEL_SPLIT_MIN_WORK};
 use crate::tree::{DecisionTree, Node, NodeInfo, NodeKind};
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -120,34 +123,48 @@ impl TreeBuilder {
     /// `u32::MAX`.
     pub fn fit(&self, data: &Dataset) -> Result<DecisionTree, DtreeError> {
         let mut orders = row_orders(data)?;
-        self.fit_weighted(data, &mut orders, &vec![1; data.n_samples()])
+        let mut weights = vec![1; data.n_samples()];
+        self.fit_weighted(data, &mut orders, &mut weights, &mut Vec::new())
     }
 
     /// Trains on per-row integer `weights` (a row of weight `w` counts as
     /// `w` identical samples). `orders` are the presorted row orders of
-    /// [`row_orders`] with the rows of weight 0 removed from every block; they become the
-    /// root's segments and are left permuted.
+    /// [`row_orders`] with the rows of weight 0 removed from every block;
+    /// they become the root's segments and are left permuted. The weights
+    /// are packed in place into the search's words
+    /// ([`pack_weights`]), and `scratch` is the fit's partition buffer
+    /// (resized here, so a caller fitting many trees allocates it once).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DtreeError::EmptyDataset`] if every weight is 0 and
+    /// [`DtreeError::InvalidHyperParameter`] if a weight does not fit 31
+    /// bits.
     pub(crate) fn fit_weighted(
         &self,
         data: &Dataset,
         orders: &mut [u32],
-        weights: &[u32],
+        weights: &mut [u32],
+        scratch: &mut Vec<u32>,
     ) -> Result<DecisionTree, DtreeError> {
         let n_rows = weights.iter().filter(|&&w| w > 0).count();
         if n_rows == 0 {
             return Err(DtreeError::EmptyDataset);
         }
+        pack_weights(weights, data.labels())?;
         let ctx = FitContext {
             data,
-            weights,
+            words: weights,
             goes_left: (0..data.n_samples())
                 .map(|_| AtomicBool::new(false))
                 .collect(),
         };
         let threads = self.n_threads.unwrap_or_else(parallel::max_threads).max(1);
+        scratch.clear();
+        scratch.resize(partition_buffer_len(threads, n_rows, data.n_features()), 0);
         let segments: Vec<&mut [u32]> = orders.chunks_exact_mut(n_rows).collect();
         let mut nodes: Vec<Node> = Vec::new();
-        self.build_node(&ctx, segments, 0, &mut nodes, threads);
+        self.build_node(&ctx, segments, scratch, 0, &mut nodes, threads);
         DecisionTree::from_parts(
             nodes,
             data.n_features(),
@@ -167,19 +184,22 @@ impl TreeBuilder {
     /// `threads` is the budget available to this subtree: the split search
     /// and the partition fan out across features with it, and when both
     /// children are large enough the budget is halved over two
-    /// concurrently built sibling subtrees.
+    /// concurrently built sibling subtrees. `scratch` holds at least
+    /// [`partition_buffer_len`] rows for this node; children built in turn
+    /// reuse it, and children built concurrently split it.
     fn build_node(
         &self,
         ctx: &FitContext<'_>,
         mut segments: Vec<&mut [u32]>,
+        scratch: &mut [u32],
         depth: usize,
         nodes: &mut Vec<Node>,
         threads: usize,
     ) -> usize {
-        let (data, weights) = (ctx.data, ctx.weights);
+        let (data, words) = (ctx.data, ctx.words);
         let mut counts = vec![0u64; data.n_classes() as usize];
         for &row in segments[0].iter() {
-            counts[data.label(row as usize) as usize] += u64::from(weights[row as usize]);
+            counts[data.label(row as usize) as usize] += u64::from(words[row as usize] >> 1);
         }
         let n: u64 = counts.iter().sum();
         let impurity = gini_impurity(&counts);
@@ -200,7 +220,7 @@ impl TreeBuilder {
         }
         let Some(split) = best_split(
             data,
-            weights,
+            words,
             &segments,
             &counts,
             self.min_samples_leaf,
@@ -212,9 +232,10 @@ impl TreeBuilder {
         // Flag each row's side, then stably partition every segment by the
         // flags: left rows first, each side keeping its order.
         let n_rows = segments[0].len();
+        let column = data.column(split.feature);
         let mut n_left = 0;
         for &row in segments[0].iter() {
-            let left = data.value(row as usize, split.feature) <= split.threshold;
+            let left = column[row as usize] <= split.threshold;
             ctx.goes_left[row as usize].store(left, Ordering::Relaxed);
             n_left += usize::from(left);
         }
@@ -223,14 +244,19 @@ impl TreeBuilder {
             // keep the node as a leaf rather than recurse forever.
             return id;
         }
-        let partition = |segment: &mut &mut [u32]| stable_partition(segment, &ctx.goes_left);
-        let lefts: Vec<usize> = if threads > 1 && n_rows * segments.len() >= PARALLEL_SPLIT_MIN_WORK
-        {
-            parallel::par_map_mut(threads, &mut segments, partition)
-        } else {
-            segments.iter_mut().map(partition).collect()
-        };
-        debug_assert!(lefts.iter().all(|&l| l == n_left));
+        // One right-side buffer of `n_rows` per partition lane.
+        let n_features = segments.len();
+        let n_lanes = partition_lanes(threads, n_rows, n_features);
+        let mut lanes: Vec<(&mut [&mut [u32]], &mut [u32])> = segments
+            .chunks_mut(n_features.div_ceil(n_lanes))
+            .zip(scratch[..n_lanes * n_rows].chunks_exact_mut(n_rows))
+            .collect();
+        parallel::par_map_mut(threads, &mut lanes, |(lane_segments, right)| {
+            for segment in lane_segments.iter_mut() {
+                let lane_left = stable_partition(segment, &ctx.goes_left, right);
+                debug_assert_eq!(lane_left, n_left);
+            }
+        });
 
         let (left_segments, right_segments): (Vec<&mut [u32]>, Vec<&mut [u32]>) = segments
             .into_iter()
@@ -245,17 +271,21 @@ impl TreeBuilder {
             // recursion would have assigned (left block first, then right).
             let left_budget = threads.div_ceil(2);
             let right_budget = threads / 2;
+            // Neither side has more lanes than this node and their rows add
+            // up to its rows, so both buffers fit side by side in this one.
+            let (left_scratch, right_scratch) =
+                scratch.split_at_mut(partition_buffer_len(left_budget, n_left, n_features));
             let (left_sub, right_sub) = parallel::join(
                 threads,
-                || self.build_subtree(ctx, left_segments, depth + 1, left_budget),
-                || self.build_subtree(ctx, right_segments, depth + 1, right_budget),
+                || self.build_subtree(ctx, left_segments, left_scratch, depth + 1, left_budget),
+                || self.build_subtree(ctx, right_segments, right_scratch, depth + 1, right_budget),
             );
             let left = splice_subtree(nodes, left_sub);
             let right = splice_subtree(nodes, right_sub);
             (left, right)
         } else {
-            let left = self.build_node(ctx, left_segments, depth + 1, nodes, threads);
-            let right = self.build_node(ctx, right_segments, depth + 1, nodes, threads);
+            let left = self.build_node(ctx, left_segments, scratch, depth + 1, nodes, threads);
+            let right = self.build_node(ctx, right_segments, scratch, depth + 1, nodes, threads);
             (left, right)
         };
         nodes[id].kind = NodeKind::Internal {
@@ -272,11 +302,12 @@ impl TreeBuilder {
         &self,
         ctx: &FitContext<'_>,
         segments: Vec<&mut [u32]>,
+        scratch: &mut [u32],
         depth: usize,
         threads: usize,
     ) -> Vec<Node> {
         let mut nodes = Vec::new();
-        self.build_node(ctx, segments, depth, &mut nodes, threads);
+        self.build_node(ctx, segments, scratch, depth, &mut nodes, threads);
         nodes
     }
 }
@@ -284,8 +315,9 @@ impl TreeBuilder {
 /// Inputs shared by every node of one fit.
 struct FitContext<'a> {
     data: &'a Dataset,
-    /// Per-row sample weights (bootstrap multiplicities; 1 for a plain fit).
-    weights: &'a [u32],
+    /// Per-row packed words ([`pack_weights`]): the sample weight
+    /// (bootstrap multiplicity; 1 for a plain fit) and the label bit.
+    words: &'a [u32],
     /// Side of each row at the node being partitioned (`true` = left),
     /// indexed by row. A node writes its rows' flags before it partitions
     /// (posting the partition to a pool worker goes through the worker's
@@ -295,21 +327,40 @@ struct FitContext<'a> {
     goes_left: Vec<AtomicBool>,
 }
 
+/// Lanes a node's partition fans its segments out over: the thread budget,
+/// at most one per feature, or 1 when the node is too small to fan out.
+fn partition_lanes(threads: usize, n_rows: usize, n_features: usize) -> usize {
+    if threads > 1 && n_rows * n_features >= PARALLEL_SPLIT_MIN_WORK {
+        threads.min(n_features)
+    } else {
+        1
+    }
+}
+
+/// Rows of partition buffer a node of `n_rows` needs: one right side per
+/// lane. It never grows down the tree, and two children that split a
+/// node's budget need no more than the node together, so a fit sizes it
+/// once.
+fn partition_buffer_len(threads: usize, n_rows: usize, n_features: usize) -> usize {
+    partition_lanes(threads, n_rows, n_features) * n_rows
+}
+
 /// Moves the rows flagged left to the front of `segment` and the others
-/// behind them, each side in its original order; returns the left count.
-fn stable_partition(segment: &mut [u32], goes_left: &[AtomicBool]) -> usize {
-    let mut right = Vec::with_capacity(segment.len());
-    let mut n_left = 0;
+/// behind them, each side in its original order, staging the right side
+/// in `right` (at least `segment.len()` long); returns the left count.
+fn stable_partition(segment: &mut [u32], goes_left: &[AtomicBool], right: &mut [u32]) -> usize {
+    // Branch-free: each row is written to both sides and only its own
+    // side's cursor advances (`n_left <= k`, so no unread row is lost).
+    let (mut n_left, mut n_right) = (0, 0);
     for k in 0..segment.len() {
         let row = segment[k];
-        if goes_left[row as usize].load(Ordering::Relaxed) {
-            segment[n_left] = row;
-            n_left += 1;
-        } else {
-            right.push(row);
-        }
+        let left = goes_left[row as usize].load(Ordering::Relaxed);
+        segment[n_left] = row;
+        right[n_right] = row;
+        n_left += usize::from(left);
+        n_right += usize::from(!left);
     }
-    segment[n_left..].copy_from_slice(&right);
+    segment[n_left..].copy_from_slice(&right[..n_right]);
     n_left
 }
 
@@ -508,7 +559,8 @@ mod tests {
         let tree = TreeBuilder::new().max_depth(3).fit(&ds).unwrap();
         let mut errors = 0;
         for i in 0..ds.n_samples() {
-            if tree.predict(ds.row(i)).unwrap() != ds.label(i) {
+            let row = [ds.value(i, 0), ds.value(i, 1)];
+            if tree.predict(&row).unwrap() != ds.label(i) {
                 errors += 1;
             }
         }

@@ -1,14 +1,32 @@
-//! Dataset abstraction for tree training: a dense row-major feature matrix
+//! Dataset abstraction for tree training: a dense feature-major matrix
 //! with named columns and integer class labels.
 
 use crate::error::DtreeError;
-use serde::{Deserialize, Serialize};
 
-/// A dense, row-major training dataset.
+/// A dense training dataset, stored feature-major: one contiguous `f64`
+/// column per feature.
 ///
 /// Rows are samples, columns are features; labels are class ids in
 /// `0..n_classes`. The uncertainty wrapper uses binary labels
-/// (0 = correct, 1 = failure) but the tree is fully multiclass.
+/// (0 = correct, 1 = failure) but the tree is fully multiclass. The split
+/// search reads one feature at a time, in an order that is random in the
+/// rows, so a column keeps those reads inside `8 · n_samples` bytes.
+///
+/// Every sample enters through [`Dataset::push_row`], which checks its
+/// arity, finiteness and label. There is deliberately no `Deserialize`
+/// (or `Serialize`), which would bypass those checks:
+///
+/// ```compile_fail,E0277
+/// fn loadable<T: serde::Deserialize>() {}
+/// loadable::<tauw_dtree::Dataset>();
+/// ```
+///
+/// (The same probe compiles for a type that has one:)
+///
+/// ```
+/// fn loadable<T: serde::Deserialize>() {}
+/// loadable::<tauw_dtree::DecisionTree>();
+/// ```
 ///
 /// # Examples
 ///
@@ -22,11 +40,12 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(ds.n_features(), 2);
 /// # Ok::<(), tauw_dtree::DtreeError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     feature_names: Vec<String>,
     n_classes: u32,
-    values: Vec<f64>,
+    /// `columns[f][row]`: one column of `n_samples` values per feature.
+    columns: Vec<Vec<f64>>,
     labels: Vec<u32>,
 }
 
@@ -50,9 +69,9 @@ impl Dataset {
             });
         }
         Ok(Dataset {
+            columns: vec![Vec::new(); feature_names.len()],
             feature_names,
             n_classes,
-            values: Vec::new(),
             labels: Vec::new(),
         })
     }
@@ -96,14 +115,18 @@ impl Dataset {
                 });
             }
         }
-        self.values.extend_from_slice(row);
+        for (column, &v) in self.columns.iter_mut().zip(row) {
+            column.push(v);
+        }
         self.labels.push(label);
         Ok(())
     }
 
     /// Reserves capacity for `additional` further samples.
     pub fn reserve(&mut self, additional: usize) {
-        self.values.reserve(additional * self.n_features());
+        for column in &mut self.columns {
+            column.reserve(additional);
+        }
         self.labels.reserve(additional);
     }
 
@@ -127,23 +150,22 @@ impl Dataset {
         &self.feature_names
     }
 
-    /// The feature row for sample `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= n_samples()`.
-    pub fn row(&self, i: usize) -> &[f64] {
-        let nf = self.n_features();
-        &self.values[i * nf..(i + 1) * nf]
-    }
-
     /// Feature value at `(row, column)`.
     ///
     /// # Panics
     ///
     /// Panics if out of bounds.
     pub fn value(&self, row: usize, column: usize) -> f64 {
-        self.values[row * self.n_features() + column]
+        self.columns[column][row]
+    }
+
+    /// All values of feature `column`, in sample order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `column >= n_features()`.
+    pub(crate) fn column(&self, column: usize) -> &[f64] {
+        &self.columns[column]
     }
 
     /// Label of sample `i`.
@@ -168,23 +190,6 @@ impl Dataset {
         }
         counts
     }
-
-    /// Per-feature `(min, max)` ranges; `None` if the dataset is empty.
-    pub fn feature_ranges(&self) -> Option<Vec<(f64, f64)>> {
-        if self.labels.is_empty() {
-            return None;
-        }
-        let nf = self.n_features();
-        let mut ranges = vec![(f64::INFINITY, f64::NEG_INFINITY); nf];
-        for i in 0..self.n_samples() {
-            for (j, range) in ranges.iter_mut().enumerate() {
-                let v = self.value(i, j);
-                range.0 = range.0.min(v);
-                range.1 = range.1.max(v);
-            }
-        }
-        Some(ranges)
-    }
 }
 
 #[cfg(test)]
@@ -203,8 +208,9 @@ mod tests {
     fn push_and_access_roundtrip() {
         let ds = sample();
         assert_eq!(ds.n_samples(), 3);
-        assert_eq!(ds.row(1), &[3.0, -1.0]);
+        assert_eq!(ds.value(1, 0), 3.0);
         assert_eq!(ds.value(2, 1), 0.5);
+        assert_eq!(ds.column(1), &[2.0, -1.0, 0.5]);
         assert_eq!(ds.label(1), 2);
         assert_eq!(ds.labels(), &[0, 2, 1]);
     }
@@ -213,20 +219,6 @@ mod tests {
     fn class_counts_are_correct() {
         let ds = sample();
         assert_eq!(ds.class_counts(), vec![1, 1, 1]);
-    }
-
-    #[test]
-    fn feature_ranges_span_data() {
-        let ds = sample();
-        let ranges = ds.feature_ranges().unwrap();
-        assert_eq!(ranges[0], (0.5, 3.0));
-        assert_eq!(ranges[1], (-1.0, 2.0));
-    }
-
-    #[test]
-    fn empty_dataset_has_no_ranges() {
-        let ds = Dataset::new(vec!["a".into()], 2).unwrap();
-        assert!(ds.feature_ranges().is_none());
     }
 
     #[test]

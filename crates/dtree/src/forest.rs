@@ -23,8 +23,9 @@
 //!   with them, which counts exactly as the drawn duplicates would. The
 //!   feature orders are presorted once per forest; each member keeps the
 //!   rows it drew (weight > 0) from them, so a member holds `u32` row
-//!   orders and weights, never a copy of the dataset, and each worker
-//!   reuses one such pair of buffers for all of its members.
+//!   orders, packed weights and a partition buffer, never a copy of the
+//!   dataset, and each worker reuses one set of these buffers for all of
+//!   its members.
 //! * [`Forest`] — the trained pointer-tree ensemble (the transparent,
 //!   reviewable form). `tauw-core` lowers each calibrated member to a
 //!   [`crate::flat::FlatTree`] and serves the ensemble through its own
@@ -134,8 +135,8 @@ impl ForestBuilder {
         let threads = self.n_threads.unwrap_or_else(parallel::max_threads).max(1);
         let orders = row_orders(data)?;
         // One contiguous run of members per worker, so each worker reuses
-        // its weight and order buffers from member to member (a stable
-        // peak memory); the runs concatenate in seed order.
+        // its weight, order and partition buffers from member to member (a
+        // stable peak memory); the runs concatenate in seed order.
         let runs: Vec<&[u64]> = member_seeds
             .chunks(self.n_trees.div_ceil(threads))
             .collect();
@@ -143,9 +144,10 @@ impl ForestBuilder {
             parallel::par_map(threads, &runs, |seeds| {
                 let mut weights = vec![0u32; data.n_samples()];
                 // Sized once for the largest possible resample: grown by
-                // doubling instead, every reallocation would copy it and
-                // leave its old block behind as a hole in the heap.
+                // doubling instead, every reallocation would copy them and
+                // leave the old blocks behind as holes in the heap.
                 let mut member_orders = Vec::with_capacity(orders.len());
+                let mut partition = Vec::with_capacity(data.n_samples());
                 seeds
                     .iter()
                     .map(|&seed| {
@@ -153,7 +155,12 @@ impl ForestBuilder {
                         member_orders.clear();
                         member_orders
                             .extend(orders.iter().filter(|&&row| weights[row as usize] > 0));
-                        template.fit_weighted(data, &mut member_orders, &weights)
+                        template.fit_weighted(
+                            data,
+                            &mut member_orders,
+                            &mut weights,
+                            &mut partition,
+                        )
                     })
                     .collect()
             });
@@ -237,7 +244,8 @@ mod tests {
         let mut resample = Dataset::new(data.feature_names().to_vec(), data.n_classes()).unwrap();
         for _ in 0..n {
             let i = rng.next_index(n);
-            resample.push_row(data.row(i), data.label(i)).unwrap();
+            let row: Vec<f64> = (0..data.n_features()).map(|f| data.value(i, f)).collect();
+            resample.push_row(&row, data.label(i)).unwrap();
         }
         resample
     }

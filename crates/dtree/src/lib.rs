@@ -7,9 +7,10 @@
 //! None of the thin ML crates in the ecosystem expose the calibration-driven
 //! pruning and per-leaf routing this requires, so the tree is hand-built:
 //!
-//! * [`data::Dataset`] — dense row-major feature matrix with named columns.
+//! * [`data::Dataset`] — dense feature-major matrix with named columns.
 //! * [`criterion`] — gini impurity, the paper's split criterion.
-//! * [`splitter`] — exact split search over presorted feature orders.
+//! * [`splitter`] — exact split search over presorted feature orders,
+//!   with a blocked two-pass Gini kernel for two-class nodes.
 //! * [`builder::TreeBuilder`] — recursive gini CART construction with a
 //!   depth limit and a per-leaf sample minimum.
 //! * [`tree::DecisionTree`] — the arena-based tree: prediction, decision
