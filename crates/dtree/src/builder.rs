@@ -417,7 +417,7 @@ mod tests {
             if !depth_ok || impurity <= 0.0 {
                 return id;
             }
-            let Some(split) = find_best_split(data, idx, &counts, b.min_samples_leaf) else {
+            let Some(split) = find_best_split(data, idx, b.min_samples_leaf) else {
                 return id;
             };
             let (mut lo, mut hi) = (0, idx.len());

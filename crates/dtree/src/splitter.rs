@@ -92,9 +92,9 @@ pub struct BestSplit {
 /// per-node reference the presorted search is tested against, and a
 /// standalone entry point.
 ///
-/// `parent_counts` are the per-class counts over `idx` (precomputed by the
-/// caller). Returns `None` when no split satisfies `min_samples_leaf` or
-/// yields positive gain.
+/// The node's per-class counts are taken from the labels of `idx`.
+/// Returns `None` when no split satisfies `min_samples_leaf` or yields
+/// positive gain.
 ///
 /// # Panics
 ///
@@ -102,10 +102,13 @@ pub struct BestSplit {
 pub fn find_best_split(
     data: &Dataset,
     idx: &[usize],
-    parent_counts: &[u64],
     min_samples_leaf: usize,
 ) -> Option<BestSplit> {
-    let parent_impurity = gini_impurity(parent_counts);
+    let mut parent_counts = vec![0u64; data.n_classes() as usize];
+    for &i in idx {
+        parent_counts[data.label(i) as usize] += 1;
+    }
+    let parent_impurity = gini_impurity(&parent_counts);
     if parent_impurity <= 0.0 {
         return None;
     }
@@ -116,7 +119,7 @@ pub fn find_best_split(
         let mut sorted = idx.to_vec();
         sorted.sort_by(|&a, &b| column[a].total_cmp(&column[b]));
         let mut left = vec![0u64; parent_counts.len()];
-        let mut right = parent_counts.to_vec();
+        let mut right = parent_counts.clone();
         let mut feature_best: Option<Candidate> = None;
         for (n_left, pair) in (1..).zip(sorted.windows(2)) {
             let label = data.label(pair[0]) as usize;
@@ -453,8 +456,7 @@ mod tests {
     #[test]
     fn exact_finds_separating_threshold() {
         let (ds, idx) = two_cluster_data();
-        let counts = ds.class_counts();
-        let split = find_best_split(&ds, &idx, &counts, 1).expect("split must exist");
+        let split = find_best_split(&ds, &idx, 1).expect("split must exist");
         assert_eq!(split.feature, 0);
         assert!(split.threshold > 0.9 && split.threshold < 10.0);
         assert_eq!(split.n_left, 10);
@@ -471,8 +473,7 @@ mod tests {
             ds.push_row(&[i as f64], 0).unwrap();
         }
         let idx: Vec<usize> = (0..5).collect();
-        let counts = ds.class_counts();
-        assert!(find_best_split(&ds, &idx, &counts, 1).is_none());
+        assert!(find_best_split(&ds, &idx, 1).is_none());
     }
 
     #[test]
@@ -482,16 +483,14 @@ mod tests {
             ds.push_row(&[1.0], u32::from(i % 2 == 0)).unwrap();
         }
         let idx: Vec<usize> = (0..6).collect();
-        let counts = ds.class_counts();
-        assert!(find_best_split(&ds, &idx, &counts, 1).is_none());
+        assert!(find_best_split(&ds, &idx, 1).is_none());
     }
 
     #[test]
     fn min_samples_leaf_constrains_split() {
         let (ds, idx) = two_cluster_data();
-        let counts = ds.class_counts();
         // Requiring 11 samples per side makes the 10/10 split infeasible.
-        assert!(find_best_split(&ds, &idx, &counts, 11).is_none());
+        assert!(find_best_split(&ds, &idx, 11).is_none());
     }
 
     #[test]
@@ -502,8 +501,7 @@ mod tests {
         let mut ds = Dataset::new(vec!["x".into()], 2).unwrap();
         ds.push_row(&[0.0], 0).unwrap();
         ds.push_row(&[1.0], 1).unwrap();
-        let counts = ds.class_counts();
-        let split = find_best_split(&ds, &[0, 1], &counts, 1).unwrap();
+        let split = find_best_split(&ds, &[0, 1], 1).unwrap();
         assert!((split.threshold - 0.5).abs() < 1e-12);
     }
 
@@ -512,11 +510,23 @@ mod tests {
         let (ds, _) = two_cluster_data();
         // Only class-0 samples: node is pure, no split.
         let idx: Vec<usize> = (0..10).collect();
-        let mut counts = vec![0u64; 2];
-        for &i in &idx {
-            counts[ds.label(i) as usize] += 1;
+        assert!(find_best_split(&ds, &idx, 1).is_none());
+    }
+
+    #[test]
+    fn node_counts_come_from_the_node_rows() {
+        // Rows 0..3 label [0, 0, 1] over x = 0, 1, 2: the pure-left cut
+        // is between x = 1 and x = 2, with two rows on the left. The rows
+        // outside `idx` (two more class-1 rows) must not enter the counts.
+        let mut ds = Dataset::new(vec!["x".into()], 2).unwrap();
+        for (x, label) in [(0.0, 0), (1.0, 0), (2.0, 1), (3.0, 1), (4.0, 1)] {
+            ds.push_row(&[x], label).unwrap();
         }
-        assert!(find_best_split(&ds, &idx, &counts, 1).is_none());
+        let split = find_best_split(&ds, &[0, 1, 2], 1).expect("the node is mixed");
+        assert_eq!(split.feature, 0);
+        assert_eq!(split.threshold, 1.5);
+        assert_eq!(split.n_left, 2);
+        assert_eq!(split.gain.to_bits(), (4.0f64 / 9.0).to_bits());
     }
 
     /// SplitMix64 stream for test data.
@@ -604,7 +614,7 @@ mod tests {
         }
         let idx: Vec<usize> = (0..materialized.n_samples()).collect();
         let counts = materialized.class_counts();
-        let reference = find_best_split(&materialized, &idx, &counts, min_leaf);
+        let reference = find_best_split(&materialized, &idx, min_leaf);
         let segments: Vec<Vec<u32>> = presorted_segments(ds)
             .into_iter()
             .map(|s| s.into_iter().filter(|&r| weights[r as usize] > 0).collect())

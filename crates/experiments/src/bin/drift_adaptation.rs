@@ -13,75 +13,35 @@
 //! coverage gap (observed failure rate minus mean promised failure bound,
 //! clamped at zero) closes to within 5 points, while the *frozen* gap does
 //! not.
+//!
+//! The binary exits non-zero if any shape check is VIOLATED.
 
-use tauw_core::adaptive::{AdaptiveConfig, DriftSignal};
-use tauw_experiments::report::{emit, fmt_pct, fmt_prob, section, TextTable};
+use tauw_experiments::report::{emit, section, ShapeChecks};
+use tauw_experiments::stream::AdaptiveReplay;
 use tauw_experiments::{CliOptions, ExperimentContext};
 use tauw_stats::bootstrap::SplitMix64;
-
-/// One served step of the concatenated stream, as needed for the
-/// quarter-by-quarter coverage accounting.
-struct Served {
-    frozen_bound: f64,
-    adapted_bound: f64,
-    failed: bool,
-    drifting: bool,
-    in_regime_switch: bool,
-}
 
 fn main() {
     let opts = CliOptions::from_env();
     let ctx = ExperimentContext::build(opts.scale, opts.seed).expect("context builds");
 
-    // Concatenate the test series into one long stream. The fusion window
-    // still resets at every series boundary (begin_series), but the
-    // adaptive coverage ring deliberately survives those resets: drift is
-    // a property of the stream, not of any single series.
     let n_series = ctx.test.len();
     let switch_at = n_series / 2;
-    let total_steps: usize = ctx.test.iter().map(|s| s.steps.len()).sum();
-
-    let window = (total_steps / 20).clamp(20, 200);
-    let config = AdaptiveConfig {
-        window,
-        min_observations: (window / 4).max(1),
-        rate: 0.05,
-        max_inflation_steps: 200,
-        ..Default::default()
-    };
-    let mut session = ctx
-        .tauw
-        .new_adaptive_session(config)
-        .expect("valid adaptive config");
 
     // Unmodeled post-switch failures: with p ~ 0.35, the ground truth
     // silently drifts away from whatever the DDM reports. The DDM's
     // outputs — and therefore every quality factor and taQF the wrapper
     // routes on — are unchanged, so a frozen wrapper cannot see this at
     // all; only delayed ground-truth feedback (the `failed` flag) reveals
-    // it, which is exactly what the adaptive coverage ring consumes.
+    // it, which is exactly what the adaptive coverage ring consumes. The
+    // draw happens on every post-switch step, whatever the outcome.
     let mut rng = SplitMix64::new(opts.seed ^ 0xD21F);
-    let mut served = Vec::with_capacity(total_steps);
-    for (i, series) in ctx.test.iter().enumerate() {
-        let in_regime_switch = i >= switch_at;
-        session.begin_series();
-        for step in &series.steps {
-            let mut failed = step.outcome != series.true_outcome;
-            if in_regime_switch && rng.next_f64() < 0.35 {
-                failed = true;
-            }
-            let out = session
-                .step(&step.quality_factors, step.outcome, failed)
-                .expect("step serves");
-            served.push(Served {
-                frozen_bound: out.uncertainty,
-                adapted_bound: out.adapted_uncertainty,
-                failed,
-                drifting: out.drift != DriftSignal::Stable,
-                in_regime_switch,
-            });
-        }
-    }
+    let replay = AdaptiveReplay::run(&ctx.tauw, &ctx.test, switch_at, |after, failed| {
+        (after && rng.next_f64() < 0.35) || failed
+    })
+    .expect("stream serves");
+    let total_steps = replay.served.len();
+    let config = &replay.config;
 
     let mut out = String::new();
     out.push_str(&section("drift adaptation (regime switch at mid-stream)"));
@@ -89,88 +49,27 @@ fn main() {
         "stream: {total_steps} steps over {n_series} series; silent unmodeled\n\
          failures injected with p=0.35 from series {switch_at} on (quality\n\
          factors unchanged — only ground-truth feedback reveals them).\n\
-         adaptive config: window {window}, min observations {}, rate {}.\n\n",
-        config.min_observations, config.rate,
+         adaptive config: window {}, min observations {}, rate {}.\n\n",
+        config.window, config.min_observations, config.rate,
     ));
 
-    // Quarter-by-quarter coverage accounting. gap = how far the observed
-    // failure rate overshoots the promised (mean served) failure bound.
-    let gap = |failure_rate: f64, mean_bound: f64| (failure_rate - mean_bound).max(0.0);
-    let quarter = served.len() / 4;
-    let mut table = TextTable::new(vec![
-        "quarter",
-        "failure rate",
-        "frozen bound",
-        "adaptive bound",
-        "frozen gap",
-        "adaptive gap",
-        "drift signals",
-    ]);
-    let mut last_gaps = (0.0f64, 0.0f64);
-    for q in 0..4 {
-        let lo = q * quarter;
-        let hi = if q == 3 {
-            served.len()
-        } else {
-            (q + 1) * quarter
-        };
-        let slice = &served[lo..hi];
-        let n = slice.len().max(1) as f64;
-        let failure_rate = slice.iter().filter(|s| s.failed).count() as f64 / n;
-        let frozen = slice.iter().map(|s| s.frozen_bound).sum::<f64>() / n;
-        let adaptive = slice.iter().map(|s| s.adapted_bound).sum::<f64>() / n;
-        let drifting = slice.iter().filter(|s| s.drifting).count();
-        last_gaps = (gap(failure_rate, frozen), gap(failure_rate, adaptive));
-        table.row(vec![
-            format!("Q{}", q + 1),
-            fmt_pct(failure_rate),
-            fmt_prob(frozen),
-            fmt_prob(adaptive),
-            fmt_pct(last_gaps.0),
-            fmt_pct(last_gaps.1),
-            drifting.to_string(),
-        ]);
-    }
-    out.push_str(&table.render());
+    out.push_str(&replay.quarter_table());
+    let last = replay.quarters()[3];
+    let (pre_drift, post_drift) = replay.drift_counts();
 
-    let pre_drift = served
-        .iter()
-        .filter(|s| !s.in_regime_switch && s.drifting)
-        .count();
-    let post_drift = served
-        .iter()
-        .filter(|s| s.in_regime_switch && s.drifting)
-        .count();
-
-    out.push_str(&section("shape checks"));
-    let mut checks = TextTable::new(vec!["check", "status"]);
-    checks.row(vec![
-        "final quarter: adaptive coverage gap closes to within 5 points".to_string(),
-        if last_gaps.1 <= 0.05 {
-            "HOLDS"
-        } else {
-            "VIOLATED"
-        }
-        .to_string(),
-    ]);
-    checks.row(vec![
-        "final quarter: frozen bounds still undercover by more than 5 points".to_string(),
-        if last_gaps.0 > 0.05 {
-            "HOLDS"
-        } else {
-            "VIOLATED"
-        }
-        .to_string(),
-    ]);
-    checks.row(vec![
-        "drift signals concentrate after the regime switch".to_string(),
-        if post_drift > pre_drift {
-            "HOLDS"
-        } else {
-            "VIOLATED"
-        }
-        .to_string(),
-    ]);
+    let mut checks = ShapeChecks::new();
+    checks.check(
+        "final quarter: adaptive coverage gap closes to within 5 points",
+        last.adaptive_gap() <= 0.05,
+    );
+    checks.check(
+        "final quarter: frozen bounds still undercover by more than 5 points",
+        last.frozen_gap() > 0.05,
+    );
+    checks.check(
+        "drift signals concentrate after the regime switch",
+        post_drift > pre_drift,
+    );
     out.push_str(&checks.render());
     out.push_str(&format!(
         "\ndrift signals: {pre_drift} before the switch, {post_drift} after.\n\
@@ -180,4 +79,5 @@ fn main() {
     ));
 
     emit(&opts.out_dir, "drift_adaptation.txt", &out).expect("write results");
+    checks.gate("drift_adaptation");
 }

@@ -3,7 +3,7 @@
 
 use tauw_experiments::eval::evaluate;
 use tauw_experiments::paper::{fig4_shape_holds, headline};
-use tauw_experiments::report::{bar, emit, fmt_pct, section, TextTable};
+use tauw_experiments::report::{bar, emit, fmt_pct, section, verdict, TextTable};
 use tauw_experiments::{CliOptions, ExperimentContext};
 
 fn main() {
@@ -61,11 +61,7 @@ fn main() {
 
     out.push_str(&format!(
         "\nshape check (coincide at step 1, fused <= isolated from step 3, declining): {}\n",
-        if fig4_shape_holds(&rates) {
-            "HOLDS"
-        } else {
-            "VIOLATED"
-        }
+        verdict(fig4_shape_holds(&rates))
     ));
 
     emit(&opts.out_dir, "fig4.txt", &out).expect("write results");

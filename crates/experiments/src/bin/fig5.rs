@@ -5,7 +5,7 @@
 
 use tauw_experiments::eval::{evaluate, Approach};
 use tauw_experiments::paper::headline;
-use tauw_experiments::report::{bar, emit, fmt_pct, fmt_prob, section, TextTable};
+use tauw_experiments::report::{bar, emit, fmt_pct, fmt_prob, section, ShapeChecks, TextTable};
 use tauw_experiments::{CliOptions, ExperimentContext};
 use tauw_stats::descriptive::Histogram;
 
@@ -76,41 +76,23 @@ fn main() {
     ]);
     out.push_str(&table.render());
 
-    out.push_str(&section("shape checks"));
-    let mut checks = TextTable::new(vec!["check", "status"]);
-    checks.row(vec![
-        "taUW guarantees a lower minimum uncertainty than the stateless UW".to_string(),
-        if min_tauw <= min_stateless {
-            "HOLDS"
-        } else {
-            "VIOLATED"
-        }
-        .to_string(),
-    ]);
-    checks.row(vec![
-        "the share of cases at the lowest uncertainty grows substantially (paper: ~2x)".to_string(),
-        if share_tauw > 1.2 * share_stateless {
-            "HOLDS"
-        } else {
-            "VIOLATED"
-        }
-        .to_string(),
-    ]);
-    checks.row(vec![
-        "majority of cases get better than 99% certainty with taUW".to_string(),
-        if eval
-            .uncertainties(Approach::IfTauw)
+    let mut checks = ShapeChecks::new();
+    checks.check(
+        "taUW guarantees a lower minimum uncertainty than the stateless UW",
+        min_tauw <= min_stateless,
+    );
+    checks.check(
+        "the share of cases at the lowest uncertainty grows substantially (paper: ~2x)",
+        share_tauw > 1.2 * share_stateless,
+    );
+    checks.check(
+        "majority of cases get better than 99% certainty with taUW",
+        eval.uncertainties(Approach::IfTauw)
             .iter()
             .filter(|&&u| u < 0.01 + 1e-12)
             .count() as f64
-            > 0.4 * eval.cases.len() as f64
-        {
-            "HOLDS"
-        } else {
-            "VIOLATED"
-        }
-        .to_string(),
-    ]);
+            > 0.4 * eval.cases.len() as f64,
+    );
     out.push_str(&checks.render());
 
     emit(&opts.out_dir, "fig5.txt", &out).expect("write results");

@@ -3,7 +3,7 @@
 //! 10% steps for the naïve, worst-case, opportune and taUW models.
 
 use tauw_experiments::eval::{evaluate, Approach};
-use tauw_experiments::report::{emit, section, TextTable};
+use tauw_experiments::report::{emit, section, ShapeChecks, TextTable};
 use tauw_experiments::{CliOptions, ExperimentContext};
 use tauw_stats::calibration::spiegelhalter_z;
 
@@ -79,7 +79,6 @@ fn main() {
     out.push_str(&section("summary"));
     out.push_str(&summary.render());
 
-    out.push_str(&section("shape checks"));
     let naive = eval
         .calibration_curve(Approach::IfNaive, 10)
         .expect("curve");
@@ -90,51 +89,30 @@ fn main() {
         .calibration_curve(Approach::IfOpportune, 10)
         .expect("curve");
     let tauw = eval.calibration_curve(Approach::IfTauw, 10).expect("curve");
-    let mut checks = TextTable::new(vec!["check", "status"]);
-    checks.row(vec![
-        "naive UF is overconfident (negative mean gap)".to_string(),
-        if naive.mean_signed_gap() < 0.0 {
-            "HOLDS"
-        } else {
-            "VIOLATED"
-        }
-        .to_string(),
-    ]);
-    checks.row(vec![
-        "worst-case UF is the most conservative (largest positive mean gap)".to_string(),
-        if worst.mean_signed_gap() >= naive.mean_signed_gap()
+    let mut checks = ShapeChecks::new();
+    checks.check(
+        "naive UF is overconfident (negative mean gap)",
+        naive.mean_signed_gap() < 0.0,
+    );
+    checks.check(
+        "worst-case UF is the most conservative (largest positive mean gap)",
+        worst.mean_signed_gap() >= naive.mean_signed_gap()
             && worst.mean_signed_gap() >= opportune.mean_signed_gap()
-            && worst.mean_signed_gap() >= tauw.mean_signed_gap()
-        {
-            "HOLDS"
-        } else {
-            "VIOLATED"
-        }
-        .to_string(),
-    ]);
-    checks.row(vec![
-        "taUW is better calibrated than naive and worst-case (lower ECE)".to_string(),
-        if tauw.ece() < naive.ece() && tauw.ece() < worst.ece() {
-            "HOLDS"
-        } else {
-            "VIOLATED"
-        }
-        .to_string(),
-    ]);
-    checks.row(vec![
-        "taUW has the largest range of predicted certainties".to_string(),
-        if CURVE_APPROACHES.iter().all(|&a| {
+            && worst.mean_signed_gap() >= tauw.mean_signed_gap(),
+    );
+    checks.check(
+        "taUW is better calibrated than naive and worst-case (lower ECE)",
+        tauw.ece() < naive.ece() && tauw.ece() < worst.ece(),
+    );
+    checks.check(
+        "taUW has the largest range of predicted certainties",
+        CURVE_APPROACHES.iter().all(|&a| {
             eval.calibration_curve(a, 10)
                 .expect("curve")
                 .certainty_range()
                 <= tauw.certainty_range() + 1e-12
-        }) {
-            "HOLDS"
-        } else {
-            "VIOLATED"
-        }
-        .to_string(),
-    ]);
+        }),
+    );
     out.push_str(&checks.render());
 
     emit(&opts.out_dir, "fig6.txt", &out).expect("write results");

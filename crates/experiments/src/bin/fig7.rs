@@ -5,7 +5,7 @@
 
 use tauw_core::taqf::TaqfSet;
 use tauw_experiments::eval::{evaluate, Approach};
-use tauw_experiments::report::{emit, fmt_prob, section, TextTable};
+use tauw_experiments::report::{emit, fmt_prob, section, ShapeChecks, TextTable};
 use tauw_experiments::{CliOptions, ExperimentContext};
 
 fn main() {
@@ -71,80 +71,44 @@ fn main() {
     }
     out.push_str(&singles.render());
 
-    out.push_str(&section("shape checks"));
-    let mut checks = TextTable::new(vec!["check", "status"]);
-    checks.row(vec![
-        "using taQFs improves the Brier score over the stateless feature set".to_string(),
-        if full < empty { "HOLDS" } else { "VIOLATED" }.to_string(),
-    ]);
-    checks.row(vec![
-        "ratio is the strongest single feature".to_string(),
-        if single_list[0].0 == "ratio" {
-            "HOLDS"
-        } else {
-            "VIOLATED"
-        }
-        .to_string(),
-    ]);
-    checks.row(vec![
-        "size is the second-best single feature (paper Sec. V RQ3)".to_string(),
-        if single_list[1].0 == "size" {
-            "HOLDS"
-        } else {
-            "VIOLATED"
-        }
-        .to_string(),
-    ]);
-    checks.row(vec![
-        "certainty has predictive power on its own".to_string(),
-        if certainty < empty - 1e-4 {
-            "HOLDS"
-        } else {
-            "VIOLATED"
-        }
-        .to_string(),
-    ]);
+    let mut checks = ShapeChecks::new();
+    checks.check(
+        "using taQFs improves the Brier score over the stateless feature set",
+        full < empty,
+    );
+    checks.check(
+        "ratio is the strongest single feature",
+        single_list[0].0 == "ratio",
+    );
+    checks.check(
+        "size is the second-best single feature (paper Sec. V RQ3)",
+        single_list[1].0 == "size",
+    );
+    checks.check(
+        "certainty has predictive power on its own",
+        certainty < empty - 1e-4,
+    );
     let best_length_pair = results
         .iter()
         .filter(|(s, _)| s.len() == 2 && s.contains(Length))
         .map(|(_, b)| *b)
         .fold(f64::INFINITY, f64::min);
-    checks.row(vec![
-        "length combined with one other feature does improve".to_string(),
-        if best_length_pair < length - 1e-4 {
-            "HOLDS"
-        } else {
-            "VIOLATED"
-        }
-        .to_string(),
-    ]);
-    checks.row(vec![
-        "{ratio, certainty} already achieves (near-)optimal Brier".to_string(),
-        if ratio_certainty <= best + 0.002 {
-            "HOLDS"
-        } else {
-            "VIOLATED"
-        }
-        .to_string(),
-    ]);
-    checks.row(vec![
-        "length alone yields no improvement".to_string(),
-        if length >= empty - 0.002 {
-            "HOLDS"
-        } else {
-            "VIOLATED"
-        }
-        .to_string(),
-    ]);
-    checks.row(vec![
-        "the full set is not better than the best pair (redundancy)".to_string(),
-        if full >= best - 0.002 {
-            "HOLDS"
-        } else {
-            "VIOLATED"
-        }
-        .to_string(),
-    ]);
+    checks.check(
+        "length combined with one other feature does improve",
+        best_length_pair < length - 1e-4,
+    );
+    checks.check(
+        "{ratio, certainty} already achieves (near-)optimal Brier",
+        ratio_certainty <= best + 0.002,
+    );
+    checks.check(
+        "length alone yields no improvement",
+        length >= empty - 0.002,
+    );
+    checks.check(
+        "the full set is not better than the best pair (redundancy)",
+        full >= best - 0.002,
+    );
     out.push_str(&checks.render());
 
     out.push_str(

@@ -5,7 +5,7 @@
 //! windowed vote, latest-only — on fused accuracy over the test windows.
 
 use tauw_core::buffer::TimeseriesBuffer;
-use tauw_experiments::report::{emit, fmt_pct, section, TextTable};
+use tauw_experiments::report::{emit, fmt_pct, section, ShapeChecks, TextTable};
 use tauw_experiments::{CliOptions, ExperimentContext};
 use tauw_fusion::info::{
     CertaintyWeightedVote, InformationFusion, LatestOnly, MajorityVote, WindowedMajorityVote,
@@ -80,7 +80,6 @@ fn main() {
     }
     out.push_str(&table.render());
 
-    out.push_str(&section("shape checks"));
     let rate_of = |label: &str| {
         results
             .iter()
@@ -88,37 +87,21 @@ fn main() {
             .map(|(_, r, _)| *r)
             .expect("row")
     };
-    let mut checks = TextTable::new(vec!["check", "status"]);
-    checks.row(vec![
-        "every fusion strategy beats latest-only".to_string(),
-        if results[..4]
+    let mut checks = ShapeChecks::new();
+    checks.check(
+        "every fusion strategy beats latest-only",
+        results[..4]
             .iter()
-            .all(|(_, r, _)| *r < rate_of("latest only"))
-        {
-            "HOLDS"
-        } else {
-            "VIOLATED"
-        }
-        .to_string(),
-    ]);
-    checks.row(vec![
-        "full-history voting beats the 3-step window (evidence accumulates)".to_string(),
-        if rate_of("majority vote") < rate_of("windowed majority (last 3") {
-            "HOLDS"
-        } else {
-            "VIOLATED"
-        }
-        .to_string(),
-    ]);
-    checks.row(vec![
-        "no strategy dominates majority voting by a large margin (paper [23])".to_string(),
-        if results[..4].iter().all(|(_, r, _)| *r > paper_rate - 0.01) {
-            "HOLDS"
-        } else {
-            "VIOLATED"
-        }
-        .to_string(),
-    ]);
+            .all(|(_, r, _)| *r < rate_of("latest only")),
+    );
+    checks.check(
+        "full-history voting beats the 3-step window (evidence accumulates)",
+        rate_of("majority vote") < rate_of("windowed majority (last 3"),
+    );
+    checks.check(
+        "no strategy dominates majority voting by a large margin (paper [23])",
+        results[..4].iter().all(|(_, r, _)| *r > paper_rate - 0.01),
+    );
     out.push_str(&checks.render());
 
     emit(&opts.out_dir, "if_ablation.txt", &out).expect("write results");

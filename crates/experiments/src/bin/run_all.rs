@@ -1,9 +1,11 @@
-//! Runs every experiment in one process (sharing the expensive context
-//! build) and writes all result files. This is the one-stop entry point
-//! referenced by `EXPERIMENTS.md`:
+//! Runs every experiment binary, one child process each, with the same
+//! options, and writes all result files. Exits 1 if any experiment does
+//! (the gating binaries exit 1 on a VIOLATED shape check). It starts the
+//! other binaries from its own directory, so build them all first:
 //!
 //! ```text
-//! cargo run -p tauw-experiments --release --bin run_all
+//! cargo build --release -p tauw-experiments
+//! target/release/run_all --scale 0.2
 //! ```
 
 use std::process::Command;

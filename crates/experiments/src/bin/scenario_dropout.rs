@@ -16,38 +16,17 @@
 //! The binary exits non-zero if any shape check is VIOLATED, so CI can
 //! assert the verdicts.
 
-use tauw_experiments::eval::evaluate;
-use tauw_experiments::report::{emit, fmt_pct, fmt_prob, section, TextTable};
+use tauw_core::training::TrainingSeries;
+use tauw_experiments::eval::{evaluate, BackendSummary};
+use tauw_experiments::report::{emit, fmt_pct, fmt_prob, section, ShapeChecks, TextTable};
 use tauw_experiments::{Approach, CliOptions, ExperimentContext};
 use tauw_sim::scenario::{DropoutParams, ScenarioFamily};
-use tauw_stats::roc::auc;
 
-struct Row {
-    name: String,
-    auc: f64,
-    brier: f64,
-    mean_bound: f64,
-    fused_err: f64,
-}
-
-fn assess(
-    name: &str,
-    ctx: &ExperimentContext,
-    test: &[tauw_core::training::TrainingSeries],
-) -> Row {
+/// The IF + taUW summary and the fused misclassification on `test`.
+fn assess(ctx: &ExperimentContext, test: &[TrainingSeries]) -> (BackendSummary, f64) {
     let eval = evaluate(&ctx.tauw, test).expect("evaluation runs");
-    let (forecasts, failures) = eval.forecasts(Approach::IfTauw);
-    let ranking = auc(&forecasts, &failures).expect("both outcome classes present");
-    let decomposition = eval
-        .decomposition(Approach::IfTauw)
-        .expect("decomposition computes");
-    Row {
-        name: name.to_string(),
-        auc: ranking,
-        brier: decomposition.brier,
-        mean_bound: forecasts.iter().sum::<f64>() / forecasts.len().max(1) as f64,
-        fused_err: eval.fused_misclassification(),
-    }
+    let summary = eval.summary(Approach::IfTauw).expect("summary computes");
+    (summary, eval.fused_misclassification())
 }
 
 fn main() {
@@ -72,10 +51,10 @@ fn main() {
         .expect("scenario test builds");
 
     let rows = [
-        assess("clean sensors (baseline)", &ctx, &ctx.test),
-        assess("dropout, mixed stale/dead", &ctx, &mixed_test),
-        assess("dropout, stale holds", &ctx, &stale_test),
-        assess("dropout, dead zeros", &ctx, &dead_test),
+        ("clean sensors (baseline)", assess(&ctx, &ctx.test)),
+        ("dropout, mixed stale/dead", assess(&ctx, &mixed_test)),
+        ("dropout, stale holds", assess(&ctx, &stale_test)),
+        ("dropout, dead zeros", assess(&ctx, &dead_test)),
     ];
 
     let mut out = String::new();
@@ -95,45 +74,33 @@ fn main() {
         "mean bound",
         "fused misclassification",
     ]);
-    for r in &rows {
+    for (name, (r, fused_err)) in &rows {
         table.row(vec![
-            r.name.clone(),
+            name.to_string(),
             format!("{:.4}", r.auc),
             fmt_prob(r.brier),
             fmt_prob(r.mean_bound),
-            fmt_pct(r.fused_err),
+            fmt_pct(*fused_err),
         ]);
     }
     out.push_str(&table.render());
 
-    let (clean, mixed, stale, dead) = (&rows[0], &rows[1], &rows[2], &rows[3]);
-    out.push_str(&section("shape checks"));
-    let mut checks = TextTable::new(vec!["check", "status"]);
-    let mut violations = 0usize;
-    let mut check = |label: &str, holds: bool| {
-        if !holds {
-            violations += 1;
-        }
-        checks.row(vec![
-            label.to_string(),
-            if holds { "HOLDS" } else { "VIOLATED" }.to_string(),
-        ]);
-    };
-    check(
+    let fused_errs = rows.map(|(_, (_, fused_err))| fused_err);
+    let [clean, mixed, stale, dead] = rows.map(|(_, (summary, _))| summary);
+    let mut checks = ShapeChecks::new();
+    checks.check(
         "fused misclassification is exactly unchanged (outcomes untouched)",
-        mixed.fused_err == clean.fused_err
-            && stale.fused_err == clean.fused_err
-            && dead.fused_err == clean.fused_err,
+        fused_errs.iter().all(|&e| e == fused_errs[0]),
     );
-    check(
+    checks.check(
         "dropout degrades the wrapper's failure ranking (AUC drops)",
         mixed.auc < clean.auc,
     );
-    check(
+    checks.check(
         "stale sensors hurt less than dead sensors (AUC)",
         stale.auc >= dead.auc,
     );
-    check(
+    checks.check(
         "the wrapper stays informative under dropout (AUC > 0.5)",
         mixed.auc > 0.5,
     );
@@ -146,8 +113,5 @@ fn main() {
     );
 
     emit(&opts.out_dir, "scenario_dropout.txt", &out).expect("write results");
-    if violations > 0 {
-        eprintln!("scenario_dropout: {violations} shape check(s) VIOLATED");
-        std::process::exit(1);
-    }
+    checks.gate("scenario_dropout");
 }

@@ -17,55 +17,17 @@
 //! The binary exits non-zero if any shape check is VIOLATED.
 
 use tauw_core::conformal::ConformalOptions;
-use tauw_experiments::eval::evaluate;
-use tauw_experiments::report::{emit, fmt_prob, section, TextTable};
-use tauw_experiments::{Approach, CliOptions, ExperimentContext};
+use tauw_core::tauw::TimeseriesAwareWrapper;
+use tauw_core::training::TrainingSeries;
+use tauw_experiments::eval::{evaluate, BackendSummary};
+use tauw_experiments::report::{emit, fmt_prob, section, ShapeChecks, TextTable};
+use tauw_experiments::{Approach, CliOptions, ExperimentContext, CONFORMAL_CONFIDENCE};
 use tauw_sim::scenario::{BurstParams, ScenarioFamily};
-use tauw_stats::roc::auc;
 
-/// Matches `conformal_head_to_head`: attainable from small calibration
-/// splits at every world scale.
-const CONFORMAL_CONFIDENCE: f64 = 0.9;
-
-/// Fraction of cases whose one-sided bound covers the realized failure
-/// indicator (`y ≤ bound`).
-fn indicator_coverage(forecasts: &[f64], failures: &[bool]) -> f64 {
-    let covered = forecasts
-        .iter()
-        .zip(failures)
-        .filter(|(&bound, &failed)| !failed || bound >= 1.0 - 1e-12)
-        .count();
-    covered as f64 / forecasts.len().max(1) as f64
-}
-
-struct Row {
-    name: String,
-    coverage: f64,
-    mean_bound: f64,
-    auc: f64,
-    levels: usize,
-}
-
-fn assess(
-    name: &str,
-    tauw: &tauw_core::tauw::TimeseriesAwareWrapper,
-    test: &[tauw_core::training::TrainingSeries],
-) -> Row {
+/// The IF + taUW summary of `tauw` on `test`.
+fn assess(tauw: &TimeseriesAwareWrapper, test: &[TrainingSeries]) -> BackendSummary {
     let eval = evaluate(tauw, test).expect("evaluation runs");
-    let (forecasts, failures) = eval.forecasts(Approach::IfTauw);
-    let ranking = auc(&forecasts, &failures).expect("both outcome classes present");
-    let coverage = indicator_coverage(&forecasts, &failures);
-    let mean_bound = forecasts.iter().sum::<f64>() / forecasts.len().max(1) as f64;
-    let mut levels = forecasts.clone();
-    levels.sort_by(f64::total_cmp);
-    levels.dedup_by(|a, b| (*a - *b).abs() <= 1e-12);
-    Row {
-        name: name.to_string(),
-        coverage,
-        mean_bound,
-        auc: ranking,
-        levels: levels.len(),
-    }
+    eval.summary(Approach::IfTauw).expect("summary computes")
 }
 
 fn main() {
@@ -90,22 +52,25 @@ fn main() {
         .expect("scenario test builds");
 
     let rows = [
-        assess("conformal / clean world", &conformal_clean, &clean_ctx.test),
-        assess(
+        (
+            "conformal / clean world",
+            assess(&conformal_clean, &clean_ctx.test),
+        ),
+        (
             "conformal / bursts on calib+test",
-            &conformal_paired,
-            &burst_ctx.test,
+            assess(&conformal_paired, &burst_ctx.test),
         ),
-        assess(
+        (
             "conformal / bursts on test only",
-            &conformal_clean,
-            &broken_test,
+            assess(&conformal_clean, &broken_test),
         ),
-        assess("tree / clean world", &clean_ctx.tauw, &clean_ctx.test),
-        assess(
+        (
+            "tree / clean world",
+            assess(&clean_ctx.tauw, &clean_ctx.test),
+        ),
+        (
             "tree / bursts on calib+test",
-            &burst_ctx.tauw,
-            &burst_ctx.test,
+            assess(&burst_ctx.tauw, &burst_ctx.test),
         ),
     ];
 
@@ -128,9 +93,9 @@ fn main() {
         "AUC",
         "u levels",
     ]);
-    for r in &rows {
+    for (name, r) in &rows {
         table.row(vec![
-            r.name.clone(),
+            name.to_string(),
             format!("{:.4}", r.coverage),
             fmt_prob(r.mean_bound),
             format!("{:.4}", r.auc),
@@ -139,42 +104,26 @@ fn main() {
     }
     out.push_str(&table.render());
 
-    let paired = &rows[1];
-    let broken = &rows[2];
-    let tree_burst = &rows[4];
-    out.push_str(&section("shape checks"));
-    let mut checks = TextTable::new(vec!["check", "status"]);
-    let mut violations = 0usize;
-    let mut check = |label: &str, holds: bool| {
-        if !holds {
-            violations += 1;
-        }
-        checks.row(vec![
-            label.to_string(),
-            if holds { "HOLDS" } else { "VIOLATED" }.to_string(),
-        ]);
-    };
-    check(
+    let [_, paired, broken, _, tree_burst] = rows.map(|(_, summary)| summary);
+    let mut checks = ShapeChecks::new();
+    checks.check(
         "conformal coverage stays >= nominal under paired bursts",
         paired.coverage >= CONFORMAL_CONFIDENCE,
     );
-    check(
+    checks.check(
         "paired conformal bound stays informative (mean bound < 1)",
         paired.mean_bound < 1.0 - 1e-9,
     );
-    check(
+    checks.check(
         "recalibration repairs broken exchangeability (paired >= test-only coverage)",
         paired.coverage >= broken.coverage,
     );
-    check(
+    checks.check(
         "tree wrapper stays informative under bursts (AUC > 0.5, several levels)",
         tree_burst.auc > 0.5 && tree_burst.levels > 1,
     );
     out.push_str(&checks.render());
 
     emit(&opts.out_dir, "scenario_heavy_tails.txt", &out).expect("write results");
-    if violations > 0 {
-        eprintln!("scenario_heavy_tails: {violations} shape check(s) VIOLATED");
-        std::process::exit(1);
-    }
+    checks.gate("scenario_heavy_tails");
 }

@@ -21,7 +21,7 @@
 
 use tauw_core::training::TrainingSeries;
 use tauw_experiments::eval::{evaluate, TestEvaluation};
-use tauw_experiments::report::{emit, fmt_pct, section, TextTable};
+use tauw_experiments::report::{emit, fmt_pct, section, ShapeChecks, TextTable};
 use tauw_experiments::{CliOptions, ExperimentContext};
 use tauw_sim::scenario::{MultiSourceParams, ScenarioFamily};
 
@@ -41,17 +41,15 @@ fn final_step_error(test: &[TrainingSeries], eval: &TestEvaluation) -> f64 {
 }
 
 struct Row {
-    name: String,
     series_len: usize,
     final_err: f64,
     fused_err: f64,
     isolated_err: f64,
 }
 
-fn assess(name: &str, ctx: &ExperimentContext, test: &[TrainingSeries]) -> Row {
+fn assess(ctx: &ExperimentContext, test: &[TrainingSeries]) -> Row {
     let eval = evaluate(&ctx.tauw, test).expect("evaluation runs");
     Row {
-        name: name.to_string(),
         series_len: test.first().map_or(0, |s| s.steps.len()),
         final_err: final_step_error(test, &eval),
         fused_err: eval.fused_misclassification(),
@@ -78,9 +76,9 @@ fn main() {
         .expect("scenario test builds");
 
     let rows = [
-        assess("single source (baseline)", &ctx, &ctx.test),
-        assess("3 sources, correlation 0.15", &ctx, &low_corr_test),
-        assess("3 sources, correlation 0.90", &ctx, &high_corr_test),
+        ("single source (baseline)", assess(&ctx, &ctx.test)),
+        ("3 sources, correlation 0.15", assess(&ctx, &low_corr_test)),
+        ("3 sources, correlation 0.90", assess(&ctx, &high_corr_test)),
     ];
 
     let mut out = String::new();
@@ -100,9 +98,9 @@ fn main() {
         "fused error (all steps)",
         "isolated error (all steps)",
     ]);
-    for r in &rows {
+    for (name, r) in &rows {
         table.row(vec![
-            r.name.clone(),
+            name.to_string(),
             r.series_len.to_string(),
             fmt_pct(r.final_err),
             fmt_pct(r.fused_err),
@@ -111,40 +109,26 @@ fn main() {
     }
     out.push_str(&table.render());
 
-    let (baseline, low, high) = (&rows[0], &rows[1], &rows[2]);
-    out.push_str(&section("shape checks"));
-    let mut checks = TextTable::new(vec!["check", "status"]);
-    let mut violations = 0usize;
-    let mut check = |label: &str, holds: bool| {
-        if !holds {
-            violations += 1;
-        }
-        checks.row(vec![
-            label.to_string(),
-            if holds { "HOLDS" } else { "VIOLATED" }.to_string(),
-        ]);
-    };
-    check(
+    let [baseline, low, high] = rows.map(|(_, row)| row);
+    let mut checks = ShapeChecks::new();
+    checks.check(
         "multi-source series carry 3x the evidence (structural)",
         low.series_len == baseline.series_len * 3 && high.series_len == baseline.series_len * 3,
     );
-    check(
+    checks.check(
         "near-independent sources beat the single-source baseline (final step)",
         low.final_err < baseline.final_err,
     );
-    check(
+    checks.check(
         "correlation erodes the fusion gain (low-corr <= high-corr final error)",
         low.final_err <= high.final_err,
     );
-    check(
+    checks.check(
         "fusion beats isolated outcomes inside the multi-source world",
         low.fused_err <= low.isolated_err,
     );
     out.push_str(&checks.render());
 
     emit(&opts.out_dir, "scenario_multi_source.txt", &out).expect("write results");
-    if violations > 0 {
-        eprintln!("scenario_multi_source: {violations} shape check(s) VIOLATED");
-        std::process::exit(1);
-    }
+    checks.gate("scenario_multi_source");
 }

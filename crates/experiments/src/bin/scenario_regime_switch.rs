@@ -22,18 +22,10 @@
 //!
 //! The binary exits non-zero if any shape check is VIOLATED.
 
-use tauw_core::adaptive::{AdaptiveConfig, DriftSignal};
-use tauw_experiments::report::{emit, fmt_pct, fmt_prob, section, TextTable};
+use tauw_experiments::report::{emit, section, ShapeChecks};
+use tauw_experiments::stream::AdaptiveReplay;
 use tauw_experiments::{CliOptions, ExperimentContext};
 use tauw_sim::scenario::{RegimeParams, ScenarioFamily};
-
-struct Served {
-    frozen_bound: f64,
-    adapted_bound: f64,
-    failed: bool,
-    drifting: bool,
-    in_regime_switch: bool,
-}
 
 fn main() {
     let opts = CliOptions::from_env();
@@ -46,40 +38,13 @@ fn main() {
 
     let n_series = shifted.len();
     let switch_at = (params.switch_at * n_series as f64).ceil() as usize;
-    let total_steps: usize = shifted.iter().map(|s| s.steps.len()).sum();
     let first_half_identical =
         ctx.test[..switch_at.min(ctx.test.len())] == shifted[..switch_at.min(shifted.len())];
 
-    let window = (total_steps / 20).clamp(20, 200);
-    let config = AdaptiveConfig {
-        window,
-        min_observations: (window / 4).max(1),
-        rate: 0.05,
-        max_inflation_steps: 200,
-        ..Default::default()
-    };
-    let mut session = ctx
-        .tauw
-        .new_adaptive_session(config)
-        .expect("valid adaptive config");
-
-    let mut served = Vec::with_capacity(total_steps);
-    for (i, series) in shifted.iter().enumerate() {
-        session.begin_series();
-        for step in &series.steps {
-            let failed = step.outcome != series.true_outcome;
-            let out = session
-                .step(&step.quality_factors, step.outcome, failed)
-                .expect("step serves");
-            served.push(Served {
-                frozen_bound: out.uncertainty,
-                adapted_bound: out.adapted_uncertainty,
-                failed,
-                drifting: out.drift != DriftSignal::Stable,
-                in_regime_switch: i >= switch_at,
-            });
-        }
-    }
+    let replay = AdaptiveReplay::run(&ctx.tauw, &shifted, switch_at, |_, failed| failed)
+        .expect("stream serves");
+    let total_steps = replay.served.len();
+    let config = &replay.config;
 
     let mut out = String::new();
     out.push_str(&section(
@@ -90,82 +55,27 @@ fn main() {
          family makes each series systematically confused with p={} from\n\
          series {switch_at} on. quality factors are untouched — only the\n\
          ground-truth feedback channel reveals the shift.\n\
-         adaptive config: window {window}, min observations {}, rate {}.\n\n",
-        params.flip_prob, config.min_observations, config.rate,
+         adaptive config: window {}, min observations {}, rate {}.\n\n",
+        params.flip_prob, config.window, config.min_observations, config.rate,
     ));
+    out.push_str(&replay.quarter_table());
+    let last = replay.quarters()[3];
+    let (pre_drift, post_drift) = replay.drift_counts();
 
-    let gap = |failure_rate: f64, mean_bound: f64| (failure_rate - mean_bound).max(0.0);
-    let quarter = served.len() / 4;
-    let mut table = TextTable::new(vec![
-        "quarter",
-        "failure rate",
-        "frozen bound",
-        "adaptive bound",
-        "frozen gap",
-        "adaptive gap",
-        "drift signals",
-    ]);
-    let mut last_gaps = (0.0f64, 0.0f64);
-    for q in 0..4 {
-        let lo = q * quarter;
-        let hi = if q == 3 {
-            served.len()
-        } else {
-            (q + 1) * quarter
-        };
-        let slice = &served[lo..hi];
-        let n = slice.len().max(1) as f64;
-        let failure_rate = slice.iter().filter(|s| s.failed).count() as f64 / n;
-        let frozen = slice.iter().map(|s| s.frozen_bound).sum::<f64>() / n;
-        let adaptive = slice.iter().map(|s| s.adapted_bound).sum::<f64>() / n;
-        let drifting = slice.iter().filter(|s| s.drifting).count();
-        last_gaps = (gap(failure_rate, frozen), gap(failure_rate, adaptive));
-        table.row(vec![
-            format!("Q{}", q + 1),
-            fmt_pct(failure_rate),
-            fmt_prob(frozen),
-            fmt_prob(adaptive),
-            fmt_pct(last_gaps.0),
-            fmt_pct(last_gaps.1),
-            drifting.to_string(),
-        ]);
-    }
-    out.push_str(&table.render());
-
-    let pre_drift = served
-        .iter()
-        .filter(|s| !s.in_regime_switch && s.drifting)
-        .count();
-    let post_drift = served
-        .iter()
-        .filter(|s| s.in_regime_switch && s.drifting)
-        .count();
-
-    out.push_str(&section("shape checks"));
-    let mut checks = TextTable::new(vec!["check", "status"]);
-    let mut violations = 0usize;
-    let mut check = |label: &str, holds: bool| {
-        if !holds {
-            violations += 1;
-        }
-        checks.row(vec![
-            label.to_string(),
-            if holds { "HOLDS" } else { "VIOLATED" }.to_string(),
-        ]);
-    };
-    check(
+    let mut checks = ShapeChecks::new();
+    checks.check(
         "pre-switch stream is bit-identical to the baseline world",
         first_half_identical,
     );
-    check(
+    checks.check(
         "final quarter: frozen bounds undercover by more than 5 points",
-        last_gaps.0 > 0.05,
+        last.frozen_gap() > 0.05,
     );
-    check(
+    checks.check(
         "final quarter: adaptive coverage gap closes to within 5 points",
-        last_gaps.1 <= 0.05,
+        last.adaptive_gap() <= 0.05,
     );
-    check(
+    checks.check(
         "drift signals concentrate after the regime switch",
         post_drift > pre_drift,
     );
@@ -175,8 +85,5 @@ fn main() {
     ));
 
     emit(&opts.out_dir, "scenario_regime_switch.txt", &out).expect("write results");
-    if violations > 0 {
-        eprintln!("scenario_regime_switch: {violations} shape check(s) VIOLATED");
-        std::process::exit(1);
-    }
+    checks.gate("scenario_regime_switch");
 }

@@ -4,7 +4,7 @@
 
 use tauw_experiments::eval::{evaluate, Approach};
 use tauw_experiments::paper::PAPER_TABLE1;
-use tauw_experiments::report::{emit, fmt_prob, section, TextTable};
+use tauw_experiments::report::{emit, fmt_prob, section, ShapeChecks, TextTable};
 use tauw_experiments::{CliOptions, ExperimentContext};
 
 fn main() {
@@ -68,7 +68,6 @@ fn main() {
     out.push_str(&paper.render());
 
     // Shape checks that define a successful reproduction.
-    out.push_str(&section("shape checks"));
     let get = |a: Approach| {
         measured
             .iter()
@@ -83,55 +82,47 @@ fn main() {
     let opportune = get(Approach::IfOpportune);
     let if_no_uf = get(Approach::IfNoUf);
 
-    let checks: Vec<(&str, bool)> = vec![
-        (
-            "taUW has the best (lowest) Brier score of all six approaches",
-            Approach::ALL
-                .iter()
-                .all(|&a| tauw.brier <= get(a).brier + 1e-12),
-        ),
-        (
-            "IF reduces the variance component vs isolated predictions",
-            if_no_uf.variance < stateless.variance,
-        ),
-        (
-            "naive UF has by far the highest overconfidence",
-            Approach::ALL
-                .iter()
-                .filter(|&&a| a != Approach::IfNaive)
-                .all(|&a| naive.overconfidence > 3.0 * get(a).overconfidence.max(1e-9)),
-        ),
-        (
-            "worst-case UF has the highest unreliability but tiny overconfidence",
-            Approach::ALL
-                .iter()
-                .all(|&a| worst.unreliability >= get(a).unreliability - 1e-12)
-                && worst.overconfidence < 0.1 * worst.unreliability,
-        ),
-        (
-            "taUW has the lowest unspecificity (best resolution)",
-            Approach::ALL
-                .iter()
-                .all(|&a| tauw.unspecificity <= get(a).unspecificity + 1e-12),
-        ),
-        (
-            "opportune beats IF+noUF on Brier but is more overconfident",
-            opportune.brier <= if_no_uf.brier + 1e-12
-                && opportune.overconfidence >= if_no_uf.overconfidence,
-        ),
-        (
-            "taUW overconfidence is (near) zero",
-            tauw.overconfidence < 1e-4,
-        ),
-    ];
-    let mut check_table = TextTable::new(vec!["check", "status"]);
-    for (name, ok) in &checks {
-        check_table.row(vec![
-            name.to_string(),
-            if *ok { "HOLDS" } else { "VIOLATED" }.into(),
-        ]);
-    }
-    out.push_str(&check_table.render());
+    let mut checks = ShapeChecks::new();
+    checks.check(
+        "taUW has the best (lowest) Brier score of all six approaches",
+        Approach::ALL
+            .iter()
+            .all(|&a| tauw.brier <= get(a).brier + 1e-12),
+    );
+    checks.check(
+        "IF reduces the variance component vs isolated predictions",
+        if_no_uf.variance < stateless.variance,
+    );
+    checks.check(
+        "naive UF has by far the highest overconfidence",
+        Approach::ALL
+            .iter()
+            .filter(|&&a| a != Approach::IfNaive)
+            .all(|&a| naive.overconfidence > 3.0 * get(a).overconfidence.max(1e-9)),
+    );
+    checks.check(
+        "worst-case UF has the highest unreliability but tiny overconfidence",
+        Approach::ALL
+            .iter()
+            .all(|&a| worst.unreliability >= get(a).unreliability - 1e-12)
+            && worst.overconfidence < 0.1 * worst.unreliability,
+    );
+    checks.check(
+        "taUW has the lowest unspecificity (best resolution)",
+        Approach::ALL
+            .iter()
+            .all(|&a| tauw.unspecificity <= get(a).unspecificity + 1e-12),
+    );
+    checks.check(
+        "opportune beats IF+noUF on Brier but is more overconfident",
+        opportune.brier <= if_no_uf.brier + 1e-12
+            && opportune.overconfidence >= if_no_uf.overconfidence,
+    );
+    checks.check(
+        "taUW overconfidence is (near) zero",
+        tauw.overconfidence < 1e-4,
+    );
+    out.push_str(&checks.render());
 
     emit(&opts.out_dir, "table1.txt", &out).expect("write results");
 }

@@ -6,7 +6,7 @@
 //! and the taUW's uncertainty quality scale with series length.
 
 use tauw_experiments::eval::{evaluate, Approach};
-use tauw_experiments::report::{emit, fmt_pct, fmt_prob, section, TextTable};
+use tauw_experiments::report::{emit, fmt_pct, fmt_prob, section, ShapeChecks, TextTable};
 use tauw_experiments::{CliOptions, ExperimentContext};
 use tauw_sim::SimConfig;
 
@@ -49,22 +49,16 @@ fn main() {
     }
     out.push_str(&table.render());
 
-    out.push_str(&section("shape checks"));
-    let mut checks = TextTable::new(vec!["check", "status"]);
+    let mut checks = ShapeChecks::new();
     let monotone = final_step_rates.windows(2).all(|w| w[1] <= w[0] + 0.004);
-    checks.row(vec![
-        "fused misclassification at the final step keeps falling with longer windows".to_string(),
-        if monotone { "HOLDS" } else { "VIOLATED" }.to_string(),
-    ]);
-    checks.row(vec![
-        "no saturation: window 20 beats window 10 at the final step".to_string(),
-        if final_step_rates[3] < final_step_rates[1] {
-            "HOLDS"
-        } else {
-            "VIOLATED"
-        }
-        .to_string(),
-    ]);
+    checks.check(
+        "fused misclassification at the final step keeps falling with longer windows",
+        monotone,
+    );
+    checks.check(
+        "no saturation: window 20 beats window 10 at the final step",
+        final_step_rates[3] < final_step_rates[1],
+    );
     out.push_str(&checks.render());
     out.push_str(
         "\nnote: longer windows start earlier in the approach (the full series has 30\n\

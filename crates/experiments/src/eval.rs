@@ -17,6 +17,7 @@ use tauw_core::CoreError;
 use tauw_fusion::uncertainty::UncertaintyFusion;
 use tauw_stats::brier::{BrierDecomposition, Grouping};
 use tauw_stats::calibration::CalibrationCurve;
+use tauw_stats::roc::auc;
 use tauw_stats::StatsError;
 
 /// The six approaches compared in the paper's Table I.
@@ -139,6 +140,54 @@ pub struct StepRates {
     pub n: usize,
 }
 
+/// What one approach's served bounds show on the test windows: the
+/// numbers every backend comparison and scenario wall reports.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BackendSummary {
+    /// Failure ranking (area under the ROC curve).
+    pub auc: f64,
+    /// Brier score.
+    pub brier: f64,
+    /// The unreliability term of the Brier decomposition.
+    pub unreliability: f64,
+    /// Mean served bound.
+    pub mean_bound: f64,
+    /// Distinct bound levels (values within 1e-12 count as one).
+    pub levels: usize,
+    /// Median gap between adjacent levels: a coarse estimator has few
+    /// levels with large typical steps.
+    pub median_gap: f64,
+    /// Share of cases whose one-sided bound covers the realized failure
+    /// indicator (`y ≤ bound`).
+    pub coverage: f64,
+}
+
+/// Distinct estimate levels (tolerance 1e-12) and the median gap between
+/// adjacent levels — a coarse estimator has few levels with large typical
+/// steps. (The *widest* gap is not a smoothness measure: an ensemble mean
+/// legitimately keeps one large jump where every member agrees.)
+fn level_profile(values: &[f64]) -> (usize, f64) {
+    let mut levels = values.to_vec();
+    levels.sort_by(f64::total_cmp);
+    levels.dedup_by(|a, b| (*a - *b).abs() <= 1e-12);
+    let mut gaps: Vec<f64> = levels.windows(2).map(|w| w[1] - w[0]).collect();
+    gaps.sort_by(f64::total_cmp);
+    let median_gap = gaps.get(gaps.len() / 2).copied().unwrap_or(0.0);
+    (levels.len(), median_gap)
+}
+
+/// Fraction of cases whose one-sided bound covers the realized failure
+/// indicator: `y ≤ bound`, i.e. non-failures are always covered and
+/// failures only by a (numerically) vacuous bound.
+fn indicator_coverage(forecasts: &[f64], failures: &[bool]) -> f64 {
+    let covered = forecasts
+        .iter()
+        .zip(failures)
+        .filter(|(&bound, &failed)| !failed || bound >= 1.0 - 1e-12)
+        .count();
+    covered as f64 / forecasts.len().max(1) as f64
+}
+
 /// All evaluation records for a test set.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TestEvaluation {
@@ -213,6 +262,28 @@ impl TestEvaluation {
     pub fn decomposition(&self, approach: Approach) -> Result<BrierDecomposition, StatsError> {
         let (forecasts, failures) = self.forecasts(approach);
         BrierDecomposition::compute(&forecasts, &failures, approach.grouping())
+    }
+
+    /// The [`BackendSummary`] of one approach.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StatsError`] for empty evaluations and when the cases
+    /// hold only one outcome class (AUC is undefined).
+    pub fn summary(&self, approach: Approach) -> Result<BackendSummary, StatsError> {
+        let (forecasts, failures) = self.forecasts(approach);
+        let decomposition =
+            BrierDecomposition::compute(&forecasts, &failures, approach.grouping())?;
+        let (levels, median_gap) = level_profile(&forecasts);
+        Ok(BackendSummary {
+            auc: auc(&forecasts, &failures)?,
+            brier: decomposition.brier,
+            unreliability: decomposition.unreliability,
+            mean_bound: forecasts.iter().sum::<f64>() / forecasts.len().max(1) as f64,
+            levels,
+            median_gap,
+            coverage: indicator_coverage(&forecasts, &failures),
+        })
     }
 
     /// Calibration curve over quantile bins for one approach (Fig. 6).
@@ -393,6 +464,36 @@ mod tests {
             }
         }
         assert_eq!(idx, eval.cases.len());
+    }
+
+    #[test]
+    fn level_profile_counts_distinct_levels() {
+        let (levels, gap) = level_profile(&[0.25, 0.25, 0.5, 1.0]);
+        assert_eq!(levels, 3);
+        assert!(gap > 0.0);
+        assert_eq!(level_profile(&[0.4]), (1, 0.0));
+    }
+
+    #[test]
+    fn indicator_coverage_counts_only_uncovered_failures() {
+        let forecasts = [0.2, 1.0, 0.3, 0.9];
+        let failures = [false, true, true, false];
+        // Case 2 fails under a non-vacuous bound; everything else covers.
+        assert_eq!(indicator_coverage(&forecasts, &failures), 0.75);
+        assert_eq!(indicator_coverage(&[], &[]), 0.0);
+    }
+
+    #[test]
+    fn summary_matches_the_per_metric_computations() {
+        let (_, eval) = small_eval();
+        let s = eval.summary(Approach::IfTauw).unwrap();
+        let (forecasts, failures) = eval.forecasts(Approach::IfTauw);
+        let d = eval.decomposition(Approach::IfTauw).unwrap();
+        assert_eq!(s.auc, auc(&forecasts, &failures).unwrap());
+        assert_eq!((s.brier, s.unreliability), (d.brier, d.unreliability));
+        assert_eq!((s.levels, s.median_gap), level_profile(&forecasts));
+        assert_eq!(s.coverage, indicator_coverage(&forecasts, &failures));
+        assert!(s.mean_bound > 0.0 && s.mean_bound < 1.0);
     }
 
     #[test]

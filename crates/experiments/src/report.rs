@@ -29,16 +29,6 @@ impl TextTable {
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table with a separator under the header.
     pub fn render(&self) -> String {
         let n_cols = self.header.len();
@@ -123,6 +113,77 @@ pub fn section(title: &str) -> String {
     format!("\n=== {title} ===\n\n")
 }
 
+/// The word a report prints for a shape claim: `HOLDS` or `VIOLATED`.
+pub fn verdict(holds: bool) -> &'static str {
+    if holds {
+        "HOLDS"
+    } else {
+        "VIOLATED"
+    }
+}
+
+/// A report's shape checks: the qualitative claims (orderings,
+/// thresholds, structural identities) that define a successful run.
+///
+/// The binaries whose claims are the repository's own (scenario walls,
+/// backend comparisons, drift adaptation) [`gate`](Self::gate) on them;
+/// the paper-figure binaries only report theirs, since some read
+/// `VIOLATED` on honest reproduction gaps.
+#[derive(Debug, Clone, Default)]
+pub struct ShapeChecks {
+    checks: Vec<(String, bool)>,
+}
+
+impl ShapeChecks {
+    /// An empty set of checks.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Records one check.
+    pub fn check(&mut self, label: impl Into<String>, holds: bool) {
+        self.checks.push((label.into(), holds));
+    }
+
+    /// Number of checks that read `VIOLATED`.
+    pub fn violations(&self) -> usize {
+        self.checks.iter().filter(|(_, holds)| !holds).count()
+    }
+
+    /// The `shape checks` section: a `check`/`status` table.
+    pub fn render(&self) -> String {
+        let mut table = TextTable::new(vec!["check", "status"]);
+        for (label, holds) in &self.checks {
+            table.row(vec![label.as_str(), verdict(*holds)]);
+        }
+        section("shape checks") + &table.render()
+    }
+
+    /// The gate's decision for binary `bin`: the stderr message when any
+    /// check is violated.
+    ///
+    /// # Errors
+    ///
+    /// Returns `<bin>: N shape check(s) VIOLATED` if any check fails.
+    pub fn outcome(&self, bin: &str) -> Result<(), String> {
+        match self.violations() {
+            0 => Ok(()),
+            n => Err(format!("{bin}: {n} shape check(s) VIOLATED")),
+        }
+    }
+
+    /// Exits the process with status 1, after printing the
+    /// [`outcome`](Self::outcome) message to stderr, if any check is
+    /// violated. Call it after [`emit`], so the report is written either
+    /// way.
+    pub fn gate(&self, bin: &str) {
+        if let Err(message) = self.outcome(bin) {
+            eprintln!("{message}");
+            std::process::exit(1);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,8 +199,40 @@ mod tests {
         assert!(lines[0].starts_with("name"));
         assert!(lines[1].chars().all(|c| c == '-'));
         assert!(lines[3].starts_with("long-name"));
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
+    }
+
+    #[test]
+    fn shape_checks_render_the_hand_built_table() {
+        let labels = ["a short claim", "a much longer claim about shapes", "x"];
+        let outcomes = [true, false, true];
+        let mut checks = ShapeChecks::new();
+        let mut hand_built = TextTable::new(vec!["check", "status"]);
+        for (label, holds) in labels.into_iter().zip(outcomes) {
+            checks.check(label, holds);
+            hand_built.row(vec![
+                label.to_string(),
+                if holds { "HOLDS" } else { "VIOLATED" }.to_string(),
+            ]);
+        }
+        let expected = section("shape checks") + &hand_built.render();
+        assert_eq!(checks.render(), expected);
+        assert!(expected.starts_with("\n=== shape checks ===\n\ncheck"));
+    }
+
+    #[test]
+    fn shape_checks_count_violations_for_the_gate() {
+        let mut checks = ShapeChecks::new();
+        assert_eq!(checks.outcome("bin"), Ok(()));
+        checks.check("holds", true);
+        assert_eq!(checks.violations(), 0);
+        assert_eq!(checks.outcome("bin"), Ok(()));
+        checks.check("fails", false);
+        checks.check("fails too", false);
+        assert_eq!(checks.violations(), 2);
+        assert_eq!(
+            checks.outcome("scenario_x"),
+            Err("scenario_x: 2 shape check(s) VIOLATED".to_string())
+        );
     }
 
     #[test]
