@@ -1,16 +1,15 @@
-//! Runs every experiment binary, one child process each, with the same
-//! options, and writes all result files. Exits 1 if any experiment does
-//! (the gating binaries exit 1 on a VIOLATED shape check). It starts the
-//! other binaries from its own directory, so build them all first:
+//! Builds the experiment world once and runs every registered experiment
+//! on it (or the ones named on the command line), writing `<name>.txt`
+//! for each. Exits 1 if a gating experiment reads a VIOLATED shape check,
+//! and 2 on a usage error:
 //!
 //! ```text
-//! cargo build --release -p tauw-experiments
-//! target/release/run_all --scale 0.2
+//! cargo run --release -p tauw-experiments --bin run_all -- --scale 0.2
+//! cargo run --release -p tauw-experiments --bin run_all -- table1 fig4 --scale 0.2
 //! ```
 
-use std::process::Command;
-use tauw_experiments::report::section;
-use tauw_experiments::{CliOptions, BINARIES};
+use tauw_experiments::report::{emit, section};
+use tauw_experiments::{CliOptions, ExperimentContext};
 
 fn main() {
     let opts = CliOptions::from_env();
@@ -21,33 +20,18 @@ fn main() {
             opts.scale, opts.seed, opts.out_dir
         ))
     );
-    // Each experiment runs as a child process of the same (already built)
-    // binary set, so a failure in one experiment cannot poison the others
-    // and memory is returned to the OS between the heavyweight runs.
-    let exe = std::env::current_exe().expect("current exe path");
-    let bin_dir = exe.parent().expect("binary directory");
+    let ctx =
+        ExperimentContext::build(opts.scale, opts.seed).expect("experiment context must build");
     let mut failures = Vec::new();
-    for bin in BINARIES {
-        println!("\n>>> {bin}");
-        let status = Command::new(bin_dir.join(bin))
-            .args([
-                "--scale",
-                &opts.scale.to_string(),
-                "--seed",
-                &opts.seed.to_string(),
-                "--out",
-                &opts.out_dir,
-            ])
-            .status();
-        match status {
-            Ok(s) if s.success() => {}
-            Ok(s) => {
-                eprintln!("{bin} exited with {s}");
-                failures.push(bin);
-            }
-            Err(e) => {
-                eprintln!("{bin} failed to start: {e} (build all binaries first: cargo build -p tauw-experiments --release)");
-                failures.push(bin);
+    for experiment in opts.selected() {
+        println!("\n>>> {}", experiment.name);
+        let report = (experiment.run)(&ctx);
+        let file = format!("{}.txt", experiment.name);
+        emit(&opts.out_dir, &file, &report.text).expect("write results");
+        if experiment.gates {
+            if let Err(message) = report.checks.outcome(experiment.name) {
+                eprintln!("{message}");
+                failures.push(experiment.name);
             }
         }
     }

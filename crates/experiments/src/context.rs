@@ -1,8 +1,9 @@
 //! Shared experiment setup: builds the synthetic world, trains and
 //! calibrates the wrappers, and replays the evaluation data — everything
-//! the per-figure binaries have in common.
+//! the experiments have in common.
 
 use crate::convert::to_training_series;
+use std::borrow::Cow;
 use tauw_core::calibration::CalibrationOptions;
 use tauw_core::conformal::ConformalOptions;
 use tauw_core::tauw::{replay, BackendSpec, ReplayRow, TauwBuilder, TimeseriesAwareWrapper};
@@ -24,7 +25,17 @@ fn configured_wrapper_builder(calibration: CalibrationOptions) -> WrapperBuilder
     wrapper_builder
 }
 
-/// Everything a figure/table binary needs, built deterministically from
+/// The world configuration at `scale`: paper-sized at 1.0, proportionally
+/// shrunk below.
+fn world_config(scale: f64) -> SimConfig {
+    if scale >= 1.0 {
+        SimConfig::default()
+    } else {
+        SimConfig::scaled(scale)
+    }
+}
+
+/// Everything an experiment needs, built deterministically from
 /// `(scale, seed)`.
 #[derive(Debug, Clone)]
 pub struct ExperimentContext {
@@ -62,12 +73,7 @@ impl ExperimentContext {
     /// Returns [`CoreError`] if training or calibration fails (which for
     /// valid configurations it does not).
     pub fn build(scale: f64, seed: u64) -> Result<Self, CoreError> {
-        let config = if scale >= 1.0 {
-            SimConfig::default()
-        } else {
-            SimConfig::scaled(scale)
-        };
-        Self::build_with_config(config, seed)
+        Self::build_with_config(world_config(scale), seed)
     }
 
     /// Builds the context for an explicit world configuration (used by the
@@ -96,13 +102,15 @@ impl ExperimentContext {
         scale: f64,
         seed: u64,
     ) -> Result<Self, CoreError> {
-        let config = if scale >= 1.0 {
-            SimConfig::default()
-        } else {
-            SimConfig::scaled(scale)
-        };
-        let scenario = ScenarioConfig::new(config.clone(), family);
-        let data = scenario
+        Self::build_scenario_with_config(world_config(scale), family, seed)
+    }
+
+    fn build_scenario_with_config(
+        config: SimConfig,
+        family: ScenarioFamily,
+        seed: u64,
+    ) -> Result<Self, CoreError> {
+        let data = ScenarioConfig::new(config.clone(), family)
             .build(seed)
             .map_err(|reason| CoreError::InvalidInput { reason })?;
         Self::build_with_dataset(config, data, seed)
@@ -167,20 +175,32 @@ impl ExperimentContext {
         })
     }
 
-    /// DDM misclassification rate over the test windows ("the images of
-    /// the length 10 timeseries"; paper: 7.89%).
-    pub fn test_ddm_misclassification(&self) -> f64 {
-        let mut wrong = 0usize;
-        let mut total = 0usize;
-        for series in &self.test {
-            for (j, _) in series.steps.iter().enumerate() {
-                total += 1;
-                if series.is_failure(j) {
-                    wrong += 1;
-                }
-            }
+    /// This world rebuilt under `config` (same seed), or this world itself
+    /// when `config` equals its own: builds are deterministic, so a sweep
+    /// point at the shared configuration need not rebuild it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError`] if the configuration is invalid or training
+    /// or calibration fails.
+    pub(crate) fn with_config(&self, config: SimConfig) -> Result<Cow<'_, Self>, CoreError> {
+        if config == self.config {
+            Ok(Cow::Borrowed(self))
+        } else {
+            Self::build_with_config(config, self.seed).map(Cow::Owned)
         }
-        wrong as f64 / total.max(1) as f64
+    }
+
+    /// This world rebuilt with `family` applied to its default splits, as
+    /// [`build_scenario`](Self::build_scenario) builds it at this world's
+    /// configuration and seed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError`] if the configuration is invalid or training
+    /// or calibration fails.
+    pub(crate) fn scenario_world(&self, family: ScenarioFamily) -> Result<Self, CoreError> {
+        Self::build_scenario_with_config(self.config.clone(), family, self.seed)
     }
 
     /// Regenerates this context's **test split** with `family` applied
@@ -283,13 +303,29 @@ impl ExperimentContext {
 mod tests {
     use super::*;
 
+    /// DDM misclassification rate over the test windows ("the images of
+    /// the length 10 timeseries"; paper: 7.89%).
+    fn ddm_misclassification(ctx: &ExperimentContext) -> f64 {
+        let mut wrong = 0usize;
+        let mut total = 0usize;
+        for series in &ctx.test {
+            for (j, _) in series.steps.iter().enumerate() {
+                total += 1;
+                if series.is_failure(j) {
+                    wrong += 1;
+                }
+            }
+        }
+        wrong as f64 / total.max(1) as f64
+    }
+
     #[test]
     fn small_context_builds_end_to_end() {
         let ctx = ExperimentContext::build(0.02, 7).unwrap();
         assert!(!ctx.train.is_empty());
         assert!(!ctx.test.is_empty());
         assert_eq!(ctx.feature_names.len(), tauw_sim::N_QUALITY_FACTORS);
-        let miscls = ctx.test_ddm_misclassification();
+        let miscls = ddm_misclassification(&ctx);
         assert!(
             (0.005..0.35).contains(&miscls),
             "DDM misclassification {miscls} wildly off target"
@@ -372,17 +408,37 @@ mod tests {
         )
         .unwrap();
         assert!(!ctx.test.is_empty());
-        assert!((0.0..1.0).contains(&ctx.test_ddm_misclassification()));
+        assert!((0.0..1.0).contains(&ddm_misclassification(&ctx)));
+    }
+
+    #[test]
+    fn derived_worlds_match_their_direct_builds() {
+        let ctx = ExperimentContext::build(0.02, 7).unwrap();
+        assert!(matches!(
+            ctx.with_config(ctx.config.clone()).unwrap(),
+            Cow::Borrowed(_)
+        ));
+        let mut config = ctx.config.clone();
+        config.window_len = 5;
+        let rebuilt = ctx.with_config(config.clone()).unwrap();
+        let direct = ExperimentContext::build_with_config(config, 7).unwrap();
+        assert!(matches!(rebuilt, Cow::Owned(_)));
+        assert_eq!(rebuilt.test, direct.test);
+        assert_eq!(rebuilt.tauw, direct.tauw);
+
+        let family = ScenarioFamily::from_name("heavy_tails").unwrap();
+        let burst = ctx.scenario_world(family).unwrap();
+        let direct = ExperimentContext::build_scenario(family, 0.02, 7).unwrap();
+        assert_eq!(burst.calib, direct.calib);
+        assert_eq!(burst.test, direct.test);
+        assert_eq!(burst.tauw, direct.tauw);
     }
 
     #[test]
     fn context_is_deterministic() {
         let a = ExperimentContext::build(0.02, 9).unwrap();
         let b = ExperimentContext::build(0.02, 9).unwrap();
-        assert_eq!(
-            a.test_ddm_misclassification(),
-            b.test_ddm_misclassification()
-        );
+        assert_eq!(ddm_misclassification(&a), ddm_misclassification(&b));
         assert_eq!(a.tauw.min_uncertainty(), b.tauw.min_uncertainty());
     }
 }

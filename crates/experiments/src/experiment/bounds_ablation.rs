@@ -2,20 +2,16 @@
 //! calibration count per leaf affect the wrapper's guarantees? (A design
 //! choice called out in `DESIGN.md` §5; not a paper figure.)
 
+use crate::report::{fmt_prob, section, Report, TextTable};
+use crate::ExperimentContext;
 use tauw_core::calibration::{CalibratedForestQim, CalibrationOptions};
 use tauw_core::training::flatten_stateless;
 use tauw_dtree::{Forest, TreeBuilder};
-use tauw_experiments::report::{emit, fmt_prob, section, TextTable};
-use tauw_experiments::{CliOptions, ExperimentContext};
 use tauw_stats::binomial::BoundMethod;
 use tauw_stats::brier::{brier_score, Grouping};
 use tauw_stats::BrierDecomposition;
 
-fn main() {
-    let opts = CliOptions::from_env();
-    let ctx =
-        ExperimentContext::build(opts.scale, opts.seed).expect("experiment context must build");
-
+pub fn run(ctx: &ExperimentContext) -> Report {
     // Retrain the stateless tree once; recalibrate per (method, min-count).
     let train_rows = flatten_stateless(&ctx.train);
     let calib_rows = flatten_stateless(&ctx.calib);
@@ -93,5 +89,5 @@ fn main() {
          larger min-leaf counts trade resolution (fewer leaves) for tighter bounds.\n",
     );
 
-    emit(&opts.out_dir, "bounds_ablation.txt", &out).expect("write results");
+    Report::from(out)
 }

@@ -14,21 +14,17 @@
 //! with the median gap, mean served bound, and empirical indicator
 //! coverage on the held-out test windows.
 
+use crate::eval::evaluate;
+use crate::report::{fmt_prob, section, Report, ShapeChecks, TextTable};
+use crate::{Approach, ExperimentContext, CONFORMAL_CONFIDENCE};
 use tauw_core::conformal::ConformalOptions;
-use tauw_experiments::eval::evaluate;
-use tauw_experiments::report::{emit, fmt_prob, section, ShapeChecks, TextTable};
-use tauw_experiments::{Approach, CliOptions, ExperimentContext, CONFORMAL_CONFIDENCE};
 
-fn main() {
-    let opts = CliOptions::from_env();
-    let ctx =
-        ExperimentContext::build(opts.scale, opts.seed).expect("experiment context must build");
-
+pub fn run(ctx: &ExperimentContext) -> Report {
     let conformal_tauw = ctx
         .tauw_conformal_variant(ConformalOptions::default(), CONFORMAL_CONFIDENCE)
         .expect("conformal variant builds");
     let forest_tauw = ctx
-        .tauw_forest_variant(16, opts.seed ^ 16)
+        .tauw_forest_variant(16, ctx.seed ^ 16)
         .expect("forest variant builds");
     let variants: [(&str, &_, Option<f64>); 3] = [
         ("single tree (paper)", &ctx.tauw, None),
@@ -104,21 +100,20 @@ fn main() {
     );
     out.push_str(&checks.render());
 
-    emit(&opts.out_dir, "conformal_head_to_head.txt", &out).expect("write results");
-    checks.gate("conformal_head_to_head");
+    Report { text: out, checks }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tauw_experiments::DEFAULT_SEED;
+    use crate::DEFAULT_SEED;
 
     #[test]
     fn conformal_coverage_meets_nominal_on_held_out_windows() {
         // The acceptance bar of the head-to-head: on the held-out test
         // split, the conformal backend's empirical indicator coverage must
         // reach its nominal 1 − α — the distribution-free guarantee,
-        // exercised through the same engine wave path the binary reports.
+        // exercised through the same engine wave path the report uses.
         let ctx = ExperimentContext::build(0.05, DEFAULT_SEED).unwrap();
         let tauw = ctx
             .tauw_conformal_variant(ConformalOptions::default(), CONFORMAL_CONFIDENCE)

@@ -14,17 +14,15 @@
 //! clamped at zero) closes to within 5 points, while the *frozen* gap does
 //! not.
 //!
-//! The binary exits non-zero if any shape check is VIOLATED.
+//! The experiment gates: `run_all` exits 1 if any shape check is
+//! VIOLATED.
 
-use tauw_experiments::report::{emit, section, ShapeChecks};
-use tauw_experiments::stream::AdaptiveReplay;
-use tauw_experiments::{CliOptions, ExperimentContext};
+use crate::report::{section, Report, ShapeChecks};
+use crate::stream::AdaptiveReplay;
+use crate::ExperimentContext;
 use tauw_stats::bootstrap::SplitMix64;
 
-fn main() {
-    let opts = CliOptions::from_env();
-    let ctx = ExperimentContext::build(opts.scale, opts.seed).expect("context builds");
-
+pub fn run(ctx: &ExperimentContext) -> Report {
     let n_series = ctx.test.len();
     let switch_at = n_series / 2;
 
@@ -35,7 +33,7 @@ fn main() {
     // all; only delayed ground-truth feedback (the `failed` flag) reveals
     // it, which is exactly what the adaptive coverage ring consumes. The
     // draw happens on every post-switch step, whatever the outcome.
-    let mut rng = SplitMix64::new(opts.seed ^ 0xD21F);
+    let mut rng = SplitMix64::new(ctx.seed ^ 0xD21F);
     let replay = AdaptiveReplay::run(&ctx.tauw, &ctx.test, switch_at, |after, failed| {
         (after && rng.next_f64() < 0.35) || failed
     })
@@ -78,6 +76,5 @@ fn main() {
          columns differ only in the coverage-driven inflation.\n",
     ));
 
-    emit(&opts.out_dir, "drift_adaptation.txt", &out).expect("write results");
-    checks.gate("drift_adaptation");
+    Report { text: out, checks }
 }

@@ -8,14 +8,14 @@
 //! assembling taQIMs manually through the public `CalibratedForestQim`
 //! API, one tree each.
 
+use crate::report::{fmt_prob, section, Report, TextTable};
+use crate::ExperimentContext;
 use tauw_core::buffer::TimeseriesBuffer;
 use tauw_core::calibration::CalibratedForestQim;
 use tauw_core::taqf::{extra, TaqfVector};
 use tauw_core::training::TrainingSeries;
 use tauw_core::wrapper::UncertaintyWrapper;
 use tauw_dtree::{Dataset, Forest, TreeBuilder};
-use tauw_experiments::report::{emit, fmt_prob, section, TextTable};
-use tauw_experiments::{CliOptions, ExperimentContext};
 use tauw_fusion::info::{InformationFusion, MajorityVote};
 use tauw_stats::brier::brier_score;
 
@@ -100,10 +100,7 @@ fn replay_rows(
     rows
 }
 
-fn main() {
-    let opts = CliOptions::from_env();
-    let ctx =
-        ExperimentContext::build(opts.scale, opts.seed).expect("experiment context must build");
+pub fn run(ctx: &ExperimentContext) -> Report {
     let stateless = ctx.tauw.stateless();
 
     let mut out = String::new();
@@ -169,5 +166,5 @@ fn main() {
         extended - paper
     ));
 
-    emit(&opts.out_dir, "extended_taqf.txt", &out).expect("write results");
+    Report::from(out)
 }

@@ -1,15 +1,12 @@
 //! Regenerates **Fig. 4**: misclassification rate over timesteps for
 //! isolated predictions vs information fusion (majority voting).
 
-use tauw_experiments::eval::evaluate;
-use tauw_experiments::paper::{fig4_shape_holds, headline};
-use tauw_experiments::report::{bar, emit, fmt_pct, section, verdict, TextTable};
-use tauw_experiments::{CliOptions, ExperimentContext};
+use crate::eval::evaluate;
+use crate::paper::{fig4_shape_holds, headline};
+use crate::report::{bar, fmt_pct, section, verdict, Report, TextTable};
+use crate::ExperimentContext;
 
-fn main() {
-    let opts = CliOptions::from_env();
-    let ctx =
-        ExperimentContext::build(opts.scale, opts.seed).expect("experiment context must build");
+pub fn run(ctx: &ExperimentContext) -> Report {
     let eval = evaluate(&ctx.tauw, &ctx.test).expect("evaluation must succeed");
 
     let mut out = String::new();
@@ -64,5 +61,5 @@ fn main() {
         verdict(fig4_shape_holds(&rates))
     ));
 
-    emit(&opts.out_dir, "fig4.txt", &out).expect("write results");
+    Report::from(out)
 }

@@ -3,10 +3,10 @@
 //! taUW + IF (bottom), including the share of cases at the lowest
 //! guaranteed uncertainty.
 
-use tauw_experiments::eval::{evaluate, Approach};
-use tauw_experiments::paper::headline;
-use tauw_experiments::report::{bar, emit, fmt_pct, fmt_prob, section, ShapeChecks, TextTable};
-use tauw_experiments::{CliOptions, ExperimentContext};
+use crate::eval::{evaluate, Approach};
+use crate::paper::headline;
+use crate::report::{bar, fmt_pct, fmt_prob, section, Report, ShapeChecks, TextTable};
+use crate::ExperimentContext;
 use tauw_stats::descriptive::Histogram;
 
 fn histogram_block(label: &str, values: &[f64]) -> String {
@@ -34,10 +34,7 @@ fn histogram_block(label: &str, values: &[f64]) -> String {
     out
 }
 
-fn main() {
-    let opts = CliOptions::from_env();
-    let ctx =
-        ExperimentContext::build(opts.scale, opts.seed).expect("experiment context must build");
+pub fn run(ctx: &ExperimentContext) -> Report {
     let eval = evaluate(&ctx.tauw, &ctx.test).expect("evaluation must succeed");
 
     let mut out = String::new();
@@ -95,5 +92,5 @@ fn main() {
     );
     out.push_str(&checks.render());
 
-    emit(&opts.out_dir, "fig5.txt", &out).expect("write results");
+    Report { text: out, checks }
 }

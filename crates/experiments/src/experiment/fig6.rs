@@ -2,9 +2,9 @@
 //! certainty (1 − uncertainty) are plotted against observed correctness in
 //! 10% steps for the naïve, worst-case, opportune and taUW models.
 
-use tauw_experiments::eval::{evaluate, Approach};
-use tauw_experiments::report::{emit, section, ShapeChecks, TextTable};
-use tauw_experiments::{CliOptions, ExperimentContext};
+use crate::eval::{evaluate, Approach};
+use crate::report::{section, Report, ShapeChecks, TextTable};
+use crate::ExperimentContext;
 use tauw_stats::calibration::spiegelhalter_z;
 
 const CURVE_APPROACHES: [Approach; 4] = [
@@ -14,10 +14,7 @@ const CURVE_APPROACHES: [Approach; 4] = [
     Approach::IfTauw,
 ];
 
-fn main() {
-    let opts = CliOptions::from_env();
-    let ctx =
-        ExperimentContext::build(opts.scale, opts.seed).expect("experiment context must build");
+pub fn run(ctx: &ExperimentContext) -> Report {
     let eval = evaluate(&ctx.tauw, &ctx.test).expect("evaluation must succeed");
 
     let mut out = String::new();
@@ -115,5 +112,5 @@ fn main() {
     );
     out.push_str(&checks.render());
 
-    emit(&opts.out_dir, "fig6.txt", &out).expect("write results");
+    Report { text: out, checks }
 }

@@ -3,16 +3,12 @@
 //! calibrated and evaluated; the Brier scores are reported grouped by
 //! subset size.
 
+use crate::eval::{evaluate, Approach};
+use crate::report::{fmt_prob, section, Report, ShapeChecks, TextTable};
+use crate::ExperimentContext;
 use tauw_core::taqf::TaqfSet;
-use tauw_experiments::eval::{evaluate, Approach};
-use tauw_experiments::report::{emit, fmt_prob, section, ShapeChecks, TextTable};
-use tauw_experiments::{CliOptions, ExperimentContext};
 
-fn main() {
-    let opts = CliOptions::from_env();
-    let ctx =
-        ExperimentContext::build(opts.scale, opts.seed).expect("experiment context must build");
-
+pub fn run(ctx: &ExperimentContext) -> Report {
     let mut out = String::new();
     out.push_str(&section("Fig. 7 — Brier score per taQF subset"));
 
@@ -116,5 +112,5 @@ fn main() {
          length alone gives no improvement; size is the second-best single feature.\n",
     );
 
-    emit(&opts.out_dir, "fig7.txt", &out).expect("write results");
+    Report { text: out, checks }
 }

@@ -14,18 +14,14 @@
 //! between adjacent levels — the granularity measures a hard boundary
 //! shows up in.
 //!
-//! The binary exits non-zero if any shape check is VIOLATED, so CI can
-//! assert the verdicts.
+//! The experiment gates: `run_all` exits 1 if any shape check is
+//! VIOLATED, so CI can assert the verdicts.
 
-use tauw_experiments::eval::evaluate;
-use tauw_experiments::report::{emit, fmt_prob, section, ShapeChecks, TextTable};
-use tauw_experiments::{Approach, CliOptions, ExperimentContext};
+use crate::eval::evaluate;
+use crate::report::{fmt_prob, section, Report, ShapeChecks, TextTable};
+use crate::{Approach, ExperimentContext};
 
-fn main() {
-    let opts = CliOptions::from_env();
-    let ctx =
-        ExperimentContext::build(opts.scale, opts.seed).expect("experiment context must build");
-
+pub fn run(ctx: &ExperimentContext) -> Report {
     let variants: [(&str, usize); 3] = [
         ("single tree (paper)", 1),
         ("forest K=4", 4),
@@ -38,7 +34,7 @@ fn main() {
         let tauw = if k == 1 {
             ctx.tauw.clone()
         } else {
-            ctx.tauw_forest_variant(k, opts.seed ^ (k as u64))
+            ctx.tauw_forest_variant(k, ctx.seed ^ (k as u64))
                 .expect("forest variant builds")
         };
         let eval = evaluate(&tauw, &ctx.test).expect("evaluation runs");
@@ -100,6 +96,5 @@ fn main() {
     );
     out.push_str(&checks.render());
 
-    emit(&opts.out_dir, "forest_ablation.txt", &out).expect("write results");
-    checks.gate("forest_ablation");
+    Report { text: out, checks }
 }

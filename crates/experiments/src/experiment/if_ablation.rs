@@ -4,17 +4,14 @@
 //! the implemented IF strategies — majority vote, certainty-weighted vote,
 //! windowed vote, latest-only — on fused accuracy over the test windows.
 
+use crate::report::{fmt_pct, section, Report, ShapeChecks, TextTable};
+use crate::ExperimentContext;
 use tauw_core::buffer::TimeseriesBuffer;
-use tauw_experiments::report::{emit, fmt_pct, section, ShapeChecks, TextTable};
-use tauw_experiments::{CliOptions, ExperimentContext};
 use tauw_fusion::info::{
     CertaintyWeightedVote, InformationFusion, LatestOnly, MajorityVote, WindowedMajorityVote,
 };
 
-fn main() {
-    let opts = CliOptions::from_env();
-    let ctx =
-        ExperimentContext::build(opts.scale, opts.seed).expect("experiment context must build");
+pub fn run(ctx: &ExperimentContext) -> Report {
     let stateless = ctx.tauw.stateless();
 
     let strategies: Vec<(&str, Box<dyn InformationFusion<u32>>)> = vec![
@@ -104,5 +101,5 @@ fn main() {
     );
     out.push_str(&checks.render());
 
-    emit(&opts.out_dir, "if_ablation.txt", &out).expect("write results");
+    Report { text: out, checks }
 }

@@ -13,13 +13,13 @@
 //! 3. stale sensors (hold last value) hurt less than dead sensors
 //!    (read zero), since a recent reading still carries signal.
 //!
-//! The binary exits non-zero if any shape check is VIOLATED, so CI can
-//! assert the verdicts.
+//! The experiment gates: `run_all` exits 1 if any shape check is
+//! VIOLATED, so CI can assert the verdicts.
 
+use crate::eval::{evaluate, BackendSummary};
+use crate::report::{fmt_pct, fmt_prob, section, Report, ShapeChecks, TextTable};
+use crate::{Approach, ExperimentContext};
 use tauw_core::training::TrainingSeries;
-use tauw_experiments::eval::{evaluate, BackendSummary};
-use tauw_experiments::report::{emit, fmt_pct, fmt_prob, section, ShapeChecks, TextTable};
-use tauw_experiments::{Approach, CliOptions, ExperimentContext};
 use tauw_sim::scenario::{DropoutParams, ScenarioFamily};
 
 /// The IF + taUW summary and the fused misclassification on `test`.
@@ -29,11 +29,7 @@ fn assess(ctx: &ExperimentContext, test: &[TrainingSeries]) -> (BackendSummary, 
     (summary, eval.fused_misclassification())
 }
 
-fn main() {
-    let opts = CliOptions::from_env();
-    let ctx =
-        ExperimentContext::build(opts.scale, opts.seed).expect("experiment context must build");
-
+pub fn run(ctx: &ExperimentContext) -> Report {
     let dropout = |stale_prob: f64| {
         ScenarioFamily::SensorDropout(DropoutParams {
             stale_prob,
@@ -51,10 +47,10 @@ fn main() {
         .expect("scenario test builds");
 
     let rows = [
-        ("clean sensors (baseline)", assess(&ctx, &ctx.test)),
-        ("dropout, mixed stale/dead", assess(&ctx, &mixed_test)),
-        ("dropout, stale holds", assess(&ctx, &stale_test)),
-        ("dropout, dead zeros", assess(&ctx, &dead_test)),
+        ("clean sensors (baseline)", assess(ctx, &ctx.test)),
+        ("dropout, mixed stale/dead", assess(ctx, &mixed_test)),
+        ("dropout, stale holds", assess(ctx, &stale_test)),
+        ("dropout, dead zeros", assess(ctx, &dead_test)),
     ];
 
     let mut out = String::new();
@@ -112,6 +108,5 @@ fn main() {
          inputs, which is exactly what this family demonstrates.\n",
     );
 
-    emit(&opts.out_dir, "scenario_dropout.txt", &out).expect("write results");
-    checks.gate("scenario_dropout");
+    Report { text: out, checks }
 }

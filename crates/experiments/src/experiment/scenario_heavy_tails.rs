@@ -14,14 +14,15 @@
 //!    wrapper loses when only the test split is bursty (broken
 //!    exchangeability): paired coverage ≥ broken coverage.
 //!
-//! The binary exits non-zero if any shape check is VIOLATED.
+//! The experiment gates: `run_all` exits 1 if any shape check is
+//! VIOLATED.
 
+use crate::eval::{evaluate, BackendSummary};
+use crate::report::{fmt_prob, section, Report, ShapeChecks, TextTable};
+use crate::{Approach, ExperimentContext, CONFORMAL_CONFIDENCE};
 use tauw_core::conformal::ConformalOptions;
 use tauw_core::tauw::TimeseriesAwareWrapper;
 use tauw_core::training::TrainingSeries;
-use tauw_experiments::eval::{evaluate, BackendSummary};
-use tauw_experiments::report::{emit, fmt_prob, section, ShapeChecks, TextTable};
-use tauw_experiments::{Approach, CliOptions, ExperimentContext, CONFORMAL_CONFIDENCE};
 use tauw_sim::scenario::{BurstParams, ScenarioFamily};
 
 /// The IF + taUW summary of `tauw` on `test`.
@@ -30,31 +31,28 @@ fn assess(tauw: &TimeseriesAwareWrapper, test: &[TrainingSeries]) -> BackendSumm
     eval.summary(Approach::IfTauw).expect("summary computes")
 }
 
-fn main() {
-    let opts = CliOptions::from_env();
+pub fn run(ctx: &ExperimentContext) -> Report {
     let family = ScenarioFamily::HeavyTails(BurstParams::default());
 
-    // Clean world (baseline) and paired-burst world (bursts on calib+test).
-    let clean_ctx =
-        ExperimentContext::build(opts.scale, opts.seed).expect("experiment context must build");
-    let burst_ctx = ExperimentContext::build_scenario(family, opts.scale, opts.seed)
+    // The shared clean world is the baseline; the paired-burst world has
+    // bursts on calib+test.
+    let burst_ctx = ctx
+        .scenario_world(family)
         .expect("scenario context must build");
 
-    let conformal_clean = clean_ctx
+    let conformal_clean = ctx
         .tauw_conformal_variant(ConformalOptions::default(), CONFORMAL_CONFIDENCE)
         .expect("conformal variant builds");
     let conformal_paired = burst_ctx
         .tauw_conformal_variant(ConformalOptions::default(), CONFORMAL_CONFIDENCE)
         .expect("conformal variant builds");
     // Broken exchangeability: calibrated clean, served bursty.
-    let broken_test = clean_ctx
-        .scenario_test(family)
-        .expect("scenario test builds");
+    let broken_test = ctx.scenario_test(family).expect("scenario test builds");
 
     let rows = [
         (
             "conformal / clean world",
-            assess(&conformal_clean, &clean_ctx.test),
+            assess(&conformal_clean, &ctx.test),
         ),
         (
             "conformal / bursts on calib+test",
@@ -64,10 +62,7 @@ fn main() {
             "conformal / bursts on test only",
             assess(&conformal_clean, &broken_test),
         ),
-        (
-            "tree / clean world",
-            assess(&clean_ctx.tauw, &clean_ctx.test),
-        ),
+        ("tree / clean world", assess(&ctx.tauw, &ctx.test)),
         (
             "tree / bursts on calib+test",
             assess(&burst_ctx.tauw, &burst_ctx.test),
@@ -124,6 +119,5 @@ fn main() {
     );
     out.push_str(&checks.render());
 
-    emit(&opts.out_dir, "scenario_heavy_tails.txt", &out).expect("write results");
-    checks.gate("scenario_heavy_tails");
+    Report { text: out, checks }
 }

@@ -17,12 +17,13 @@
 //! 4. fusion still beats isolated per-frame outcomes inside the
 //!    multi-source world.
 //!
-//! The binary exits non-zero if any shape check is VIOLATED.
+//! The experiment gates: `run_all` exits 1 if any shape check is
+//! VIOLATED.
 
+use crate::eval::{evaluate, TestEvaluation};
+use crate::report::{fmt_pct, section, Report, ShapeChecks, TextTable};
+use crate::ExperimentContext;
 use tauw_core::training::TrainingSeries;
-use tauw_experiments::eval::{evaluate, TestEvaluation};
-use tauw_experiments::report::{emit, fmt_pct, section, ShapeChecks, TextTable};
-use tauw_experiments::{CliOptions, ExperimentContext};
 use tauw_sim::scenario::{MultiSourceParams, ScenarioFamily};
 
 /// End-of-series fused misclassification: the fraction of series whose
@@ -57,11 +58,7 @@ fn assess(ctx: &ExperimentContext, test: &[TrainingSeries]) -> Row {
     }
 }
 
-fn main() {
-    let opts = CliOptions::from_env();
-    let ctx =
-        ExperimentContext::build(opts.scale, opts.seed).expect("experiment context must build");
-
+pub fn run(ctx: &ExperimentContext) -> Report {
     let multi_source = |correlation: f64| {
         ScenarioFamily::MultiSource(MultiSourceParams {
             correlation,
@@ -76,9 +73,9 @@ fn main() {
         .expect("scenario test builds");
 
     let rows = [
-        ("single source (baseline)", assess(&ctx, &ctx.test)),
-        ("3 sources, correlation 0.15", assess(&ctx, &low_corr_test)),
-        ("3 sources, correlation 0.90", assess(&ctx, &high_corr_test)),
+        ("single source (baseline)", assess(ctx, &ctx.test)),
+        ("3 sources, correlation 0.15", assess(ctx, &low_corr_test)),
+        ("3 sources, correlation 0.90", assess(ctx, &high_corr_test)),
     ];
 
     let mut out = String::new();
@@ -129,6 +126,5 @@ fn main() {
     );
     out.push_str(&checks.render());
 
-    emit(&opts.out_dir, "scenario_multi_source.txt", &out).expect("write results");
-    checks.gate("scenario_multi_source");
+    Report { text: out, checks }
 }

@@ -1,7 +1,7 @@
 //! Scenario family: mid-stream regime switch in the DDM error model.
 //!
 //! Unlike `drift_adaptation` (which injects failures into the *feedback*
-//! channel), this binary drives the switch through the first-class
+//! channel), this experiment drives the switch through the first-class
 //! [`ScenarioFamily::RegimeSwitch`] workload: past the switch position a
 //! fraction of series become systematically confused — every frame
 //! reports the same wrong class, invisibly to the quality sensors and
@@ -20,17 +20,15 @@
 //! 3. the adaptive coverage gap closes to within 5 points;
 //! 4. drift signals concentrate after the switch.
 //!
-//! The binary exits non-zero if any shape check is VIOLATED.
+//! The experiment gates: `run_all` exits 1 if any shape check is
+//! VIOLATED.
 
-use tauw_experiments::report::{emit, section, ShapeChecks};
-use tauw_experiments::stream::AdaptiveReplay;
-use tauw_experiments::{CliOptions, ExperimentContext};
+use crate::report::{section, Report, ShapeChecks};
+use crate::stream::AdaptiveReplay;
+use crate::ExperimentContext;
 use tauw_sim::scenario::{RegimeParams, ScenarioFamily};
 
-fn main() {
-    let opts = CliOptions::from_env();
-    let ctx =
-        ExperimentContext::build(opts.scale, opts.seed).expect("experiment context must build");
+pub fn run(ctx: &ExperimentContext) -> Report {
     let params = RegimeParams::default();
     let shifted = ctx
         .scenario_test(ScenarioFamily::RegimeSwitch(params))
@@ -84,6 +82,5 @@ fn main() {
         "\ndrift signals: {pre_drift} before the switch, {post_drift} after.\n"
     ));
 
-    emit(&opts.out_dir, "scenario_regime_switch.txt", &out).expect("write results");
-    checks.gate("scenario_regime_switch");
+    Report { text: out, checks }
 }

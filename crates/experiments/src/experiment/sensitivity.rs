@@ -3,14 +3,11 @@
 //! of the method, not an artifact of one simulator tuning, by sweeping the
 //! within-series error-correlation strength.
 
-use tauw_experiments::eval::{evaluate, Approach};
-use tauw_experiments::report::{emit, fmt_pct, fmt_prob, section, TextTable};
-use tauw_experiments::{CliOptions, ExperimentContext};
-use tauw_sim::SimConfig;
+use crate::eval::{evaluate, Approach};
+use crate::report::{fmt_pct, fmt_prob, section, Report, TextTable};
+use crate::ExperimentContext;
 
-fn main() {
-    let opts = CliOptions::from_env();
-
+pub fn run(ctx: &ExperimentContext) -> Report {
     let mut out = String::new();
     out.push_str(&section(
         "sensitivity: Table I ordering vs within-series error correlation",
@@ -26,15 +23,11 @@ fn main() {
     ]);
 
     for (phi, sigma) in [(0.0, 0.3), (0.4, 0.7), (0.72, 1.05), (0.9, 1.4)] {
-        let mut config = if opts.scale >= 1.0 {
-            SimConfig::default()
-        } else {
-            SimConfig::scaled(opts.scale)
-        };
+        let mut config = ctx.config.clone();
         config.ddm_error_copula_phi = phi;
         config.ddm_series_sigma = sigma;
-        let ctx = ExperimentContext::build_with_config(config, opts.seed).expect("context builds");
-        let eval = evaluate(&ctx.tauw, &ctx.test).expect("evaluation");
+        let world = ctx.with_config(config).expect("context builds");
+        let eval = evaluate(&world.tauw, &world.test).expect("evaluation");
 
         let d = |a: Approach| eval.decomposition(a).expect("decomposition");
         let tauw = d(Approach::IfTauw);
@@ -80,5 +73,5 @@ fn main() {
          that is the naive rule degrading, not the taUW result changing.\n",
     );
 
-    emit(&opts.out_dir, "sensitivity.txt", &out).expect("write results");
+    Report::from(out)
 }

@@ -2,15 +2,12 @@
 //! unspecificity, unreliability) plus overconfidence for the six
 //! uncertainty-estimation approaches.
 
-use tauw_experiments::eval::{evaluate, Approach};
-use tauw_experiments::paper::PAPER_TABLE1;
-use tauw_experiments::report::{emit, fmt_prob, section, ShapeChecks, TextTable};
-use tauw_experiments::{CliOptions, ExperimentContext};
+use crate::eval::{evaluate, Approach};
+use crate::paper::PAPER_TABLE1;
+use crate::report::{fmt_prob, section, Report, ShapeChecks, TextTable};
+use crate::ExperimentContext;
 
-fn main() {
-    let opts = CliOptions::from_env();
-    let ctx =
-        ExperimentContext::build(opts.scale, opts.seed).expect("experiment context must build");
+pub fn run(ctx: &ExperimentContext) -> Report {
     let eval = evaluate(&ctx.tauw, &ctx.test).expect("evaluation must succeed");
 
     let mut out = String::new();
@@ -124,5 +121,5 @@ fn main() {
     );
     out.push_str(&checks.render());
 
-    emit(&opts.out_dir, "table1.txt", &out).expect("write results");
+    Report { text: out, checks }
 }

@@ -5,14 +5,11 @@
 //! Sweeps the subsampled window length and reports how information fusion
 //! and the taUW's uncertainty quality scale with series length.
 
-use tauw_experiments::eval::{evaluate, Approach};
-use tauw_experiments::report::{emit, fmt_pct, fmt_prob, section, ShapeChecks, TextTable};
-use tauw_experiments::{CliOptions, ExperimentContext};
-use tauw_sim::SimConfig;
+use crate::eval::{evaluate, Approach};
+use crate::report::{fmt_pct, fmt_prob, section, Report, ShapeChecks, TextTable};
+use crate::ExperimentContext;
 
-fn main() {
-    let opts = CliOptions::from_env();
-
+pub fn run(ctx: &ExperimentContext) -> Report {
     let mut out = String::new();
     out.push_str(&section("window-length sweep (paper: length 10 only)"));
     let mut table = TextTable::new(vec![
@@ -26,14 +23,10 @@ fn main() {
 
     let mut final_step_rates = Vec::new();
     for window_len in [5usize, 10, 15, 20] {
-        let mut config = if opts.scale >= 1.0 {
-            SimConfig::default()
-        } else {
-            SimConfig::scaled(opts.scale)
-        };
+        let mut config = ctx.config.clone();
         config.window_len = window_len;
-        let ctx = ExperimentContext::build_with_config(config, opts.seed).expect("context builds");
-        let eval = evaluate(&ctx.tauw, &ctx.test).expect("evaluation");
+        let world = ctx.with_config(config).expect("context builds");
+        let eval = evaluate(&world.tauw, &world.test).expect("evaluation");
         let rates = eval.misclassification_by_step();
         let last = rates.last().expect("non-empty");
         let tauw = eval.decomposition(Approach::IfTauw).expect("decomposition");
@@ -44,7 +37,7 @@ fn main() {
             fmt_pct(eval.fused_misclassification()),
             fmt_pct(last.fused),
             fmt_prob(tauw.brier),
-            fmt_prob(ctx.tauw.min_uncertainty()),
+            fmt_prob(world.tauw.min_uncertainty()),
         ]);
     }
     out.push_str(&table.render());
@@ -66,5 +59,5 @@ fn main() {
          comparison is the final-step rate, where all evidence has accumulated.\n",
     );
 
-    emit(&opts.out_dir, "window_sweep.txt", &out).expect("write results");
+    Report { text: out, checks }
 }

@@ -1,46 +1,49 @@
 //! # tauw-experiments
 //!
 //! The experiment harness that regenerates every table and figure of the
-//! taUW paper on the synthetic substrate:
+//! taUW paper on the synthetic substrate. Each experiment is a registry
+//! entry ([`EXPERIMENTS`]) that computes one report from the shared
+//! [`ExperimentContext`]; the `run_all` binary builds that world once and
+//! writes `<name>.txt` for every entry:
 //!
-//! | binary            | paper artifact | what it reports |
-//! |-------------------|----------------|-----------------|
-//! | `fig4`            | Fig. 4         | misclassification per timestep, isolated vs information fusion |
-//! | `fig5`            | Fig. 5         | distribution of dependable uncertainty, stateless UW vs taUW+IF |
-//! | `table1`          | Table I        | Brier score + variance/unspecificity/unreliability/overconfidence for six approaches |
-//! | `fig6`            | Fig. 6         | calibration plot (10% certainty quantiles vs observed correctness) |
-//! | `fig7`            | Fig. 7         | Brier score for all 16 taQF subsets, grouped by subset size |
-//! | `bounds_ablation` | §5 ablation    | bound method × min-leaf-count sweep |
-//! | `sensitivity`     | §5 robustness  | Table I ordering under varied error-correlation strength |
-//! | `window_sweep`    | future work    | fusion + taUW quality vs series length (paper: "no saturation") |
-//! | `extended_taqf`   | future work    | candidate features beyond taQF1-4 (paper RQ3 closing question) |
-//! | `if_ablation`     | §2 related wk  | majority vs weighted vs windowed vs latest-only fusion |
-//! | `forest_ablation` | related wk     | single-tree taQIM vs boundary-smoothed bootstrap forests (K=4, K=16): Brier, AUC, estimate granularity |
-//! | `conformal_head_to_head` | related wk | split-conformal backend vs tree and forest16: Brier, AUC, distinct levels, empirical coverage vs nominal |
-//! | `drift_adaptation`| future work    | mid-stream regime switch: adaptive coverage-tracked bounds vs the paper's frozen bounds |
-//! | `scenario_dropout` | scenario wall | sensor dropout + multi-rate sensing: ranking degrades, outcomes untouched, stale beats dead sensors |
-//! | `scenario_regime_switch` | scenario wall | regime-switch family: frozen bounds undercover, adaptive bounds close the gap, drift signals concentrate |
-//! | `scenario_heavy_tails` | scenario wall | heavy-tailed bursts: conformal coverage stays ≥ nominal when calibration sees the same tails |
-//! | `scenario_multi_source` | scenario wall | correlated multi-source evidence: independent sources help fusion, correlation erodes the gain |
-//! | `run_all`         | —              | everything above in one run |
+//! | name              | paper artifact | gates | what it reports |
+//! |-------------------|----------------|-------|-----------------|
+//! | `fig4`            | Fig. 4         | no    | misclassification per timestep, isolated vs information fusion |
+//! | `fig5`            | Fig. 5         | no    | distribution of dependable uncertainty, stateless UW vs taUW+IF |
+//! | `table1`          | Table I        | no    | Brier score + variance/unspecificity/unreliability/overconfidence for six approaches |
+//! | `fig6`            | Fig. 6         | no    | calibration plot (10% certainty quantiles vs observed correctness) |
+//! | `fig7`            | Fig. 7         | no    | Brier score for all 16 taQF subsets, grouped by subset size |
+//! | `bounds_ablation` | §5 ablation    | no    | bound method × min-leaf-count sweep |
+//! | `sensitivity`     | §5 robustness  | no    | Table I ordering under varied error-correlation strength |
+//! | `window_sweep`    | future work    | no    | fusion + taUW quality vs series length (paper: "no saturation") |
+//! | `extended_taqf`   | future work    | no    | candidate features beyond taQF1-4 (paper RQ3 closing question) |
+//! | `if_ablation`     | §2 related wk  | no    | majority vs weighted vs windowed vs latest-only fusion |
+//! | `forest_ablation` | related wk     | yes   | single-tree taQIM vs boundary-smoothed bootstrap forests (K=4, K=16): Brier, AUC, estimate granularity |
+//! | `conformal_head_to_head` | related wk | yes | split-conformal backend vs tree and forest16: Brier, AUC, distinct levels, empirical coverage vs nominal |
+//! | `drift_adaptation`| future work    | yes   | mid-stream regime switch: adaptive coverage-tracked bounds vs the paper's frozen bounds |
+//! | `scenario_dropout` | scenario wall | yes   | sensor dropout + multi-rate sensing: ranking degrades, outcomes untouched, stale beats dead sensors |
+//! | `scenario_regime_switch` | scenario wall | yes | regime-switch family: frozen bounds undercover, adaptive bounds close the gap, drift signals concentrate |
+//! | `scenario_heavy_tails` | scenario wall | yes | heavy-tailed bursts: conformal coverage stays ≥ nominal when calibration sees the same tails |
+//! | `scenario_multi_source` | scenario wall | yes | correlated multi-source evidence: independent sources help fusion, correlation erodes the gain |
 //!
-//! All binaries accept `--scale <f>` (default 1.0 = paper-sized),
-//! `--seed <n>` (default [`DEFAULT_SEED`]) and `--out <dir>` (default
-//! `results/`). Runs are bit-deterministic for a given seed and scale.
+//! `run_all` accepts `--scale <f>` (default 1.0 = paper-sized), `--seed
+//! <n>` (default [`DEFAULT_SEED`]), `--out <dir>` (default `results/`) and
+//! any registry names, which select a subset run in registry order
+//! (`run_all table1 fig4 --scale 0.2`). Runs are bit-deterministic for a
+//! given seed and scale.
 //!
 //! Reports end in a [`report::ShapeChecks`] table of `HOLDS`/`VIOLATED`
-//! verdicts. Seven binaries *gate* on it and exit 1 on any `VIOLATED`
-//! check: the four `scenario_*` walls, `forest_ablation`,
-//! `conformal_head_to_head` and `drift_adaptation`. Their claims are this
-//! repository's own, and all hold at `--scale 0.2` and at 1.0 with the
-//! default seed. The paper-figure binaries (`fig5`, `fig6`, `fig7`,
-//! `table1`) and `if_ablation` and `window_sweep` only *report*: some of
-//! their checks read `VIOLATED` on honest gaps between the synthetic
-//! substrate and the paper. At scale 1.0, `fig5`'s "share at lowest u
-//! grows (paper ~2x)" reads `VIOLATED`: the share goes from 28.69% to
-//! 32.24%, where the paper has 65.90%. At scale 0.2 `fig5` and `table1`
-//! read one `VIOLATED` check each and `fig7` two. `run_all` exits 1 if
-//! any binary does.
+//! verdicts. Seven experiments *gate* on it: `run_all` exits 1 if any of
+//! the four `scenario_*` walls, `forest_ablation`,
+//! `conformal_head_to_head` or `drift_adaptation` reads `VIOLATED`. Their
+//! claims are this repository's own, and all hold at `--scale 0.2` and at
+//! 1.0 with the default seed. The paper-figure experiments (`fig5`,
+//! `fig6`, `fig7`, `table1`) and `if_ablation` and `window_sweep` only
+//! *report*: some of their checks read `VIOLATED` on honest gaps between
+//! the synthetic substrate and the paper. At scale 1.0, `fig5`'s "share
+//! at lowest u grows (paper ~2x)" reads `VIOLATED`: the share goes from
+//! 28.69% to 32.24%, where the paper has 65.90%. At scale 0.2 `fig5` and
+//! `table1` read one `VIOLATED` check each and `fig7` two.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -48,14 +51,16 @@
 pub mod context;
 pub mod convert;
 pub mod eval;
+mod experiment;
 pub mod paper;
 pub mod report;
 pub mod stream;
 
 pub use context::ExperimentContext;
 pub use eval::{Approach, CaseRecord, TestEvaluation};
+pub use experiment::{Experiment, EXPERIMENTS};
 
-/// Master seed used by all experiment binaries unless overridden.
+/// Master seed used by every experiment unless overridden.
 pub const DEFAULT_SEED: u64 = 20230627; // the VERDI workshop date
 
 /// Confidence of the split-conformal backend wherever an experiment
@@ -63,31 +68,7 @@ pub const DEFAULT_SEED: u64 = 20230627; // the VERDI workshop date
 /// world scale (rank ⌈(n+1)·0.9⌉ is attainable from n = 9 samples up).
 pub const CONFORMAL_CONFIDENCE: f64 = 0.9;
 
-/// Every experiment binary in `src/bin` except `run_all` itself, in
-/// `run_all` execution order. `run_all` consumes this list, and a lib
-/// test asserts it covers every `src/bin/*.rs` source file — so a new
-/// binary cannot be silently skipped by the one-stop entry point.
-pub const BINARIES: [&str; 17] = [
-    "fig4",
-    "fig5",
-    "table1",
-    "fig6",
-    "fig7",
-    "bounds_ablation",
-    "sensitivity",
-    "window_sweep",
-    "extended_taqf",
-    "if_ablation",
-    "forest_ablation",
-    "conformal_head_to_head",
-    "drift_adaptation",
-    "scenario_dropout",
-    "scenario_regime_switch",
-    "scenario_heavy_tails",
-    "scenario_multi_source",
-];
-
-/// Command-line options shared by every experiment binary.
+/// `run_all`'s command-line options.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CliOptions {
     /// World scale: 1.0 = paper-sized (1307 series, 28 augmentations).
@@ -96,6 +77,8 @@ pub struct CliOptions {
     pub seed: u64,
     /// Output directory for result files.
     pub out_dir: String,
+    /// Registry names selected on the command line (empty: every entry).
+    pub only: Vec<String>,
 }
 
 impl Default for CliOptions {
@@ -104,14 +87,15 @@ impl Default for CliOptions {
             scale: 1.0,
             seed: DEFAULT_SEED,
             out_dir: "results".to_string(),
+            only: Vec::new(),
         }
     }
 }
 
 impl CliOptions {
-    /// Parses `--scale`, `--seed` and `--out` from an argument iterator
-    /// (unknown arguments are an error; the binary name must already be
-    /// consumed).
+    /// Parses `--scale`, `--seed`, `--out` and registry names from an
+    /// argument iterator (unknown flags and names are an error; the binary
+    /// name must already be consumed).
     ///
     /// # Errors
     ///
@@ -131,13 +115,23 @@ impl CliOptions {
                 "--out" => {
                     opts.out_dir = args.next().ok_or("--out needs a value")?;
                 }
-                other => return Err(format!("unknown argument: {other}")),
+                name if EXPERIMENTS.iter().any(|e| e.name == name) => {
+                    opts.only.push(name.to_string());
+                }
+                other => return Err(format!("unknown argument or experiment: {other}")),
             }
         }
         if !(opts.scale > 0.0 && opts.scale <= 1.0) {
             return Err(format!("--scale must be in (0, 1], got {}", opts.scale));
         }
         Ok(opts)
+    }
+
+    /// The selected registry entries, in registry order.
+    pub fn selected(&self) -> impl Iterator<Item = &'static Experiment> + '_ {
+        EXPERIMENTS
+            .iter()
+            .filter(|e| self.only.is_empty() || self.only.iter().any(|n| n == e.name))
     }
 
     /// Parses from the process arguments, exiting with a usage message on
@@ -147,7 +141,7 @@ impl CliOptions {
             Ok(opts) => opts,
             Err(msg) => {
                 eprintln!("error: {msg}");
-                eprintln!("usage: <bin> [--scale f] [--seed n] [--out dir]");
+                eprintln!("usage: run_all [name ...] [--scale f] [--seed n] [--out dir]");
                 std::process::exit(2);
             }
         }
@@ -163,48 +157,12 @@ mod tests {
     }
 
     #[test]
-    fn binary_map_covers_every_bin_source() {
-        let bin_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
-        let mut stems: Vec<String> = std::fs::read_dir(&bin_dir)
-            .expect("src/bin exists")
-            .map(|entry| entry.expect("readable entry").path())
-            .filter(|path| path.extension().is_some_and(|ext| ext == "rs"))
-            .map(|path| {
-                path.file_stem()
-                    .expect("file stem")
-                    .to_string_lossy()
-                    .into_owned()
-            })
-            .collect();
-        stems.sort();
-        let doc = include_str!("lib.rs");
-        for stem in &stems {
-            if stem != "run_all" {
-                assert!(
-                    BINARIES.contains(&stem.as_str()),
-                    "src/bin/{stem}.rs is not registered in BINARIES — run_all would skip it"
-                );
-            }
-            assert!(
-                doc.contains(&format!("`{stem}`")),
-                "the lib doc binary table does not mention `{stem}`"
-            );
-        }
-        assert_eq!(
-            BINARIES.len(),
-            stems.len() - 1, // run_all is the driver, not an entry
-            "BINARIES lists a binary without a src/bin source"
-        );
-        let unique: std::collections::HashSet<&&str> = BINARIES.iter().collect();
-        assert_eq!(unique.len(), BINARIES.len(), "duplicate entry in BINARIES");
-    }
-
-    #[test]
     fn defaults_are_paper_sized() {
         let opts = parse(&[]).unwrap();
         assert_eq!(opts.scale, 1.0);
         assert_eq!(opts.seed, DEFAULT_SEED);
         assert_eq!(opts.out_dir, "results");
+        assert_eq!(opts.selected().count(), EXPERIMENTS.len());
     }
 
     #[test]
@@ -222,5 +180,22 @@ mod tests {
         assert!(parse(&["--scale", "0"]).is_err());
         assert!(parse(&["--scale", "1.5"]).is_err());
         assert!(parse(&["--frobnicate"]).is_err());
+    }
+
+    #[test]
+    fn unknown_experiment_names_are_rejected() {
+        assert_eq!(
+            parse(&["table1", "fig99"]),
+            Err("unknown argument or experiment: fig99".to_string())
+        );
+        assert!(parse(&["run_all"]).is_err());
+    }
+
+    #[test]
+    fn selected_names_run_in_registry_order() {
+        let opts = parse(&["table1", "--scale", "0.2", "fig4", "table1"]).unwrap();
+        assert_eq!(opts.scale, 0.2);
+        let names: Vec<&str> = opts.selected().map(|e| e.name).collect();
+        assert_eq!(names, ["fig4", "table1"]);
     }
 }

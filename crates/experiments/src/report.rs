@@ -1,5 +1,5 @@
 //! Plain-text report rendering: fixed-width tables, ASCII bar charts and
-//! result-file output shared by the experiment binaries.
+//! result-file output shared by the experiments.
 
 use std::fmt::Write as _;
 use std::io::Write as _;
@@ -125,10 +125,10 @@ pub fn verdict(holds: bool) -> &'static str {
 /// A report's shape checks: the qualitative claims (orderings,
 /// thresholds, structural identities) that define a successful run.
 ///
-/// The binaries whose claims are the repository's own (scenario walls,
-/// backend comparisons, drift adaptation) [`gate`](Self::gate) on them;
-/// the paper-figure binaries only report theirs, since some read
-/// `VIOLATED` on honest reproduction gaps.
+/// The experiments whose claims are the repository's own (scenario walls,
+/// backend comparisons, drift adaptation) gate on them; the paper-figure
+/// experiments only report theirs, since some read `VIOLATED` on honest
+/// reproduction gaps.
 #[derive(Debug, Clone, Default)]
 pub struct ShapeChecks {
     checks: Vec<(String, bool)>,
@@ -159,27 +159,36 @@ impl ShapeChecks {
         section("shape checks") + &table.render()
     }
 
-    /// The gate's decision for binary `bin`: the stderr message when any
-    /// check is violated.
+    /// The gate's decision for experiment `name`: the stderr message when
+    /// any check is violated.
     ///
     /// # Errors
     ///
-    /// Returns `<bin>: N shape check(s) VIOLATED` if any check fails.
-    pub fn outcome(&self, bin: &str) -> Result<(), String> {
+    /// Returns `<name>: N shape check(s) VIOLATED` if any check fails.
+    pub fn outcome(&self, name: &str) -> Result<(), String> {
         match self.violations() {
             0 => Ok(()),
-            n => Err(format!("{bin}: {n} shape check(s) VIOLATED")),
+            n => Err(format!("{name}: {n} shape check(s) VIOLATED")),
         }
     }
+}
 
-    /// Exits the process with status 1, after printing the
-    /// [`outcome`](Self::outcome) message to stderr, if any check is
-    /// violated. Call it after [`emit`], so the report is written either
-    /// way.
-    pub fn gate(&self, bin: &str) {
-        if let Err(message) = self.outcome(bin) {
-            eprintln!("{message}");
-            std::process::exit(1);
+/// One experiment's output: the report text written to `<name>.txt` and
+/// the shape checks it rendered, which `run_all` reads for the gate.
+#[derive(Debug, Clone)]
+pub struct Report {
+    /// The full report text.
+    pub text: String,
+    /// The report's shape checks (empty for reports without any).
+    pub checks: ShapeChecks,
+}
+
+impl From<String> for Report {
+    /// A report without shape checks.
+    fn from(text: String) -> Self {
+        Report {
+            text,
+            checks: ShapeChecks::new(),
         }
     }
 }

@@ -98,12 +98,6 @@ impl DatasetBuilder {
         }
     }
 
-    /// Builds only the training split (useful for model-building tools).
-    pub fn build_train_only(&self) -> Vec<SeriesRecord> {
-        let specs = self.base_series_specs();
-        self.build_train(&specs[..self.config.split.0])
-    }
-
     /// Builds only the test split (bit-identical to the `test` field of
     /// [`DatasetBuilder::build`]; used by scenario studies that re-derive
     /// a transformed test set without paying for the training split).

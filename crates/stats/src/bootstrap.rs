@@ -1,12 +1,8 @@
-//! Percentile bootstrap confidence intervals with a dependency-free,
-//! deterministic PRNG.
+//! A dependency-free, deterministic PRNG for resampling.
 //!
-//! `tauw-stats` deliberately has no runtime dependency on `rand`; the
-//! experiment harness uses bootstrap intervals to report the stability of
-//! Table I metrics, and a small SplitMix64 generator is more than adequate
-//! for resampling indices.
-
-use crate::error::StatsError;
+//! `tauw-stats` deliberately has no runtime dependency on `rand`; a small
+//! SplitMix64 generator is more than adequate for drawing bootstrap
+//! indices and the experiments' injected failures.
 
 /// Minimal SplitMix64 PRNG (Steele et al. 2014). Deterministic, fast, and
 /// good enough for bootstrap index resampling; **not** cryptographic.
@@ -41,91 +37,6 @@ impl SplitMix64 {
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
-}
-
-/// A two-sided percentile bootstrap confidence interval.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BootstrapInterval {
-    /// Statistic evaluated on the original sample.
-    pub point: f64,
-    /// Lower percentile endpoint.
-    pub lower: f64,
-    /// Upper percentile endpoint.
-    pub upper: f64,
-    /// Number of bootstrap replicates used.
-    pub replicates: usize,
-}
-
-/// Computes a percentile bootstrap interval for an arbitrary statistic of a
-/// sample of `n` items.
-///
-/// `statistic` receives a slice of resampled indices into the original data
-/// and must return the statistic value; this avoids copying the (possibly
-/// multi-column) underlying data for every replicate.
-///
-/// # Errors
-///
-/// Returns [`StatsError`] if `n == 0`, `replicates == 0`, or `confidence`
-/// is not in `(0, 1)`.
-///
-/// # Examples
-///
-/// ```
-/// use tauw_stats::bootstrap::bootstrap_interval;
-///
-/// let data = [1.0, 2.0, 3.0, 4.0, 5.0];
-/// let ci = bootstrap_interval(data.len(), 500, 0.9, 42, |idx| {
-///     idx.iter().map(|&i| data[i]).sum::<f64>() / idx.len() as f64
-/// })?;
-/// assert!(ci.lower <= ci.point && ci.point <= ci.upper);
-/// # Ok::<(), tauw_stats::StatsError>(())
-/// ```
-pub fn bootstrap_interval<F>(
-    n: usize,
-    replicates: usize,
-    confidence: f64,
-    seed: u64,
-    mut statistic: F,
-) -> Result<BootstrapInterval, StatsError>
-where
-    F: FnMut(&[usize]) -> f64,
-{
-    if n == 0 {
-        return Err(StatsError::EmptyInput { name: "sample" });
-    }
-    if replicates == 0 {
-        return Err(StatsError::InvalidArgument {
-            reason: "replicates must be positive",
-        });
-    }
-    if !(confidence > 0.0 && confidence < 1.0) {
-        return Err(StatsError::InvalidProbability {
-            name: "confidence",
-            value: confidence,
-        });
-    }
-    let identity: Vec<usize> = (0..n).collect();
-    let point = statistic(&identity);
-
-    let mut rng = SplitMix64::new(seed);
-    let mut values = Vec::with_capacity(replicates);
-    let mut resample = vec![0usize; n];
-    for _ in 0..replicates {
-        for slot in resample.iter_mut() {
-            *slot = rng.next_index(n);
-        }
-        values.push(statistic(&resample));
-    }
-    values.sort_by(f64::total_cmp);
-    let alpha = 1.0 - confidence;
-    let lower = crate::descriptive::quantile_sorted(&values, alpha / 2.0);
-    let upper = crate::descriptive::quantile_sorted(&values, 1.0 - alpha / 2.0);
-    Ok(BootstrapInterval {
-        point,
-        lower,
-        upper,
-        replicates,
-    })
 }
 
 #[cfg(test)]
@@ -163,40 +74,5 @@ mod tests {
                 "bucket count {c} far from uniform"
             );
         }
-    }
-
-    #[test]
-    fn bootstrap_mean_interval_contains_truth() {
-        let data: Vec<f64> = (0..200).map(|i| (i % 10) as f64).collect();
-        let truth = 4.5;
-        let ci = bootstrap_interval(data.len(), 1000, 0.99, 11, |idx| {
-            idx.iter().map(|&i| data[i]).sum::<f64>() / idx.len() as f64
-        })
-        .unwrap();
-        assert!(ci.lower <= truth && truth <= ci.upper);
-        assert!((ci.point - truth).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bootstrap_interval_narrows_with_sample_size() {
-        let small: Vec<f64> = (0..20).map(|i| (i % 10) as f64).collect();
-        let large: Vec<f64> = (0..2000).map(|i| (i % 10) as f64).collect();
-        let ci_small = bootstrap_interval(small.len(), 500, 0.9, 5, |idx| {
-            idx.iter().map(|&i| small[i]).sum::<f64>() / idx.len() as f64
-        })
-        .unwrap();
-        let ci_large = bootstrap_interval(large.len(), 500, 0.9, 5, |idx| {
-            idx.iter().map(|&i| large[i]).sum::<f64>() / idx.len() as f64
-        })
-        .unwrap();
-        assert!(ci_large.upper - ci_large.lower < ci_small.upper - ci_small.lower);
-    }
-
-    #[test]
-    fn bootstrap_rejects_bad_inputs() {
-        assert!(bootstrap_interval(0, 10, 0.9, 1, |_| 0.0).is_err());
-        assert!(bootstrap_interval(5, 0, 0.9, 1, |_| 0.0).is_err());
-        assert!(bootstrap_interval(5, 10, 0.0, 1, |_| 0.0).is_err());
-        assert!(bootstrap_interval(5, 10, 1.0, 1, |_| 0.0).is_err());
     }
 }

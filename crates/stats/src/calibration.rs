@@ -156,15 +156,6 @@ impl CalibrationCurve {
             max - min
         }
     }
-
-    /// Fraction of groups that are overconfident (observed correctness below
-    /// predicted certainty by more than `slack`).
-    pub fn overconfident_fraction(&self, slack: f64) -> f64 {
-        if self.points.is_empty() {
-            return 0.0;
-        }
-        self.points.iter().filter(|p| p.gap() < -slack).count() as f64 / self.points.len() as f64
-    }
 }
 
 /// Spiegelhalter's Z statistic for calibration: under the null hypothesis
@@ -277,7 +268,6 @@ mod tests {
         ];
         let curve = CalibrationCurve::from_uncertainties(&u, &failed, 1).unwrap();
         assert!(curve.points[0].gap() < -0.4);
-        assert_eq!(curve.overconfident_fraction(0.1), 1.0);
         assert!(curve.mean_signed_gap() < 0.0);
     }
 
@@ -287,7 +277,6 @@ mod tests {
         let failed = [false; 10];
         let curve = CalibrationCurve::from_uncertainties(&u, &failed, 1).unwrap();
         assert!(curve.points[0].gap() > 0.4);
-        assert_eq!(curve.overconfident_fraction(0.1), 0.0);
     }
 
     #[test]

@@ -65,15 +65,6 @@ impl Moments {
         }
     }
 
-    /// Population variance (divides by `n`).
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
     /// Sample variance (divides by `n − 1`; 0 for fewer than two samples).
     pub fn sample_variance(&self) -> f64 {
         if self.count < 2 {
@@ -81,11 +72,6 @@ impl Moments {
         } else {
             self.m2 / (self.count - 1) as f64
         }
-    }
-
-    /// Sample standard deviation.
-    pub fn sample_std(&self) -> f64 {
-        self.sample_variance().sqrt()
     }
 
     /// Minimum observation (`+inf` if empty).
@@ -96,26 +82,6 @@ impl Moments {
     /// Maximum observation (`−inf` if empty).
     pub fn max(&self) -> f64 {
         self.max
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &Moments) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let new_mean = self.mean + delta * other.count as f64 / total as f64;
-        self.m2 +=
-            other.m2 + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.mean = new_mean;
-        self.count = total;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -273,37 +239,10 @@ mod tests {
     }
 
     #[test]
-    fn welford_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..50).map(|i| i as f64 * 0.1).collect();
-        let ys: Vec<f64> = (0..30).map(|i| 100.0 - i as f64).collect();
-        let mut a: Moments = xs.iter().copied().collect();
-        let b: Moments = ys.iter().copied().collect();
-        a.merge(&b);
-        let all: Moments = xs.iter().chain(ys.iter()).copied().collect();
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-10);
-        assert!((a.sample_variance() - all.sample_variance()).abs() < 1e-10);
-        assert_eq!(a.min(), all.min());
-        assert_eq!(a.max(), all.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a: Moments = [1.0, 2.0].iter().copied().collect();
-        let before = a;
-        a.merge(&Moments::new());
-        assert_eq!(a, before);
-        let mut empty = Moments::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
-    }
-
-    #[test]
     fn empty_moments_are_safe() {
         let m = Moments::new();
         assert_eq!(m.mean(), 0.0);
         assert_eq!(m.sample_variance(), 0.0);
-        assert_eq!(m.population_variance(), 0.0);
     }
 
     #[test]

@@ -17,8 +17,7 @@
 //! * [`calibration`] — quantile-binned calibration curves (Fig. 6 of the
 //!   paper), expected/maximum calibration error.
 //! * [`descriptive`] — streaming moments, quantiles, histograms.
-//! * [`bootstrap`] — percentile bootstrap confidence intervals with a
-//!   dependency-free deterministic PRNG.
+//! * [`bootstrap`] — a dependency-free deterministic PRNG for resampling.
 //! * [`roc`] — ROC curves and AUC: pure discrimination diagnostics for
 //!   uncertainty estimates.
 //!

@@ -97,7 +97,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\npaper shape: ratio & certainty are the strongest factors; their pair is\n\
          already as good as the full set; length alone adds nothing. (Rankings are\n\
          noisy at this reduced scale — run `cargo run -p tauw-experiments --release\n\
-         --bin fig7` for the paper-sized study.)"
+         --bin run_all -- fig7` for the paper-sized study.)"
     );
     Ok(())
 }
